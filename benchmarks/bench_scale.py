@@ -29,7 +29,7 @@ mechanisms that make that size workable:
   below that.
 
 The run also exports its peak RSS (``resource.getrusage``) through
-:func:`repro.telemetry.scale.record_peak_rss`, so a traced run shows
+:data:`repro.telemetry.schema.PEAK_RSS_BYTES`, so a traced run shows
 the high-water mark in ``repro trace summary``, and gates it against
 an absolute ceiling — the memory diet's end-to-end "does n = 65536
 still fit" check.
@@ -224,17 +224,17 @@ def measure_families() -> Dict[str, dict]:
 
 def measure_peak_rss() -> dict:
     """Peak RSS of this process + its pool children, exported as the
-    :data:`repro.telemetry.scale.RSS_GAUGE` gauge (``ru_maxrss`` is
+    :data:`repro.telemetry.schema.PEAK_RSS_BYTES` gauge (``ru_maxrss`` is
     KiB on Linux)."""
     import resource
 
-    from repro.telemetry import scale as _scale
+    from repro.telemetry.schema import PEAK_RSS_BYTES
 
     unit = 1024 if sys.platform != "darwin" else 1
     self_b = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit
     child_b = (resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
                * unit)
-    _scale.record_peak_rss(self_b)
+    PEAK_RSS_BYTES.set(self_b)
     return {
         "self_mib": round(self_b / (1 << 20), 1),
         "children_mib": round(child_b / (1 << 20), 1),

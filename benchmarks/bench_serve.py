@@ -19,13 +19,17 @@ Three workload families measure what the serving layer buys:
   same baseline; only the k-source grouping amortizes anything here,
   so this family bounds the tier's worst case.
 * ``daemon-loop`` — the serve daemon (long-lived worker processes
-  that warm their shards once, :mod:`repro.serve.daemon`) under a
-  closed-loop multi-client load via the admission front-end, against
-  the cold ``pool_map`` status quo it replaces:
-  ``ShardedQueryService.serve_parallel`` with no spill store, where
-  every batch respawns the pool and rebuilds every oracle.  Gated on
-  the ISSUE's >= 5x sustained-QPS floor plus a p95 latency ceiling;
-  p50/p95/p99 land in the committed JSON.
+  that warm their shards once, :mod:`repro.serve.daemon`) through the
+  admission front-end, against the warm in-process service on the
+  same stream: ``ShardedQueryService.serve([q])``, one query at a
+  time, interleaved in small blocks with a bare pipe round trip to a
+  helper process.  The gated figure is what the front-end and IPC
+  cost per request: daemon p50 minus in-process p50, in pipe round
+  trips, because the wake-ups a daemon request waits on move with
+  the host far more than the in-process compute does (the plain p50
+  ratio is reported beside it).  A p95 latency ceiling holds under a
+  closed-loop multi-client pass; QPS, p50/p95/p99 and the overhead's
+  quartiles land in the committed JSON.
 
 Every family verifies every answer against the centralized oracle
 before any throughput number is reported — a mismatch exits non-zero
@@ -40,11 +44,13 @@ Gate (used by the CI ``serve-smoke`` step)::
 * ``oracle-hit`` must hold the absolute >= 20x speedup floor;
 * the batched families must not drop below 1x (batching must never
   lose to the per-query path);
+* ``daemon-loop`` must hold its p95 ceiling;
 * any family's speedup more than ``tolerance`` below its committed
-  baseline ratio fails the gate.  Ratios, not absolute queries/sec,
-  are compared: they are stable across runner hardware.  Baselines
-  are mode-stamped (``--quick`` vs. full); comparing across modes
-  enforces only the absolute floors.
+  baseline ratio fails the gate, and so does a ``daemon-loop`` p50
+  overhead more than ``tolerance`` above its committed one.  Ratios,
+  not absolute queries/sec, are compared: they are stable across
+  runner hardware.  Baselines are mode-stamped (``--quick`` vs. full);
+  comparing across modes enforces only the absolute floors.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import multiprocessing
 import pathlib
 import platform as platform_mod
 import sys
@@ -78,6 +85,7 @@ from repro.serve import (  # noqa: E402
     generate_workload,
     hit_ratio,
     latency_summary_ms,
+    percentile,
     run_load,
     verify_against_centralized,
 )
@@ -90,15 +98,20 @@ ORACLE_FAMILY = "oracle-hit"
 #: Batched planning must never lose to the per-query fabric path.
 MIN_BATCH_SPEEDUP = 1.0
 
-#: Warm daemon vs. cold pool_map serving (the ISSUE acceptance
-#: criterion for the daemon tier): sustained closed-loop QPS must be
-#: at least this multiple of the per-batch-rebuild path.
-MIN_DAEMON_SPEEDUP = 5.0
 DAEMON_FAMILY = "daemon-loop"
 
-#: Absolute p95 ceiling (ms) for ok requests in the daemon family —
-#: the committed latency SLO the CI smoke step also enforces.
+#: Absolute p95 ceiling (ms) for ok requests in the daemon family's
+#: closed-loop pass — the committed latency SLO the CI smoke step also
+#: enforces.
 MAX_DAEMON_P95_MS = 75.0
+
+#: Daemon-family passes that interleave the daemon, the in-process
+#: service and the pipe echo, and the queries per block within a pass.
+DAEMON_ROUNDS = 21
+DAEMON_BLOCK = 10
+
+#: Closed-loop clients in the daemon family's QPS and p95 pass.
+DAEMON_CONCURRENCY = 4
 
 
 @contextmanager
@@ -237,25 +250,79 @@ def measure_batched(kind: str, quick: bool,
     }
 
 
-def measure_daemon_loop(quick: bool) -> Dict[str, object]:
-    """Warm serve-daemon closed-loop QPS vs. cold pool_map serving.
+def _echo(conn) -> None:
+    """Helper process: send every message back until ``None``."""
+    while True:
+        message = conn.recv()
+        if message is None:
+            return
+        conn.send(message)
 
-    Both sides answer the same oracle-hit stream over the same
-    catalog.  The cold side is ``serve_parallel`` with **no spill
-    store**: each batch spawns a pool whose workers rebuild their
-    oracles from scratch — exactly what every batch paid before the
-    daemon existed.  The daemon side pays its warm once (reported, not
-    timed) and then serves from long-lived workers through the
-    admission front-end under ``concurrency`` closed-loop clients.
+
+@contextmanager
+def _pipe_echo():
+    """A round trip of a small message to a helper process over a
+    pipe: wake-up cost like a daemon request's, none of its work."""
+    ctx = multiprocessing.get_context("spawn")
+    conn, child = ctx.Pipe()
+    helper = ctx.Process(target=_echo, args=(child,), daemon=True)
+    helper.start()
+    child.close()
+
+    def round_trip(_query):
+        conn.send(0)
+        return conn.recv()
+
+    try:
+        yield round_trip
+    finally:
+        conn.send(None)
+        helper.join(timeout=5.0)
+        if helper.is_alive():
+            helper.kill()
+            helper.join()
+        conn.close()
+
+
+def _interleaved_pass(sides, queries, offset: int):
+    """Every side's results and per-query seconds over ``queries``, in
+    blocks of ``DAEMON_BLOCK`` that rotate which side goes first."""
+    names = list(sides)
+    results = {side: [] for side in names}
+    seconds = {side: [] for side in names}
+    for block_no, first in enumerate(range(0, len(queries),
+                                           DAEMON_BLOCK)):
+        k = (offset + block_no) % len(names)
+        for side in names[k:] + names[:k]:
+            for query in queries[first:first + DAEMON_BLOCK]:
+                start = time.perf_counter()
+                results[side].append(sides[side](query))
+                seconds[side].append(time.perf_counter() - start)
+    return results, seconds
+
+
+def measure_daemon_loop(quick: bool) -> Dict[str, object]:
+    """Warm serve daemon vs. the warm in-process service, per request.
+
+    Both sides answer the same oracle-hit stream over the same catalog
+    from warm oracles: the in-process side times
+    ``ShardedQueryService.serve([q])`` (the floor of the query ladder),
+    the daemon side one client's request through the admission
+    front-end, each timed by the caller.  A daemon request is a chain
+    of thread and process wake-ups, whose cost on a shared VM moves
+    with the neighbours and with how idle the CPUs are, so a third
+    side times a bare pipe round trip to a helper process, which pays
+    the same kind of cost and none of the program's.  After one
+    untimed warm-up pass, each of ``DAEMON_ROUNDS`` passes interleaves
+    the three sides in blocks of ``DAEMON_BLOCK`` queries.  Per pass,
+    ``p50_overhead_rtts`` is the daemon p50 minus the in-process p50,
+    in pipe round trips (median echo), and ``p50_ratio`` the daemon
+    p50 over the in-process p50; both report their median over
+    passes.  A last closed-loop pass with ``DAEMON_CONCURRENCY``
+    clients measures the QPS and the p95/p99 the SLO ceiling gates.
     """
-    # Sized so oracle construction dominates the cold side, as it does
-    # at deployment scale: below n ≈ 40 a theorem1 build is a few ms
-    # and the cold pool path is mostly spawn overhead, which under-
-    # states what warm workers save.
     n = 56 if quick else 72
     per_instance = 50 if quick else 200
-    batches = 3
-    concurrency = 4
     instances = [
         random_instance(n, seed=10 + i, name=f"daemon-{n}-{i}")
         for i in range(3)
@@ -265,63 +332,101 @@ def measure_daemon_loop(quick: bool) -> Dict[str, object]:
         queries.extend(generate_workload(
             "uniform", inst, per_instance, seed=20 + i))
 
-    cold = ShardedQueryService(instances, shards=2,
-                               solver="theorem1", build_seed=0)
-    batch_size = (len(queries) + batches - 1) // batches
-    cold_answers = []
-    with _quiet_gc():
-        start = time.perf_counter()
-        for b in range(batches):
-            chunk = queries[b * batch_size:(b + 1) * batch_size]
-            report = cold.serve_parallel(chunk, jobs=2)
-            cold_answers.extend(report.answers)
-        cold_time = time.perf_counter() - start
-    if not verify_against_centralized(instances, cold_answers):
+    service = ShardedQueryService(instances, shards=2,
+                                  solver="theorem1", build_seed=0)
+    service.warm()
+    direct = [service.serve([q]).answers[0] for q in queries]
+    if not verify_against_centralized(instances, direct):
         raise AssertionError(
-            f"{DAEMON_FAMILY}: cold pool_map answers contradict the "
+            f"{DAEMON_FAMILY}: in-process answers contradict the "
             "centralized oracle")
+    expected = [a.length for a in direct]
 
-    warm_start = time.perf_counter()
-    daemon = ServeDaemon(instances, workers=2, solver="theorem1",
-                         build_seed=0).start()
-    warm_time = time.perf_counter() - warm_start
-    try:
-        frontend = ServeFrontend(daemon, max_queue=512,
-                                 max_inflight=128)
+    passes = []
+    seconds = {"direct": [], "daemon": [], "echo": []}
+    with _pipe_echo() as echo:
+        warm_start = time.perf_counter()
+        daemon = ServeDaemon(instances, workers=2, solver="theorem1",
+                             build_seed=0).start()
+        warm_time = time.perf_counter() - warm_start
         try:
-            with _quiet_gc():
-                results, load = run_load(
-                    frontend, queries, mode="closed",
-                    concurrency=concurrency)
+            frontend = ServeFrontend(daemon, max_queue=512,
+                                     max_inflight=128)
+
+            def via_daemon(query):
+                result = frontend.submit(query).result()
+                if not result.ok:
+                    raise AssertionError(
+                        f"{DAEMON_FAMILY}: outcome {result.outcome}")
+                return result.answer.length
+
+            sides = {
+                "direct": lambda q: service.serve([q]).answers[0].length,
+                "daemon": via_daemon,
+                "echo": echo,
+            }
+            try:
+                for query in queries:
+                    via_daemon(query)
+                    echo(query)
+                with _quiet_gc():
+                    for round_no in range(DAEMON_ROUNDS):
+                        lengths, taken = _interleaved_pass(
+                            sides, queries, round_no)
+                        if not (lengths["direct"] == lengths["daemon"]
+                                == expected):
+                            raise AssertionError(
+                                f"{DAEMON_FAMILY}: answers changed "
+                                "between sides or passes")
+                        p50 = {side: percentile(taken[side], 50)
+                               for side in sides}
+                        passes.append(((p50["daemon"] - p50["direct"])
+                                       / p50["echo"],
+                                       p50["daemon"] / p50["direct"]))
+                        for side in sides:
+                            seconds[side] += taken[side]
+                    results, load = run_load(
+                        frontend, queries, mode="closed",
+                        concurrency=DAEMON_CONCURRENCY)
+            finally:
+                frontend.close()
         finally:
-            frontend.close()
-    finally:
-        daemon.stop()
+            daemon.stop()
     if load.ok != load.sent:
         raise AssertionError(
             f"{DAEMON_FAMILY}: non-ok outcomes {load.outcomes}")
-    answers = [r.answer for r in results]
-    if not verify_against_centralized(instances, answers):
+    answers = [res.answer for res in results]
+    if [a.length for a in answers] != expected:
         raise AssertionError(
-            f"{DAEMON_FAMILY}: daemon answers contradict the "
+            f"{DAEMON_FAMILY}: closed-loop answers contradict the "
             "centralized oracle")
 
-    qps = load.achieved_qps
-    baseline_qps = len(queries) / cold_time
+    overheads = [overhead for overhead, _ratio in passes]
     return {
         "n": n,
         "instances": len(instances),
         "queries": len(queries),
-        "concurrency": concurrency,
-        "qps": round(qps, 1),
-        "baseline_qps": round(baseline_qps, 1),
-        "speedup": round(qps / baseline_qps, 2),
+        "rounds": DAEMON_ROUNDS,
+        "block": DAEMON_BLOCK,
+        "concurrency": DAEMON_CONCURRENCY,
+        "qps": round(load.achieved_qps, 1),
         "p50_ms": round(load.latency_ms["p50"], 4),
         "p95_ms": round(load.latency_ms["p95"], 4),
         "p99_ms": round(load.latency_ms["p99"], 4),
+        "daemon_p50_ms": round(
+            latency_summary_ms(seconds["daemon"])["p50"], 4),
+        "inprocess_p50_ms": round(
+            latency_summary_ms(seconds["direct"])["p50"], 4),
+        "echo_p50_ms": round(
+            latency_summary_ms(seconds["echo"])["p50"], 4),
+        "p50_overhead_rtts": round(percentile(overheads, 50), 2),
+        "p50_overhead_rtts_quartiles": [
+            round(percentile(overheads, 25), 2),
+            round(percentile(overheads, 75), 2)],
+        "p50_ratio": round(percentile(
+            [ratio for _overhead, ratio in passes], 50), 2),
         "hit_ratio": round(hit_ratio(answers), 4),
         "warm_seconds": round(warm_time, 4),
-        "cold_batches": batches,
     }
 
 
@@ -342,9 +447,11 @@ def render_report(families: Dict[str, dict]) -> str:
     return format_records(
         records,
         ["family", "n", "queries", "qps", "baseline_qps", "speedup",
-         "p50_ms", "p95_ms", "p99_ms", "hit_ratio"],
-        title="serving tier — precomputed oracle / batched planner / "
-              "warm daemon vs. per-query and cold-pool solves",
+         "p50_ms", "p95_ms", "p99_ms", "daemon_p50_ms",
+         "inprocess_p50_ms", "echo_p50_ms", "p50_overhead_rtts",
+         "p50_ratio", "hit_ratio"],
+        title="serving tier — precomputed oracle / batched planner "
+              "vs. per-query solves; warm daemon vs. in-process",
     )
 
 
@@ -374,6 +481,16 @@ def check_against_baseline(families: Dict[str, dict], baseline: dict,
                 problems.append(f"{name}: family missing from this "
                                 "run")
                 continue
+            if name == DAEMON_FAMILY:
+                ceiling = base["p50_overhead_rtts"] * (1.0 + tolerance)
+                if now["p50_overhead_rtts"] > ceiling:
+                    problems.append(
+                        f"{name}: p50 overhead "
+                        f"{now['p50_overhead_rtts']:.2f} pipe round "
+                        f"trips rose above {ceiling:.2f} (baseline "
+                        f"{base['p50_overhead_rtts']:.2f} + "
+                        f"{tolerance:.0%} tolerance)")
+                continue
             floor = base["speedup"] * (1.0 - tolerance)
             if now["speedup"] < floor:
                 problems.append(
@@ -395,11 +512,6 @@ def check_against_baseline(families: Dict[str, dict], baseline: dict,
                 f"below the absolute {MIN_BATCH_SPEEDUP:.1f}x floor")
     daemon = families.get(DAEMON_FAMILY)
     if daemon is not None:
-        if daemon["speedup"] < MIN_DAEMON_SPEEDUP:
-            problems.append(
-                f"{DAEMON_FAMILY}: warm-daemon speedup "
-                f"{daemon['speedup']:.2f}x is below the absolute "
-                f"{MIN_DAEMON_SPEEDUP:.0f}x floor")
         if daemon["p95_ms"] > MAX_DAEMON_P95_MS:
             problems.append(
                 f"{DAEMON_FAMILY}: p95 {daemon['p95_ms']:.2f}ms "
@@ -418,8 +530,8 @@ def bench_serve_tier(benchmark):
                                   rounds=1, iterations=1)
     report("serve", render_report(families))
     assert families[ORACLE_FAMILY]["speedup"] >= MIN_ORACLE_SPEEDUP
-    assert (families[DAEMON_FAMILY]["speedup"]
-            >= MIN_DAEMON_SPEEDUP), families[DAEMON_FAMILY]
+    assert (families[DAEMON_FAMILY]["p95_ms"]
+            <= MAX_DAEMON_P95_MS), families[DAEMON_FAMILY]
     for name, data in families.items():
         if name not in (ORACLE_FAMILY, DAEMON_FAMILY):
             assert data["speedup"] >= MIN_BATCH_SPEEDUP, (name, data)
@@ -448,7 +560,6 @@ def main(argv=None) -> int:
         "quick": bool(args.quick),
         "min_oracle_speedup": MIN_ORACLE_SPEEDUP,
         "min_batch_speedup": MIN_BATCH_SPEEDUP,
-        "min_daemon_speedup": MIN_DAEMON_SPEEDUP,
         "max_daemon_p95_ms": MAX_DAEMON_P95_MS,
         "tolerance": args.tolerance,
         "environment": environment_info(),

@@ -437,7 +437,6 @@ def cmd_store_gc(args) -> int:
 
 
 def cmd_serve_bench(args) -> int:
-    import tempfile
     import time
 
     from .graphs.generators import random_instance
@@ -454,14 +453,6 @@ def cmd_serve_bench(args) -> int:
         for i in range(args.instances)
     ]
     store = ResultStore(args.cache_dir) if args.cache_dir else None
-    scratch = None
-    if store is None and args.jobs and args.jobs > 1:
-        # Parallel workers rebuild their shards from scratch; without
-        # a spill store the parent's warm() could not reach them and
-        # every timed window would pay full oracle construction.  A
-        # throwaway store keeps the steady-state numbers honest.
-        scratch = tempfile.TemporaryDirectory(prefix="repro-serve-")
-        store = ResultStore(scratch.name)
     kinds = args.workload or ["uniform", "zipf", "adversarial",
                               "mixed"]
     rows = []
@@ -478,10 +469,7 @@ def cmd_serve_bench(args) -> int:
                 kind, inst, args.queries // len(instances),
                 seed=args.seed + 17 * i))
         start = time.perf_counter()
-        if args.jobs and args.jobs > 1:
-            report = service.serve_parallel(queries, jobs=args.jobs)
-        else:
-            report = service.serve(queries)
+        report = service.serve(queries)
         wall = time.perf_counter() - start
         correct = verify_against_centralized(instances, report.answers)
         failures += 0 if correct else 1
@@ -521,7 +509,6 @@ def cmd_serve_bench(args) -> int:
             "hit_ratio": round(hit_ratio(report.answers), 4),
             "wall_seconds": round(wall, 4),
             "correct": correct,
-            "jobs": report.jobs,
             "totals": totals.as_metrics(),
             "service": service_stats,
         })
@@ -533,7 +520,6 @@ def cmd_serve_bench(args) -> int:
                 "instances": args.instances,
                 "shards": args.shards,
                 "capacity": args.capacity,
-                "jobs": args.jobs,
                 "solver": args.solver,
                 "seed": args.seed,
             },
@@ -546,10 +532,7 @@ def cmd_serve_bench(args) -> int:
              "wall", "correct"],
             rows,
             title=f"serve bench: {args.instances} instances "
-                  f"(n={args.n}), {args.shards or 'auto'} shards, "
-                  f"jobs={args.jobs}"))
-    if scratch is not None:
-        scratch.cleanup()
+                  f"(n={args.n}), {args.shards or 'auto'} shards"))
     return 0 if failures == 0 else 1
 
 
@@ -626,19 +609,12 @@ def cmd_serve_daemon(args) -> int:
     return return_code
 
 
-def _check_dynamic_telemetry(failures) -> None:
-    """Append closed-enum violations (serving + dynamic) to failures."""
-    from .telemetry import snapshot_counters, unknown_serving_labels
-    from .telemetry.dynamic import unknown_dynamic_labels
-    counters = snapshot_counters()["counters"]
-    unknown = unknown_serving_labels(counters)
+def _check_telemetry(failures) -> None:
+    """Append every series the metric table does not declare."""
+    from .telemetry import snapshot_counters, unknown_labels
+    unknown = unknown_labels(snapshot_counters())
     if unknown:
-        failures.append("unknown serving telemetry labels: "
-                        + ", ".join(unknown))
-    unknown = unknown_dynamic_labels(counters)
-    if unknown:
-        failures.append("unknown dynamic telemetry labels: "
-                        + ", ".join(unknown))
+        failures.append("undeclared telemetry: " + ", ".join(unknown))
 
 
 def _serve_load_chaos(args, instances) -> int:
@@ -673,7 +649,7 @@ def _serve_load_chaos(args, instances) -> int:
             f"chaos: served p95 {report.latency_ms['p95']:.2f}ms > "
             f"floor {args.max_p95_ms:.2f}ms")
     if args.check_telemetry:
-        _check_dynamic_telemetry(failures)
+        _check_telemetry(failures)
     if args.json:
         import json
         payload = report.as_json()
@@ -775,7 +751,7 @@ def cmd_serve_load(args) -> int:
         _dump_stats(args, daemon, extra={"load": reports})
         daemon.stop()
     if args.check_telemetry:
-        _check_dynamic_telemetry(failures)
+        _check_telemetry(failures)
     if args.json:
         import json
         print(json.dumps({
@@ -842,9 +818,9 @@ def cmd_trace_summary(args) -> int:
     else:
         print(format_summary(summary, title=f"trace {path}"))
     if args.check_reasons:
-        unknown = summary.unknown_reasons()
+        unknown = summary.unknown_labels()
         if unknown:
-            print("error: unknown fallback reasons/kernels: "
+            print("error: undeclared metrics/labels: "
                   + ", ".join(unknown), file=sys.stderr)
             return 1
     return 0
@@ -1085,9 +1061,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "instances))")
     p_bench.add_argument("--capacity", type=int, default=4,
                          help="per-shard hot-oracle LRU capacity")
-    p_bench.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for serving "
-                              "(1 = in-process)")
     p_bench.add_argument("--solver", default="theorem1",
                          choices=["theorem1", "centralized"],
                          help="oracle construction solver")
@@ -1171,8 +1144,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "ShardedQueryService on the same "
                              "catalog (bit-identity gate)")
     p_load.add_argument("--check-telemetry", action="store_true",
-                        help="fail on serving-counter labels outside "
-                             "the closed enums (CI gate)")
+                        help="fail on any metric or label the metric "
+                             "table does not declare (CI gate)")
     p_load.add_argument("--max-p95-ms", type=float, default=None,
                         help="fail any workload whose ok-request p95 "
                              "exceeds this many milliseconds")
@@ -1216,9 +1189,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_tsum.add_argument("--top", type=int, default=10,
                         help="slowest spans to list (default 10)")
     p_tsum.add_argument("--check-reasons", action="store_true",
-                        help="fail when the trace contains kernel "
-                             "dispatch outcomes outside the known "
-                             "reason enum (CI gate)")
+                        help="fail when the trace holds a metric or "
+                             "label the metric table does not declare, "
+                             "such as an unregistered fallback reason "
+                             "(CI gate)")
     p_tsum.add_argument("--json", action="store_true",
                         help="machine-readable JSON output")
     p_tsum.set_defaults(func=cmd_trace_summary)

@@ -18,9 +18,10 @@ The registry is the single source of truth for three consumers:
   counted as a ``fallback`` whose reason *is* the failing constraint's
   reason.  No hand-kept enum can drift from the checks.
 * **telemetry** — :func:`known_kernels` / :func:`known_reasons` derive
-  the legal counter label sets from the registered constraints (plus
-  escape hatches), which is what ``repro trace summary
-  --check-reasons`` enforces in CI.
+  the ``kernel`` / ``reason`` label enums of the metric table
+  (:data:`repro.telemetry.schema.KERNEL_DISPATCH`) from the registered
+  constraints (plus escape hatches), which is what ``repro trace
+  summary --check-reasons`` enforces in CI.
 * **docs** — ``repro kernels list`` renders :func:`table_rows` /
   :func:`registry_json`, so the dispatch table users read is the one
   the dispatcher executes.
@@ -52,7 +53,7 @@ from typing import (
     Callable, Dict, List, Mapping, Optional, Tuple,
 )
 
-from ..telemetry import dispatch as _counters
+from ..telemetry.schema import KERNEL_DISPATCH
 from . import kernels as _kernels
 
 #: A constraint check: ``check(net, call) -> bool`` (True = satisfied).
@@ -60,6 +61,35 @@ CheckFn = Callable[[object, Mapping[str, object]], bool]
 
 #: A lazily-resolved implementation: (dotted module, attribute).
 ImplRef = Tuple[str, str]
+
+# -- fallback reasons (the ``reason=`` label vocabulary) ---------------------
+
+#: The network does not run ``fabric="vector"`` at all — not a real
+#: fallback, but counted so vector coverage is measurable per run.
+REASON_FABRIC = "fabric-not-vector"
+#: NumPy could not be imported.
+REASON_NUMPY_MISSING = "numpy-missing"
+#: Per-link total recording (lower-bound cut analysis) needs genuine
+#: per-message routing.
+REASON_RECORD_LINK_TOTALS = "record-link-totals"
+#: Hop-BFS seeds whose auxiliary word is not a function of the index.
+REASON_NON_FUNCTIONAL_AUX = "non-functional-aux"
+#: Seed/table/init values outside the int64-safe range (or non-int).
+REASON_VALUE_RANGE = "value-out-of-int64"
+#: k-source key encoding ``d*k + rank`` would overflow int64.
+REASON_KEY_OVERFLOW = "key-encoding-overflow"
+#: A k-source BFS source is out of vertex range (the message path's
+#: error behavior must win).
+REASON_SOURCE_RANGE = "source-out-of-range"
+#: A delay function produced steps beyond int64 mid-plan.
+REASON_DELAY_OVERFLOW = "delay-overflow"
+#: A sweep task carries an opaque ``combine`` closure instead of a
+#: declarative ``local_min`` table.
+REASON_NON_DECLARATIVE = "non-declarative-task"
+#: Sweep start groups occupy overlapping link ranges.
+REASON_OVERLAPPING_GROUPS = "overlapping-groups"
+#: Duplicate sweep-task keys would alias engine results.
+REASON_DUPLICATE_KEYS = "duplicate-keys"
 
 
 @dataclass(frozen=True)
@@ -132,17 +162,17 @@ class Primitive:
 
 GLOBAL_GATES: Tuple[Constraint, ...] = (
     Constraint(
-        _counters.REASON_FABRIC,
+        REASON_FABRIC,
         'network runs fabric="vector"',
         lambda net, call: getattr(net, "fabric", None) == "vector",
     ),
     Constraint(
-        _counters.REASON_RECORD_LINK_TOTALS,
+        REASON_RECORD_LINK_TOTALS,
         "per-link total recording off (cut analysis wants real routing)",
         lambda net, call: not net.record_link_totals,
     ),
     Constraint(
-        _counters.REASON_NUMPY_MISSING,
+        REASON_NUMPY_MISSING,
         "NumPy importable",
         lambda net, call: _kernels.numpy_or_none() is not None,
     ),
@@ -265,19 +295,19 @@ def _multisource_prepare(net, call):
 
 _PRIMITIVES: Tuple[Primitive, ...] = (
     Primitive(
-        name=_counters.KERNEL_HOP_BFS,
+        name="hop_bfs",
         title="pruned hop-BFS flood",
         lemma="L4.2/L7.5",
         message=("repro.core.hop_bfs", "_hop_bfs_message"),
         vector=("repro.congest.kernels", "pruned_max_hop_bfs_vector"),
         constraints=(
             Constraint(
-                _counters.REASON_VALUE_RANGE,
+                REASON_VALUE_RANGE,
                 "seed vertices in range; (index, aux) int64-safe ints",
                 _hop_bfs_values_ok,
             ),
             Constraint(
-                _counters.REASON_NON_FUNCTIONAL_AUX,
+                REASON_NON_FUNCTIONAL_AUX,
                 "auxiliary word is a function of the path index",
                 _hop_bfs_aux_functional,
             ),
@@ -285,22 +315,22 @@ _PRIMITIVES: Tuple[Primitive, ...] = (
         ledger="opens its phase; uniform 3-word rounds over the "
                "frontier schedule",
         prepare=_hop_bfs_prepare,
-        escape_reason=_counters.REASON_DELAY_OVERFLOW,
+        escape_reason=REASON_DELAY_OVERFLOW,
     ),
     Primitive(
-        name=_counters.KERNEL_MULTISOURCE,
+        name="multisource",
         title="k-source hop BFS",
         lemma="L5.5",
         message=("repro.congest.multisource", "_multisource_message"),
         vector=("repro.congest.kernels", "multi_source_hop_bfs_vector"),
         constraints=(
             Constraint(
-                _counters.REASON_KEY_OVERFLOW,
+                REASON_KEY_OVERFLOW,
                 "priority keys d*k + rank fit int64 (sane hop limit)",
                 _multisource_key_fits,
             ),
             Constraint(
-                _counters.REASON_SOURCE_RANGE,
+                REASON_SOURCE_RANGE,
                 "sources are in-range ints (message path owns the "
                 "error behavior otherwise)",
                 _multisource_sources_ok,
@@ -309,10 +339,10 @@ _PRIMITIVES: Tuple[Primitive, ...] = (
         ledger="opens its phase; uniform 3-word rounds of the "
                "priority schedule",
         prepare=_multisource_prepare,
-        escape_reason=_counters.REASON_DELAY_OVERFLOW,
+        escape_reason=REASON_DELAY_OVERFLOW,
     ),
     Primitive(
-        name=_counters.KERNEL_BROADCAST,
+        name="broadcast",
         title="pipelined tree broadcast",
         lemma="L2.4",
         message=("repro.congest.broadcast", "_broadcast_message"),
@@ -321,14 +351,14 @@ _PRIMITIVES: Tuple[Primitive, ...] = (
                "charge for uniform-size batches",
     ),
     Primitive(
-        name=_counters.KERNEL_CHAIN_FLOOD,
+        name="chain_flood",
         title="path-chain flood",
         lemma="L2.5",
         message=("repro.core.knowledge", "_chain_flood_message"),
         vector=("repro.congest.kernels", "chain_flood_vector"),
         constraints=(
             Constraint(
-                _counters.REASON_VALUE_RANGE,
+                REASON_VALUE_RANGE,
                 "prefix weights int64-safe (tokens carry their "
                 "differences)",
                 _chain_prefix_fits,
@@ -338,14 +368,14 @@ _PRIMITIVES: Tuple[Primitive, ...] = (
                "gap schedule)",
     ),
     Primitive(
-        name=_counters.KERNEL_DP_SWEEP,
+        name="dp_sweep",
         title="descending DP pipeline",
         lemma="L4.4",
         message=("repro.core.short_detour", "_dp_sweep_message"),
         vector=("repro.congest.kernels", "dp_sweep_vector"),
         constraints=(
             Constraint(
-                _counters.REASON_VALUE_RANGE,
+                REASON_VALUE_RANGE,
                 "0 <= zeta, int64-safe round count",
                 _dp_zeta_fits,
             ),
@@ -353,30 +383,30 @@ _PRIMITIVES: Tuple[Primitive, ...] = (
         ledger="opens its phase; bulk-charges zeta-1 uniform rounds",
     ),
     Primitive(
-        name=_counters.KERNEL_PATH_SWEEPS,
+        name="path_sweeps",
         title="pipelined path sweeps",
         lemma="L4.4/5.7/5.9",
         message=("repro.congest.pipeline", "_path_sweeps_message"),
         vector=("repro.congest.kernels", "run_path_sweeps_vector"),
         constraints=(
             Constraint(
-                _counters.REASON_NON_DECLARATIVE,
+                REASON_NON_DECLARATIVE,
                 "every task declarative (local_min table, no combine "
                 "closure)",
                 _sweeps_declarative,
             ),
             Constraint(
-                _counters.REASON_VALUE_RANGE,
+                REASON_VALUE_RANGE,
                 "task init values and local_min tables int64-safe ints",
                 _sweeps_values_ok,
             ),
             Constraint(
-                _counters.REASON_DUPLICATE_KEYS,
+                REASON_DUPLICATE_KEYS,
                 "task keys pairwise distinct",
                 _sweeps_keys_distinct,
             ),
             Constraint(
-                _counters.REASON_OVERLAPPING_GROUPS,
+                REASON_OVERLAPPING_GROUPS,
                 "start groups occupy disjoint link ranges per direction",
                 _sweeps_groups_disjoint,
             ),
@@ -384,7 +414,7 @@ _PRIMITIVES: Tuple[Primitive, ...] = (
         ledger="opens its phase; bulk-charges the FIFO makespan",
     ),
     Primitive(
-        name=_counters.KERNEL_SPANNING_TREE,
+        name="spanning_tree",
         title="BFS spanning-tree flood",
         lemma="L2.4 backbone",
         message=("repro.congest.spanning_tree", "_flood_message"),
@@ -393,14 +423,14 @@ _PRIMITIVES: Tuple[Primitive, ...] = (
                "per BFS level",
     ),
     Primitive(
-        name=_counters.KERNEL_N_SHIFT,
+        name="n_shift",
         title="segment-table N-shift",
         lemma="L5.9",
         message=("repro.core.segments", "_n_shift_message"),
         vector=("repro.congest.kernels", "n_shift_vector"),
         constraints=(
             Constraint(
-                _counters.REASON_VALUE_RANGE,
+                REASON_VALUE_RANGE,
                 "all shifted values plain ints (3-word tokens; "
                 "Fractions take the message path)",
                 _n_shift_rows_int,
@@ -409,7 +439,7 @@ _PRIMITIVES: Tuple[Primitive, ...] = (
         ledger="charges in the caller's open phase (k bulk rounds)",
     ),
     Primitive(
-        name=_counters.KERNEL_LANDMARK_COMPLETION,
+        name="landmark_completion",
         title="landmark min-plus completion",
         lemma="L5.6",
         message=("repro.core.landmark_distances", "_completion_message"),
@@ -417,7 +447,7 @@ _PRIMITIVES: Tuple[Primitive, ...] = (
         ledger="ledger-free local computation (value equality only)",
     ),
     Primitive(
-        name=_counters.KERNEL_PAIRWISE_MIN_SUM,
+        name="pairwise_min_sum",
         title="pairwise min-sum finish",
         lemma="P5.1",
         message=("repro.core.long_detour", "_pairwise_min_sum_message"),
@@ -473,9 +503,10 @@ def dispatch(primitive: str, net, **call):
         except OverflowError:
             reason = prim.escape_reason
     if reason is not None:
-        _counters.record_fallback(prim.name, reason)
+        KERNEL_DISPATCH.inc(kernel=prim.name, outcome="fallback",
+                            reason=reason)
         return prim.resolve("message")(net, **call)
-    _counters.record_vector_hit(prim.name)
+    KERNEL_DISPATCH.inc(kernel=prim.name, outcome="vector")
     if prim.prepare is not None:
         return prim.resolve("vector")(net, plan=plan, **call)
     return prim.resolve("vector")(net, **call)

@@ -130,7 +130,7 @@ def vector_gate_reason(net) -> Optional[str]:
     The gates themselves are declared once, as data, in
     :data:`repro.congest.dispatch.GLOBAL_GATES`; the returned strings
     are members of the registry-derived reason set
-    (:func:`repro.telemetry.dispatch.known_reasons`).
+    (:func:`repro.congest.dispatch.known_reasons`).
     """
     from .dispatch import GLOBAL_GATES
     for gate in GLOBAL_GATES:

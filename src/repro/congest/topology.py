@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..telemetry import scale as _scale
+from ..telemetry.schema import SENDPLAN_CACHE, TOPOLOGY_EXPORT
 from .errors import UnknownVertexError
 
 #: Largest value an int32 export may hold; any array group whose value
@@ -131,11 +131,9 @@ class TopologyArrays:
         self.index_dtype = idx
         self.key_dtype = key
         self.weight_dtype = wgt
-        _scale.record_export(
-            _scale.ARRAY_INDICES, np.dtype(idx).name)
-        _scale.record_export(_scale.ARRAY_KEYS, np.dtype(key).name)
-        _scale.record_export(
-            _scale.ARRAY_WEIGHTS, np.dtype(wgt).name)
+        TOPOLOGY_EXPORT.inc(array="indices", dtype=np.dtype(idx).name)
+        TOPOLOGY_EXPORT.inc(array="keys", dtype=np.dtype(key).name)
+        TOPOLOGY_EXPORT.inc(array="weights", dtype=np.dtype(wgt).name)
         self.out_indptr = np.asarray(topology.out_indptr, dtype=idx)
         self.out_indices = np.asarray(topology.out_indices, dtype=idx)
         self.in_indptr = np.asarray(topology.in_indptr, dtype=idx)
@@ -370,7 +368,7 @@ class CSRTopology:
             cache_key = (direction, avoid_edges)
             cached = self._send_cache.get(cache_key)
             if cached is not None:
-                _scale.record_plan(_scale.PLAN_HIT)
+                SENDPLAN_CACHE.inc(outcome="hit")
                 return cached
         arr = self.arrays()
         if direction == "out":
@@ -402,9 +400,9 @@ class CSRTopology:
                      arr.index_dtype, copy=False)
         if delay is None:
             steps = np.ones(len(indices), dtype=np.int32)
-            _scale.record_export(_scale.ARRAY_STEPS, "int32")
+            TOPOLOGY_EXPORT.inc(array="steps", dtype="int32")
         else:
-            _scale.record_plan(_scale.PLAN_BYPASS)
+            SENDPLAN_CACHE.inc(outcome="bypass")
             # Delay is an arbitrary Python callable; evaluate it once
             # per distinct weight so the per-slot table stays exact.
             uniq, inverse = np.unique(weights, return_inverse=True)
@@ -420,14 +418,14 @@ class CSRTopology:
             sdtype = (np.int32 if all(s <= _INT32_MAX
                                       for s in per_weight)
                       else np.int64)
-            _scale.record_export(_scale.ARRAY_STEPS,
-                                 np.dtype(sdtype).name)
+            TOPOLOGY_EXPORT.inc(array="steps",
+                                dtype=np.dtype(sdtype).name)
             steps = (np.asarray(per_weight, dtype=sdtype)[inverse]
                      if uniq.size else np.zeros(0, dtype=sdtype))
         for out in (indptr, indices, steps):
             out.flags.writeable = False
         if cache_key is not None:
-            _scale.record_plan(_scale.PLAN_BUILD)
+            SENDPLAN_CACHE.inc(outcome="build")
             if len(self._send_cache) >= _SEND_CACHE_LIMIT:
                 self._send_cache.pop(next(iter(self._send_cache)))
             self._send_cache[cache_key] = (indptr, indices, steps)

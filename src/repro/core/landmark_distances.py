@@ -30,7 +30,6 @@ from ..congest.multisource import multi_source_hop_bfs
 from ..congest.network import CongestNetwork
 from ..congest.spanning_tree import SpanningTree
 from ..congest.words import INF, clamp_inf
-from ..telemetry import scale as _scale
 
 EdgeSet = FrozenSet[Tuple[int, int]]
 
@@ -145,7 +144,7 @@ def compute_landmark_distances(
                       phase="kBFS-forward(L5.5)"),
                  dict(base, direction="in",
                       phase="kBFS-backward(L5.5)")],
-                site=_scale.SITE_LANDMARK_KBFS)
+                site="landmark-kbfs")
         else:
             forward_hops = multi_source_hop_bfs(
                 net, landmarks, hop_limit, direction="out",

@@ -16,9 +16,9 @@ instances; this package makes those instances move:
   families (fault-storm / regional-failure / maintenance-window) in
   the suite catalog.
 
-Telemetry lives in :mod:`repro.telemetry.dynamic` (closed enums for
-mutation kinds, skip reasons, and invalidation scopes, plus the
-epoch-lag gauge).
+The dynamic-graph metrics (mutation kinds, skip reasons,
+invalidation scopes, the epoch-lag gauge) are declared in
+:mod:`repro.telemetry.schema`.
 """
 
 from .stream import (  # noqa: F401

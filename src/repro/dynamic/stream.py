@@ -10,12 +10,12 @@ in place, so every epoch's instance stays usable as ground truth for
 answers served against it.
 
 Safety: a mutation that would break the problem's preconditions is
-*skipped with a structured reason* (closed enum in
-:mod:`repro.telemetry.dynamic`) rather than applied — removing the
-edge that disconnects s from t or splits the communication graph,
-healing an edge that already exists, weight updates on unweighted
-instances, and so on.  Skips are deterministic, so a seeded stream
-replays bit-identically.
+*skipped with a structured reason* (the closed ``reason`` enum of
+:data:`repro.telemetry.schema.DYNAMIC_SKIPPED`) rather than applied —
+removing the edge that disconnects s from t or splits the
+communication graph, healing an edge that already exists, weight
+updates on unweighted instances, and so on.  Skips are deterministic,
+so a seeded stream replays bit-identically.
 
 :class:`MutationStream` generates the batches: independent bursts,
 correlated *regional* fault storms (all failures inside one BFS ball),
@@ -33,20 +33,16 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..congest.words import INF
 from ..graphs.instance import RPathsInstance
-from ..telemetry import dynamic as _dynamic
-from ..telemetry.dynamic import (
-    MUT_FAIL,
-    MUT_HEAL,
-    MUT_WEIGHT,
-    SKIP_DISCONNECTS,
-    SKIP_DUPLICATE_EDGE,
-    SKIP_INVALID,
-    SKIP_NOOP,
-    SKIP_UNKNOWN_EDGE,
-    SKIP_UNWEIGHTED,
-)
+from ..telemetry.schema import DYNAMIC_MUTATIONS, DYNAMIC_SKIPPED
 
 Edge = Tuple[int, int]
+
+#: Mutation kinds: an edge-weight change on a weighted instance, a
+#: failure arrival (the edge leaves the graph), and a healing (a failed
+#: or new edge joins it).
+MUT_WEIGHT = "weight"
+MUT_FAIL = "fail"
+MUT_HEAL = "heal"
 
 
 @dataclass(frozen=True)
@@ -168,7 +164,7 @@ def apply_mutations(instance: RPathsInstance,
     def skip(m: Mutation, reason: str) -> None:
         skipped.append((m, reason))
         if record_telemetry:
-            _dynamic.record_skip(reason)
+            DYNAMIC_SKIPPED.inc(reason=reason)
 
     def survives_removal(edge: Edge) -> bool:
         """s→t stays reachable and the comm graph stays connected."""
@@ -183,49 +179,49 @@ def apply_mutations(instance: RPathsInstance,
         edge = (int(m.edge[0]), int(m.edge[1]))
         u, v = edge
         if not (0 <= u < n and 0 <= v < n) or u == v:
-            skip(m, SKIP_INVALID)
+            skip(m, "invalid")
             continue
         if m.kind == MUT_FAIL:
             old = weights.get(edge)
             if old is None:
-                skip(m, SKIP_UNKNOWN_EDGE)
+                skip(m, "unknown-edge")
                 continue
             if not survives_removal(edge):
-                skip(m, SKIP_DISCONNECTS)
+                skip(m, "disconnects")
                 continue
             del weights[edge]
             order.remove(edge)
             applied.append(AppliedMutation(MUT_FAIL, edge, 0, old))
         elif m.kind == MUT_HEAL:
             if edge in weights:
-                skip(m, SKIP_DUPLICATE_EDGE)
+                skip(m, "duplicate-edge")
                 continue
             w = int(m.weight)
             if w <= 0 or (not instance.weighted and w != 1):
-                skip(m, SKIP_INVALID)
+                skip(m, "invalid")
                 continue
             weights[edge] = w
             order.append(edge)
             applied.append(AppliedMutation(MUT_HEAL, edge, w, 0))
         elif m.kind == MUT_WEIGHT:
             if not instance.weighted:
-                skip(m, SKIP_UNWEIGHTED)
+                skip(m, "unweighted")
                 continue
             old = weights.get(edge)
             if old is None:
-                skip(m, SKIP_UNKNOWN_EDGE)
+                skip(m, "unknown-edge")
                 continue
             w = int(m.weight)
             if w <= 0:
-                skip(m, SKIP_INVALID)
+                skip(m, "invalid")
                 continue
             if w == old:
-                skip(m, SKIP_NOOP)
+                skip(m, "noop")
                 continue
             weights[edge] = w
             applied.append(AppliedMutation(MUT_WEIGHT, edge, w, old))
         else:
-            skip(m, SKIP_INVALID)
+            skip(m, "invalid")
 
     if not applied:
         # Nothing changed: same epoch, same instance object semantics.
@@ -243,7 +239,7 @@ def apply_mutations(instance: RPathsInstance,
     successor._path_prefix = None
     if record_telemetry:
         for a in applied:
-            _dynamic.record_mutation(a.kind)
+            DYNAMIC_MUTATIONS.inc(kind=a.kind)
     return MutationResult(
         instance=successor, applied=applied, skipped=skipped,
         path_changed=new_path != list(instance.path))

@@ -26,7 +26,12 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .. import telemetry
-from ..telemetry import counters as _counters
+from ..telemetry.schema import (
+    EXECUTOR_CELL_SECONDS,
+    EXECUTOR_CELLS,
+    POOL_ITEMS,
+    POOL_WAIT_SECONDS,
+)
 from .results import (
     STATUS_ERROR,
     STATUS_OK,
@@ -100,10 +105,8 @@ def execute_cell(spec: CellSpec,
             signal.setitimer(signal.ITIMER_REAL, *old_timer)
             signal.signal(signal.SIGALRM, old_handler)
     wall = time.perf_counter() - start
-    _counters.registry.inc("repro_executor_cells_total",
-                           scenario=spec.scenario, status=status)
-    _counters.registry.observe("repro_executor_cell_seconds", wall,
-                               scenario=spec.scenario)
+    EXECUTOR_CELLS.inc(scenario=spec.scenario, status=status)
+    EXECUTOR_CELL_SECONDS.observe(wall, scenario=spec.scenario)
     # Each flush appends this process's finished spans (and a counters
     # snapshot) to its per-pid sink file, so worker telemetry survives
     # pool teardown even when the process is later reused or killed.
@@ -166,11 +169,8 @@ def pool_map(
                 result = fallback(payload, POOL_ERROR,
                                   f"{type(exc).__name__}: {exc}")
             finally:
-                _counters.registry.inc("repro_pool_items_total",
-                                       outcome=outcome)
-                _counters.registry.observe(
-                    "repro_pool_wait_seconds",
-                    time.perf_counter() - wait_start)
+                POOL_ITEMS.inc(outcome=outcome)
+                POOL_WAIT_SECONDS.observe(time.perf_counter() - wait_start)
             if progress is not None:
                 progress(result)
             results[idx] = result
@@ -210,11 +210,8 @@ def pool_map(
                 result = fallback(payloads[idx], POOL_ERROR,
                                   f"{type(exc).__name__}: {exc}")
             finally:
-                _counters.registry.inc("repro_pool_items_total",
-                                       outcome=outcome)
-                _counters.registry.observe(
-                    "repro_pool_wait_seconds",
-                    time.perf_counter() - wait_start)
+                POOL_ITEMS.inc(outcome=outcome)
+                POOL_WAIT_SECONDS.observe(time.perf_counter() - wait_start)
             if progress is not None:
                 progress(result)
             results[idx] = result

@@ -30,7 +30,7 @@ Bit-identity with the serial path holds for results *and* ledgers:
 Every lifecycle transition is counted
 (``repro_sharedmem_events_total``) and every fan-out records its
 worker width (``repro_parallel_fanout_*``) — see
-:mod:`repro.telemetry.scale`.
+:mod:`repro.telemetry.schema`.
 """
 
 from __future__ import annotations
@@ -42,7 +42,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import telemetry
 from ..congest.network import CongestNetwork
 from ..congest.topology import CSRTopology, TopologyArrays, _numpy
-from ..telemetry import scale as _scale
+from ..telemetry.schema import (
+    PARALLEL_FANOUT,
+    PARALLEL_FANOUT_WIDTH,
+    SHAREDMEM_EVENTS,
+)
 
 #: Extra array shipped beside :attr:`TopologyArrays.FIELDS`: the
 #: input-order dense edge keys, so ``directed_edges()`` (and anything
@@ -111,7 +115,7 @@ class PublishedTopology:
             fields=tuple(fields))
         self.nbytes = total
         self._closed = False
-        _scale.record_shm(_scale.SHM_PUBLISH)
+        SHAREDMEM_EVENTS.inc(event="publish")
 
     def close(self) -> None:
         """Detach and unlink the block (idempotent)."""
@@ -119,12 +123,12 @@ class PublishedTopology:
             return
         self._closed = True
         self._shm.close()
-        _scale.record_shm(_scale.SHM_DETACH)
+        SHAREDMEM_EVENTS.inc(event="detach")
         try:
             self._shm.unlink()
         except FileNotFoundError:  # pragma: no cover - already gone
             pass
-        _scale.record_shm(_scale.SHM_UNLINK)
+        SHAREDMEM_EVENTS.inc(event="unlink")
 
     def __enter__(self) -> "PublishedTopology":
         return self
@@ -233,7 +237,7 @@ def attach_topology(handle: SharedTopologyHandle) -> CSRTopology:
         setattr(topo, name, views[name])
     topo._edge_order_view = views[_EDGE_ORDER]
     topo._shm = shm
-    _scale.record_shm(_scale.SHM_ATTACH)
+    SHAREDMEM_EVENTS.inc(event="attach")
     return topo
 
 
@@ -242,7 +246,7 @@ def detach_topology(topo: CSRTopology) -> None:
     shm = getattr(topo, "_shm", None)
     if shm is not None:
         shm.close()
-        _scale.record_shm(_scale.SHM_DETACH)
+        SHAREDMEM_EVENTS.inc(event="detach")
 
 
 # -- the fan-out --------------------------------------------------------------
@@ -324,7 +328,8 @@ def fanout_kbfs(
         for c in calls
     ]
     width = min(max(1, parallel), len(payloads))
-    _scale.record_fanout(site, width)
+    PARALLEL_FANOUT.inc(site=site)
+    PARALLEL_FANOUT_WIDTH.observe(width, site=site)
     outcomes = pool_map(_kbfs_worker, payloads, jobs=width)
     dists: List[List[List[int]]] = []
     for dist, phases in outcomes:

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..telemetry import counters as _counters
+from ..telemetry.schema import STORE_GC, STORE_LOOKUPS, STORE_PUTS
 from .results import (
     CellResult,
     CellSpec,
@@ -90,19 +90,16 @@ class ResultStore:
         """
         path = self._object_path(key)
         if not path.is_file():
-            _counters.registry.inc("repro_store_lookups_total",
-                                   outcome="miss")
+            STORE_LOOKUPS.inc(outcome="miss")
             return None
         try:
             result = CellResult.from_json(path.read_text())
         except (ValueError, KeyError):
             path.unlink(missing_ok=True)
-            _counters.registry.inc("repro_store_lookups_total",
-                                   outcome="corrupt")
+            STORE_LOOKUPS.inc(outcome="corrupt")
             return None
         result.cached = True
-        _counters.registry.inc("repro_store_lookups_total",
-                               outcome="hit")
+        STORE_LOOKUPS.inc(outcome="hit")
         return result
 
     def put(self, result: CellResult) -> pathlib.Path:
@@ -118,7 +115,7 @@ class ResultStore:
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         tmp.write_text(result.to_json() + "\n")
         os.replace(tmp, path)
-        _counters.registry.inc("repro_store_puts_total")
+        STORE_PUTS.inc()
         return path
 
     def __len__(self) -> int:
@@ -170,8 +167,7 @@ class ResultStore:
                             "detail": detail})
             if not dry_run:
                 path.unlink(missing_ok=True)
-            _counters.registry.inc("repro_store_gc_total",
-                                   reason=reason)
+            STORE_GC.inc(reason=reason)
 
         # Pass 1: parse everything, classify code-version garbage, and
         # find the newest topology epoch per (instance, solver) spill.

@@ -13,9 +13,8 @@ precomputed answers hot and amortizes everything else:
   by failed edge and spends one k-source vector-fabric solve per
   group instead of one solve per query.
 * :mod:`~repro.serve.shard` — ``ShardedQueryService``: stable-hash
-  instance sharding, per-shard hot-oracle LRU, persistent spill into
-  the content-addressed result store, and process-parallel serving
-  via the runtime executor's pool machinery.
+  instance sharding, per-shard hot-oracle LRU, and persistent spill
+  into the content-addressed result store, answered in-process.
 * :mod:`~repro.serve.workload` — seedable uniform / zipf /
   adversarial / mixed query-stream generators, registered as
   ``serve-*`` suite scenarios.

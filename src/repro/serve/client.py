@@ -20,9 +20,12 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..telemetry import serving as _serving
+from ..telemetry.schema import SERVE_RETRIES
 from .frontend import ServeFrontend, ServeResult
 from .queries import Query
+
+#: The transient outcomes worth retrying: the retry counter's enum.
+RETRYABLE_OUTCOMES = SERVE_RETRIES.legal("outcome")
 
 
 @dataclass(frozen=True)
@@ -63,9 +66,9 @@ def query_with_retry(frontend: ServeFrontend, query: Query,
     result: ServeResult = frontend.submit(
         query, timeout=timeout, max_staleness=max_staleness).result()
     for retry_index in range(policy.max_attempts - 1):
-        if result.outcome not in _serving.RETRYABLE_OUTCOMES:
+        if result.outcome not in RETRYABLE_OUTCOMES:
             return result
-        _serving.record_retry(result.outcome)
+        SERVE_RETRIES.inc(outcome=result.outcome)
         time.sleep(policy.delay(retry_index))
         result = frontend.submit(
             query, timeout=timeout,

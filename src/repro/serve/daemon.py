@@ -1,10 +1,9 @@
 """Long-lived shard workers — the serve daemon's process tier.
 
-:class:`~repro.serve.shard.ShardedQueryService` is a library object:
-``serve_parallel`` rebuilds every shard inside a fresh pool per
-invocation, so each batch re-enters the LRU cold and pays oracle
-construction again.  The daemon inverts that: **worker processes own
-their shards for the life of the service**.  Each worker
+:class:`~repro.serve.shard.ShardedQueryService` is a library object
+that answers in the caller's process.  The daemon spreads the same
+shards over processes: **worker processes own their shards for the
+life of the service**.  Each worker
 
 * attaches its instances' frozen CSR topologies from the parent's
   ``multiprocessing.shared_memory`` publication
@@ -31,9 +30,10 @@ process's queue feeder thread holds a queue's shared write lock, so
 any queue a dead worker may have touched is abandoned wholesale
 (fresh pair + fresh collector thread) rather than shared or reused.
 
-Every transition lands in the closed telemetry enums of
-:mod:`repro.telemetry.serving`; the threaded admission path in front
-of this tier is :class:`repro.serve.frontend.ServeFrontend`.
+Every transition is counted in
+:data:`repro.telemetry.schema.SERVE_DAEMON_EVENTS`; the threaded
+admission path in front of this tier is
+:class:`repro.serve.frontend.ServeFrontend`.
 """
 
 from __future__ import annotations
@@ -53,10 +53,14 @@ from ..graphs.instance import RPathsInstance
 from ..runtime.executor import default_jobs
 from ..runtime.store import ResultStore
 from ..telemetry import counters as _counters
-from ..telemetry import serving as _serving
+from ..telemetry.schema import (
+    SERVE_DAEMON_EVENTS,
+    SERVE_INFLIGHT,
+    SERVE_WORKERS_ALIVE,
+)
 from .planner import DEFAULT_MAX_GROUP
 from .queries import Query, QueryAnswer
-from .shard import OracleShard, ShardStats, _portable_instance, shard_of
+from .shard import OracleShard, ShardStats, shard_exposition, shard_of
 
 #: Request-queue message kinds (worker side).
 _MSG_BATCH = "batch"
@@ -86,9 +90,9 @@ AnswerCallback = Callable[[Optional[List[int]], Optional[List[str]],
 class WorkerConfig:
     """Everything a worker process needs to rebuild its shard.
 
-    Instances ship cache-free (:func:`~repro.serve.shard.
-    _portable_instance`); the heavy CSR arrays arrive through the
-    shared-memory ``topology_handles`` instead of the pickle stream.
+    Instances ship cache-free (:func:`_portable_instance`); the heavy
+    CSR arrays arrive through the shared-memory ``topology_handles``
+    instead of the pickle stream.
     """
 
     shard_id: int
@@ -108,6 +112,15 @@ class WorkerConfig:
     rebuild_delay: float = 0.0
     #: instance key -> SharedTopologyHandle (empty when numpy absent).
     topology_handles: Tuple[Tuple[str, object], ...] = ()
+
+
+def _portable_instance(instance: RPathsInstance) -> RPathsInstance:
+    """A cache-free copy that pickles small (no CSR/NumPy state)."""
+    return RPathsInstance(
+        n=instance.n, edges=list(instance.edges),
+        path=list(instance.path), weighted=instance.weighted,
+        name=instance.name,
+        topology_version=instance.topology_version)
 
 
 def _worker_main(config: WorkerConfig, request_q, response_q,
@@ -164,8 +177,10 @@ def _worker_main(config: WorkerConfig, request_q, response_q,
                 if config.rebuild_delay > 0:
                     time.sleep(config.rebuild_delay)
                 shard.planner_for(key)
-            except Exception:  # noqa: BLE001 - next fresh-demanding
-                pass           # batch retries the build inline
+            except Exception:  # noqa: BLE001 - counted; the next
+                # fresh-demanding batch retries the build inline.
+                with shard._lock:
+                    shard.stats.rebuild_failures += 1
             finally:
                 event.set()
 
@@ -502,13 +517,13 @@ class ServeDaemon:
             name=f"serve-daemon-collector-{config.shard_id}",
             daemon=True)
         worker.collector.start()
-        _serving.record_daemon_event(_serving.EVENT_WORKER_START)
+        SERVE_DAEMON_EVENTS.inc(event="worker-start")
 
     def start(self, warm_timeout: float = 120.0) -> "ServeDaemon":
         """Spawn + warm every worker; raises if any fails to warm."""
         if self._running:
             return self
-        _serving.record_daemon_event(_serving.EVENT_START)
+        SERVE_DAEMON_EVENTS.inc(event="start")
         self._topology_handles = self._publish_topologies()
         self._running = True  # before _spawn: collectors poll on it
         for worker in self._workers.values():
@@ -530,7 +545,7 @@ class ServeDaemon:
                 self.stop(drain=False)
                 raise RuntimeError(
                     f"worker {sid} failed to warm: {error}")
-        _serving.set_workers_alive(len(self._workers))
+        SERVE_WORKERS_ALIVE.set(len(self._workers))
         return self
 
     def __enter__(self) -> "ServeDaemon":
@@ -551,8 +566,7 @@ class ServeDaemon:
         if not self._running:
             return self.stats()
         self._stopping = True
-        _serving.record_daemon_event(
-            _serving.EVENT_DRAIN if drain else _serving.EVENT_STOP)
+        SERVE_DAEMON_EVENTS.inc(event="drain" if drain else "stop")
         deadline = time.time() + timeout
         for worker in self._workers.values():
             if worker.process is None:
@@ -569,7 +583,7 @@ class ServeDaemon:
             if worker.process.is_alive():  # drain overran: force it
                 worker.process.terminate()
                 worker.process.join(timeout=5.0)
-            _serving.record_daemon_event(_serving.EVENT_WORKER_EXIT)
+            SERVE_DAEMON_EVENTS.inc(event="worker-exit")
         # Give the collectors one last pass over final-stats messages,
         # then shut them down.
         time.sleep(0.05)
@@ -590,9 +604,9 @@ class ServeDaemon:
         for shared in self._published:
             shared.close()
         self._published.clear()
-        _serving.set_workers_alive(0)
+        SERVE_WORKERS_ALIVE.set(0)
         if drain:
-            _serving.record_daemon_event(_serving.EVENT_STOP)
+            SERVE_DAEMON_EVENTS.inc(event="stop")
         return self.stats()
 
     # -- submission ---------------------------------------------------------
@@ -638,8 +652,8 @@ class ServeDaemon:
             self._pending[req_id] = (shard_id, queries, staleness,
                                      callback)
             self._inflight[shard_id] += len(queries)
-            _serving.set_inflight(shard_id,
-                                  self._inflight[shard_id])
+            SERVE_INFLIGHT.set(self._inflight[shard_id],
+                               shard=str(shard_id))
         worker.request_q.put((_MSG_BATCH, req_id, queries, staleness))
         return req_id
 
@@ -678,7 +692,8 @@ class ServeDaemon:
             shard_id, queries, _staleness, callback = entry
             self._inflight[shard_id] = max(
                 0, self._inflight[shard_id] - len(queries))
-            _serving.set_inflight(shard_id, self._inflight[shard_id])
+            SERVE_INFLIGHT.set(self._inflight[shard_id],
+                               shard=str(shard_id))
         callback(lengths, kinds, lags, error)
 
     def _handle_response(self, msg) -> None:
@@ -694,8 +709,7 @@ class ServeDaemon:
             worker.ready_error = error
             worker.ready.set()
             if not error:
-                _serving.record_daemon_event(
-                    _serving.EVENT_WORKER_READY)
+                SERVE_DAEMON_EVENTS.inc(event="worker-ready")
         elif kind == _RSP_STATS:
             _kind, _sid, token, stats, hot = msg
             waiter = self._stats_waiters.pop(token, None)
@@ -749,12 +763,11 @@ class ServeDaemon:
                 if worker.process.is_alive() and not stale:
                     alive += 1
                     continue
-                _serving.record_daemon_event(
-                    _serving.EVENT_WORKER_DEAD)
+                SERVE_DAEMON_EVENTS.inc(event="worker-dead")
                 self._restart(sid, worker)
                 if not worker.failed:
                     alive += 1
-            _serving.set_workers_alive(alive)
+            SERVE_WORKERS_ALIVE.set(alive)
 
     def _restart(self, sid: int, worker: _Worker) -> None:
         """Replace a dead worker; re-warm, then resubmit outstanding.
@@ -777,12 +790,12 @@ class ServeDaemon:
                 for req_id, _entry in lost:
                     del self._pending[req_id]
                 self._inflight[sid] = 0
-                _serving.set_inflight(sid, 0)
+                SERVE_INFLIGHT.set(0, shard=str(sid))
             for _req_id, entry in lost:
                 entry[3](None, None, None, "worker-lost")
             return
         worker.restarts += 1
-        _serving.record_daemon_event(_serving.EVENT_WORKER_RESTART)
+        SERVE_DAEMON_EVENTS.inc(event="worker-restart")
         # The restart warms from worker.config, which apply_mutations
         # keeps at the current epoch — so pending requests resubmit
         # against the *new* topology even when the kill raced an
@@ -795,7 +808,7 @@ class ServeDaemon:
                 if entry[0] == sid
             ]
         for req_id, queries, staleness in outstanding:
-            _serving.record_daemon_event(_serving.EVENT_RESUBMIT)
+            SERVE_DAEMON_EVENTS.inc(event="resubmit")
             worker.request_q.put((_MSG_BATCH, req_id, queries,
                                   staleness))
 
@@ -860,11 +873,5 @@ class ServeDaemon:
         }
 
     def exposition(self) -> str:
-        """Prometheus text exposition: per-shard gauges + registry."""
-        for row in self.worker_stats():
-            labels = {"shard": str(row["shard_id"])}
-            for name, value in row.items():
-                if isinstance(value, (int, float)):
-                    _counters.registry.set_gauge(
-                        f"repro_serve_shard_{name}", value, **labels)
-        return _counters.exposition()
+        """Prometheus text exposition: registry + per-shard stats."""
+        return shard_exposition(self.worker_stats())

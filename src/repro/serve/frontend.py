@@ -18,8 +18,8 @@ load-shedding contract:
   so one hot shard queues at admission (visible, bounded) instead of
   deep inside a worker pipe (invisible).
 
-Every request resolves to exactly one
-:data:`repro.telemetry.serving.KNOWN_ADMISSION_OUTCOMES` member, and
+Every request resolves to exactly one ``outcome`` of
+:data:`repro.telemetry.schema.SERVE_ADMISSION`, and
 latency is measured submit→resolve on the resolving thread, so
 open-loop clients that collect results late still record true service
 latency.
@@ -33,13 +33,26 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..telemetry import serving as _serving
-from ..telemetry.dynamic import set_epoch_lag
+from ..telemetry.schema import (
+    DYNAMIC_EPOCH_LAG,
+    SERVE_ADMISSION,
+    SERVE_QUEUE_DEPTH,
+    SERVE_REQUEST_SECONDS,
+)
 from .daemon import ServeDaemon
 from .queries import Query, QueryAnswer
 
 #: Default per-request deadline (seconds).
 DEFAULT_TIMEOUT = 30.0
+
+#: Outcomes that carry an answer a client can use: ``stale`` is a
+#: previous-epoch answer within the request's staleness budget.
+SERVED_OUTCOMES = frozenset(("ok", "stale"))
+
+#: Per-outcome admission counters, pre-bound: every request resolves
+#: once, so these tick on the request path without the registry lock.
+_ADMITTED = {outcome: SERVE_ADMISSION.bind(outcome=outcome)
+             for outcome in SERVE_ADMISSION.legal("outcome")}
 
 
 class PendingQuery:
@@ -83,10 +96,10 @@ class PendingQuery:
             self.lag = int(lag)
             self.resolved_at = time.time()
             self._event.set()
-        _serving.record_admission(outcome)
-        _serving.observe_request_seconds(self.latency_seconds)
-        if outcome in _serving.SERVED_OUTCOMES:
-            set_epoch_lag(self.lag)
+        _ADMITTED[outcome].inc()
+        SERVE_REQUEST_SECONDS.observe(self.latency_seconds)
+        if outcome in SERVED_OUTCOMES:
+            DYNAMIC_EPOCH_LAG.set(self.lag)
         return True
 
     @property
@@ -100,7 +113,7 @@ class PendingQuery:
         if timeout is None:
             timeout = max(0.0, self.deadline - time.time())
         if not self._event.wait(timeout=timeout):
-            self.resolve(_serving.OUTCOME_TIMEOUT)
+            self.resolve("timeout")
         return ServeResult(query=self.query, outcome=self.outcome,
                            answer=self.answer,
                            latency_seconds=self.latency_seconds,
@@ -122,12 +135,12 @@ class ServeResult:
 
     @property
     def ok(self) -> bool:
-        return self.outcome == _serving.OUTCOME_OK
+        return self.outcome == "ok"
 
     @property
     def served(self) -> bool:
         """An answer arrived (fresh or within-budget stale)."""
-        return self.outcome in _serving.SERVED_OUTCOMES
+        return self.outcome in SERVED_OUTCOMES
 
 
 class ServeFrontend:
@@ -173,14 +186,14 @@ class ServeFrontend:
             max_staleness=(self.default_staleness
                            if max_staleness is None else max_staleness))
         if self._closed:
-            pending.resolve(_serving.OUTCOME_SHUTDOWN)
+            pending.resolve("shutdown")
             return pending
         try:
             self._queue.put_nowait(pending)
         except _thread_queue.Full:
-            pending.resolve(_serving.OUTCOME_OVERLOADED)
+            pending.resolve("overloaded")
             return pending
-        _serving.set_queue_depth(self._queue.qsize())
+        SERVE_QUEUE_DEPTH.set(self._queue.qsize())
         return pending
 
     def query(self, instance_key: str, s: int, t: int,
@@ -206,8 +219,8 @@ class ServeFrontend:
             except _thread_queue.Empty:
                 break
             if pending is not None:
-                pending.resolve(_serving.OUTCOME_SHUTDOWN)
-        _serving.set_queue_depth(0)
+                pending.resolve("shutdown")
+        SERVE_QUEUE_DEPTH.set(0)
 
     def __enter__(self) -> "ServeFrontend":
         return self
@@ -233,7 +246,7 @@ class ServeFrontend:
                 break
             if item is not None:
                 batch.append(item)
-        _serving.set_queue_depth(self._queue.qsize())
+        SERVE_QUEUE_DEPTH.set(self._queue.qsize())
         return batch
 
     def _dispatch_group(self, shard_id: int,
@@ -244,7 +257,7 @@ class ServeFrontend:
         live = [p for p in group if not p.done]
         expired = [p for p in live if time.time() >= p.deadline]
         for p in expired:
-            p.resolve(_serving.OUTCOME_TIMEOUT)
+            p.resolve("timeout")
         live = [p for p in live if not p.done]
         if not live:
             return
@@ -254,32 +267,30 @@ class ServeFrontend:
             now = time.time()
             for p in live:
                 if not p.done and now >= p.deadline:
-                    p.resolve(_serving.OUTCOME_TIMEOUT)
+                    p.resolve("timeout")
             live = [p for p in live if not p.done]
             if not live:
                 return
         if self._closed:
             for p in live:
-                p.resolve(_serving.OUTCOME_SHUTDOWN)
+                p.resolve("shutdown")
             return
 
         group_now = list(live)
 
         def callback(lengths, kinds, lags, error):
             if error:
-                outcome = {
-                    "shutdown": _serving.OUTCOME_SHUTDOWN,
-                    "worker-lost": _serving.OUTCOME_WORKER_LOST,
-                }.get(error, _serving.OUTCOME_ERROR)
+                # The daemon's own errors name their outcome; anything
+                # else is a worker exception.
+                outcome = (error if error in ("shutdown", "worker-lost")
+                           else "error")
                 for p in group_now:
                     p.resolve(outcome, error=error)
                 return
             for p, length, kind, lag in zip(group_now, lengths,
                                             kinds, lags):
-                p.resolve(
-                    _serving.OUTCOME_STALE if lag > 0
-                    else _serving.OUTCOME_OK,
-                    QueryAnswer(p.query, length, kind), lag=lag)
+                p.resolve("stale" if lag > 0 else "ok",
+                          QueryAnswer(p.query, length, kind), lag=lag)
 
         self.daemon.submit_batch(
             [p.query for p in group_now], callback,
@@ -297,8 +308,7 @@ class ServeFrontend:
                     sid = self.daemon.shard_for_key(
                         pending.query.instance)
                 except KeyError as exc:
-                    pending.resolve(_serving.OUTCOME_ERROR,
-                                    error=str(exc))
+                    pending.resolve("error", error=str(exc))
                     continue
                 groups.setdefault(sid, []).append(pending)
             for sid in sorted(groups):

@@ -26,8 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..telemetry.serving import OUTCOME_OK, OUTCOME_STALE, SERVED_OUTCOMES
-from .frontend import ServeFrontend
+from .frontend import SERVED_OUTCOMES, ServeFrontend
 from .queries import Query
 
 __all__ = [
@@ -78,11 +77,11 @@ class LoadReport:
 
     @property
     def ok(self) -> int:
-        return self.outcomes.get(OUTCOME_OK, 0)
+        return self.outcomes.get("ok", 0)
 
     @property
     def stale(self) -> int:
-        return self.outcomes.get(OUTCOME_STALE, 0)
+        return self.outcomes.get("stale", 0)
 
     @property
     def served(self) -> int:

@@ -38,15 +38,11 @@ from typing import Dict, List, Optional, Tuple
 from .. import telemetry
 from ..congest.words import INF, clamp_inf
 from ..graphs.instance import RPathsInstance
-from ..telemetry import counters as _counters
-from ..telemetry.dynamic import (
-    MUT_FAIL,
-    MUT_HEAL,
-    MUT_WEIGHT,
-    SCOPE_MEMO_DROPPED,
-    SCOPE_MEMO_KEPT,
-    SCOPE_SPILL_STALE,
-    record_invalidation,
+from ..dynamic.stream import MUT_FAIL, MUT_HEAL, MUT_WEIGHT
+from ..telemetry.schema import (
+    DYNAMIC_INVALIDATIONS,
+    SERVE_ORACLE_ANSWERS,
+    SERVE_ORACLE_BUILDS,
 )
 from .queries import (
     FALLBACK_CACHED,
@@ -62,11 +58,10 @@ from .queries import (
 SOLVERS = ("theorem1", "centralized")
 
 #: Per-answer counters, pre-bound per kind: ``query()`` hits answer in
-#: a few µs, so the per-call label formatting of ``registry.inc`` is
-#: measurable there (it halves oracle-hit queries/sec).
+#: a few µs, so the label formatting and lock of ``registry.inc`` are
+#: measurable there (a bound counter ticks without either).
 _ANSWER_COUNTERS = {
-    kind: _counters.bound_counter("repro_serve_oracle_answers_total",
-                                  kind=kind)
+    kind: SERVE_ORACLE_ANSWERS.bind(kind=kind)
     for kind in (HIT_PATH_EDGE, HIT_OFF_PATH,
                  FALLBACK_SOLVE, FALLBACK_CACHED)
 }
@@ -140,11 +135,13 @@ class ReplacementPathOracle:
               seed: int = 0, fabric: str = "fast",
               **solver_kwargs) -> "ReplacementPathOracle":
         """Run the chosen solver once and capture its |st ⋄ e| table."""
+        if solver not in SOLVERS:
+            raise ValueError(f"unknown oracle solver {solver!r}; "
+                             f"expected one of {SOLVERS}")
         with telemetry.span("serve/oracle-build",
                             instance=instance.name, solver=solver,
                             fabric=fabric):
-            _counters.registry.inc("repro_serve_oracle_builds_total",
-                                   solver=solver)
+            SERVE_ORACLE_BUILDS.inc(solver=solver)
             if solver == "theorem1":
                 from ..core.rpaths import solve_rpaths
                 report = solve_rpaths(instance, seed=seed,
@@ -153,13 +150,10 @@ class ReplacementPathOracle:
                     instance=instance,
                     lengths=[clamp_inf(x) for x in report.lengths],
                     solver=solver, build_rounds=report.rounds)
-            if solver == "centralized":
-                from ..baselines.centralized import replacement_lengths
-                return cls(instance=instance,
-                           lengths=replacement_lengths(instance),
-                           solver=solver, build_rounds=0)
-        raise ValueError(
-            f"unknown oracle solver {solver!r}; expected one of {SOLVERS}")
+            from ..baselines.centralized import replacement_lengths
+            return cls(instance=instance,
+                       lengths=replacement_lengths(instance),
+                       solver=solver, build_rounds=0)
 
     # -- queries -------------------------------------------------------------
 
@@ -246,7 +240,7 @@ class ReplacementPathOracle:
         try:
             if (int(data.get("topology_version", 0))
                     != instance.topology_version):
-                record_invalidation(SCOPE_SPILL_STALE)
+                DYNAMIC_INVALIDATIONS.inc(scope="spill-stale")
                 return None
             if (list(data["path"]) != list(instance.path)
                     or int(data["n"]) != instance.n
@@ -324,9 +318,9 @@ def carry_fallback_memo(old: ReplacementPathOracle,
         else:
             dropped += 1
     if kept:
-        record_invalidation(SCOPE_MEMO_KEPT, kept)
+        DYNAMIC_INVALIDATIONS.inc(kept, scope="memo-kept")
     if dropped:
-        record_invalidation(SCOPE_MEMO_DROPPED, dropped)
+        DYNAMIC_INVALIDATIONS.inc(dropped, scope="memo-dropped")
     return kept, dropped
 
 

@@ -140,7 +140,6 @@ class BatchPlanner:
         if (self._shared is not None and self._parallel >= 2
                 and len(jobs) >= 2):
             from ..runtime import sharedmem
-            from ..telemetry import scale as _scale
             if sharedmem.fanout_ready(net, self._parallel,
                                       self._shared):
                 calls = [
@@ -151,7 +150,7 @@ class BatchPlanner:
                 ]
                 return sharedmem.fanout_kbfs(
                     net, self._shared, self._parallel, calls,
-                    site=_scale.SITE_SERVE_BATCH)
+                    site="serve-batch")
         return [
             multi_source_hop_bfs(
                 net, chunk, hop_limit=hop_limit,

@@ -20,11 +20,9 @@ shard owns:
 
 Serving is batch-first: :meth:`ShardedQueryService.serve` routes a
 query stream to shards and answers each shard's slice through its
-:class:`~repro.serve.planner.BatchPlanner`;
-:meth:`~ShardedQueryService.serve_parallel` fans the per-shard batches
-out over worker processes through the runtime executor's
-:func:`~repro.runtime.executor.pool_map` — the same pool machinery
-``repro suite run`` uses for cells.
+:class:`~repro.serve.planner.BatchPlanner`.  Process-parallel serving
+is the daemon's job (:mod:`repro.serve.daemon`): long-lived workers
+that each own one :class:`OracleShard`.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
@@ -43,14 +41,26 @@ from ..dynamic.stream import (
     apply_mutations,
 )
 from ..graphs.instance import RPathsInstance
-from ..runtime.executor import default_jobs, pool_map
-from ..telemetry import counters as _counters
-from ..telemetry.dynamic import SCOPE_ORACLE, record_invalidation
+from ..runtime.executor import default_jobs
 from ..runtime.results import CellResult, CellSpec
 from ..runtime.store import ResultStore, cell_key
+from ..telemetry import counters as _counters
+from ..telemetry.schema import (
+    DYNAMIC_INVALIDATIONS,
+    SERVE_EVICTIONS,
+    SERVE_LRU,
+    SERVE_QUERIES,
+    SERVE_SHARD_STAT,
+    SERVE_SPILL,
+    exposition,
+)
 from .oracle import ReplacementPathOracle, carry_fallback_memo
 from .planner import DEFAULT_MAX_GROUP, BatchPlanner
 from .queries import Query, QueryAnswer, hit_ratio
+
+#: LRU hits happen once per served batch: pre-bound like the oracle's
+#: answer counters.
+_LRU_HIT = SERVE_LRU.bind(outcome="hit")
 
 #: Pseudo-scenario name spilled oracle snapshots are keyed under.
 SPILL_SCENARIO = "serve-oracle"
@@ -96,36 +106,51 @@ class ShardStats:
     invalidations: int = 0
     stale_answers: int = 0
     memo_carried: int = 0
+    #: Background re-warms after an invalidation that raised (the
+    #: next fresh-demanding batch retries the build inline).
+    rebuild_failures: int = 0
 
     def as_metrics(self) -> Dict[str, int]:
-        return {
-            "queries": self.queries,
-            "oracle_builds": self.oracle_builds,
-            "lru_hits": self.lru_hits,
-            "evictions": self.evictions,
-            "spill_saves": self.spill_saves,
-            "spill_loads": self.spill_loads,
-            "batch_solves": self.batch_solves,
-            "solves_saved": self.solves_saved,
-            "rounds": self.rounds,
-            "invalidations": self.invalidations,
-            "stale_answers": self.stale_answers,
-            "memo_carried": self.memo_carried,
-        }
+        """Every counter field (all but ``shard_id``)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)[1:]}
 
     def merge(self, other: "ShardStats") -> None:
-        self.queries += other.queries
-        self.oracle_builds += other.oracle_builds
-        self.lru_hits += other.lru_hits
-        self.evictions += other.evictions
-        self.spill_saves += other.spill_saves
-        self.spill_loads += other.spill_loads
-        self.batch_solves += other.batch_solves
-        self.solves_saved += other.solves_saved
-        self.rounds += other.rounds
-        self.invalidations += other.invalidations
-        self.stale_answers += other.stale_answers
-        self.memo_carried += other.memo_carried
+        for name, value in other.as_metrics().items():
+            setattr(self, name, getattr(self, name) + value)
+
+
+def exported_stats() -> Tuple[str, ...]:
+    """The ``stat`` label values of :data:`~repro.telemetry.schema.
+    SERVE_SHARD_STAT`: every :class:`ShardStats` counter plus the
+    hot-oracle count."""
+    return tuple(ShardStats().as_metrics()) + ("hot_oracles",)
+
+
+def shard_exposition(rows: Sequence[Dict[str, object]]) -> str:
+    """Prometheus text of the registry plus one row per shard.
+
+    Each row (``shard_id`` plus any of :func:`exported_stats`) lands
+    in the one declared per-shard family; other row keys stay out.
+    """
+    stats = exported_stats()
+    for row in rows:
+        for stat in stats:
+            if stat in row:
+                SERVE_SHARD_STAT.set(row[stat], stat=stat,
+                                     shard=str(row["shard_id"]))
+    return exposition()
+
+
+def _scatter(answers: List[Optional[QueryAnswer]],
+             indices: Sequence[int], batch: Sequence[QueryAnswer],
+             source: str) -> None:
+    """Place ``batch`` at ``indices``; a short or long batch raises
+    instead of shifting answers onto the wrong queries."""
+    if len(batch) != len(indices):
+        raise RuntimeError(f"{source} returned {len(batch)} answers "
+                           f"for {len(indices)} queries")
+    for i, answer in zip(indices, batch):
+        answers[i] = answer
 
 
 class OracleShard:
@@ -188,7 +213,7 @@ class OracleShard:
             instance, cached.metrics)
         if oracle is not None:
             self.stats.spill_loads += 1
-            _counters.registry.inc("repro_serve_spill_total", op="load")
+            SERVE_SPILL.inc(op="load")
         return oracle
 
     def _spill(self, key: str, oracle: ReplacementPathOracle) -> None:
@@ -208,7 +233,7 @@ class OracleShard:
         )
         self.store.put(result)
         self.stats.spill_saves += 1
-        _counters.registry.inc("repro_serve_spill_total", op="save")
+        SERVE_SPILL.inc(op="save")
 
     def planner_for(self, key: str) -> BatchPlanner:
         """The hot planner for ``key`` (LRU → spill → build).
@@ -224,11 +249,9 @@ class OracleShard:
                 if planner is not None:
                     self._planners.move_to_end(key)
                     self.stats.lru_hits += 1
-                    _counters.registry.inc("repro_serve_lru_total",
-                                           outcome="hit")
+                    _LRU_HIT.inc()
                     return planner
-                _counters.registry.inc("repro_serve_lru_total",
-                                       outcome="miss")
+                SERVE_LRU.inc(outcome="miss")
                 try:
                     instance = self.instances[key]
                 except KeyError:
@@ -268,8 +291,7 @@ class OracleShard:
                 while len(self._planners) > self.capacity:
                     self._planners.popitem(last=False)
                     self.stats.evictions += 1
-                    _counters.registry.inc(
-                        "repro_serve_evictions_total")
+                    SERVE_EVICTIONS.inc()
             return planner
 
     # -- dynamic topology ----------------------------------------------------
@@ -304,7 +326,7 @@ class OracleShard:
                 # mutation since that epoch.
                 self._pending_carry.setdefault(key, []).extend(applied)
             self.stats.invalidations += 1
-        record_invalidation(SCOPE_ORACLE)
+        DYNAMIC_INVALIDATIONS.inc(scope="oracle")
 
     def current_epoch(self, key: str) -> int:
         return self.instances[key].topology_version
@@ -343,14 +365,14 @@ class OracleShard:
             lag = self.current_epoch(key) - epoch
             batch, _report = planner.answer_batch(
                 [queries[i] for i in indices])
-            for i, answer in zip(indices, batch):
-                answers[i] = answer
+            _scatter(answers, indices, batch,
+                     f"previous-epoch planner for {key!r}")
+            for i in indices:
                 lags[i] = lag
         self.stats.stale_answers += len(queries)
         self.stats.queries += len(queries)
-        _counters.registry.inc("repro_serve_queries_total",
-                               len(queries))
-        return ([a for a in answers if a is not None], lags)
+        SERVE_QUERIES.inc(len(queries))
+        return answers, lags
 
     def oracle_for(self, key: str) -> ReplacementPathOracle:
         return self.planner_for(key).oracle
@@ -385,30 +407,23 @@ class OracleShard:
                 planner = self.planner_for(key)
                 batch, report = planner.answer_batch(
                     [queries[i] for i in indices])
-                for i, answer in zip(indices, batch):
-                    answers[i] = answer
+                _scatter(answers, indices, batch, f"planner for {key!r}")
                 self.stats.batch_solves += report.batch_solves
                 self.stats.solves_saved += report.solves_saved
                 self.stats.rounds += report.rounds
         self.stats.queries += len(queries)
-        _counters.registry.inc("repro_serve_queries_total",
-                               len(queries))
-        return [a for a in answers if a is not None]
+        SERVE_QUERIES.inc(len(queries))
+        return answers
 
 
 @dataclass
 class ServiceReport:
-    """Aggregate outcome of one serve invocation.
-
-    In-process serving reports the shards' *lifetime* counters (shards
-    are long-lived, like real serving processes);
-    :meth:`ShardedQueryService.serve_parallel` workers are rebuilt per
-    invocation, so their stats cover exactly that invocation.
-    """
+    """Aggregate outcome of one serve invocation; the shard stats are
+    the shards' *lifetime* counters (shards are long-lived, like real
+    serving processes)."""
 
     answers: List[QueryAnswer]
     shard_stats: List[ShardStats] = field(default_factory=list)
-    jobs: int = 1
 
     @property
     def queries(self) -> int:
@@ -540,20 +555,8 @@ class ShardedQueryService:
         }
 
     def exposition(self) -> str:
-        """Prometheus text exposition of the service + registry.
-
-        Shard lifetime stats are published as per-shard gauges next to
-        the registry's own series.
-        """
-        for shard in self._shards:
-            labels = {"shard": str(shard.shard_id)}
-            _counters.registry.set_gauge(
-                "repro_serve_shard_hot_oracles",
-                len(shard._planners), **labels)
-            for name, value in shard.stats.as_metrics().items():
-                _counters.registry.set_gauge(
-                    f"repro_serve_shard_{name}", value, **labels)
-        return _counters.exposition()
+        """Prometheus text exposition: registry + per-shard stats."""
+        return shard_exposition(self.stats()["shards"])
 
     def _partition(self, queries: Sequence[Query],
                    ) -> Dict[int, List[int]]:
@@ -572,89 +575,6 @@ class ShardedQueryService:
         for sid, indices in sorted(self._partition(queries).items()):
             batch = self._shards[sid].answer_batch(
                 [queries[i] for i in indices])
-            for i, answer in zip(indices, batch):
-                answers[i] = answer
-        return ServiceReport(
-            answers=[a for a in answers if a is not None],
-            shard_stats=[s.stats for s in self._shards],
-            jobs=1)
-
-    def serve_parallel(self, queries: Sequence[Query],
-                       jobs: Optional[int] = None) -> ServiceReport:
-        """Answer a query stream with one worker process per shard.
-
-        Workers rebuild their shard from the picklable instance data,
-        share the spill store (content-addressed, atomic writes), and
-        return plain ``(lengths, kinds, stats)`` tuples; parent-side
-        oracle state is not touched.  Requires a ``store`` when warm
-        oracles should carry over between invocations.
-        """
-        parts = sorted(self._partition(queries).items())
-        if jobs is None:
-            jobs = default_jobs()
-        jobs = max(1, min(jobs, len(parts) or 1))
-        if jobs <= 1 or len(parts) <= 1:
-            report = self.serve(queries)
-            report.jobs = 1
-            return report
-        payloads = []
-        for sid, indices in parts:
-            shard = self._shards[sid]
-            payloads.append({
-                "shard_id": sid,
-                "capacity": shard.capacity,
-                "solver": shard.solver,
-                "build_fabric": shard.build_fabric,
-                "planner_fabric": shard.planner_fabric,
-                "max_group": shard.max_group,
-                "build_seed": shard.build_seed,
-                "store_root": (None if self.store is None
-                               else str(self.store.root)),
-                "instances": [
-                    _portable_instance(inst)
-                    for inst in shard.instances.values()
-                ],
-                "queries": [queries[i] for i in indices],
-            })
-        outcomes = pool_map(_shard_worker, payloads, jobs=jobs)
-        answers: List[Optional[QueryAnswer]] = [None] * len(queries)
-        shard_stats: List[ShardStats] = []
-        for (sid, indices), (lengths, kinds, stats) in zip(
-                parts, outcomes):
-            for i, length, kind in zip(indices, lengths, kinds):
-                answers[i] = QueryAnswer(queries[i], length, kind)
-            shard_stats.append(ShardStats(shard_id=sid, **stats))
-        return ServiceReport(
-            answers=[a for a in answers if a is not None],
-            shard_stats=shard_stats, jobs=jobs)
-
-
-def _portable_instance(instance: RPathsInstance) -> RPathsInstance:
-    """A cache-free copy that pickles small (no CSR/NumPy state)."""
-    return RPathsInstance(
-        n=instance.n, edges=list(instance.edges),
-        path=list(instance.path), weighted=instance.weighted,
-        name=instance.name,
-        topology_version=instance.topology_version)
-
-
-def _shard_worker(payload: Dict[str, object]):
-    """Rebuild one shard in the worker and answer its slice."""
-    telemetry.maybe_enable_from_env()
-    store_root = payload["store_root"]
-    shard = OracleShard(
-        shard_id=int(payload["shard_id"]),
-        capacity=int(payload["capacity"]),
-        store=None if store_root is None else ResultStore(store_root),
-        solver=str(payload["solver"]),
-        build_fabric=str(payload["build_fabric"]),
-        planner_fabric=str(payload["planner_fabric"]),
-        max_group=int(payload["max_group"]),
-        build_seed=int(payload["build_seed"]))
-    for inst in payload["instances"]:
-        shard.add_instance(inst)
-    answers = shard.answer_batch(payload["queries"])
-    stats = shard.stats.as_metrics()
-    telemetry.flush()
-    return ([a.length for a in answers], [a.kind for a in answers],
-            stats)
+            _scatter(answers, indices, batch, f"shard {sid}")
+        return ServiceReport(answers=answers,
+                             shard_stats=[s.stats for s in self._shards])

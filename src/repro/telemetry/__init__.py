@@ -7,22 +7,12 @@ shards):
 * :mod:`~repro.telemetry.trace` — contextvar-based hierarchical spans
   recording wall time joined with :class:`~repro.congest.metrics.
   RoundLedger` deltas; off by default, no-op guard when disabled.
-* :mod:`~repro.telemetry.counters` — fork-safe process-local registry
-  of labeled counters/gauges/summaries with JSON and Prometheus-text
-  exports.
-* :mod:`~repro.telemetry.dispatch` — kernel dispatch accounting
-  (vector hits vs message-path fallbacks) against the reason set
-  derived from the primitive registry, which CI enforces.
-* :mod:`~repro.telemetry.scale` — scale-out accounting (int32 export
-  decisions, send-plan cache, shared-memory lifecycle, parallel
-  fan-out width, peak-RSS gauge), closed-enum enforced like dispatch.
-* :mod:`~repro.telemetry.serving` — serve-daemon accounting (worker
-  lifecycle events, admission outcomes, queue-depth / in-flight /
-  workers-alive gauges, request-latency summary), closed-enum
-  enforced like dispatch and scale.
-* :mod:`~repro.telemetry.dynamic` — dynamic-graph accounting
-  (mutation kinds, skip reasons, invalidation scopes, the epoch-lag
-  gauge), closed-enum enforced like dispatch/scale/serving.
+* :mod:`~repro.telemetry.counters` — thread- and fork-safe
+  process-local registry of labeled counters/gauges/summaries.
+* :mod:`~repro.telemetry.schema` — the metric table: each metric's
+  name, type, help text and label enums, declared once; the
+  Prometheus exposition and the :func:`unknown_labels` gate derive
+  from it.
 * :mod:`~repro.telemetry.sink` — append-only JSONL trace files, one
   per process, schema-versioned.
 * :mod:`~repro.telemetry.tooling` — the ``repro trace summary`` /
@@ -40,41 +30,11 @@ Quickstart::
 
 from .counters import (  # noqa: F401
     MetricsRegistry,
-    exposition,
     merge_counter_snapshots,
     registry,
     snapshot_counters,
 )
-from .dispatch import (  # noqa: F401
-    DISPATCH_COUNTER,
-    known_kernels,
-    known_reasons,
-    record_fallback,
-    record_vector_hit,
-    unknown_reasons,
-)
-from .scale import (  # noqa: F401
-    RSS_GAUGE,
-    record_export,
-    record_fanout,
-    record_peak_rss,
-    record_plan,
-    record_shm,
-    unknown_scale_labels,
-)
-from .dynamic import (  # noqa: F401
-    record_invalidation,
-    record_mutation,
-    record_skip,
-    set_epoch_lag,
-    unknown_dynamic_labels,
-)
-from .serving import (  # noqa: F401
-    record_admission,
-    record_daemon_event,
-    record_retry,
-    unknown_serving_labels,
-)
+from .schema import exposition, unknown_labels  # noqa: F401
 from .sink import (  # noqa: F401
     SCHEMA,
     latest_trace_dir,

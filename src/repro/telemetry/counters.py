@@ -1,35 +1,36 @@
 """Process-local metrics registry: counters, gauges, summaries.
 
 One global :class:`MetricsRegistry` (module-level :data:`registry`)
-collects named, labeled counters from every instrumented layer:
+stores the named, labeled series every instrumented layer records.
+What may be recorded — each metric's name, type, help text and label
+enums — is declared once in :mod:`repro.telemetry.schema`, which also
+renders the Prometheus exposition and checks snapshots.
 
-* kernel dispatch outcomes (``repro_kernel_dispatch_total``, see
-  :mod:`repro.telemetry.dispatch`),
-* serve-tier LRU / spill / oracle-build events,
-* result-store hits / misses / corrupt-object drops,
-* executor cell outcomes and latency summaries.
-
-The registry is **fork-safe**: series are keyed by pid, and the first
-touch after a fork resets the inherited state, so a ``pool_map`` worker
-never double-reports the parent's counts (and the parent never sees a
-worker's — workers export their own snapshot through the trace sink or
-their return values).
+The registry is **thread-safe**: counter and summary writes, and every
+read, take one lock, so the serve daemon's dispatcher, collector,
+monitor and client threads never lose an update; a gauge write is one
+dict store, atomic under the GIL.  It is also **fork-safe**: series are
+keyed by pid, and the first touch after a fork resets the inherited
+state (and lock), so a ``pool_map`` worker never double-reports the
+parent's counts (and the parent never sees a worker's — workers export
+their own snapshot through the trace sink or their return values).
 
 Exports: :meth:`MetricsRegistry.snapshot` (JSON-safe dict, used by the
 trace sink and ``ShardedQueryService.stats()``) and
-:meth:`MetricsRegistry.exposition` (Prometheus text format, one
-``# TYPE`` block per metric).
+:meth:`MetricsRegistry.families` (what
+:func:`repro.telemetry.schema.exposition` renders as Prometheus text).
 
-Increment cost is two dict lookups; the registry is always on — unlike
-spans there is no enable switch to check, because the counted events
-(one per kernel dispatch, LRU probe, or cell) are orders of magnitude
-rarer than the work they annotate.
+The registry is always on — unlike spans there is no enable switch to
+check, because the counted events (one per kernel dispatch, LRU probe,
+or cell) are orders of magnitude rarer than the work they annotate.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
-from typing import Dict, Iterable, List, Optional, Tuple
+import threading
+from typing import Dict, Iterable, List, Tuple
 
 LabelItems = Tuple[Tuple[str, str], ...]
 
@@ -65,39 +66,57 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._pid = os.getpid()
+        self._lock = threading.Lock()
         #: (name, labels) -> numeric value.
         self._counters: Dict[Tuple[str, LabelItems], float] = {}
         self._gauges: Dict[Tuple[str, LabelItems], float] = {}
         #: (name, labels) -> [count, sum, min, max].
         self._summaries: Dict[Tuple[str, LabelItems], List[float]] = {}
+        #: Bound counters whose ticks fold into ``_counters`` on read.
+        self._bound: List["BoundCounter"] = []
 
     def _check_fork(self) -> None:
         pid = os.getpid()
         if pid != self._pid:
             self._pid = pid
+            # A parent thread may have held the lock across the fork.
+            self._lock = threading.Lock()
             self._counters = {}
             self._gauges = {}
             self._summaries = {}
+            for bound in self._bound:
+                bound._restart()
+
+    def _fold(self) -> None:
+        """Move bound-counter ticks into the series (lock held)."""
+        for bound in self._bound:
+            fresh = bound._take()
+            if fresh:
+                key = bound._key
+                self._counters[key] = self._counters.get(key, 0) + fresh
 
     # -- writing -------------------------------------------------------------
 
     def inc(self, name: str, amount: float = 1, **labels) -> None:
-        self._check_fork()
         key = (name, _label_items(labels))
-        self._counters[key] = self._counters.get(key, 0) + amount
+        self._check_fork()
+        with self._lock:
+            self._counters[key] = self._counters.get(key, 0) + amount
 
     def set_gauge(self, name: str, value: float, **labels) -> None:
+        key = (name, _label_items(labels))
         self._check_fork()
-        self._gauges[(name, _label_items(labels))] = value
+        self._gauges[key] = value  # one store: no update to lose
 
     def observe(self, name: str, value: float, **labels) -> None:
         """Record one sample into a count/sum/min/max summary."""
-        self._check_fork()
         key = (name, _label_items(labels))
-        entry = self._summaries.get(key)
-        if entry is None:
-            self._summaries[key] = [1, value, value, value]
-        else:
+        self._check_fork()
+        with self._lock:
+            entry = self._summaries.get(key)
+            if entry is None:
+                self._summaries[key] = [1, value, value, value]
+                return
             entry[0] += 1
             entry[1] += value
             if value < entry[2]:
@@ -107,97 +126,92 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         self._check_fork()
-        self._counters.clear()
-        self._gauges.clear()
-        self._summaries.clear()
+        with self._lock:
+            self._fold()
+            self._counters.clear()
+            self._gauges.clear()
+            self._summaries.clear()
 
     # -- reading -------------------------------------------------------------
 
     def value(self, name: str, **labels) -> float:
         self._check_fork()
-        return self._counters.get((name, _label_items(labels)), 0)
+        with self._lock:
+            self._fold()
+            return self._counters.get((name, _label_items(labels)), 0)
 
-    def counters_named(self, name: str) -> Dict[LabelItems, float]:
-        """All series of one counter, keyed by their label items."""
+    def _sections(self):
         self._check_fork()
-        return {labels: v for (n, labels), v in self._counters.items()
-                if n == name}
+        with self._lock:
+            self._fold()
+            return (("counter", sorted(self._counters.items())),
+                    ("gauge", sorted(self._gauges.items())),
+                    ("summary", sorted((key, list(entry)) for key, entry
+                                       in self._summaries.items())))
 
     def snapshot(self) -> Dict[str, object]:
         """JSON-safe dump: ``{"counters": {...}, "gauges": {...},
         "summaries": {series: {count, sum, min, max}}}``."""
-        self._check_fork()
+        (_, counters), (_, gauges), (_, summaries) = self._sections()
         return {
-            "counters": {
-                series_name(n, labels): v
-                for (n, labels), v in sorted(self._counters.items())
-            },
-            "gauges": {
-                series_name(n, labels): v
-                for (n, labels), v in sorted(self._gauges.items())
-            },
+            "counters": {series_name(n, labels): v
+                         for (n, labels), v in counters},
+            "gauges": {series_name(n, labels): v
+                       for (n, labels), v in gauges},
             "summaries": {
-                series_name(n, labels): {
-                    "count": entry[0], "sum": entry[1],
-                    "min": entry[2], "max": entry[3],
-                }
-                for (n, labels), entry in sorted(self._summaries.items())
+                series_name(n, labels): dict(zip(
+                    ("count", "sum", "min", "max"), entry))
+                for (n, labels), entry in summaries
             },
         }
 
-    def exposition(self) -> str:
-        """Prometheus text exposition of the whole registry."""
-        self._check_fork()
-        lines: List[str] = []
-
-        def emit(kind: str,
-                 items: Iterable[Tuple[Tuple[str, LabelItems], float]],
-                 ) -> None:
-            seen = set()
-            for (name, labels), value in sorted(items):
-                if name not in seen:
-                    lines.append(f"# TYPE {name} {kind}")
-                    seen.add(name)
-                rendered = (f"{value:.9g}" if isinstance(value, float)
-                            else str(value))
-                lines.append(f"{series_name(name, labels)} {rendered}")
-
-        emit("counter", self._counters.items())
-        emit("gauge", self._gauges.items())
-        summary_points = []
-        for (name, labels), entry in self._summaries.items():
-            summary_points.append(((name + "_count", labels),
-                                   entry[0]))
-            summary_points.append(((name + "_sum", labels), entry[1]))
-            summary_points.append(((name + "_min", labels), entry[2]))
-            summary_points.append(((name + "_max", labels), entry[3]))
-        emit("gauge", summary_points)
-        return "\n".join(lines) + ("\n" if lines else "")
+    def families(self) -> List[Tuple[str, str,
+                                      List[Tuple[LabelItems, object]]]]:
+        """``(kind, name, [(labels, value), ...])`` per metric, sorted;
+        a summary's value is its ``[count, sum, min, max]``."""
+        out: List[Tuple[str, str, List[Tuple[LabelItems, object]]]] = []
+        for kind, items in self._sections():
+            for (name, labels), value in items:
+                if not out or out[-1][:2] != (kind, name):
+                    out.append((kind, name, []))
+                out[-1][2].append((labels, value))
+        return out
 
 
 class BoundCounter:
-    """One pre-resolved counter series: label sorting paid at bind time.
+    """One pre-resolved counter series for per-query hot paths.
 
-    :meth:`MetricsRegistry.inc` costs ~1µs per call in label
-    normalization — negligible per kernel dispatch or LRU probe, but
-    measurable on per-query paths (the oracle O(1) hit answers in
-    ~3µs).  A bound counter freezes the ``(name, labels)`` key once
-    and increments in two dict operations.  Fork safety rides on the
-    registry's own pid check, so a bound counter created before a
-    fork stays valid in the child.
+    :meth:`MetricsRegistry.inc` pays label normalization and the
+    registry lock on every call — negligible per kernel dispatch or
+    LRU probe, but measurable on the oracle's O(1) hit, which answers
+    in a few µs.  A bound counter freezes its ``(name, labels)`` key
+    once and ticks an :func:`itertools.count`: ``inc()`` *is* the
+    count's C-level ``__next__``, atomic under the GIL, so concurrent
+    threads lose no ticks and no lock is taken.  The registry folds
+    the ticks into the series whenever it is read and restarts them
+    after a fork.  Bind at import time: the registry keeps every bound
+    counter.
     """
 
-    __slots__ = ("_registry", "_key")
+    __slots__ = ("_key", "_ticks", "_folded", "inc")
 
     def __init__(self, reg: MetricsRegistry, name: str,
                  labels: Dict[str, str]) -> None:
-        self._registry = reg
         self._key = (name, _label_items(labels))
+        self._restart()
+        with reg._lock:
+            reg._bound.append(self)
 
-    def inc(self, amount: float = 1) -> None:
-        counters = self._registry._counters
-        key = self._key
-        counters[key] = counters.get(key, 0) + amount
+    def _restart(self) -> None:
+        self._ticks = itertools.count()
+        self._folded = 0
+        self.inc = self._ticks.__next__
+
+    def _take(self) -> int:
+        """Ticks since the last take; reading consumes one tick."""
+        seen = next(self._ticks)
+        fresh, self._folded = seen - self._folded, seen + 1
+        return fresh
 
 
 #: The process registry every instrumented layer writes into.
@@ -209,11 +223,6 @@ registry = MetricsRegistry()
 # — spawn-start children re-import this module fresh anyway.)
 if hasattr(os, "register_at_fork"):  # pragma: no branch - CPython/Unix
     os.register_at_fork(after_in_child=lambda: registry._check_fork())
-
-
-def bound_counter(name: str, **labels) -> BoundCounter:
-    """A :class:`BoundCounter` on the default registry (hot paths)."""
-    return BoundCounter(registry, name, labels)
 
 
 def merge_counter_snapshots(snapshots: Iterable[Dict[str, object]],
@@ -241,7 +250,7 @@ def merge_gauge_snapshots(snapshots: Iterable[Dict[str, object]],
     Gauges are point-in-time levels, so summing across processes (the
     counter rule) would be meaningless; the run-wide view keeps each
     series' maximum — exactly right for high-water marks like
-    :data:`repro.telemetry.scale.RSS_GAUGE` and a sane default for
+    :data:`repro.telemetry.schema.PEAK_RSS_BYTES` and a sane default for
     the rest.
     """
     merged: Dict[str, float] = {}
@@ -259,21 +268,3 @@ def merge_gauge_snapshots(snapshots: Iterable[Dict[str, object]],
 def snapshot_counters() -> Dict[str, object]:
     """Snapshot of the default registry (convenience)."""
     return registry.snapshot()
-
-
-def exposition() -> str:
-    """Prometheus text exposition of the default registry."""
-    return registry.exposition()
-
-
-def get_registry(fresh: bool = False) -> MetricsRegistry:
-    if fresh:
-        registry.reset()
-    return registry
-
-
-def observe_optional(name: str, value: Optional[float],
-                     **labels) -> None:
-    """``observe`` that tolerates None (skipped sample)."""
-    if value is not None:
-        registry.observe(name, value, **labels)

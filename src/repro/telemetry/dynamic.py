@@ -1,141 +1,7 @@
-"""Dynamic-graph accounting: mutations, invalidations, epoch lag.
+"""Mutation-kind names, importable here for the ``perfbench`` harness.
 
-The mutation stream (:mod:`repro.dynamic.stream`) and the serve tier's
-incremental invalidation path report every decision here, mirroring
-the closed-enum discipline of :mod:`repro.telemetry.dispatch`,
-:mod:`~repro.telemetry.scale`, and :mod:`~repro.telemetry.serving`:
-each counter's label enum is declared next to its recording helper and
-:func:`unknown_dynamic_labels` rejects anything outside it — enforced
-by ``tests/test_telemetry.py`` and the ``repro serve load
---check-telemetry`` CI gate (which the chaos smoke step runs).
-
-Counter shapes::
-
-    repro_dynamic_mutations_total{kind="fail"}
-    repro_dynamic_skipped_total{reason="disconnects"}
-    repro_dynamic_invalidations_total{scope="oracle"}
-
-plus the ``repro_dynamic_epoch_lag`` gauge: how many epochs behind the
-current topology the answer a client just received was (0 = fresh).
+The kinds belong to :mod:`repro.dynamic.stream`; the dynamic-graph
+metrics are declared in :mod:`repro.telemetry.schema`.
 """
 
-from __future__ import annotations
-
-from typing import Dict, List
-
-from .counters import parse_series, registry
-
-# -- mutation kinds -----------------------------------------------------------
-
-#: One event per *applied* mutation, labeled by kind.
-MUTATIONS_COUNTER = "repro_dynamic_mutations_total"
-
-#: Edge-weight change on a weighted instance.
-MUT_WEIGHT = "weight"
-#: Failure arrival: the edge leaves the graph.
-MUT_FAIL = "fail"
-#: Healing: a previously failed (or new) edge joins the graph.
-MUT_HEAL = "heal"
-
-KNOWN_MUTATION_KINDS = frozenset((MUT_WEIGHT, MUT_FAIL, MUT_HEAL))
-
-
-def record_mutation(kind: str, count: int = 1) -> None:
-    """Count ``count`` applied mutations of one kind."""
-    registry.inc(MUTATIONS_COUNTER, count, kind=kind)
-
-
-# -- skipped mutations --------------------------------------------------------
-
-#: One event per mutation the applier refused, labeled by reason.
-SKIPPED_COUNTER = "repro_dynamic_skipped_total"
-
-#: The mutation references an edge the graph does not have.
-SKIP_UNKNOWN_EDGE = "unknown-edge"
-#: Healing an edge that already exists.
-SKIP_DUPLICATE_EDGE = "duplicate-edge"
-#: Applying it would disconnect s from t or the comm graph.
-SKIP_DISCONNECTS = "disconnects"
-#: Weight mutation on an unweighted (Theorem 1) instance.
-SKIP_UNWEIGHTED = "unweighted"
-#: Self-loop, endpoint out of range, or non-positive weight.
-SKIP_INVALID = "invalid"
-#: The mutation would not change anything (same weight, etc.).
-SKIP_NOOP = "noop"
-
-KNOWN_SKIP_REASONS = frozenset((
-    SKIP_UNKNOWN_EDGE, SKIP_DUPLICATE_EDGE, SKIP_DISCONNECTS,
-    SKIP_UNWEIGHTED, SKIP_INVALID, SKIP_NOOP,
-))
-
-
-def record_skip(reason: str) -> None:
-    """Count one refused mutation by reason."""
-    registry.inc(SKIPPED_COUNTER, reason=reason)
-
-
-# -- invalidation scopes ------------------------------------------------------
-
-#: One event per invalidation action in the serve tier.
-INVALIDATIONS_COUNTER = "repro_dynamic_invalidations_total"
-
-#: A shard dropped (rotated to previous-epoch) one instance's oracle.
-SCOPE_ORACLE = "oracle"
-#: A fallback-memo row survived the epoch (provably unaffected).
-SCOPE_MEMO_KEPT = "memo-kept"
-#: A fallback-memo row was dropped (a mutation may have changed it).
-SCOPE_MEMO_DROPPED = "memo-dropped"
-#: A spilled snapshot was refused because its topology version is
-#: superseded (the "stale spills never resurrect" path).
-SCOPE_SPILL_STALE = "spill-stale"
-
-KNOWN_INVALIDATION_SCOPES = frozenset((
-    SCOPE_ORACLE, SCOPE_MEMO_KEPT, SCOPE_MEMO_DROPPED,
-    SCOPE_SPILL_STALE,
-))
-
-
-def record_invalidation(scope: str, count: int = 1) -> None:
-    """Count ``count`` invalidation actions of one scope."""
-    registry.inc(INVALIDATIONS_COUNTER, count, scope=scope)
-
-
-# -- epoch-lag gauge ----------------------------------------------------------
-
-#: Epochs behind current topology of the last answer served (0=fresh).
-EPOCH_LAG_GAUGE = "repro_dynamic_epoch_lag"
-
-
-def set_epoch_lag(lag: int) -> None:
-    registry.set_gauge(EPOCH_LAG_GAUGE, lag)
-
-
-# -- closed-enum enforcement --------------------------------------------------
-
-#: Counter name -> {label key: legal values} (the whole closed surface).
-_ENUMS: Dict[str, Dict[str, frozenset]] = {
-    MUTATIONS_COUNTER: {"kind": KNOWN_MUTATION_KINDS},
-    SKIPPED_COUNTER: {"reason": KNOWN_SKIP_REASONS},
-    INVALIDATIONS_COUNTER: {"scope": KNOWN_INVALIDATION_SCOPES},
-}
-
-
-def unknown_dynamic_labels(counters: Dict[str, float]) -> List[str]:
-    """Dynamic-graph counter labels outside the closed enums above.
-
-    Mirrors :func:`repro.telemetry.serving.unknown_serving_labels`: a
-    non-empty return fails the telemetry enum test and the chaos smoke
-    gate, so a new mutation kind, skip reason, or invalidation scope
-    cannot ship without being declared here.
-    """
-    bad: List[str] = []
-    for key in counters:
-        name, labels = parse_series(key)
-        enums = _ENUMS.get(name)
-        if enums is None:
-            continue
-        for label, legal in enums.items():
-            value = labels.get(label)
-            if value not in legal:
-                bad.append(f"{name}:{label}:{value or '<missing>'}")
-    return sorted(set(bad))
+from ..dynamic.stream import MUT_FAIL, MUT_HEAL, MUT_WEIGHT  # noqa: F401

@@ -109,9 +109,10 @@ def read_trace(path) -> Tuple[List[Dict[str, object]],
     * ``counters`` — the merged counter values (freshest snapshot per
       pid, summed across pids);
     * ``info`` — reader diagnostics: files read, bad lines skipped,
-      unknown schema versions encountered, any ``meta`` events, and
+      unknown schema versions encountered, any ``meta`` events,
       ``gauges`` (freshest snapshot per pid, max across pids — the
-      high-water-mark merge, e.g. peak RSS).
+      high-water-mark merge, e.g. peak RSS) and ``summaries`` (the
+      summary series keys of every pid's freshest snapshot).
     """
     from .counters import merge_counter_snapshots, merge_gauge_snapshots
     root = pathlib.Path(path)
@@ -156,6 +157,11 @@ def read_trace(path) -> Tuple[List[Dict[str, object]],
         data for _seq, data in latest.values())
     gauges = merge_gauge_snapshots(
         data for _seq, data in latest.values())
+    summaries = sorted({
+        key for _seq, data in latest.values()
+        if isinstance(data, dict) and isinstance(data.get("summaries"),
+                                                 dict)
+        for key in data["summaries"]})
     info: Dict[str, object] = {
         "files": len(files),
         "processes": len(latest) or len({s.get("pid") for s in spans}),
@@ -164,6 +170,7 @@ def read_trace(path) -> Tuple[List[Dict[str, object]],
         "versions": sorted(versions),
         "meta": meta,
         "gauges": gauges,
+        "summaries": summaries,
     }
     unknown = [v for v in versions if v != SCHEMA]
     if unknown:

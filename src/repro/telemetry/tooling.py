@@ -13,7 +13,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .dispatch import dispatch_rows, unknown_reasons
+from .counters import parse_series
+from .schema import KERNEL_DISPATCH, PEAK_RSS_BYTES, unknown_labels
+
+
+def dispatch_rows(counters: Dict[str, float],
+                  ) -> List[Tuple[str, str, str, float]]:
+    """``(kernel, outcome, reason, count)`` per kernel-dispatch series
+    in a merged counters mapping (reason is ``""`` for vector hits)."""
+    rows: List[Tuple[str, str, str, float]] = []
+    for key, value in sorted(counters.items()):
+        name, labels = parse_series(key)
+        if name == KERNEL_DISPATCH.name:
+            rows.append((labels.get("kernel", "?"),
+                         labels.get("outcome", "?"),
+                         labels.get("reason", ""), value))
+    return rows
 
 
 @dataclass
@@ -60,8 +75,11 @@ class TraceSummary:
         """Kernel dispatch rows: (kernel, outcome, reason, count)."""
         return dispatch_rows(self.counters)
 
-    def unknown_reasons(self) -> List[str]:
-        return unknown_reasons(self.counters)
+    def unknown_labels(self) -> List[str]:
+        """Counters, gauges and summaries outside the metric table."""
+        return unknown_labels({"counters": self.counters,
+                               "gauges": self.gauges,
+                               "summaries": self.info.get("summaries")})
 
     def as_json(self) -> Dict[str, object]:
         return {
@@ -82,7 +100,7 @@ class TraceSummary:
                 {"kernel": k, "outcome": o, "reason": r, "count": c}
                 for k, o, r, c in self.fallback_rows()
             ],
-            "unknown_reasons": self.unknown_reasons(),
+            "unknown_labels": self.unknown_labels(),
             "counters": self.counters,
             "gauges": self.gauges,
             "info": {k: v for k, v in self.info.items()
@@ -178,16 +196,15 @@ def format_summary(summary: TraceSummary, title: str = "") -> str:
         rows = []
         for series, value in sorted(summary.gauges.items()):
             shown = (f"{value / (1 << 20):.1f} MiB"
-                     if series.startswith("repro_peak_rss")
+                     if series.startswith(PEAK_RSS_BYTES.name)
                      else f"{value:.6g}")
             rows.append([series, shown])
         blocks.append(format_table(
             ["gauge", "level"], rows,
             title="gauges (max across processes)"))
-    unknown = summary.unknown_reasons()
+    unknown = summary.unknown_labels()
     if unknown:
-        blocks.append("UNKNOWN fallback reasons/kernels: "
-                      + ", ".join(unknown))
+        blocks.append("UNDECLARED metrics/labels: " + ", ".join(unknown))
     return "\n\n".join(blocks)
 
 

@@ -35,13 +35,9 @@ from repro.serve import (
     spill_key,
 )
 from repro.serve.oracle import carry_fallback_memo
+from repro.dynamic.stream import MUT_FAIL, MUT_HEAL, MUT_WEIGHT
 from repro.telemetry import counters as counters_mod
-from repro.telemetry.dynamic import (
-    MUT_FAIL,
-    MUT_HEAL,
-    MUT_WEIGHT,
-    unknown_dynamic_labels,
-)
+from repro.telemetry import unknown_labels
 
 
 def _instance(n=20, seed=0, name="dyn-test", weighted=False):
@@ -418,8 +414,9 @@ class TestTelemetryEnums:
                              instance=current.name)])
         service.apply_mutations(current.name,
                                 stream.burst(current, 2))
-        counters = counters_mod.registry.snapshot()["counters"]
-        assert unknown_dynamic_labels(counters) == []
+        snap = counters_mod.registry.snapshot()
+        assert any(k.startswith("repro_dynamic_") for k in snap["counters"])
+        assert unknown_labels(snap) == []
 
     def test_ground_truth_helper_matches_centralized(self):
         inst = _instance(seed=14)

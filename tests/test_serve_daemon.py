@@ -31,7 +31,6 @@ from repro.serve import (
     run_queries,
     verify_against_centralized,
 )
-from repro.telemetry import serving
 
 # Timing knobs shared by every test.  A loaded CI runner stretches the
 # *deadlines* (generous waits, long heartbeat grace) while keeping the
@@ -135,7 +134,8 @@ class TestLifecycle:
             text = daemon.exposition()
         finally:
             daemon.stop()
-        assert "repro_serve_shard_queries" in text
+        assert 'repro_serve_shard_stat{shard="0",stat="queries"}' in text
+        assert "repro_serve_shard_pid" not in text
         assert "repro_serve_workers_alive" in text
 
 
@@ -242,7 +242,7 @@ class TestBackpressure:
                 rejected = submit_one()
                 assert rejected.done
                 result = rejected.result()
-                assert result.outcome == serving.OUTCOME_OVERLOADED
+                assert result.outcome == "overloaded"
                 assert result.answer is None
 
                 # Release the artificial pressure: everything held at
@@ -266,7 +266,7 @@ class TestBackpressure:
                 result = frontend.query(
                     insts[0].name, insts[0].s, insts[0].t,
                     insts[0].path_edges()[0], timeout=0.0)
-                assert result.outcome == serving.OUTCOME_TIMEOUT
+                assert result.outcome == "timeout"
             finally:
                 frontend.close()
         finally:
@@ -282,7 +282,7 @@ class TestBackpressure:
             result = frontend.query(
                 insts[0].name, insts[0].s, insts[0].t,
                 insts[0].path_edges()[0])
-            assert result.outcome == serving.OUTCOME_SHUTDOWN
+            assert result.outcome == "shutdown"
         finally:
             daemon.stop()
 
@@ -430,7 +430,7 @@ class TestDynamicEpochs:
                 res = frontend.query(name, old.s, old.t, old_edge,
                                      max_staleness=4)
                 elapsed = time.time() - start
-                assert res.outcome == serving.OUTCOME_STALE
+                assert res.outcome == "stale"
                 assert res.lag == 1
                 assert res.served
                 # Previous-epoch oracle, previous-epoch answer — and
@@ -442,13 +442,45 @@ class TestDynamicEpochs:
                 edge = new.path_edges()[0]
                 fresh = frontend.query(name, new.s, new.t, edge,
                                        max_staleness=0)
-                assert fresh.outcome == serving.OUTCOME_OK
+                assert fresh.outcome == "ok"
                 assert fresh.lag == 0
                 from repro.serve import centralized_truth
                 assert fresh.answer.length == centralized_truth(
                     new, new.s, new.t, edge)
             finally:
                 frontend.close()
+        finally:
+            daemon.stop()
+
+    def test_failed_background_rebuild_is_counted(self, monkeypatch):
+        """A re-warm that raises lands in the shard stats (and the
+        daemon totals); the fresh-demanding batch retries the build
+        inline and reports the error instead of a wrong answer."""
+        import multiprocessing
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers must inherit the patched build")
+        from repro.serve.oracle import ReplacementPathOracle
+        build = ReplacementPathOracle.build.__func__
+
+        def failing_build(cls, instance, *args, **kwargs):
+            if instance.topology_version > 0:
+                raise RuntimeError("injected rebuild failure")
+            return build(cls, instance, *args, **kwargs)
+
+        monkeypatch.setattr(ReplacementPathOracle, "build",
+                            classmethod(failing_build))
+        insts = _instances(1, n=16)
+        daemon = _daemon(insts, workers=1)
+        try:
+            daemon.start()
+            name = insts[0].name
+            self._mutate(daemon, name)
+            new = daemon.instance_for(name)
+            with pytest.raises(RuntimeError,
+                               match="injected rebuild failure"):
+                daemon.query(name, new.s, new.t, new.path_edges()[0],
+                             timeout=QUERY_TIMEOUT)
+            assert daemon.stats()["totals"]["rebuild_failures"] == 1
         finally:
             daemon.stop()
 
@@ -504,7 +536,7 @@ class TestDynamicEpochs:
 class TestTelemetry:
     def test_daemon_run_emits_only_known_labels(self):
         from repro.telemetry import counters as counters_mod
-        from repro.telemetry import unknown_serving_labels
+        from repro.telemetry import unknown_labels
         insts = _instances(1)
         daemon = _daemon(insts, workers=1)
         try:
@@ -517,9 +549,10 @@ class TestTelemetry:
                 frontend.close()
         finally:
             daemon.stop()
-        counters = counters_mod.registry.snapshot()["counters"]
-        assert any(k.startswith(serving.DAEMON_COUNTER)
+        snap = counters_mod.registry.snapshot()
+        counters = snap["counters"]
+        assert any(k.startswith("repro_serve_daemon_events_total")
                    for k in counters)
-        assert any(k.startswith(serving.ADMISSION_COUNTER)
+        assert any(k.startswith("repro_serve_admission_total")
                    for k in counters)
-        assert unknown_serving_labels(counters) == []
+        assert unknown_labels(snap) == []

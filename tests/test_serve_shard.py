@@ -1,7 +1,7 @@
-"""Sharded service: routing, LRU, spill persistence, parallel serving.
+"""Sharded service: routing, LRU, spill persistence, serving.
 
-Also covers the runtime executor's generalized ``pool_map``, which the
-parallel serving path reuses.
+Also covers the runtime executor's generalized ``pool_map``, which
+suite cells and the ``parallel=`` k-source fan-out run on.
 """
 
 import pytest
@@ -145,30 +145,6 @@ class TestServing:
         assert 0.0 < report.hit_ratio < 1.0
         assert report.as_metrics()["shards"] == 2
 
-    def test_serial_and_parallel_agree(self, tmp_path):
-        insts = _instances(4, n=20)
-        queries = []
-        for inst in insts:
-            queries.extend(
-                generate_workload("zipf", inst, 15, seed=4))
-        serial = _service(insts, shards=3).serve(queries)
-        parallel = _service(
-            insts, shards=3,
-            store=ResultStore(tmp_path)).serve_parallel(queries,
-                                                        jobs=3)
-        assert ([a.length for a in serial.answers]
-                == [a.length for a in parallel.answers])
-        assert parallel.jobs > 1
-        assert verify_against_centralized(insts, parallel.answers)
-
-    def test_parallel_single_shard_falls_back_to_serial(self):
-        insts = _instances(1)
-        service = _service(insts, shards=1)
-        queries = generate_workload("uniform", insts[0], 10, seed=0)
-        report = service.serve_parallel(queries, jobs=4)
-        assert report.jobs == 1  # one shard -> no pool spin-up
-        assert report.queries == len(queries)
-
     def test_empty_serve_is_a_stats_snapshot(self):
         service = _service(_instances(2))
         report = service.serve([])
@@ -182,6 +158,48 @@ def _double(x):
 
 def _boom(x):
     raise RuntimeError(f"bad {x}")
+
+
+class _ShortPlanner:
+    """A planner stub that answers every query but the last."""
+
+    def answer_batch(self, queries):
+        return [object()] * (len(queries) - 1), None
+
+
+def _stub_shard():
+    shard = OracleShard(solver="centralized")
+    inst = random_instance(20, seed=1)
+    shard.add_instance(inst)
+    queries = [Query(s=inst.s, t=inst.t, edge=e, instance=inst.name)
+               for e in inst.path_edges()[:3]]
+    return shard, inst, queries
+
+
+class TestAnswerAlignment:
+    """A short batch must raise, never shift answers onto the wrong
+    queries (positional lists have no other way to notice)."""
+
+    def test_short_planner_batch_raises(self):
+        shard, inst, queries = _stub_shard()
+        shard._planners[inst.name] = _ShortPlanner()
+        with pytest.raises(RuntimeError, match="2 answers for 3"):
+            shard.answer_batch(queries)
+
+    def test_short_stale_batch_raises(self):
+        shard, inst, queries = _stub_shard()
+        shard._previous[inst.name] = (0, _ShortPlanner())
+        with pytest.raises(RuntimeError, match="2 answers for 3"):
+            shard.answer_stale(queries)
+
+    def test_short_shard_batch_raises_in_service(self):
+        insts = _instances(2)
+        service = _service(insts, shards=1)
+        queries = generate_workload("uniform", insts[0], 4, seed=0)
+        shard = service.shard_for(insts[0].name)
+        shard.answer_batch = lambda qs: [None] * (len(qs) - 1)
+        with pytest.raises(RuntimeError, match="3 answers for 4"):
+            service.serve(queries)
 
 
 class TestPoolMap:

@@ -112,7 +112,7 @@ class TestServeCli:
         code = main(["serve", "bench", "--n", "20",
                      "--instances", "2", "--queries", "40",
                      "--workload", "mixed", "--solver",
-                     "centralized", "--jobs", "1"])
+                     "centralized"])
         out = capsys.readouterr().out
         assert code == 0
         assert "serve bench" in out

@@ -16,18 +16,26 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import re
 import sys
+import threading
 
 import pytest
 
 from repro import telemetry
 from repro.cli import main
+from repro.congest.dispatch import (
+    REASON_FABRIC,
+    REASON_RECORD_LINK_TOTALS,
+    known_kernels,
+)
 from repro.congest.metrics import RoundLedger
 from repro.core.rpaths import solve_rpaths
 from repro.core.two_sisp import solve_two_sisp
 from repro.graphs import grid_instance, random_instance
 from repro.runtime.executor import pool_map
 from repro.telemetry import counters as counters_mod
+from repro.telemetry import schema
 from repro.telemetry import sink as sink_mod
 from repro.telemetry import tooling
 
@@ -109,7 +117,7 @@ class TestTracedBitIdentical:
         # All ten kernels hit the vector path on the vector fabric.
         hits = {k for k, o, r, _c in tooling.dispatch_rows(counters)
                 if o == "vector"}
-        assert hits == set(telemetry.dispatch.known_kernels())
+        assert hits == set(known_kernels())
 
 
 # -- promise 2: fork safety --------------------------------------------------
@@ -264,10 +272,38 @@ class TestRegistry:
             'x_total{kernel="a",outcome="fallback"}'] == 2
         assert snap["summaries"]["lat_seconds"]["count"] == 2
         assert snap["summaries"]["lat_seconds"]["max"] == 1.5
-        text = reg.exposition()
+        text = schema.exposition(reg)
         assert "# TYPE x_total counter" in text
         assert 'x_total{kernel="a",outcome="vector"} 1' in text
         assert "lat_seconds_sum 2" in text
+
+    def test_concurrent_writes_lose_nothing(self):
+        reg = counters_mod.MetricsRegistry()
+        bound = counters_mod.BoundCounter(reg, "b_total", {})
+        threads, per = 4, 25_000
+
+        def work():
+            for _ in range(per):
+                reg.inc("a_total")
+                bound.inc()
+                reg.observe("s_seconds", 1.0)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force interleaving mid-update
+        try:
+            workers = [threading.Thread(target=work)
+                       for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(worker.is_alive() for worker in workers)
+        assert reg.value("a_total") == threads * per
+        assert reg.value("b_total") == threads * per
+        assert (reg.snapshot()["summaries"]["s_seconds"]["count"]
+                == threads * per)
 
     def test_series_roundtrip(self):
         name, labels = counters_mod.parse_series(
@@ -296,15 +332,15 @@ class TestDispatchAccounting:
         net.record_link_totals = True
         from repro.congest import kernels
         assert (kernels.vector_gate_reason(net)
-                == telemetry.dispatch.REASON_RECORD_LINK_TOTALS)
+                == REASON_RECORD_LINK_TOTALS)
         solve_rpaths(instance, fabric="vector")
         solve_rpaths(instance, fabric="fast")
         counters = counters_mod.registry.snapshot()["counters"]
         rows = tooling.dispatch_rows(counters)
         assert rows
         reasons = {r for _k, o, r, _c in rows if o == "fallback"}
-        assert telemetry.dispatch.REASON_FABRIC in reasons
-        assert tooling.unknown_reasons(counters) == []
+        assert REASON_FABRIC in reasons
+        assert telemetry.unknown_labels({"counters": counters}) == []
 
     def test_unknown_reason_flagged(self):
         counters = {
@@ -313,7 +349,7 @@ class TestDispatchAccounting:
             'repro_kernel_dispatch_total{kernel="not_a_kernel",'
             'outcome="vector"}': 1.0,
         }
-        unknown = tooling.unknown_reasons(counters)
+        unknown = telemetry.unknown_labels({"counters": counters})
         assert any("mystery-cause" in u for u in unknown)
         assert any("not_a_kernel" in u for u in unknown)
 
@@ -360,7 +396,7 @@ class TestTooling:
         data = json.loads(json.dumps(summary.as_json()))
         assert data["phases"]["phase/a"]["rounds"] == 10
         assert data["fallbacks"][0]["kernel"] == "hop_bfs"
-        assert data["unknown_reasons"] == []
+        assert data["unknown_labels"] == []
 
 
 # -- satellites: ledger report, CLI surfaces ---------------------------------
@@ -398,7 +434,7 @@ class TestCliSurfaces:
                      "--check-reasons", "--json"])
         data = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert "phases" in data and data["unknown_reasons"] == []
+        assert "phases" in data and data["unknown_labels"] == []
         assert any(name.startswith("cell/") for name in data["phases"])
 
     def test_trace_diff_cli(self, tmp_path, capsys):
@@ -429,6 +465,27 @@ class TestCliSurfaces:
         capsys.readouterr()
         assert code == 1
 
+    def test_trace_check_reasons_sees_summaries(self, tmp_path, capsys):
+        width = 'repro_parallel_fanout_width{site="landmark-kbfs"}'
+        for pid, summaries in (
+                (7, {width: {"count": 2, "sum": 8, "min": 4, "max": 4}}),
+                (8, {width: {"count": 1, "sum": 2, "min": 2, "max": 2},
+                     'repro_pool_wait_seconds{site="nowhere"}': {
+                         "count": 1, "sum": 0.5, "min": 0.5,
+                         "max": 0.5}})):
+            (tmp_path / f"trace-{pid}.jsonl").write_text(json.dumps({
+                "v": sink_mod.SCHEMA, "kind": "counters", "pid": pid,
+                "seq": 1, "data": {"summaries": summaries},
+            }) + "\n")
+        code = main(["trace", "summary", str(tmp_path),
+                     "--check-reasons", "--json"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert data["unknown_labels"] == [
+            "repro_pool_wait_seconds:site:<undeclared label>"]
+        assert data["info"]["summaries"] == [
+            width, 'repro_pool_wait_seconds{site="nowhere"}']
+
     def test_query_json(self, capsys):
         code = main(["query", "--family", "grid", "--n", "20",
                      "--check", "--json"])
@@ -450,6 +507,109 @@ class TestCliSurfaces:
         assert "counters" in record["service"]
 
 
+# -- strict Prometheus text format -------------------------------------------
+
+_NAME = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
+_SAMPLE = re.compile(rf"({_NAME})(?:{{(.*)}})? (\S+)")
+_LABEL = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\\n]|\\.)*)"')
+_SUFFIXES = {"counter": ("",), "gauge": ("",), "untyped": ("",),
+             "summary": ("", "_sum", "_count"),
+             "histogram": ("_bucket", "_sum", "_count")}
+
+
+def parse_exposition(text):
+    """Families of a text exposition; asserts what scrapers rely on.
+
+    One ``# HELP`` and one ``# TYPE`` per family, both before its
+    samples; no family repeated; every sample named by its family plus
+    a suffix its type allows; well-formed labels and values; no
+    duplicate series.
+    """
+    families, current, series = {}, None, set()
+    for line in text.splitlines():
+        if line.startswith("#"):
+            _hash, keyword, name, rest = (line.split(" ", 3) + [""])[:4]
+            assert keyword in ("HELP", "TYPE"), line
+            assert re.fullmatch(_NAME, name), line
+            if name != current:
+                assert name not in families, f"{name} repeated"
+                families[name] = {"samples": []}
+                current = name
+            family = families[name]
+            assert keyword not in family, f"second {keyword}: {line}"
+            assert not family["samples"], f"{keyword} after samples"
+            if keyword == "TYPE":
+                assert rest in _SUFFIXES, line
+            family[keyword] = rest
+            continue
+        match = _SAMPLE.fullmatch(line)
+        assert match, f"malformed sample: {line!r}"
+        name, labels, value = match.groups()
+        float(value)
+        family = families.get(current)
+        assert family and "HELP" in family and "TYPE" in family, line
+        assert name[len(current):] in _SUFFIXES[family["TYPE"]] \
+            and name.startswith(current), f"{name} in {current}"
+        pairs = labels.split(",") if labels else []
+        assert all(_LABEL.fullmatch(p) for p in pairs), line
+        assert (name, labels) not in series, f"duplicate {line}"
+        series.add((name, labels))
+        family["samples"].append(line)
+    return families
+
+
+class TestExpositionFormat:
+    def test_parser_rejects_what_scrapers_reject(self):
+        good = "# HELP a_total A.\n# TYPE a_total counter\na_total 1\n"
+        assert parse_exposition(good)["a_total"]["samples"]
+        for bad in ("# TYPE a_total counter\na_total 1\n",
+                    good + "# HELP a_total A.\n",
+                    good.replace("a_total 1", "a_total_min 1"),
+                    good + good):
+            with pytest.raises(AssertionError):
+                parse_exposition(bad)
+
+    def test_service_and_daemon_expositions_are_strict(self):
+        from repro.serve import ServeDaemon, ShardedQueryService
+        instances = [random_instance(16, seed=i, name=f"prom-{i}")
+                     for i in range(2)]
+        inst = instances[0]
+        edge = inst.path_edges()[0]
+        service = ShardedQueryService(instances, shards=2,
+                                      solver="centralized")
+        service.query(inst.name, inst.s, inst.t, edge)
+        families = parse_exposition(service.exposition())
+        assert families["repro_serve_queries_total"]["TYPE"] == "counter"
+        daemon = ServeDaemon(instances, workers=2, solver="centralized")
+        try:
+            daemon.start()
+            daemon.query(inst.name, inst.s, inst.t, edge, timeout=60)
+            schema.SERVE_REQUEST_SECONDS.observe(0.001)
+            families = parse_exposition(daemon.exposition())
+        finally:
+            daemon.stop()
+        request = families["repro_serve_request_seconds"]
+        assert request["TYPE"] == "summary"
+        assert request["HELP"] == schema.SERVE_REQUEST_SECONDS.help
+        stats = families["repro_serve_shard_stat"]["samples"]
+        assert any('stat="rebuild_failures"' in s for s in stats)
+        assert not any(name.startswith("repro_serve_shard_")
+                       and name != "repro_serve_shard_stat"
+                       for name in families)
+
+
+class TestMetricTableDoc:
+    def test_design_table_matches_declarations(self):
+        design = (pathlib.Path(__file__).resolve().parents[1]
+                  / "DESIGN.md").read_text()
+        begin = "<!-- metric-table:begin -->\n"
+        end = "\n<!-- metric-table:end -->"
+        committed = design.split(begin, 1)[1].split(end, 1)[0]
+        assert committed == schema.markdown_table(), (
+            "DESIGN.md's metric table drifted from repro.telemetry."
+            "schema; paste schema.markdown_table() between its markers")
+
+
 # -- serve stats surface -----------------------------------------------------
 
 
@@ -468,11 +628,27 @@ class TestServeStats:
         assert len(stats["shards"]) == 2
         assert json.dumps(stats)  # JSON-safe
         text = service.exposition()
-        assert "repro_serve_shard_queries" in text
-        assert "# TYPE" in text
+        assert 'repro_serve_shard_stat{shard="0",stat="queries"}' in text
+        assert "# TYPE repro_serve_shard_stat gauge" in text
 
 
-# -- scale-out counter enums -------------------------------------------------
+# -- metric schema: scale-out and serve-daemon label enums ------------------
+
+
+def _record_every_declared_value():
+    """One series per declared metric and closed-enum combination."""
+    import itertools
+    for metric in schema.METRICS.values():
+        names = list(metric.labels)
+        choices = [sorted(metric.legal(n) or {"x"}) for n in names]
+        for values in itertools.product(*choices):
+            labels = dict(zip(names, values))
+            if metric.kind == "counter":
+                metric.inc(**labels)
+            elif metric.kind == "gauge":
+                metric.set(1, **labels)
+            else:
+                metric.observe(1.0, **labels)
 
 
 class TestScaleEnums:
@@ -482,101 +658,89 @@ class TestScaleEnums:
         pytest.importorskip("numpy")
         instance = random_instance(40, seed=23)
         solve_rpaths(instance, fabric="vector", parallel=2)
-        counters = counters_mod.registry.snapshot()["counters"]
-        from repro.telemetry import scale
+        snap = counters_mod.registry.snapshot()
+        counters = snap["counters"]
         # The run actually exercised the surface being enum-checked.
-        assert any(k.startswith(scale.EXPORT_COUNTER)
-                   for k in counters)
-        assert any(k.startswith(scale.SHM_COUNTER) for k in counters)
-        assert any(k.startswith(scale.FANOUT_COUNTER)
-                   for k in counters)
-        assert telemetry.unknown_scale_labels(counters) == []
+        for metric in (schema.TOPOLOGY_EXPORT, schema.SHAREDMEM_EVENTS,
+                       schema.PARALLEL_FANOUT):
+            assert any(k.startswith(metric.name) for k in counters)
+        assert telemetry.unknown_labels(snap) == []
 
     def test_every_recording_helper_is_in_enum(self):
-        from repro.telemetry import scale
-        for array in scale.KNOWN_EXPORT_ARRAYS:
-            for dtype in scale.KNOWN_EXPORT_DTYPES:
-                scale.record_export(array, dtype)
-        for outcome in scale.KNOWN_PLAN_OUTCOMES:
-            scale.record_plan(outcome)
-        for event in scale.KNOWN_SHM_EVENTS:
-            scale.record_shm(event)
-        for site in scale.KNOWN_FANOUT_SITES:
-            scale.record_fanout(site, 2)
-        counters = counters_mod.registry.snapshot()["counters"]
-        assert telemetry.unknown_scale_labels(counters) == []
+        _record_every_declared_value()
+        snap = counters_mod.registry.snapshot()
+        assert len({key.partition("{")[0] for section in snap.values()
+                    for key in section}) == len(schema.METRICS)
+        assert telemetry.unknown_labels(snap) == []
 
     def test_unknown_scale_labels_flagged(self):
-        from repro.telemetry import scale
         counters = {
             'repro_sharedmem_events_total{event="explode"}': 1.0,
             'repro_parallel_fanout_total{site="somewhere"}': 1.0,
             'repro_topology_export_total{array="keys",'
             'dtype="float64"}': 1.0,
             "repro_sendplan_cache_total": 1.0,  # missing label
+            'repro_serve_queries_total{shard="1"}': 1.0,
+            "repro_made_up_total": 1.0,
         }
-        unknown = scale.unknown_scale_labels(counters)
+        unknown = telemetry.unknown_labels({
+            "counters": counters,
+            "summaries": {"repro_serve_queue_depth": {"count": 1}}})
         assert any("explode" in u for u in unknown)
         assert any("somewhere" in u for u in unknown)
         assert any("float64" in u for u in unknown)
         assert any("<missing>" in u for u in unknown)
+        assert any("<undeclared label>" in u for u in unknown)
+        assert "undeclared:repro_made_up_total" in unknown
+        assert "repro_serve_queue_depth:recorded as summary" in unknown
 
     def test_gauges_surface_in_summary(self, tmp_path):
-        from repro.telemetry import scale
         telemetry.enable_tracing(tmp_path)
         try:
-            scale.record_peak_rss(2.0 * (1 << 30))
+            schema.PEAK_RSS_BYTES.set(2.0 * (1 << 30))
             telemetry.flush()
         finally:
             telemetry.disable_tracing()
         summary = tooling.load_summary(tmp_path)
-        assert summary.gauges[scale.RSS_GAUGE] == 2.0 * (1 << 30)
+        assert summary.gauges[schema.PEAK_RSS_BYTES.name] == 2.0 * (1 << 30)
         rendered = tooling.format_summary(summary)
         assert "repro_peak_rss_bytes" in rendered
         assert "2048.0 MiB" in rendered
         assert "gauges" in summary.as_json()
 
 
-# -- serve-daemon counter enums ----------------------------------------------
-
-
 class TestServingEnums:
     """The serve-daemon counters are a closed surface, dispatch-style."""
 
     def test_every_recording_helper_is_in_enum(self):
-        from repro.telemetry import serving
-        for event in serving.KNOWN_DAEMON_EVENTS:
-            serving.record_daemon_event(event)
-        for outcome in serving.KNOWN_ADMISSION_OUTCOMES:
-            serving.record_admission(outcome)
-        counters = counters_mod.registry.snapshot()["counters"]
-        assert telemetry.unknown_serving_labels(counters) == []
+        for event in schema.SERVE_DAEMON_EVENTS.legal("event"):
+            schema.SERVE_DAEMON_EVENTS.inc(event=event)
+        for outcome in schema.SERVE_ADMISSION.legal("outcome"):
+            schema.SERVE_ADMISSION.inc(outcome=outcome)
+        snap = counters_mod.registry.snapshot()
+        assert telemetry.unknown_labels(snap) == []
 
     def test_unknown_serving_labels_flagged(self):
-        from repro.telemetry import serving
         counters = {
             'repro_serve_daemon_events_total{event="imploded"}': 1.0,
             'repro_serve_admission_total{outcome="maybe"}': 2.0,
             "repro_serve_admission_total": 1.0,  # missing label
-            # Foreign counters are not this enum's business.
             'repro_sharedmem_events_total{event="attach"}': 1.0,
         }
-        unknown = serving.unknown_serving_labels(counters)
+        unknown = telemetry.unknown_labels({"counters": counters})
         assert any("imploded" in u for u in unknown)
         assert any("maybe" in u for u in unknown)
         assert any("<missing>" in u for u in unknown)
         assert not any("attach" in u for u in unknown)
 
     def test_gauges_and_summary_record(self):
-        from repro.telemetry import serving
-        serving.set_queue_depth(7)
-        serving.set_inflight(3, 12)
-        serving.set_workers_alive(2)
-        serving.observe_request_seconds(0.004)
+        schema.SERVE_QUEUE_DEPTH.set(7)
+        schema.SERVE_INFLIGHT.set(12, shard="3")
+        schema.SERVE_WORKERS_ALIVE.set(2)
+        schema.SERVE_REQUEST_SECONDS.observe(0.004)
         snap = counters_mod.registry.snapshot()
-        assert snap["gauges"][serving.QUEUE_DEPTH_GAUGE] == 7
-        assert snap["gauges"][
-            serving.INFLIGHT_GAUGE + '{shard="3"}'] == 12
-        assert snap["gauges"][serving.WORKERS_ALIVE_GAUGE] == 2
-        summary = snap["summaries"][serving.REQUEST_SECONDS_SUMMARY]
+        assert snap["gauges"]["repro_serve_queue_depth"] == 7
+        assert snap["gauges"]['repro_serve_inflight{shard="3"}'] == 12
+        assert snap["gauges"]["repro_serve_workers_alive"] == 2
+        summary = snap["summaries"]["repro_serve_request_seconds"]
         assert summary["count"] >= 1
