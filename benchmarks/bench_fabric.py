@@ -11,10 +11,8 @@ each message engine and reports rounds/sec:
 * ``reference`` — the pre-PR-2 per-message engine (tuple hashing,
   recursive word sizing, per-round dict allocation), preserved in
   :func:`repro.congest.fastpath.exchange_reference`;
-* ``strict`` — batched flat-buffer delivery with per-message
-  validation;
-* ``fast`` — batched delivery with validation hoisted out of the
-  inner loop.
+* ``fast`` — batched flat-buffer delivery, validated by the link-index
+  probe instead of a per-message model check.
 
 **Kernel workloads** (vector fabric).  The vector fabric replaces
 whole round loops, so it cannot replay a recorded outbox schedule;
@@ -256,14 +254,13 @@ def measure_families(scale: int = 1, repeats: int = 3) -> Dict[str, dict]:
 
         rps: Dict[str, float] = {}
         digests = {}
-        for fabric in ("reference", "strict", "fast"):
+        for fabric in ("reference", "fast"):
             rps[fabric], digests[fabric] = _replay_rps(
                 schedule,
                 lambda fabric=fabric: instance.build_network(
                     fabric=fabric),
                 repeats)
-        if not (digests["reference"] == digests["strict"]
-                == digests["fast"]):
+        if digests["reference"] != digests["fast"]:
             raise AssertionError(
                 f"{name}: fabrics disagree on the ledger: {digests}")
 
@@ -274,9 +271,7 @@ def measure_families(scale: int = 1, repeats: int = 3) -> Dict[str, dict]:
             "messages": digests["reference"][1],
             "words": digests["reference"][2],
             "reference_rps": round(rps["reference"], 1),
-            "strict_rps": round(rps["strict"], 1),
             "fast_rps": round(rps["fast"], 1),
-            "speedup_strict": round(rps["strict"] / rps["reference"], 3),
             "speedup_fast": round(rps["fast"] / rps["reference"], 3),
         }
     return report
@@ -290,7 +285,7 @@ def render_report(families: Dict[str, dict]) -> str:
     return format_records(
         records,
         ["family", "n", "rounds", "messages", "reference_rps",
-         "strict_rps", "fast_rps", "speedup_fast"],
+         "fast_rps", "speedup_fast"],
         title="fabric throughput — batched exchange vs. reference "
               "engine (replayed schedules, best of N)",
     )

@@ -853,13 +853,13 @@ def cmd_kernels_list(args) -> int:
         print(json.dumps(registry_json(), indent=2, sort_keys=True))
         return 0
     print(format_table(
-        ["primitive", "lemma", "reference/fast/strict", "vector",
+        ["primitive", "lemma", "reference/fast", "vector",
          "vector constraints (fallback reasons)"],
         table_rows(),
         title="primitive dispatch table (repro.congest.dispatch)"))
     gates = ", ".join(g.reason for g in GLOBAL_GATES)
     print(f"global gates (checked first, every primitive): {gates}")
-    print("reference/fast/strict run the message engine atop their "
+    print("reference/fast run the message engine atop their "
           "exchange fabric; vector runs the array kernel when every "
           "gate and constraint passes, else falls back to the message "
           "engine counting the first failing constraint's reason.")
@@ -1158,7 +1158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument("--chaos", action="store_true",
                         help="run the chaos harness instead of plain "
                              "load: concurrent mutation bursts, "
-                             "worker SIGKILLs, and queue stalls, then "
+                             "worker SIGKILLs, and worker stalls, then "
                              "a quiesced bit-identical convergence "
                              "gate")
     p_load.add_argument("--chaos-duration", type=float, default=3.0,
@@ -1167,7 +1167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument("--kills", type=int, default=1,
                         help="worker SIGKILLs to inject")
     p_load.add_argument("--stalls", type=int, default=1,
-                        help="queue stalls to inject")
+                        help="worker stalls to inject")
     p_load.add_argument("--bursts", type=int, default=3,
                         help="mutation bursts during the storm")
     p_load.add_argument("--burst-size", type=int, default=4,

@@ -541,8 +541,8 @@ def _ref_name(ref: ImplRef) -> str:
 
 def table_rows() -> List[List[str]]:
     """One row per primitive: the dispatch table as ``repro kernels
-    list`` renders it (reference/fast/strict share the message engine
-    atop different exchange fabrics; vector is the array kernel)."""
+    list`` renders it (reference/fast share the message engine atop
+    different exchange fabrics; vector is the array kernel)."""
     rows: List[List[str]] = []
     for prim in _PRIMITIVES:
         conditions = [c.reason for c in prim.constraints]
@@ -569,7 +569,6 @@ def registry_json() -> List[Dict[str, object]]:
             "implementations": {
                 "reference": ".".join(prim.message),
                 "fast": ".".join(prim.message),
-                "strict": ".".join(prim.message),
                 "vector": ".".join(prim.vector),
             },
             "global_gates": [

@@ -17,22 +17,18 @@ executes one synchronous round:
   inbox lists replicate the validated engine's deterministic
   sorted-sender order without ever sorting messages.
 
-Validation is hoisted out of the inner loop behind the ``strict``
-flag:
+Validation rides the link-index probe instead of a per-message check
+of the model: algorithms address only topology neighbors by
+construction, so the probe almost always hits.  A failed probe raises
+the proper :class:`~repro.congest.errors.UnknownVertexError` /
+:class:`~repro.congest.errors.NotALinkError` through a cold diagnostic
+branch.  The probe key ``sender * n + receiver`` is unique only for an
+in-range receiver (``1 * 3 + 3`` is also ``2 * 3 + 0``), so a hit
+costs one range comparison more; an in-range receiver makes any
+out-of-range sender miss.  Model violations therefore never pass
+silently and never land on another link.
 
-* ``strict=True`` re-checks every message against the model (vertex
-  ranges, link existence) exactly like the historical engine and
-  raises the same error types — the *strict path*;
-* ``strict=False`` trusts the algorithms (which address only topology
-  neighbors by construction) and relies on the link-index probe: a
-  failed probe still raises the proper
-  :class:`~repro.congest.errors.UnknownVertexError` /
-  :class:`~repro.congest.errors.NotALinkError` via a cold diagnostic
-  branch, so model violations never pass silently.  The only checks
-  actually skipped are per-message range comparisons, which can
-  misattribute (not mask) errors for wildly out-of-range ids.
-
-Both paths are byte-identical to the reference engine in delivered
+The fabric is byte-identical to the reference engine in delivered
 inboxes, word counts, and ledger contents — asserted by
 ``tests/test_fabric_equivalence.py`` and benchmarked by
 ``benchmarks/bench_fabric.py``.
@@ -57,8 +53,8 @@ Inbox = Dict[int, List[Tuple[int, object]]]
 class FabricState:
     """Per-network exchange buffers, allocated once and recycled.
 
-    Hoisting these out of ``exchange`` is what lets both the strict and
-    the fast path stop paying per-round allocation: buffers are cleared
+    Hoisting these out of ``exchange`` is what lets the batched fabric
+    stop paying per-round allocation: buffers are cleared
     link-by-link after delivery (only links actually touched), so an
     idle round costs nothing and a busy round costs O(messages).
     """
@@ -112,7 +108,7 @@ def _diagnose_bad_message(topology: CSRTopology, sender: int,
     raise NotALinkError(sender, receiver)
 
 
-def _route_messages(topology, outbox, strict, link_index_get, payloads,
+def _route_messages(topology, outbox, link_index_get, payloads,
                     words_acc, touched_append, size_memo_get, size_memo):
     """Route one round's outboxes into the per-link buffers.
 
@@ -122,46 +118,23 @@ def _route_messages(topology, outbox, strict, link_index_get, payloads,
     n = topology.n
     total_messages = 0
     total_words = 0
-    if strict:
-        for sender in outbox:
-            if not (isinstance(sender, int) and 0 <= sender < n):
-                raise UnknownVertexError(sender)
-            base = sender * n
-            for receiver, payload in outbox[sender]:
-                if not (isinstance(receiver, int) and 0 <= receiver < n):
-                    raise UnknownVertexError(receiver)
-                lid = link_index_get(base + receiver)
-                if lid is None:
-                    raise NotALinkError(sender, receiver)
-                pid = id(payload)
-                size = size_memo_get(pid)
-                if size is None:
-                    size = size_memo[pid] = _payload_words(payload)
-                bucket = payloads[lid]
-                if not bucket:
-                    touched_append(lid)
-                bucket.append((sender, payload))
-                words_acc[lid] += size
-                total_messages += 1
-                total_words += size
-    else:
-        for sender, sends in outbox.items():
-            base = sender * n
-            for receiver, payload in sends:
-                lid = link_index_get(base + receiver)
-                if lid is None:
-                    _diagnose_bad_message(topology, sender, receiver)
-                pid = id(payload)
-                size = size_memo_get(pid)
-                if size is None:
-                    size = size_memo[pid] = _payload_words(payload)
-                bucket = payloads[lid]
-                if not bucket:
-                    touched_append(lid)
-                bucket.append((sender, payload))
-                words_acc[lid] += size
-                total_messages += 1
-                total_words += size
+    for sender, sends in outbox.items():
+        base = sender * n
+        for receiver, payload in sends:
+            lid = link_index_get(base + receiver)
+            if lid is None or not 0 <= receiver < n:
+                _diagnose_bad_message(topology, sender, receiver)
+            pid = id(payload)
+            size = size_memo_get(pid)
+            if size is None:
+                size = size_memo[pid] = _payload_words(payload)
+            bucket = payloads[lid]
+            if not bucket:
+                touched_append(lid)
+            bucket.append((sender, payload))
+            words_acc[lid] += size
+            total_messages += 1
+            total_words += size
     return total_messages, total_words
 
 
@@ -172,7 +145,6 @@ def exchange_batch(
     ledger: RoundLedger,
     bandwidth_words: int,
     raise_on_overload: bool,
-    strict: bool = False,
     link_totals: Optional[Dict[Tuple[int, int], int]] = None,
 ) -> Inbox:
     """Execute one synchronous round through the batched fabric.
@@ -197,7 +169,7 @@ def exchange_batch(
 
     try:
         total_messages, total_words = _route_messages(
-            topology, outbox, strict, link_index_get, payloads,
+            topology, outbox, link_index_get, payloads,
             words_acc, touched_append, size_memo_get, size_memo)
     except BaseException:
         # A validation (or sizing) error aborted routing mid-way: drop

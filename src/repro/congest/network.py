@@ -27,18 +27,17 @@ Since PR 2 the network is a thin facade over the swappable fabric:
   ids, and O(1) link lookup, built once and shared by all rounds (and,
   via the ``topology=`` parameter, by any number of networks);
 * :mod:`~repro.congest.fastpath` — batched delivery through flat
-  per-link buffers, with validation hoisted out of the inner loop.
+  per-link buffers, validated by the link-index probe.
 
-``fabric`` selects the engine: ``"fast"`` (default; deferred validation,
-still raises the proper model errors for in-range vertex ids),
-``"strict"`` (per-message validation, airtight even against wildly
-out-of-range ids), ``"reference"`` (the pre-fabric per-message loop,
-kept as the equivalence oracle and benchmark baseline), or ``"vector"``
-(the batched engine for explicit exchanges, plus whole-frontier NumPy
-kernels — :mod:`~repro.congest.kernels` — for the round loops of the
-pruned hop-BFS, the k-source BFS, and the pipelined broadcast).  All
-four are byte-identical in delivered inboxes, algorithm outputs, and
-ledger contents.
+``fabric`` selects the engine: ``"fast"`` (default; batched, every
+model violation raises the proper error), ``"reference"`` (the
+pre-fabric per-message loop, kept as the equivalence oracle and
+benchmark baseline), or ``"vector"`` (the batched engine for explicit
+exchanges, plus whole-frontier NumPy kernels —
+:mod:`~repro.congest.kernels` — for the round loops of the pruned
+hop-BFS, the k-source BFS, and the pipelined broadcast).  All three
+are byte-identical in delivered inboxes, algorithm outputs, and ledger
+contents.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ Inbox = Dict[int, List[Tuple[int, object]]]
 DEFAULT_BANDWIDTH_WORDS = 8
 
 #: Recognized fabric engines.
-FABRICS = ("fast", "strict", "reference", "vector")
+FABRICS = ("fast", "reference", "vector")
 
 
 def resolve_fabric(fabric: str) -> str:
@@ -98,8 +97,7 @@ class CongestNetwork:
         Optional shared :class:`RoundLedger`; a fresh one is created
         otherwise.
     fabric:
-        Exchange engine: ``"fast"`` (batched, validation deferred),
-        ``"strict"`` (batched, per-message validation), ``"reference"``
+        Exchange engine: ``"fast"`` (batched), ``"reference"``
         (pre-fabric loop; equivalence baseline), or ``"vector"``
         (batched exchanges + whole-frontier array kernels for the
         kernel-covered primitives; needs NumPy, degrades to the
@@ -136,8 +134,8 @@ class CongestNetwork:
         #: :attr:`link_totals` (used by the lower-bound cut analysis).
         self.record_link_totals = False
         self.link_totals: Dict[Tuple[int, int], int] = {}
-        # Exchange buffers are hoisted here, once, so neither the strict
-        # nor the fast path pays per-round allocation.
+        # Exchange buffers are hoisted here, once, so the batched fabric
+        # pays no per-round allocation.
         self._state = FabricState(topology)
 
     # -- topology accessors --------------------------------------------------
@@ -195,9 +193,7 @@ class CongestNetwork:
                 self.bandwidth_words, self.strict, link_totals)
         return exchange_batch(
             self.topology, self._state, outbox, self.ledger,
-            self.bandwidth_words, self.strict,
-            strict=(self.fabric == "strict"),
-            link_totals=link_totals)
+            self.bandwidth_words, self.strict, link_totals=link_totals)
 
     def idle_round(self, count: int = 1) -> None:
         """Advance ``count`` rounds without any communication."""

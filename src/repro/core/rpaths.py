@@ -93,7 +93,7 @@ def solve_rpaths(
         unit tests to isolate later stages; end-to-end runs leave this
         False.
     fabric:
-        Exchange engine (``"fast"``/``"strict"``/``"reference"``); the
+        Exchange engine (``"fast"``/``"reference"``/``"vector"``); the
         fabric equivalence tests run the full solver on each.
     parallel:
         With ``parallel >= 2``, the topology's frozen array export is

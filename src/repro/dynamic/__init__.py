@@ -9,7 +9,7 @@ instances; this package makes those instances move:
   :func:`~repro.dynamic.stream.apply_mutations`, which bumps the
   instance's ``topology_version`` epoch and re-derives P.
 * :mod:`~repro.dynamic.chaos` — the chaos harness: concurrent worker
-  SIGKILLs, queue stalls, and mutation bursts against a live
+  SIGKILLs, worker stalls, and mutation bursts against a live
   :class:`~repro.serve.daemon.ServeDaemon`, followed by a quiesce and
   a bit-identical convergence check against from-scratch solves.
 * :mod:`~repro.dynamic.scenarios` — the ``dynamic-*`` scenario

@@ -193,7 +193,7 @@ def run_chaos(instances: Sequence[RPathsInstance],
             except RuntimeError:
                 return
 
-    start = time.time()
+    start = time.monotonic()
     with daemon:
         frontend = ServeFrontend(daemon,
                                  default_timeout=query_timeout)
@@ -209,12 +209,12 @@ def run_chaos(instances: Sequence[RPathsInstance],
             t.join(timeout=query_timeout + 5.0)
 
         # -- quiesce + bit-identical convergence check -------------------
-        deadline = time.time() + quiesce_timeout
+        deadline = time.monotonic() + quiesce_timeout
         for name in names:
             final = daemon.instance_for(name)
             truth_edges = final.path_edges()
             for edge in truth_edges:
-                remaining = max(1.0, deadline - time.time())
+                remaining = max(1.0, deadline - time.monotonic())
                 res = frontend.query(
                     name, final.s, final.t, edge,
                     timeout=remaining, max_staleness=0)
@@ -234,7 +234,7 @@ def run_chaos(instances: Sequence[RPathsInstance],
             1 for row in stats["shards"] if row["failed"])
         frontend.close()
 
-    report.duration = time.time() - start
+    report.duration = time.monotonic() - start
     report.queries_sent = len(results)
     outcomes: Dict[str, int] = {}
     served: List[float] = []

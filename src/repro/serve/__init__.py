@@ -21,9 +21,10 @@ precomputed answers hot and amortizes everything else:
 * :mod:`~repro.serve.daemon` — ``ServeDaemon``: long-lived worker
   processes that own their shards (shared-memory topology attach,
   warm-once oracles, heartbeat health, bounded restart with re-warm).
-* :mod:`~repro.serve.frontend` — ``ServeFrontend``: threaded admission
-  with a bounded queue, per-request deadlines, per-shard in-flight
-  caps (reject-with-``overloaded`` backpressure), and per-request
+* :mod:`~repro.serve.frontend` — ``ServeFrontend``: admission that
+  routes on submit, with per-shard in-flight caps, a bounded
+  per-shard backlog (reject-with-``overloaded`` backpressure),
+  per-request deadlines, and per-request
   staleness budgets (degraded-mode ``stale`` answers while an
   invalidated oracle re-warms).
 * :mod:`~repro.serve.client` — ``query_with_retry``: bounded

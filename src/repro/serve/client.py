@@ -1,7 +1,7 @@
 """Bounded retry-with-backoff client over the serve front-end.
 
 ``overloaded`` (shed at admission) and ``worker-lost`` (restart budget
-exhausted mid-request) are *transient*: the queue drains, the monitor
+exhausted mid-request) are *transient*: the backlog drains, the monitor
 respawns workers, and an identical resubmission usually succeeds.
 :func:`query_with_retry` wraps one query in that loop — exponential
 backoff, a hard attempt cap, every retry counted in the closed

@@ -12,27 +12,30 @@ life of the service**.  Each worker
 * builds or spill-loads its oracles **once** at startup
   (:meth:`~repro.serve.shard.OracleShard.warm`, ResultStore spill
   intact), and
-* then serves request batches from the warm LRU over a
-  request/response ``multiprocessing`` queue pair.
+* then serves request batches from the warm LRU over one duplex
+  ``multiprocessing.Pipe``.
 
 Lifecycle is stop-flag + drain (the Morelia threaded-streaming idiom:
-a shared flag the worker polls between queue reads): ``stop
+a shared flag the worker polls between pipe reads): ``stop
 (drain=True)`` sets the flag, the worker finishes everything already
-queued, reports its lifetime stats, detaches, and exits.  Health is
-heartbeat-based — each worker stamps a shared timestamp between
-batches; the parent's monitor thread declares a worker dead when the
-process exits or the stamp goes stale, and restarts it (bounded by
-``max_restarts``) on a **fresh queue pair**, re-warming from the
-spill store and re-submitting every outstanding request (queries are
+sent, reports its lifetime stats, detaches, and exits.  Health is
+heartbeat-based — each worker stamps a shared monotonic timestamp
+between batches; the parent's monitor thread declares a worker dead
+when the process exits or the stamp goes stale, and restarts it
+(bounded by ``max_restarts``) on a **fresh pipe**, re-warming from the
+spill store and re-sending every outstanding request (queries are
 pure, so the occasional duplicate answer is dropped by request id).
-Queues are strictly per-worker — a SIGKILL can land while the dying
-process's queue feeder thread holds a queue's shared write lock, so
-any queue a dead worker may have touched is abandoned wholesale
-(fresh pair + fresh collector thread) rather than shared or reused.
+
+No parent thread exists per worker.  Requests go out on the caller's
+thread, under a per-worker lock, and one reader thread waits on every
+worker's pipe (:func:`multiprocessing.connection.wait`) and runs the
+answer callbacks.  The parent closes its copy of a worker's end once
+the worker has started, so that pipe ends in EOF when the worker
+exits and a send to a dead worker raises instead of queueing.
 
 Every transition is counted in
-:data:`repro.telemetry.schema.SERVE_DAEMON_EVENTS`; the threaded
-admission path in front of this tier is
+:data:`repro.telemetry.schema.SERVE_DAEMON_EVENTS`; the admission
+path in front of this tier is
 :class:`repro.serve.frontend.ServeFrontend`.
 """
 
@@ -40,11 +43,11 @@ from __future__ import annotations
 
 import itertools
 import os
-import queue as _thread_queue
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from multiprocessing import connection as _connection
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
@@ -62,16 +65,16 @@ from .planner import DEFAULT_MAX_GROUP
 from .queries import Query, QueryAnswer
 from .shard import OracleShard, ShardStats, shard_exposition, shard_of
 
-#: Request-queue message kinds (worker side).
+#: Request message kinds (worker side).
 _MSG_BATCH = "batch"
 _MSG_STATS = "stats"
 #: Topology epoch bump: (kind, instance key, new instance, applied).
 _MSG_INVALIDATE = "invalidate"
 #: Chaos injection: (kind, seconds) — the worker sleeps in its serving
-#: loop without stamping its heartbeat, simulating a wedged queue.
+#: loop without stamping its heartbeat, simulating a wedged worker.
 _MSG_STALL = "stall"
 
-#: Response-queue message kinds (parent side).
+#: Reply message kinds (parent side).
 _RSP_READY = "ready"
 _RSP_ANSWER = "answer"
 _RSP_STATS = "stats"
@@ -104,7 +107,7 @@ class WorkerConfig:
     planner_fabric: str = "vector"
     max_group: int = DEFAULT_MAX_GROUP
     build_seed: int = 0
-    #: Queue-poll interval — also the heartbeat cadence while idle.
+    #: Pipe-poll interval — also the heartbeat cadence while idle.
     poll_seconds: float = 0.05
     #: Artificial delay before an invalidated oracle's background
     #: rebuild starts — a test/chaos knob that widens the degraded
@@ -123,12 +126,12 @@ def _portable_instance(instance: RPathsInstance) -> RPathsInstance:
         topology_version=instance.topology_version)
 
 
-def _worker_main(config: WorkerConfig, request_q, response_q,
-                 stop_flag, heartbeat) -> None:
+def _worker_main(config: WorkerConfig, conn, stop_flag,
+                 heartbeat) -> None:
     """One worker process: attach, warm once, serve until stopped.
 
-    The loop stamps ``heartbeat`` between queue reads; with the stop
-    flag set it keeps answering until the request queue is empty
+    The loop stamps ``heartbeat`` between pipe reads; with the stop
+    flag set it keeps answering until nothing is left to read
     (drain), then reports lifetime stats and exits.
     """
     from ..runtime import sharedmem
@@ -136,7 +139,7 @@ def _worker_main(config: WorkerConfig, request_q, response_q,
     telemetry.maybe_enable_from_env()
     attached: List[object] = []
     sid = config.shard_id
-    heartbeat.value = time.time()
+    heartbeat.value = time.monotonic()
     try:
         store = (None if config.store_root is None
                  else ResultStore(config.store_root))
@@ -157,13 +160,12 @@ def _worker_main(config: WorkerConfig, request_q, response_q,
                             instances=len(config.instances)):
             shard.warm()  # the whole point: built once, served warm
     except Exception as exc:  # noqa: BLE001 - reported to the parent
-        response_q.put((_RSP_READY, sid, os.getpid(), {},
-                        f"{type(exc).__name__}: {exc}"))
+        conn.send((_RSP_READY, os.getpid(), {},
+                   f"{type(exc).__name__}: {exc}"))
         for topo in attached:
             sharedmem.detach_topology(topo)
         return
-    response_q.put((_RSP_READY, sid, os.getpid(),
-                    shard.stats.as_metrics(), ""))
+    conn.send((_RSP_READY, os.getpid(), shard.stats.as_metrics(), ""))
 
     #: key -> Event set once the post-invalidation rebuild finishes.
     rebuild_events: Dict[str, threading.Event] = {}
@@ -179,8 +181,7 @@ def _worker_main(config: WorkerConfig, request_q, response_q,
                 shard.planner_for(key)
             except Exception:  # noqa: BLE001 - counted; the next
                 # fresh-demanding batch retries the build inline.
-                with shard._lock:
-                    shard.stats.rebuild_failures += 1
+                shard._count(rebuild_failures=1)
             finally:
                 event.set()
 
@@ -221,7 +222,7 @@ def _worker_main(config: WorkerConfig, request_q, response_q,
                     # Fresh demanded mid-rebuild: wait it out,
                     # stamping the heartbeat so the monitor stays calm.
                     while not event.wait(timeout=config.poll_seconds):
-                        heartbeat.value = time.time()
+                        heartbeat.value = time.monotonic()
             answers = shard.answer_batch(sub)
             for i, a in zip(indices, answers):
                 lengths[i] = a.length
@@ -230,18 +231,16 @@ def _worker_main(config: WorkerConfig, request_q, response_q,
 
     try:
         while True:
-            heartbeat.value = time.time()
-            try:
-                item = request_q.get(timeout=config.poll_seconds)
-            except _thread_queue.Empty:
+            heartbeat.value = time.monotonic()
+            if not conn.poll(config.poll_seconds):
                 if stop_flag.is_set():
-                    break  # stop requested and the queue is drained
+                    break  # stop requested and the pipe is drained
                 continue
+            item = conn.recv()
             kind = item[0]
             if kind == _MSG_STATS:
-                response_q.put((_RSP_STATS, sid, item[1],
-                                shard.stats.as_metrics(),
-                                len(shard._planners)))
+                conn.send((_RSP_STATS, item[1], shard.stats.as_metrics(),
+                           len(shard._planners)))
                 continue
             if kind == _MSG_INVALIDATE:
                 _kind, key, new_instance, applied = item
@@ -258,15 +257,13 @@ def _worker_main(config: WorkerConfig, request_q, response_q,
             try:
                 lengths, kinds, lags = answer_with_staleness(
                     list(queries), list(staleness))
-                response_q.put((_RSP_ANSWER, sid, req_id,
-                                lengths, kinds, lags, ""))
+                reply = (_RSP_ANSWER, req_id, lengths, kinds, lags, "")
             except Exception as exc:  # noqa: BLE001 - per-request
-                response_q.put((_RSP_ANSWER, sid, req_id, None, None,
-                                None,
-                                f"{type(exc).__name__}: {exc}"))
+                reply = (_RSP_ANSWER, req_id, None, None, None,
+                         f"{type(exc).__name__}: {exc}")
+            conn.send(reply)
     finally:
-        response_q.put((_RSP_FINAL, sid, shard.stats.as_metrics(),
-                        _counters.snapshot_counters()))
+        conn.send((_RSP_FINAL, shard.stats.as_metrics()))
         for topo in attached:
             sharedmem.detach_topology(topo)
         telemetry.flush()
@@ -278,9 +275,10 @@ class _Worker:
 
     config: WorkerConfig
     process: object = None
-    request_q: object = None
-    response_q: object = None
-    collector: Optional[threading.Thread] = None
+    #: Parent end of the current generation's pipe.
+    conn: object = None
+    #: Serializes sends on ``conn`` and its replacement at restart.
+    lock: threading.Lock = field(default_factory=threading.Lock)
     stop_flag: object = None
     heartbeat: object = None
     ready: threading.Event = field(default_factory=threading.Event)
@@ -297,8 +295,8 @@ class ServeDaemon:
 
     Instances are partitioned by the same SHA-256 mapping as
     :class:`~repro.serve.shard.ShardedQueryService`, one worker per
-    shard.  :meth:`submit_batch` is asynchronous (answers arrive on a
-    collector thread's callback); :meth:`query` is the synchronous
+    shard.  :meth:`submit_batch` is asynchronous (answers arrive on
+    the reader thread's callback); :meth:`query` is the synchronous
     convenience the CLI self-check and tests use.  Admission control,
     deadlines, and backpressure live one layer up in
     :class:`~repro.serve.frontend.ServeFrontend`.
@@ -357,22 +355,32 @@ class ServeDaemon:
                 build_seed=build_seed, poll_seconds=poll_seconds,
                 rebuild_delay=rebuild_delay))
         self._published: List[object] = []
+        self._topology_handles: Dict[str, object] = {}
         self._req_ids = itertools.count(1)
         self._lock = threading.Lock()
         #: Serializes topology mutations (epoch bumps are ordered).
         self._mutate_lock = threading.Lock()
         #: req_id -> (shard_id, queries, staleness, callback);
         #: resubmitted on a worker restart, resolved exactly once by
-        #: the collector.
+        #: the reader.
         self._pending: Dict[int, Tuple[int, Tuple[Query, ...],
                                        Tuple[int, ...],
                                        AnswerCallback]] = {}
         self._inflight: Dict[int, int] = {
             sid: 0 for sid in self._workers}
         self._stats_waiters: Dict[int, Tuple[threading.Event, list]] = {}
+        #: Parent pipe end -> its worker, for every pipe not yet at EOF
+        #: (a restarted worker's old pipe stays until read to the end).
+        self._conns: Dict[object, _Worker] = {}
         self._running = False
         self._stopping = False
+        #: Set by stop(): ends the monitor's wait at once.
+        self._halt = threading.Event()
         self._monitor: Optional[threading.Thread] = None
+        self._reader: Optional[threading.Thread] = None
+        #: Written to whenever ``_conns`` changes, so the reader
+        #: re-reads the set it waits on.
+        self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
 
     # -- routing ------------------------------------------------------------
 
@@ -445,23 +453,23 @@ class ServeDaemon:
                     for name, handle in config.topology_handles
                     if name != instance_key),
             })
-            handles = getattr(self, "_topology_handles", None)
-            if handles is not None:
-                handles.pop(instance_key, None)
+            self._topology_handles.pop(instance_key, None)
         if (self._running and not self._stopping
                 and worker.process is not None and not worker.failed):
-            worker.request_q.put((_MSG_INVALIDATE, instance_key,
-                                  portable, tuple(result.applied)))
+            # A dead worker misses this; its restart warms from the
+            # config swapped in above.
+            self._send(worker, (_MSG_INVALIDATE, instance_key,
+                                portable, tuple(result.applied)))
         return result
 
     def inject_stall(self, shard_id: int, seconds: float) -> None:
         """Chaos hook: wedge one worker's serving loop for
         ``seconds`` without heartbeats (long stalls trip the monitor,
-        short ones just back the queue up — both on purpose)."""
+        short ones just back requests up — both on purpose)."""
         worker = self._workers[shard_id]
         if worker.process is None:
             raise RuntimeError("daemon is not running (call start())")
-        worker.request_q.put((_MSG_STALL, float(seconds)))
+        self._send(worker, (_MSG_STALL, float(seconds)))
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -495,28 +503,27 @@ class ServeDaemon:
             config = WorkerConfig(**{
                 **config.__dict__, "topology_handles": shard_handles})
             worker.config = config
-        worker.request_q = self._ctx.Queue()
-        worker.response_q = self._ctx.Queue()
+        parent_end, child_end = self._ctx.Pipe()
+        # Swapped in first, so the reader ignores whatever lifecycle
+        # news the replaced generation left unread; sends made before
+        # the worker starts wait in the pipe.
+        with worker.lock:
+            worker.conn = parent_end
         worker.stop_flag = self._ctx.Event()
-        worker.heartbeat = self._ctx.Value("d", time.time())
+        worker.heartbeat = self._ctx.Value("d", time.monotonic())
         worker.ready = threading.Event()
         worker.ready_error = ""
         worker.process = self._ctx.Process(
             target=_worker_main,
-            args=(config, worker.request_q, worker.response_q,
-                  worker.stop_flag, worker.heartbeat),
+            args=(config, child_end, worker.stop_flag, worker.heartbeat),
             daemon=True)
         worker.process.start()
-        # One collector thread per queue generation: replacing
-        # worker.response_q retires the previous thread on its next
-        # poll, so a queue a killed worker may have wedged is simply
-        # abandoned instead of blocking the other shards' answers.
-        worker.collector = threading.Thread(
-            target=self._collect_loop,
-            args=(worker, worker.response_q),
-            name=f"serve-daemon-collector-{config.shard_id}",
-            daemon=True)
-        worker.collector.start()
+        # The worker now holds the only copy of its end: the pipe reads
+        # EOF once the worker exits, and a send to a dead worker raises.
+        child_end.close()
+        with self._lock:
+            self._conns[parent_end] = worker
+        self._wake_w.send_bytes(b"")
         SERVE_DAEMON_EVENTS.inc(event="worker-start")
 
     def start(self, warm_timeout: float = 120.0) -> "ServeDaemon":
@@ -525,16 +532,20 @@ class ServeDaemon:
             return self
         SERVE_DAEMON_EVENTS.inc(event="start")
         self._topology_handles = self._publish_topologies()
-        self._running = True  # before _spawn: collectors poll on it
+        self._running = True  # the reader returns once this is unset
+        self._reader = threading.Thread(
+            target=self._read_loop, name="serve-daemon-reader",
+            daemon=True)
+        self._reader.start()
         for worker in self._workers.values():
             self._spawn(worker, self._topology_handles)
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="serve-daemon-monitor",
             daemon=True)
         self._monitor.start()
-        deadline = time.time() + warm_timeout
+        deadline = time.monotonic() + warm_timeout
         for sid, worker in self._workers.items():
-            remaining = max(0.0, deadline - time.time())
+            remaining = max(0.0, deadline - time.monotonic())
             if not worker.ready.wait(timeout=remaining):
                 self.stop(drain=False)
                 raise RuntimeError(
@@ -559,15 +570,18 @@ class ServeDaemon:
         """Stop every worker and return the final stats snapshot.
 
         ``drain=True`` (the default) lets workers finish everything
-        already queued before exiting; ``drain=False`` terminates
+        already sent before exiting; ``drain=False`` terminates
         them.  Unanswered requests are resolved with a ``shutdown``
         error either way.  Idempotent.
         """
         if not self._running:
             return self.stats()
         self._stopping = True
+        self._halt.set()
+        if self._monitor is not None:
+            self._monitor.join(timeout=5.0)  # no restart races the stop
         SERVE_DAEMON_EVENTS.inc(event="drain" if drain else "stop")
-        deadline = time.time() + timeout
+        deadline = time.monotonic() + timeout
         for worker in self._workers.values():
             if worker.process is None:
                 continue
@@ -579,21 +593,17 @@ class ServeDaemon:
             if worker.process is None:
                 continue
             worker.process.join(
-                timeout=max(0.1, deadline - time.time()))
+                timeout=max(0.1, deadline - time.monotonic()))
             if worker.process.is_alive():  # drain overran: force it
                 worker.process.terminate()
                 worker.process.join(timeout=5.0)
             SERVE_DAEMON_EVENTS.inc(event="worker-exit")
-        # Give the collectors one last pass over final-stats messages,
-        # then shut them down.
-        time.sleep(0.05)
+        # Every worker has exited, so each pipe ends in EOF after its
+        # final message: the reader reads them all to the end and
+        # returns.
         self._running = False
-        threads = [self._monitor] + [w.collector
-                                     for w in self._workers.values()]
-        for thread in threads:
-            if thread is not None:
-                thread.join(timeout=5.0)
-        self._drain_responses()
+        self._wake_w.send_bytes(b"")
+        self._reader.join(timeout=max(0.1, deadline - time.monotonic()))
         with self._lock:
             leftovers = list(self._pending.items())
             self._pending.clear()
@@ -615,11 +625,13 @@ class ServeDaemon:
                      callback: AnswerCallback,
                      shard_id: Optional[int] = None,
                      staleness: Optional[Sequence[int]] = None) -> int:
-        """Queue one single-shard batch; the collector thread invokes
-        ``callback`` exactly once when the answer (or error) arrives.
+        """Send one single-shard batch on the caller's thread; the
+        reader thread invokes ``callback`` exactly once when the answer
+        (or error) arrives.  With the shard's worker failed for good or
+        the daemon stopping, ``callback`` runs before this returns.
 
-        All queries must route to the same shard (the front-end groups
-        per shard before submitting).  ``staleness[i]`` is query i's
+        All queries must route to the same shard.  ``staleness[i]`` is
+        query i's
         epoch budget: the worker may answer from an oracle up to that
         many epochs behind while the fresh one re-warms (0, the
         default, demands fresh).  Returns the request id.
@@ -654,7 +666,7 @@ class ServeDaemon:
             self._inflight[shard_id] += len(queries)
             SERVE_INFLIGHT.set(self._inflight[shard_id],
                                shard=str(shard_id))
-        worker.request_q.put((_MSG_BATCH, req_id, queries, staleness))
+        self._send(worker, (_MSG_BATCH, req_id, queries, staleness))
         return req_id
 
     def query(self, instance_key: str, s: int, t: int,
@@ -681,7 +693,17 @@ class ServeDaemon:
         (lengths, kinds) = box[0]
         return QueryAnswer(q, lengths[0], kinds[0])
 
-    # -- collector / monitor threads ----------------------------------------
+    # -- transport: sends, the reader and the monitor ------------------------
+
+    def _send(self, worker: _Worker, msg) -> bool:
+        """Send on the worker's current pipe.  False when the worker is
+        dead: its restart re-sends every request still pending."""
+        with worker.lock:
+            try:
+                worker.conn.send(msg)
+            except OSError:
+                return False
+        return True
 
     def _resolve(self, req_id: int, lengths, kinds, lags,
                  error: str) -> None:
@@ -696,69 +718,63 @@ class ServeDaemon:
                                shard=str(shard_id))
         callback(lengths, kinds, lags, error)
 
-    def _handle_response(self, msg) -> None:
+    def _handle_reply(self, worker: _Worker, conn, msg) -> None:
         kind = msg[0]
         if kind == _RSP_ANSWER:
-            _kind, _sid, req_id, lengths, kinds, lags, error = msg
+            _kind, req_id, lengths, kinds, lags, error = msg
             self._resolve(req_id, lengths, kinds, lags, error)
+        elif kind == _RSP_STATS:
+            _kind, token, stats, hot = msg
+            waiter = self._stats_waiters.pop(token, None)
+            if waiter is not None:
+                event, box = waiter
+                box.append((stats, hot))
+                event.set()
+        elif conn is not worker.conn:
+            return  # lifecycle news from a replaced generation
         elif kind == _RSP_READY:
-            _kind, sid, pid, warm_stats, error = msg
-            worker = self._workers[sid]
+            _kind, pid, warm_stats, error = msg
             worker.pid = pid
             worker.warm_stats = dict(warm_stats)
             worker.ready_error = error
             worker.ready.set()
             if not error:
                 SERVE_DAEMON_EVENTS.inc(event="worker-ready")
-        elif kind == _RSP_STATS:
-            _kind, _sid, token, stats, hot = msg
-            waiter = self._stats_waiters.pop(token, None)
-            if waiter is not None:
-                event, box = waiter
-                box.append((stats, hot))
-                event.set()
         elif kind == _RSP_FINAL:
-            _kind, sid, stats, _counters_snap = msg
-            self._workers[sid].final_stats = dict(stats)
+            worker.final_stats = dict(msg[1])
 
-    def _collect_loop(self, worker: _Worker, response_q) -> None:
-        """Route one queue generation's responses; exits when the
-        daemon stops or a restart swaps in a fresh queue."""
-        while self._running and worker.response_q is response_q:
-            try:
-                msg = response_q.get(timeout=0.05)
-            except _thread_queue.Empty:
-                continue
-            except Exception:  # noqa: BLE001 - queue torn/corrupted
-                return  # a killed producer can leave a partial frame
-            self._handle_response(msg)
-
-    def _drain_responses(self) -> None:
-        """Consume whatever still sits on the live response queues."""
-        for worker in self._workers.values():
-            if worker.response_q is None:
-                continue
-            while True:
+    def _read_loop(self) -> None:
+        """Route every worker's replies; returns once stop() has begun
+        and every pipe has been read to EOF."""
+        while True:
+            with self._lock:
+                conns = list(self._conns)
+                if not conns and not self._running:
+                    return
+            for conn in _connection.wait(conns + [self._wake_r]):
+                if conn is self._wake_r:
+                    conn.recv_bytes()
+                    continue
+                worker = self._conns[conn]
                 try:
-                    msg = worker.response_q.get_nowait()
-                except _thread_queue.Empty:
-                    break
-                except Exception:  # noqa: BLE001 - partial frame
-                    break
-                self._handle_response(msg)
+                    msg = conn.recv()
+                except (EOFError, OSError):  # the worker has exited
+                    with worker.lock:
+                        conn.close()
+                    with self._lock:
+                        del self._conns[conn]
+                    continue
+                self._handle_reply(worker, conn, msg)
 
     def _monitor_loop(self) -> None:
-        while self._running:
-            time.sleep(self.monitor_interval)
-            if not self._running or self._stopping:
-                return
+        while not self._halt.wait(self.monitor_interval):
             alive = 0
             for sid, worker in self._workers.items():
                 if worker.failed or worker.process is None:
                     continue
                 stale = (worker.ready.is_set()
                          and not worker.ready_error
-                         and (time.time() - worker.heartbeat.value
+                         and (time.monotonic() - worker.heartbeat.value
                               > self.heartbeat_timeout))
                 if worker.process.is_alive() and not stale:
                     alive += 1
@@ -772,11 +788,10 @@ class ServeDaemon:
     def _restart(self, sid: int, worker: _Worker) -> None:
         """Replace a dead worker; re-warm, then resubmit outstanding.
 
-        The fresh process gets a fresh request queue (the dead one may
-        hold a lock a killed producer never released); every pending
-        request for the shard is re-enqueued — workers answer by
-        request id, so a duplicate from the old queue resolves once
-        and the second response is dropped.
+        The fresh process gets a fresh pipe; every pending request for
+        the shard is re-sent on it — workers answer by request id, so
+        a duplicate (one the dead worker answered but the reader had
+        not yet read) resolves once and the second answer is dropped.
         """
         if worker.process is not None and worker.process.is_alive():
             worker.process.terminate()
@@ -800,7 +815,7 @@ class ServeDaemon:
         # keeps at the current epoch — so pending requests resubmit
         # against the *new* topology even when the kill raced an
         # invalidate message the dead worker never consumed.
-        self._spawn(worker, getattr(self, "_topology_handles", {}))
+        self._spawn(worker, self._topology_handles)
         with self._lock:
             outstanding = [
                 (req_id, entry[1], entry[2])
@@ -809,13 +824,12 @@ class ServeDaemon:
             ]
         for req_id, queries, staleness in outstanding:
             SERVE_DAEMON_EVENTS.inc(event="resubmit")
-            worker.request_q.put((_MSG_BATCH, req_id, queries,
-                                  staleness))
+            self._send(worker, (_MSG_BATCH, req_id, queries, staleness))
 
     # -- observability -------------------------------------------------------
 
     def worker_stats(self, timeout: float = 5.0) -> List[Dict[str, object]]:
-        """Live per-worker shard stats, scraped over the queues."""
+        """Live per-worker shard stats, scraped over the pipes."""
         out: List[Dict[str, object]] = []
         for sid, worker in sorted(self._workers.items()):
             row: Dict[str, object] = {
@@ -835,8 +849,8 @@ class ServeDaemon:
                 event = threading.Event()
                 box: list = []
                 self._stats_waiters[token] = (event, box)
-                worker.request_q.put((_MSG_STATS, token))
-                if event.wait(timeout=timeout) and box:
+                if (self._send(worker, (_MSG_STATS, token))
+                        and event.wait(timeout=timeout) and box):
                     stats, hot = box[0]
                     row["hot_oracles"] = hot
                 else:

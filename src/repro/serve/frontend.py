@@ -1,37 +1,40 @@
-"""Threaded admission front-end over :class:`~repro.serve.daemon.ServeDaemon`.
+"""Admission front-end over :class:`~repro.serve.daemon.ServeDaemon`.
 
 The daemon answers batches; this layer turns it into a service with a
 load-shedding contract:
 
-* **Bounded admission queue** — :meth:`ServeFrontend.submit` either
-  enqueues or rejects immediately with ``overloaded``.  Queueing
-  without bound just converts overload into unbounded latency; a
-  bounded queue converts it into an explicit, countable outcome the
-  client can retry against.
+* **Route on submit** — :meth:`ServeFrontend.submit` routes a request
+  by its SHA-256 shard and, while that shard has fewer than
+  ``max_inflight`` queries out, sends it to the worker on the client's
+  own thread (:meth:`ServeDaemon.submit_batch`).
+* **Bounded per-shard backlog** — a request whose shard is at its cap
+  waits in that shard's FIFO backlog, so one hot shard queues at
+  admission (visible, bounded) instead of deep inside a worker pipe
+  (invisible), and never holds up another shard.  The answer that
+  frees capacity sends the backlog on as one batch.  All backlogs
+  together hold at most ``max_queue`` requests; past that a request
+  resolves ``overloaded`` at once.  Queueing without bound just
+  converts overload into unbounded latency; a bound converts it into
+  an explicit, countable outcome the client can retry against.
 * **Per-request deadline** — every request carries one (the default is
   configurable); :meth:`PendingQuery.result` returns a ``timeout``
-  outcome when it expires, whether the request is still queued or
-  already dispatched.
-* **In-flight cap per shard** — the dispatcher thread groups admitted
-  requests by the SHA-256 shard route and holds a shard's batch back
-  while that worker already has ``max_inflight`` queries outstanding,
-  so one hot shard queues at admission (visible, bounded) instead of
-  deep inside a worker pipe (invisible).
+  outcome when it expires, whether the request is still held or
+  already sent.  A request held past its deadline is never sent.
 
 Every request resolves to exactly one ``outcome`` of
-:data:`repro.telemetry.schema.SERVE_ADMISSION`, and
-latency is measured submit→resolve on the resolving thread, so
-open-loop clients that collect results late still record true service
-latency.
+:data:`repro.telemetry.schema.SERVE_ADMISSION`, and latency is
+measured submit→resolve on the resolving thread with a monotonic
+clock, so open-loop clients that collect results late still record
+true service latency and a wall-clock step changes nothing.
 """
 
 from __future__ import annotations
 
-import queue as _thread_queue
 import threading
 import time
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..telemetry.schema import (
     DYNAMIC_EPOCH_LAG,
@@ -65,7 +68,7 @@ class PendingQuery:
     def __init__(self, query: Query, timeout: float,
                  max_staleness: int = 0) -> None:
         self.query = query
-        self.submitted = time.time()
+        self.submitted = time.monotonic()
         self.deadline = self.submitted + timeout
         self.resolved_at: Optional[float] = None
         self.outcome: Optional[str] = None
@@ -94,7 +97,7 @@ class PendingQuery:
             self.answer = answer
             self.error = error
             self.lag = int(lag)
-            self.resolved_at = time.time()
+            self.resolved_at = time.monotonic()
             self._event.set()
         _ADMITTED[outcome].inc()
         SERVE_REQUEST_SECONDS.observe(self.latency_seconds)
@@ -104,14 +107,15 @@ class PendingQuery:
 
     @property
     def latency_seconds(self) -> float:
-        end = self.resolved_at if self.resolved_at else time.time()
+        end = (time.monotonic() if self.resolved_at is None
+               else self.resolved_at)
         return end - self.submitted
 
     def result(self, timeout: Optional[float] = None) -> "ServeResult":
         """Block until resolved or the request deadline, whichever is
         first; an expired deadline resolves the request as timeout."""
         if timeout is None:
-            timeout = max(0.0, self.deadline - time.time())
+            timeout = max(0.0, self.deadline - time.monotonic())
         if not self._event.wait(timeout=timeout):
             self.resolve("timeout")
         return ServeResult(query=self.query, outcome=self.outcome,
@@ -146,54 +150,73 @@ class ServeResult:
 class ServeFrontend:
     """Multiplex concurrent clients onto daemon workers.
 
-    One dispatcher thread drains the admission queue, groups by shard,
-    and submits batches of up to ``max_batch`` to
-    :meth:`ServeDaemon.submit_batch`, respecting ``max_inflight``
-    queries outstanding per shard.  Answers resolve on the daemon's
-    collector thread.
+    No thread of its own: a request goes out on the submitting
+    client's thread while fewer than ``max_inflight`` of this
+    front-end's queries to its shard are unanswered, and otherwise
+    waits in the shard's backlog until an answer callback (on the
+    daemon's reader thread) frees capacity and sends the backlog on.
     """
 
     def __init__(self, daemon: ServeDaemon, max_queue: int = 256,
                  default_timeout: float = DEFAULT_TIMEOUT,
-                 max_batch: int = 32,
                  max_inflight: int = 64,
                  default_staleness: int = 0) -> None:
-        if max_queue < 1 or max_batch < 1 or max_inflight < 1:
+        if max_queue < 1 or max_inflight < 1:
             raise ValueError("front-end bounds must be positive")
         if default_staleness < 0:
             raise ValueError("staleness budget cannot be negative")
         self.daemon = daemon
         self.default_timeout = default_timeout
-        self.max_batch = max_batch
+        self.max_queue = max_queue
         self.max_inflight = max_inflight
         self.default_staleness = default_staleness
-        self._queue: "_thread_queue.Queue[Optional[PendingQuery]]" = (
-            _thread_queue.Queue(maxsize=max_queue))
+        self._lock = threading.Lock()
+        #: shard -> requests held at admission, oldest first.
+        self._backlog: Dict[int, Deque[PendingQuery]] = defaultdict(deque)
+        #: shard -> queries sent to its worker and not yet answered.
+        self._out: Dict[int, int] = defaultdict(int)
+        #: Shards whose backlog a thread is sending on: an answer that
+        #: arrives meanwhile (even synchronously, inside that send)
+        #: leaves the freed capacity to it instead of recursing.
+        self._flushing: Set[int] = set()
+        self._held = 0
         self._closed = False
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="serve-frontend-dispatch",
-            daemon=True)
-        self._dispatcher.start()
 
     # -- client API ---------------------------------------------------------
 
     def submit(self, query: Query,
                timeout: Optional[float] = None,
                max_staleness: Optional[int] = None) -> PendingQuery:
-        """Admit or reject one query; never blocks on a full queue."""
+        """Send, hold or reject one query; never blocks on a capped
+        shard or a full backlog."""
         pending = PendingQuery(
             query, self.default_timeout if timeout is None else timeout,
             max_staleness=(self.default_staleness
                            if max_staleness is None else max_staleness))
-        if self._closed:
-            pending.resolve("shutdown")
-            return pending
         try:
-            self._queue.put_nowait(pending)
-        except _thread_queue.Full:
-            pending.resolve("overloaded")
+            sid = self.daemon.shard_for_key(query.instance)
+        except KeyError as exc:
+            pending.resolve("error", error=str(exc))
             return pending
-        SERVE_QUEUE_DEPTH.set(self._queue.qsize())
+        with self._lock:
+            if self._closed:
+                outcome = "shutdown"
+            elif time.monotonic() >= pending.deadline:
+                outcome = "timeout"  # expired on arrival: never sent
+            elif self._backlog[sid] or self._out[sid] >= self.max_inflight:
+                if self._held < self.max_queue:
+                    self._backlog[sid].append(pending)
+                    self._held += 1
+                    SERVE_QUEUE_DEPTH.set(self._held)
+                    return pending
+                outcome = "overloaded"
+            else:
+                self._out[sid] += 1
+                outcome = None
+        if outcome is None:
+            self._send(sid, [pending])
+        else:
+            pending.resolve(outcome)
         return pending
 
     def query(self, instance_key: str, s: int, t: int,
@@ -207,19 +230,16 @@ class ServeFrontend:
                            max_staleness=max_staleness).result()
 
     def close(self) -> None:
-        """Stop admitting; resolve everything still queued as shutdown."""
-        if self._closed:
-            return
-        self._closed = True
-        self._queue.put(None)  # wake the dispatcher
-        self._dispatcher.join(timeout=5.0)
-        while True:
-            try:
-                pending = self._queue.get_nowait()
-            except _thread_queue.Empty:
-                break
-            if pending is not None:
-                pending.resolve("shutdown")
+        """Stop admitting; resolve every held request as shutdown
+        (requests already sent still get their answers)."""
+        with self._lock:
+            self._closed = True
+            held = [p for backlog in self._backlog.values()
+                    for p in backlog]
+            self._backlog.clear()
+            self._held = 0
+        for pending in held:
+            pending.resolve("shutdown")
         SERVE_QUEUE_DEPTH.set(0)
 
     def __enter__(self) -> "ServeFrontend":
@@ -228,55 +248,11 @@ class ServeFrontend:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- dispatcher ---------------------------------------------------------
+    # -- sending --------------------------------------------------------------
 
-    def _take_batch(self) -> List[PendingQuery]:
-        """Block for one request, then drain opportunistically."""
-        batch: List[PendingQuery] = []
-        try:
-            first = self._queue.get(timeout=0.1)
-        except _thread_queue.Empty:
-            return batch
-        if first is not None:
-            batch.append(first)
-        while len(batch) < self.max_batch:
-            try:
-                item = self._queue.get_nowait()
-            except _thread_queue.Empty:
-                break
-            if item is not None:
-                batch.append(item)
-        SERVE_QUEUE_DEPTH.set(self._queue.qsize())
-        return batch
-
-    def _dispatch_group(self, shard_id: int,
-                        group: List[PendingQuery]) -> None:
-        # Deadline-expired requests resolve here instead of occupying
-        # worker capacity; a deadline hit while we wait on the
-        # in-flight cap counts the same way.
-        live = [p for p in group if not p.done]
-        expired = [p for p in live if time.time() >= p.deadline]
-        for p in expired:
-            p.resolve("timeout")
-        live = [p for p in live if not p.done]
-        if not live:
-            return
-        while (not self._closed
-               and self.daemon.inflight(shard_id) >= self.max_inflight):
-            time.sleep(0.002)  # backpressure: hold at admission
-            now = time.time()
-            for p in live:
-                if not p.done and now >= p.deadline:
-                    p.resolve("timeout")
-            live = [p for p in live if not p.done]
-            if not live:
-                return
-        if self._closed:
-            for p in live:
-                p.resolve("shutdown")
-            return
-
-        group_now = list(live)
+    def _send(self, sid: int, batch: List[PendingQuery]) -> None:
+        """Hand one batch, whose in-flight slots are already taken, to
+        the daemon; its answer frees them and flushes the backlog."""
 
         def callback(lengths, kinds, lags, error):
             if error:
@@ -284,50 +260,62 @@ class ServeFrontend:
                 # else is a worker exception.
                 outcome = (error if error in ("shutdown", "worker-lost")
                            else "error")
-                for p in group_now:
+                for p in batch:
                     p.resolve(outcome, error=error)
+            else:
+                for p, length, kind, lag in zip(batch, lengths, kinds,
+                                                lags):
+                    p.resolve("stale" if lag > 0 else "ok",
+                              QueryAnswer(p.query, length, kind), lag=lag)
+            self._release(sid, len(batch))
+
+        try:
+            self.daemon.submit_batch(
+                [p.query for p in batch], callback, shard_id=sid,
+                staleness=[p.max_staleness for p in batch])
+        except RuntimeError as exc:  # the daemon is not running
+            callback(None, None, None, str(exc))
+
+    def _release(self, sid: int, count: int) -> None:
+        """Free ``count`` in-flight slots of shard ``sid`` and send its
+        backlog on, one batch per pass, until the backlog is empty or
+        the shard is at its cap again."""
+        with self._lock:
+            self._out[sid] -= count
+            if sid in self._flushing:
                 return
-            for p, length, kind, lag in zip(group_now, lengths,
-                                            kinds, lags):
-                p.resolve("stale" if lag > 0 else "ok",
-                          QueryAnswer(p.query, length, kind), lag=lag)
+            self._flushing.add(sid)
+        while True:
+            with self._lock:
+                batch = self._take(sid)
+                if not batch:
+                    self._flushing.discard(sid)
+                    return
+            self._send(sid, batch)
 
-        self.daemon.submit_batch(
-            [p.query for p in group_now], callback,
-            shard_id=shard_id,
-            staleness=[p.max_staleness for p in group_now])
-
-    def _dispatch_loop(self) -> None:
-        while not self._closed:
-            batch = self._take_batch()
-            if not batch:
-                continue
-            groups: Dict[int, List[PendingQuery]] = {}
-            for pending in batch:
-                try:
-                    sid = self.daemon.shard_for_key(
-                        pending.query.instance)
-                except KeyError as exc:
-                    pending.resolve("error", error=str(exc))
-                    continue
-                groups.setdefault(sid, []).append(pending)
-            for sid in sorted(groups):
-                self._dispatch_group(sid, groups[sid])
+    def _take(self, sid: int) -> List[PendingQuery]:
+        """Pop the oldest held requests of shard ``sid`` that fit its
+        free slots and take the slots; a request past its deadline
+        resolves ``timeout`` instead (caller holds the lock)."""
+        backlog = self._backlog[sid]
+        batch: List[PendingQuery] = []
+        now = time.monotonic()
+        while backlog and self._out[sid] + len(batch) < self.max_inflight:
+            pending = backlog.popleft()
+            self._held -= 1
+            if now >= pending.deadline:
+                pending.resolve("timeout")
+            elif not pending.done:
+                batch.append(pending)
+        self._out[sid] += len(batch)
+        SERVE_QUEUE_DEPTH.set(self._held)
+        return batch
 
     # -- observability -------------------------------------------------------
 
     def queue_depth(self) -> int:
-        return self._queue.qsize()
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "queue_depth": self.queue_depth(),
-            "max_queue": self._queue.maxsize,
-            "max_batch": self.max_batch,
-            "max_inflight": self.max_inflight,
-            "default_timeout": self.default_timeout,
-            "closed": self._closed,
-        }
+        """Requests held at admission, over every shard."""
+        return self._held
 
 
 def run_queries(frontend: ServeFrontend, queries: Sequence[Query],

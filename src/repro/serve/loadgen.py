@@ -15,7 +15,7 @@ Two loop disciplines, because they answer different questions:
 * **open** — a single pacer submits at the target QPS regardless of
   completions, then collects.  This is the discipline that actually
   exercises backpressure: when the service falls behind, the bounded
-  admission queue fills and submissions reject ``overloaded`` instead
+  admission backlog fills and submissions reject ``overloaded`` instead
   of stretching the latency tail unboundedly.
 """
 
@@ -116,7 +116,7 @@ def _run_closed(frontend: ServeFrontend, queries: Sequence[Query],
     # Aggregate pacing: each thread owns every ``concurrency``-th slot
     # of a shared schedule, so target QPS holds across the fleet.
     interval = (concurrency / qps) if qps else 0.0
-    start = time.time()
+    start = time.monotonic()
 
     def client(worker_idx: int) -> None:
         next_at = start + (worker_idx / qps if qps else 0.0)
@@ -126,7 +126,7 @@ def _run_closed(frontend: ServeFrontend, queries: Sequence[Query],
             if idx is None:
                 return
             if interval:
-                delay = next_at - time.time()
+                delay = next_at - time.monotonic()
                 if delay > 0:
                     time.sleep(delay)
                 next_at += interval
@@ -148,10 +148,10 @@ def _run_open(frontend: ServeFrontend, queries: Sequence[Query],
               max_staleness: Optional[int]) -> List["object"]:
     """Submit on schedule without waiting, then collect."""
     pendings = []
-    start = time.time()
+    start = time.monotonic()
     for i, query in enumerate(queries):
         target = start + i / qps
-        delay = target - time.time()
+        delay = target - time.monotonic()
         if delay > 0:
             time.sleep(delay)
         pendings.append(frontend.submit(query, timeout=timeout,
@@ -181,14 +181,14 @@ def run_load(frontend: ServeFrontend, queries: Sequence[Query],
         raise ValueError("open-loop load needs a target qps")
     if concurrency < 1:
         raise ValueError("concurrency must be positive")
-    start = time.time()
+    start = time.monotonic()
     if mode == "closed":
         results = _run_closed(frontend, queries, concurrency, qps,
                               timeout, max_staleness)
     else:
         results = _run_open(frontend, queries, qps, timeout,
                             max_staleness)
-    wall = max(time.time() - start, 1e-9)
+    wall = max(time.monotonic() - start, 1e-9)
     outcomes: Dict[str, int] = {}
     served_latencies: List[float] = []
     for res in results:

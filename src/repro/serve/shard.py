@@ -180,11 +180,18 @@ class OracleShard:
         #: key -> mutations applied since the previous-epoch oracle was
         #: built (possibly several batches) — the memo-carry input.
         self._pending_carry: Dict[str, List[AppliedMutation]] = {}
-        #: Guards the dicts above: the daemon worker's background
-        #: rebuild thread races its serving loop.  Oracle builds run
-        #: *outside* the lock so stale serving is never blocked.
+        #: Guards the dicts above and :attr:`stats`: the daemon
+        #: worker's background rebuild thread races its serving loop.
+        #: Oracle builds run *outside* the lock so stale serving is
+        #: never blocked.
         self._lock = threading.Lock()
         self.stats = ShardStats(shard_id=shard_id)
+
+    def _count(self, **deltas: int) -> None:
+        """Add ``deltas`` to :attr:`stats` under the lock."""
+        with self._lock:
+            for name, delta in deltas.items():
+                setattr(self.stats, name, getattr(self.stats, name) + delta)
 
     # -- catalog -------------------------------------------------------------
 
@@ -212,7 +219,7 @@ class OracleShard:
         oracle = ReplacementPathOracle.from_snapshot(
             instance, cached.metrics)
         if oracle is not None:
-            self.stats.spill_loads += 1
+            self._count(spill_loads=1)
             SERVE_SPILL.inc(op="load")
         return oracle
 
@@ -232,7 +239,7 @@ class OracleShard:
             metrics=oracle.snapshot(),
         )
         self.store.put(result)
-        self.stats.spill_saves += 1
+        self._count(spill_saves=1)
         SERVE_SPILL.inc(op="save")
 
     def planner_for(self, key: str) -> BatchPlanner:
@@ -267,8 +274,7 @@ class OracleShard:
                 oracle = ReplacementPathOracle.build(
                     instance, solver=self.solver,
                     seed=self.build_seed, fabric=self.build_fabric)
-                self.stats.oracle_builds += 1
-                self.stats.rounds += oracle.build_rounds
+                self._count(oracle_builds=1, rounds=oracle.build_rounds)
                 # Spill at build time: the snapshot is immutable, so
                 # the later eviction is free and crash-safe.
                 self._spill(key, oracle)
@@ -369,8 +375,7 @@ class OracleShard:
                      f"previous-epoch planner for {key!r}")
             for i in indices:
                 lags[i] = lag
-        self.stats.stale_answers += len(queries)
-        self.stats.queries += len(queries)
+        self._count(stale_answers=len(queries), queries=len(queries))
         SERVE_QUERIES.inc(len(queries))
         return answers, lags
 
@@ -400,6 +405,7 @@ class OracleShard:
         for idx, q in enumerate(queries):
             by_key.setdefault(q.instance, []).append(idx)
         answers: List[Optional[QueryAnswer]] = [None] * len(queries)
+        solves = saved = rounds = 0
         with telemetry.span("serve/answer-batch", shard=self.shard_id,
                             queries=len(queries),
                             instances=len(by_key)):
@@ -408,10 +414,11 @@ class OracleShard:
                 batch, report = planner.answer_batch(
                     [queries[i] for i in indices])
                 _scatter(answers, indices, batch, f"planner for {key!r}")
-                self.stats.batch_solves += report.batch_solves
-                self.stats.solves_saved += report.solves_saved
-                self.stats.rounds += report.rounds
-        self.stats.queries += len(queries)
+                solves += report.batch_solves
+                saved += report.solves_saved
+                rounds += report.rounds
+        self._count(batch_solves=solves, solves_saved=saved,
+                    rounds=rounds, queries=len(queries))
         SERVE_QUERIES.inc(len(queries))
         return answers
 

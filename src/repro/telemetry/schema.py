@@ -208,7 +208,8 @@ SERVE_RETRIES = counter(
     outcome=("overloaded", "worker-lost"))
 SERVE_QUEUE_DEPTH = gauge(
     "repro_serve_queue_depth",
-    "Requests waiting in the front-end admission queue.")
+    "Requests held at admission while their shard is at its "
+    "in-flight cap.")
 SERVE_INFLIGHT = gauge(
     "repro_serve_inflight",
     "Queries dispatched to a shard's worker and not yet answered.",

@@ -231,7 +231,7 @@ class TestKernelGating:
     def test_vector_enabled_only_for_vector_fabric(self):
         instance = random_instance(10, seed=2)
         assert vector_enabled(instance.build_network(fabric="vector"))
-        for fabric in ("fast", "strict", "reference"):
+        for fabric in ("fast", "reference"):
             assert not vector_enabled(
                 instance.build_network(fabric=fabric))
 

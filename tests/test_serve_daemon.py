@@ -2,9 +2,10 @@
 
 The contract under test (ISSUE 9): long-lived worker processes own
 their shards and warm once; stop is stop-flag + drain; health is
-heartbeat-based with bounded restart and spill re-warm; the threaded
-front-end admits through a bounded queue with per-request deadlines
-and per-shard in-flight caps; and every answer the daemon returns is
+heartbeat-based (on the monotonic clock) with bounded restart and
+spill re-warm; the front-end holds requests for a shard at its
+in-flight cap in a bounded backlog and enforces per-request
+deadlines; and every answer the daemon returns is
 bit-identical to a direct :class:`ShardedQueryService` on the same
 catalog, on every workload family.
 """
@@ -12,6 +13,7 @@ catalog, on every workload family.
 import json
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -41,6 +43,9 @@ WAIT_TIMEOUT = 30.0
 MONITOR_INTERVAL = 0.05
 HEARTBEAT_TIMEOUT = 10.0
 QUERY_TIMEOUT = 60.0
+#: A worker stall far shorter than HEARTBEAT_TIMEOUT: requests back up
+#: behind it without the monitor restarting the worker.
+STALL_SECONDS = 2.0
 
 
 def _instances(count=3, n=20):
@@ -57,8 +62,8 @@ def _daemon(insts, **kw):
 
 
 def _wait_until(predicate, timeout=WAIT_TIMEOUT, interval=0.02):
-    deadline = time.time() + timeout
-    while time.time() < deadline:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
         if predicate():
             return True
         time.sleep(interval)
@@ -112,6 +117,21 @@ class TestLifecycle:
         # Both instances were built exactly once, at warm time — the
         # queries themselves never triggered a build.
         assert stats["totals"]["oracle_builds"] == len(insts)
+
+    def test_parent_runs_two_serve_threads(self):
+        def serve_threads():
+            return sorted(t.name for t in threading.enumerate()
+                          if t.name.startswith("serve-"))
+
+        insts = _instances(3)
+        with _daemon(insts, workers=3) as daemon:
+            frontend = ServeFrontend(daemon)
+            for inst in insts:
+                assert frontend.query(inst.name, inst.s, inst.t,
+                                      inst.path_edges()[0]).ok
+            running = serve_threads()
+        assert running == ["serve-daemon-monitor", "serve-daemon-reader"]
+        assert serve_threads() == []
 
     def test_submit_before_start_raises(self):
         daemon = _daemon(_instances(1))
@@ -208,21 +228,51 @@ class TestHealth:
             daemon.stop()
 
 
+class TestClock:
+    def test_wall_clock_step_fires_no_timeout_or_restart(
+            self, monkeypatch):
+        """Deadlines, latencies and heartbeats run on the monotonic
+        clock: a wall clock that jumps an hour while a request is out
+        neither times the request out nor restarts the worker."""
+        insts = _instances(1)
+        daemon = _daemon(insts, workers=1)
+        try:
+            daemon.start()
+            frontend = ServeFrontend(daemon,
+                                     default_timeout=QUERY_TIMEOUT)
+            try:
+                inst = insts[0]
+                # Hold the answer back across the jump and a few
+                # monitor passes.
+                daemon.inject_stall(0, 20 * MONITOR_INTERVAL)
+                pending = frontend.submit(Query(
+                    s=inst.s, t=inst.t, edge=inst.path_edges()[0],
+                    instance=inst.name))
+                wall = time.time
+                monkeypatch.setattr(time, "time",
+                                    lambda: wall() + 3600.0)
+                result = pending.result()
+                monkeypatch.undo()
+                assert result.outcome == "ok"
+                assert result.latency_seconds < QUERY_TIMEOUT
+            finally:
+                frontend.close()
+            assert daemon.stats()["restarts"] == 0
+        finally:
+            daemon.stop()
+
+
 class TestBackpressure:
     def test_saturated_queue_rejects_overloaded_then_recovers(self):
         insts = _instances(1)
         daemon = _daemon(insts, workers=1)
         try:
             daemon.start()
-            frontend = ServeFrontend(daemon, max_queue=4, max_batch=1,
+            frontend = ServeFrontend(daemon, max_queue=4,
                                      max_inflight=1,
                                      default_timeout=30.0)
             try:
                 sid = daemon.shard_for_key(insts[0].name)
-                # Saturate the shard's in-flight budget so the
-                # dispatcher holds every batch at admission.
-                with daemon._lock:
-                    daemon._inflight[sid] = frontend.max_inflight
                 edge = insts[0].path_edges()[0]
 
                 def submit_one():
@@ -230,13 +280,13 @@ class TestBackpressure:
                         s=insts[0].s, t=insts[0].t, edge=edge,
                         instance=insts[0].name))
 
-                held = [submit_one()]
-                # The dispatcher takes exactly one (max_batch=1) and
-                # stalls on the in-flight cap; the admission queue is
-                # then free to fill completely.
-                assert _wait_until(
-                    lambda: frontend.queue_depth() == 0)
-                held.extend(submit_one() for _ in range(4))
+                # The worker reads the stall first, so nothing sent
+                # after it is answered until the stall is over.
+                stalled_at = time.monotonic()
+                daemon.inject_stall(sid, STALL_SECONDS)
+                # The first request takes the shard's one in-flight
+                # slot; the next four are held at admission.
+                held = [submit_one() for _ in range(5)]
                 assert frontend.queue_depth() == 4
 
                 rejected = submit_one()
@@ -244,13 +294,15 @@ class TestBackpressure:
                 result = rejected.result()
                 assert result.outcome == "overloaded"
                 assert result.answer is None
+                # Every submit returned at once, inside the stall.
+                assert time.monotonic() - stalled_at < STALL_SECONDS
+                assert not any(p.done for p in held)
 
-                # Release the artificial pressure: everything held at
-                # admission drains and answers normally.
-                with daemon._lock:
-                    daemon._inflight[sid] = 0
+                # Once the stall ends, everything held at admission is
+                # sent on and answers normally.
                 results = [p.result() for p in held]
                 assert all(r.ok for r in results)
+                assert frontend.queue_depth() == 0
             finally:
                 frontend.close()
         finally:
@@ -271,6 +323,18 @@ class TestBackpressure:
                 frontend.close()
         finally:
             daemon.stop()
+
+    def test_daemon_not_started_resolves_error(self):
+        insts = _instances(1)
+        frontend = ServeFrontend(_daemon(insts, workers=1),
+                                 max_inflight=1)
+        inst = insts[0]
+        for _ in range(2):  # the failed send frees its in-flight slot
+            result = frontend.query(inst.name, inst.s, inst.t,
+                                    inst.path_edges()[0])
+            assert result.outcome == "error"
+            assert "not running" in result.error
+        assert frontend.queue_depth() == 0
 
     def test_closed_frontend_rejects_shutdown(self):
         insts = _instances(1)

@@ -4,6 +4,10 @@ Also covers the runtime executor's generalized ``pool_map``, which
 suite cells and the ``parallel=`` k-source fan-out run on.
 """
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.graphs.generators import grid_instance, random_instance
@@ -12,6 +16,7 @@ from repro.runtime.store import ResultStore
 from repro.serve import (
     OracleShard,
     Query,
+    ShardStats,
     ShardedQueryService,
     centralized_truth,
     generate_workload,
@@ -200,6 +205,47 @@ class TestAnswerAlignment:
         shard.answer_batch = lambda qs: [None] * (len(qs) - 1)
         with pytest.raises(RuntimeError, match="3 answers for 4"):
             service.serve(queries)
+
+
+class _YieldingStats(ShardStats):
+    """Every store gives up the interpreter lock first, so another
+    thread can run between a counter's read and its write — the
+    interleaving an unlocked ``+=`` is always open to, made likely."""
+
+    def __setattr__(self, name, value):
+        time.sleep(0)
+        super().__setattr__(name, value)
+
+
+class TestStatsUnderThreads:
+    def test_concurrent_answers_lose_no_count(self):
+        inst = random_instance(12, seed=4, name="stats-race")
+        shard = OracleShard(solver="centralized")
+        shard.stats = _YieldingStats()
+        shard.add_instance(inst)
+        shard.warm()
+        query = Query(s=inst.s, t=inst.t, edge=inst.path_edges()[0],
+                      instance=inst.name)
+        threads, per = 4, 500
+
+        def work():
+            for _ in range(per):
+                shard.answer_batch([query])
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force interleaving mid-update
+        try:
+            workers = [threading.Thread(target=work)
+                       for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(worker.is_alive() for worker in workers)
+        assert shard.stats.queries == threads * per
+        assert shard.stats.lru_hits == threads * per
 
 
 class TestPoolMap:

@@ -104,7 +104,7 @@ class TestSharing:
         from repro.graphs import random_instance
         instance = random_instance(12, seed=3)
         a = instance.build_network()
-        b = instance.build_network(fabric="strict")
+        b = instance.build_network(fabric="reference")
         assert a.topology is b.topology
 
     def test_mismatched_topology_rejected(self):
