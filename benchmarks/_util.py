@@ -1,24 +1,55 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the benchmarks, and the one harness of the CI
+bench gates.
 
 Every bench regenerates one paper artifact (see DESIGN.md's
 per-experiment index).  Since pytest captures stdout, each bench also
 writes its rendered table to ``benchmarks/results/<name>.txt`` so the
 paper-shaped rows survive a plain ``pytest benchmarks/ --benchmark-only``
-run; EXPERIMENTS.md-style reference numbers live in those artifacts.
+run.
 
 Benches that sweep many cells go through the runtime executor
 (:func:`scenario_speedup`), which runs the same cells serially and then
 ``jobs``-wide and reports the measured wall-clock speedup — on a
 single-core host expect ~1x (the executor still overlaps nothing), on a
 multi-core host the parallel path wins.
+
+The gate benches (``bench_fabric``, ``bench_solver``, ``bench_serve``,
+``bench_scale``, ``bench_dynamic``, ``bench_telemetry``) each declare
+one :class:`Bench`: a ``measure(quick) -> {family: row}`` callable,
+its report columns and its :class:`Check` rules.  This module owns the
+rest: the environment stamp, the GC guard, the check engine, the
+report, the JSON record, the ``--quick`` / ``--json`` / ``--compare``
+command line (``$REPRO_TRACE_DIR`` records the run's spans for
+``repro trace summary``) and the pytest-benchmark entry.  Importing it
+also puts the repository's ``src/`` on ``sys.path``, so the gate
+scripts run without an install.
 """
 
 from __future__ import annotations
 
+import argparse
+import gc
+import json
+import os
 import pathlib
+import platform
+import sys
 import time
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+if str(REPO_ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT / "src"))
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+#: Relative regression a baseline rule allows.  Ratios, not absolute
+#: rates, are compared: they are stable across runner hardware.
+TOLERANCE = 0.25
+
+Rows = Dict[str, dict]
 
 
 def report(name: str, text: str) -> str:
@@ -48,3 +79,220 @@ def scenario_speedup(names, jobs: int = 2, smoke: bool = False,
     parallel = run_cells(specs, jobs=jobs, timeout=timeout)
     t_parallel = time.perf_counter() - t0
     return serial, parallel, speedup_stats(t_serial, t_parallel, jobs)
+
+
+def hard_instance(k: int, d: int, p: int):
+    """The Section 6.3 lower-bound instance on a fixed input pair."""
+    from repro.lowerbound import build_hard_instance
+
+    matrix = [[(a + b) % 2 for b in range(k)] for a in range(k)]
+    x_bits = [i % 2 for i in range(k * k)]
+    return build_hard_instance(k, d, p, matrix, x_bits).instance
+
+
+# -- the gate harness ---------------------------------------------------------
+
+
+@contextmanager
+def quiet_gc():
+    """Collect up front, then keep the collector out of the timed region.
+
+    Collection pauses land on whichever side happens to be running and
+    were the dominant run-to-run noise on the large kernel workloads;
+    pinning them outside the timer keeps best-of-N ratios stable
+    enough for the gate tolerance.
+    """
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def environment() -> Dict[str, object]:
+    """Interpreter, NumPy, platform and CPU count, so a baseline
+    refresh is attributable to the machine that produced it."""
+    try:
+        import numpy
+        numpy_version = numpy.__version__
+    except ImportError:  # pragma: no cover - numpy is baked in CI
+        numpy_version = "absent"
+    return {
+        "python_version": platform.python_version(),
+        "numpy_version": numpy_version,
+        "platform": platform.platform(),
+        "cpus": os.cpu_count() or 1,
+    }
+
+
+#: Absolute rules, and rules against the committed baseline.
+ABSOLUTE_KINDS = ("floor", "ceiling", "true")
+BASELINE_KINDS = ("higher", "lower")
+
+
+@dataclass(frozen=True)
+class Check:
+    """One gate rule on ``key`` of each named family's row.
+
+    ``kind`` is ``"floor"`` or ``"ceiling"`` (at least / at most
+    ``bound``), ``"true"``, or a rule against the committed baseline's
+    value: ``"higher"`` (at least it less :data:`TOLERANCE`) or
+    ``"lower"`` (at most it plus :data:`TOLERANCE`); ``doubled``
+    doubles the tolerance, capped at 0.9, for the memory-bound timing
+    ratios that are noisiest on shared runners.  ``when`` limits the
+    rule to the rows it accepts; a baseline rule needs it to accept
+    the committed row too.
+    """
+
+    kind: str
+    families: Tuple[str, ...]
+    key: str
+    bound: float = 0.0
+    doubled: bool = False
+    when: Optional[Callable[[dict], bool]] = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ABSOLUTE_KINDS + BASELINE_KINDS:
+            raise ValueError(f"unknown check kind {self.kind!r}")
+
+    def applies(self, row: dict) -> bool:
+        return self.when is None or self.when(row)
+
+    def problem(self, family: str, row: dict,
+                base: Optional[dict] = None) -> Optional[str]:
+        """Why ``row`` breaks this rule (None when it holds)."""
+        value = row[self.key]
+        if self.kind == "true":
+            return None if value else (
+                f"{family}: {self.key} is {value!r}, not true")
+        low = self.kind in ("floor", "higher")
+        if self.kind in ABSOLUTE_KINDS:
+            limit, source = self.bound, f"the {self.kind}"
+        else:
+            tolerance = (min(2.0 * TOLERANCE, 0.9) if self.doubled
+                         else TOLERANCE)
+            old = base[self.key]
+            limit = old * (1.0 - tolerance if low else 1.0 + tolerance)
+            source = (f"baseline {old} {'-' if low else '+'} "
+                      f"{tolerance:.0%}")
+        if (value < limit) if low else (value > limit):
+            return (f"{family}: {self.key} {value} is "
+                    f"{'below' if low else 'above'} {limit:.4g} "
+                    f"({source})")
+        return None
+
+
+def gate(checks: Sequence[Check], rows: Rows,
+         baseline: Optional[dict] = None,
+         quick: bool = False) -> List[str]:
+    """Every problem of a run's ``rows`` (empty: the gate passes).
+
+    Baseline rules compare against ``baseline`` unless it is stamped
+    with the other mode (``quick``); every family such a baseline
+    holds must then be in the run too.
+    """
+    committed: Rows = {}
+    if baseline is not None and baseline.get("quick", quick) == quick:
+        committed = baseline.get("families", {})
+    problems = [f"{name}: family missing from this run"
+                for name in committed if name not in rows]
+    for check in checks:
+        for family in check.families:
+            row, base = rows.get(family), committed.get(family)
+            if row is None or not check.applies(row):
+                continue
+            if check.kind in BASELINE_KINDS and (
+                    base is None or not check.applies(base)):
+                continue
+            problem = check.problem(family, row, base)
+            if problem:
+                problems.append(problem)
+    return problems
+
+
+@dataclass(frozen=True)
+class Bench:
+    """One CI gate: what it measures, shows and checks."""
+
+    name: str
+    measure: Callable[[bool], Rows]
+    title: str
+    columns: Tuple[str, ...]
+    checks: Tuple[Check, ...]
+    #: Record the run's mode: a committed baseline of the other mode
+    #: then skips its baseline rules.
+    stamp_mode: bool = False
+
+
+def render(bench: Bench, rows: Rows) -> str:
+    from repro.analysis import format_records
+
+    return format_records(
+        [{"family": name, **row} for name, row in rows.items()],
+        ("family",) + bench.columns, title=bench.title)
+
+
+def record(bench: Bench, rows: Rows, quick: bool) -> dict:
+    """The JSON a run writes and a later run compares against."""
+    payload: Dict[str, object] = {"bench": bench.name}
+    if bench.stamp_mode:
+        payload["quick"] = quick
+    payload.update(tolerance=TOLERANCE, environment=environment(),
+                   families=rows)
+    return payload
+
+
+def main(bench: Bench, argv=None) -> int:
+    """The gate's command line: measure, report, record, check."""
+    parser = argparse.ArgumentParser(
+        description=sys.modules[bench.measure.__module__].__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--quick", action="store_true",
+                        help="CI-sized run")
+    parser.add_argument("--json", type=pathlib.Path,
+                        help="write the machine-readable report here")
+    parser.add_argument("--compare", type=pathlib.Path,
+                        help="committed baseline JSON to gate against")
+    args = parser.parse_args(argv)
+
+    from repro import telemetry
+
+    traced = telemetry.maybe_enable_from_env()
+    if traced:
+        telemetry.write_meta(telemetry.trace_dir(), bench=bench.name,
+                             quick=args.quick)
+    rows = bench.measure(args.quick)
+    if traced:
+        print(f"trace: {telemetry.flush()}")
+    print(render(bench, rows))
+    if args.json is not None:
+        args.json.write_text(json.dumps(
+            record(bench, rows, args.quick), indent=2) + "\n")
+        print(f"wrote {args.json}")
+
+    baseline = None
+    if args.compare is not None:
+        baseline = json.loads(args.compare.read_text())
+    problems = gate(bench.checks, rows, baseline, args.quick)
+    for line in problems:
+        print(f"GATE FAILED: {line}", file=sys.stderr)
+    if problems:
+        return 1
+    print(f"{bench.name} gate ok"
+          + (f" (vs {args.compare}, tolerance {TOLERANCE:.0%})"
+             if args.compare else ""))
+    return 0
+
+
+def run_entry(benchmark, bench: Bench,
+                measure: Optional[Callable[[], Rows]] = None) -> None:
+    """pytest-benchmark entry: time the quick measurement (or
+    ``measure``), write its report and assert the absolute rules."""
+    rows = benchmark.pedantic(measure or (lambda: bench.measure(True)),
+                              rounds=1, iterations=1)
+    report(bench.name, render(bench, rows))
+    problems = gate(bench.checks, rows, quick=True)
+    assert not problems, problems

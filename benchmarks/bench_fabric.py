@@ -25,62 +25,53 @@ Every family cross-checks ledgers (and, for kernel workloads, result
 tables), so throughput is only ever reported for byte-identical
 executions.
 
-Gates (used by the ``perf-gate`` CI job)::
+Gates (declared in :data:`BENCH`, run by the ``perf-gate`` CI job
+through ``benchmarks/_util.py``)::
 
     python benchmarks/bench_fabric.py --json BENCH_fabric.json \
-        --compare benchmarks/BENCH_fabric.json --tolerance 0.25
+        --compare benchmarks/BENCH_fabric.json
 
 * the ``scaling-expander`` replay family must hold a >= 3x
-  fast-vs-reference speedup;
+  fast-vs-reference speedup, and every replay family more than 1x;
 * every ``vector-*`` kernel family must hold a >= 5x
   vector-vs-fast speedup;
-* any family's measured speedup more than ``tolerance`` below its
+* any family's measured speedup more than the tolerance below its
   committed baseline ratio fails the gate (the noise-prone
-  memory-bound vector families get double tolerance; their absolute
-  floor does the heavy lifting).
+  memory-bound vector families get double tolerance — a busy
+  neighbour slows the array kernels far more than the
+  interpreter-bound message loops; their absolute floor does the
+  heavy lifting).
 
 The committed baseline stores *speedup ratios* (same-machine), which
 are stable across runner hardware, unlike absolute rounds/sec; the
-JSON also records the interpreter, NumPy version, and platform so a
-baseline refresh is attributable to the machine that produced it.
+JSON also records the interpreter, NumPy version, platform and CPU
+count so a baseline refresh is attributable to the machine that
+produced it.
 """
 
 from __future__ import annotations
 
-import argparse
-import gc
-import json
-import pathlib
-import platform as platform_mod
-import sys
 import time
-from contextlib import contextmanager
 from typing import Callable, Dict, List
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+from _util import Bench, Check, hard_instance, main, quiet_gc, run_entry
 
-from repro.congest import (  # noqa: E402
+from repro.congest import (
     CongestNetwork,
     bfs_distances,
     broadcast_messages,
     build_spanning_tree,
     multi_source_hop_bfs,
 )
-from repro.core.hop_bfs import pruned_max_hop_bfs  # noqa: E402
-from repro.graphs import (  # noqa: E402
+from repro.core.hop_bfs import pruned_max_hop_bfs
+from repro.graphs import (
     expander_instance,
     power_law_instance,
 )
-from repro.lowerbound import build_hard_instance  # noqa: E402
 
-#: The acceptance floor for the batched fabric on the gate family.
-MIN_GATE_SPEEDUP = 3.0
 GATE_FAMILY = "scaling-expander"
-
-#: The acceptance floor for the vector kernels on every vector family.
-MIN_VECTOR_SPEEDUP = 5.0
+REPLAY_FAMILIES = ("expander", "power-law", "hard-instance", GATE_FAMILY)
+VECTOR_FAMILIES = ("vector-expander", "vector-hard")
 
 Schedule = List[Dict[int, list]]
 
@@ -111,19 +102,11 @@ def _workload(net: CongestNetwork, instance) -> None:
     broadcast_messages(net, tree, messages)
 
 
-def _families(scale: int = 1):
-    yield ("expander",
-           expander_instance(160 * scale, degree=4, seed=1))
-    yield ("power-law",
-           power_law_instance(160 * scale, attach=3, seed=2))
-    k = 3
-    matrix = [[(a + b) % 2 for b in range(k)] for a in range(k)]
-    x_bits = [i % 2 for i in range(k * k)]
-    yield ("hard-instance",
-           build_hard_instance(k, 2, 2 + (scale > 1), matrix,
-                               x_bits).instance)
-    yield (GATE_FAMILY,
-           expander_instance(320 * scale, degree=4, seed=3))
+def _families():
+    yield ("expander", expander_instance(160, degree=4, seed=1))
+    yield ("power-law", power_law_instance(160, attach=3, seed=2))
+    yield ("hard-instance", hard_instance(3, 2, 2))
+    yield (GATE_FAMILY, expander_instance(320, degree=4, seed=3))
 
 
 def _ledger_digest(net: CongestNetwork):
@@ -132,17 +115,11 @@ def _ledger_digest(net: CongestNetwork):
             ledger.max_link_words, ledger.violations)
 
 
-def _hard_instance(k: int, d: int, p: int):
-    matrix = [[(a + b) % 2 for b in range(k)] for a in range(k)]
-    x_bits = [i % 2 for i in range(k * k)]
-    return build_hard_instance(k, d, p, matrix, x_bits).instance
-
-
-def _vector_families(scale: int = 1):
+def _vector_families():
     """n >= 2000 kernel-workload families: (name, instance, hop, k)."""
     yield ("vector-expander",
-           expander_instance(2048 * scale, degree=4, seed=9), 16, 8)
-    yield ("vector-hard", _hard_instance(14, 3, 2), 96, 16)
+           expander_instance(2048, degree=4, seed=9), 16, 8)
+    yield ("vector-hard", hard_instance(14, 3, 2), 96, 16)
 
 
 def _kernel_workload(net: CongestNetwork, instance, hop: int, k: int):
@@ -161,11 +138,10 @@ def _kernel_workload(net: CongestNetwork, instance, hop: int, k: int):
     return dist, tables
 
 
-def measure_vector_families(scale: int = 1,
-                            repeats: int = 3) -> Dict[str, dict]:
+def measure_vector_families(repeats: int) -> Dict[str, dict]:
     """Kernel workloads, fast vs. vector, per n >= 2000 family."""
     report: Dict[str, dict] = {}
-    for name, instance, hop, k in _vector_families(scale):
+    for name, instance, hop, k in _vector_families():
         rps: Dict[str, float] = {}
         digests = {}
         results = {}
@@ -183,7 +159,7 @@ def measure_vector_families(scale: int = 1,
             reps = repeats if fabric == "fast" else max(repeats, 6)
             for _ in range(reps):
                 net = instance.build_network(fabric=fabric)
-                with _quiet_gc():
+                with quiet_gc():
                     start = time.perf_counter()
                     results[fabric] = _kernel_workload(net, instance,
                                                        hop, k)
@@ -209,25 +185,6 @@ def measure_vector_families(scale: int = 1,
     return report
 
 
-@contextmanager
-def _quiet_gc():
-    """Collect up front, then keep the collector out of the timed region.
-
-    Collection pauses land on whichever engine happens to be running
-    and were the dominant run-to-run noise on the large kernel
-    workloads; pinning them outside the timer keeps best-of-N ratios
-    stable enough for the CI gate's tolerance.
-    """
-    gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 def _replay_rps(schedule: Schedule, make_net: Callable[[], CongestNetwork],
                 repeats: int):
     """Best-of-``repeats`` rounds/sec for one engine, plus its ledger."""
@@ -236,7 +193,7 @@ def _replay_rps(schedule: Schedule, make_net: Callable[[], CongestNetwork],
     for _ in range(repeats):
         net = make_net()
         exchange = net.exchange
-        with _quiet_gc():
+        with quiet_gc():
             start = time.perf_counter()
             for outbox in schedule:
                 exchange(outbox)
@@ -244,10 +201,10 @@ def _replay_rps(schedule: Schedule, make_net: Callable[[], CongestNetwork],
     return len(schedule) / best, _ledger_digest(net)
 
 
-def measure_families(scale: int = 1, repeats: int = 3) -> Dict[str, dict]:
+def measure_families(repeats: int) -> Dict[str, dict]:
     """Record + replay every family; returns the per-family report."""
     report: Dict[str, dict] = {}
-    for name, instance in _families(scale):
+    for name, instance in _families():
         recorder = _RecordingNetwork(instance.n, instance.edges)
         _workload(recorder, instance)
         schedule = recorder.schedule
@@ -277,197 +234,39 @@ def measure_families(scale: int = 1, repeats: int = 3) -> Dict[str, dict]:
     return report
 
 
-def render_report(families: Dict[str, dict]) -> str:
-    from repro.analysis import format_records
-
-    records = [{"family": name, **data}
-               for name, data in families.items()]
-    return format_records(
-        records,
-        ["family", "n", "rounds", "messages", "reference_rps",
-         "fast_rps", "speedup_fast"],
-        title="fabric throughput — batched exchange vs. reference "
-              "engine (replayed schedules, best of N)",
-    )
-
-
-def render_vector_report(families: Dict[str, dict]) -> str:
-    from repro.analysis import format_records
-
-    records = [{"family": name, **data}
-               for name, data in families.items()]
-    return format_records(
-        records,
-        ["family", "n", "rounds", "messages", "fast_rps",
-         "vector_rps", "speedup_vector"],
-        title="vector kernels vs. batched engine (kernel workloads, "
-              "best of N)",
-    )
-
-
-def environment_info() -> Dict[str, str]:
-    """Interpreter/NumPy/platform stamp for baseline attribution."""
-    try:
-        import numpy
-        numpy_version = numpy.__version__
-    except ImportError:  # pragma: no cover - numpy is baked in CI
-        numpy_version = "absent"
-    return {
-        "python_version": platform_mod.python_version(),
-        "numpy_version": numpy_version,
-        "platform": platform_mod.platform(),
-    }
-
-
-def check_against_baseline(families: Dict[str, dict], baseline: dict,
-                           tolerance: float,
-                           vector_families: Dict[str, dict]) -> List[str]:
-    """Regression messages (empty when the gate passes)."""
-    problems = []
-    for name, base in baseline.get("families", {}).items():
-        now = families.get(name)
-        if now is None:
-            problems.append(f"{name}: family missing from this run")
-            continue
-        floor = base["speedup_fast"] * (1.0 - tolerance)
-        if now["speedup_fast"] < floor:
-            problems.append(
-                f"{name}: fast-path speedup {now['speedup_fast']:.2f}x "
-                f"fell below {floor:.2f}x "
-                f"(baseline {base['speedup_fast']:.2f}x - "
-                f"{tolerance:.0%} tolerance)")
-    gate = families.get(GATE_FAMILY)
-    if gate is not None and gate["speedup_fast"] < MIN_GATE_SPEEDUP:
-        problems.append(
-            f"{GATE_FAMILY}: fast-path speedup "
-            f"{gate['speedup_fast']:.2f}x is below the absolute "
-            f"{MIN_GATE_SPEEDUP:.1f}x floor")
-    # The kernel workloads are memory-bound and disproportionately
-    # sensitive to runner noise (a busy neighbor slows the array
-    # kernels far more than the interpreter-bound message loops), so
-    # their ratio check gets double tolerance; the absolute
-    # MIN_VECTOR_SPEEDUP floor below still catches a genuine collapse.
-    vector_tolerance = min(2.0 * tolerance, 0.9)
-    for name, base in baseline.get("vector_families", {}).items():
-        now = vector_families.get(name)
-        if now is None:
-            problems.append(f"{name}: family missing from this run")
-            continue
-        floor = base["speedup_vector"] * (1.0 - vector_tolerance)
-        if now["speedup_vector"] < floor:
-            problems.append(
-                f"{name}: vector speedup "
-                f"{now['speedup_vector']:.2f}x fell below "
-                f"{floor:.2f}x (baseline "
-                f"{base['speedup_vector']:.2f}x - "
-                f"{vector_tolerance:.0%} tolerance)")
-    for name, data in vector_families.items():
-        if data["speedup_vector"] < MIN_VECTOR_SPEEDUP:
-            problems.append(
-                f"{name}: vector speedup "
-                f"{data['speedup_vector']:.2f}x is below the absolute "
-                f"{MIN_VECTOR_SPEEDUP:.1f}x floor")
-    return problems
-
-
-# -- pytest-benchmark entry points -----------------------------------------
-
-
-def bench_fabric_throughput(benchmark):
-    """Replayed-schedule rounds/sec across fabrics (see module doc)."""
-    from _util import report
-
-    families = benchmark.pedantic(
-        lambda: measure_families(scale=1, repeats=2),
-        rounds=1, iterations=1)
-    report("fabric", render_report(families))
-    gate = families[GATE_FAMILY]
-    assert gate["speedup_fast"] >= MIN_GATE_SPEEDUP, gate
-    for data in families.values():
-        assert data["speedup_fast"] > 1.0, data
-
-
-def bench_vector_kernels(benchmark):
-    """Kernel-workload rounds/sec, vector vs. fast (see module doc)."""
-    from _util import report
-
-    families = benchmark.pedantic(
-        lambda: measure_vector_families(scale=1, repeats=2),
-        rounds=1, iterations=1)
-    report("vector", render_vector_report(families))
-    for data in families.values():
-        assert data["speedup_vector"] >= MIN_VECTOR_SPEEDUP, data
-
-
-# -- CLI (CI perf gate) -----------------------------------------------------
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--json", type=pathlib.Path, default=None,
-                        help="write the machine-readable report here")
-    parser.add_argument("--compare", type=pathlib.Path, default=None,
-                        help="committed baseline JSON to gate against")
-    parser.add_argument("--tolerance", type=float, default=0.25,
-                        help="allowed relative speedup regression")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="replays per engine (best-of timing)")
-    parser.add_argument("--scale", type=int, default=1,
-                        help="instance size multiplier")
-    parser.add_argument("--trace", type=pathlib.Path, default=None,
-                        help="record spans into this JSONL trace "
-                             "directory (read back with "
-                             "'repro trace summary')")
-    args = parser.parse_args(argv)
-
-    if args.trace is not None:
-        from repro import telemetry
-        telemetry.enable_tracing(args.trace)
-        telemetry.write_meta(args.trace, bench="fabric",
-                             scale=args.scale, repeats=args.repeats)
-
+def measure(quick: bool) -> Dict[str, dict]:
+    """Every family, best of 2 (quick) or 3 replays per engine."""
+    repeats = 2 if quick else 3
     # Kernel workloads run first, on a clean heap: the replay phase
     # keeps ~100k recorded messages live, and timing the allocation-
     # light kernels behind that measurably (and noisily) slows them.
-    vector_families = measure_vector_families(scale=args.scale,
-                                              repeats=args.repeats)
-    families = measure_families(scale=args.scale, repeats=args.repeats)
+    vector = measure_vector_families(repeats)
+    return {**measure_families(repeats), **vector}
 
-    if args.trace is not None:
-        from repro import telemetry
-        telemetry.flush(args.trace)
-        telemetry.disable_tracing()
-        print(f"trace: {args.trace}")
-    print(render_report(families))
-    print(render_vector_report(vector_families))
 
-    payload = {
-        "bench": "fabric",
-        "gate_family": GATE_FAMILY,
-        "min_gate_speedup": MIN_GATE_SPEEDUP,
-        "min_vector_speedup": MIN_VECTOR_SPEEDUP,
-        "tolerance": args.tolerance,
-        "environment": environment_info(),
-        "families": families,
-        "vector_families": vector_families,
-    }
-    if args.json is not None:
-        args.json.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.json}")
+BENCH = Bench(
+    name="fabric",
+    measure=measure,
+    title="fabric throughput — batched exchange vs. reference engine "
+          "(replayed schedules) and vector kernels vs. batched engine "
+          "(kernel workloads), best of N",
+    columns=("n", "rounds", "messages", "reference_rps", "fast_rps",
+             "vector_rps", "speedup_fast", "speedup_vector"),
+    checks=(
+        Check("floor", (GATE_FAMILY,), "speedup_fast", 3.0),
+        # speedup_fast carries 3 decimals: >= 1.001 is "beats 1x".
+        Check("floor", REPLAY_FAMILIES, "speedup_fast", 1.001),
+        Check("higher", REPLAY_FAMILIES, "speedup_fast"),
+        Check("floor", VECTOR_FAMILIES, "speedup_vector", 5.0),
+        Check("higher", VECTOR_FAMILIES, "speedup_vector", doubled=True),
+    ),
+)
 
-    if args.compare is not None:
-        baseline = json.loads(args.compare.read_text())
-        problems = check_against_baseline(families, baseline,
-                                          args.tolerance,
-                                          vector_families)
-        if problems:
-            for line in problems:
-                print(f"PERF REGRESSION: {line}", file=sys.stderr)
-            return 1
-        print(f"perf gate ok (vs {args.compare}, "
-              f"tolerance {args.tolerance:.0%})")
-    return 0
+
+def bench_fabric_throughput(benchmark):
+    """Replayed-schedule and kernel-workload rounds/sec (module doc)."""
+    run_entry(benchmark, BENCH)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(BENCH))

@@ -1,6 +1,6 @@
 """Serving-tier throughput: precomputed oracle vs. per-query solves.
 
-Three workload families measure what the serving layer buys:
+Four workload families measure what the serving layer buys:
 
 * ``oracle-hit`` — read-only traffic (the instance's own (s, t) pair,
   failed edge uniform over E) against a built
@@ -35,19 +35,21 @@ Every family verifies every answer against the centralized oracle
 before any throughput number is reported — a mismatch exits non-zero
 regardless of speed.
 
-Gate (used by the CI ``serve-smoke`` step)::
+Gates (declared in :data:`BENCH`, run by the CI ``serve-smoke``
+step)::
 
     python benchmarks/bench_serve.py --quick \
         --json BENCH_serve.json \
-        --compare benchmarks/BENCH_serve.json --tolerance 0.25
+        --compare benchmarks/BENCH_serve.json
 
 * ``oracle-hit`` must hold the absolute >= 20x speedup floor;
 * the batched families must not drop below 1x (batching must never
   lose to the per-query path);
-* ``daemon-loop`` must hold its p95 ceiling;
-* any family's speedup more than ``tolerance`` below its committed
+* ``daemon-loop`` must hold its 75 ms p95 ceiling, the committed
+  latency SLO the CI daemon-smoke step also enforces;
+* any family's speedup more than the tolerance below its committed
   baseline ratio fails the gate, and so does a ``daemon-loop`` p50
-  overhead more than ``tolerance`` above its committed one.  Ratios,
+  overhead more than the tolerance above its committed one.  Ratios,
   not absolute queries/sec, are compared: they are stable across
   runner hardware.  Baselines are mode-stamped (``--quick`` vs. full);
   comparing across modes enforces only the absolute floors.
@@ -55,28 +57,20 @@ Gate (used by the CI ``serve-smoke`` step)::
 
 from __future__ import annotations
 
-import argparse
-import gc
-import json
 import multiprocessing
-import pathlib
-import platform as platform_mod
-import sys
 import time
 from contextlib import contextmanager
-from typing import Dict, List
+from typing import Dict
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+from _util import Bench, Check, main, quiet_gc, run_entry
 
-from repro.congest import bfs_distances  # noqa: E402
-from repro.core.rpaths import solve_rpaths  # noqa: E402
-from repro.graphs.generators import (  # noqa: E402
+from repro.congest import bfs_distances
+from repro.core.rpaths import solve_rpaths
+from repro.graphs.generators import (
     path_with_chords_instance,
     random_instance,
 )
-from repro.serve import (  # noqa: E402
+from repro.serve import (
     BatchPlanner,
     ReplacementPathOracle,
     ServeDaemon,
@@ -90,20 +84,9 @@ from repro.serve import (  # noqa: E402
     verify_against_centralized,
 )
 
-#: Absolute queries/sec floor for oracle-hit traffic vs. per-query
-#: ``solve_rpaths`` (the ISSUE acceptance criterion).
-MIN_ORACLE_SPEEDUP = 20.0
 ORACLE_FAMILY = "oracle-hit"
-
-#: Batched planning must never lose to the per-query fabric path.
-MIN_BATCH_SPEEDUP = 1.0
-
+BATCHED_FAMILIES = ("zipf-batched", "adversarial-batched")
 DAEMON_FAMILY = "daemon-loop"
-
-#: Absolute p95 ceiling (ms) for ok requests in the daemon family's
-#: closed-loop pass — the committed latency SLO the CI smoke step also
-#: enforces.
-MAX_DAEMON_P95_MS = 75.0
 
 #: Daemon-family passes that interleave the daemon, the in-process
 #: service and the pipe echo, and the queries per block within a pass.
@@ -112,20 +95,6 @@ DAEMON_BLOCK = 10
 
 #: Closed-loop clients in the daemon family's QPS and p95 pass.
 DAEMON_CONCURRENCY = 4
-
-
-@contextmanager
-def _quiet_gc():
-    """Keep collector pauses out of the timed regions (same rationale
-    as bench_fabric: pauses land on whichever side is being timed)."""
-    gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def _verify_or_die(name: str, instance, answers) -> None:
@@ -149,7 +118,7 @@ def measure_oracle_hit(quick: bool) -> Dict[str, object]:
     build_time = time.perf_counter() - build_start
 
     stream = generate_workload("uniform", instance, queries, seed=2)
-    with _quiet_gc():
+    with quiet_gc():
         start = time.perf_counter()
         answers = [oracle.answer(q) for q in stream]
         serve_time = time.perf_counter() - start
@@ -167,7 +136,7 @@ def measure_oracle_hit(quick: bool) -> Dict[str, object]:
 
     # The status quo: every query re-runs the full pipeline.  A couple
     # of timed solves pin down the per-query rate.
-    with _quiet_gc():
+    with quiet_gc():
         start = time.perf_counter()
         for i in range(solves):
             solve_rpaths(instance, seed=i)
@@ -215,7 +184,7 @@ def measure_batched(kind: str, quick: bool,
         oracle = ReplacementPathOracle.build(instance,
                                              solver="centralized")
         planner = BatchPlanner(oracle, fabric="vector")
-        with _quiet_gc():
+        with quiet_gc():
             start = time.perf_counter()
             answers, plan = planner.answer_batch(stream)
             batched_time = min(batched_time,
@@ -227,7 +196,7 @@ def measure_batched(kind: str, quick: bool,
     unbatched_time = float("inf")
     for _ in range(repeats):
         net = instance.build_network(fabric="fast")
-        with _quiet_gc():
+        with quiet_gc():
             start = time.perf_counter()
             for q in stream:
                 bfs_distances(net, q.s,
@@ -369,7 +338,7 @@ def measure_daemon_loop(quick: bool) -> Dict[str, object]:
                 for query in queries:
                     via_daemon(query)
                     echo(query)
-                with _quiet_gc():
+                with quiet_gc():
                     for round_no in range(DAEMON_ROUNDS):
                         lengths, taken = _interleaved_pass(
                             sides, queries, round_no)
@@ -439,148 +408,30 @@ def measure_all(quick: bool) -> Dict[str, dict]:
     }
 
 
-def render_report(families: Dict[str, dict]) -> str:
-    from repro.analysis import format_records
-
-    records = [{"family": name, **data}
-               for name, data in families.items()]
-    return format_records(
-        records,
-        ["family", "n", "queries", "qps", "baseline_qps", "speedup",
-         "p50_ms", "p95_ms", "p99_ms", "daemon_p50_ms",
-         "inprocess_p50_ms", "echo_p50_ms", "p50_overhead_rtts",
-         "p50_ratio", "hit_ratio"],
-        title="serving tier — precomputed oracle / batched planner "
-              "vs. per-query solves; warm daemon vs. in-process",
-    )
-
-
-def environment_info() -> Dict[str, str]:
-    try:
-        import numpy
-        numpy_version = numpy.__version__
-    except ImportError:  # pragma: no cover - numpy is baked in CI
-        numpy_version = "absent"
-    return {
-        "python_version": platform_mod.python_version(),
-        "numpy_version": numpy_version,
-        "platform": platform_mod.platform(),
-    }
-
-
-def check_against_baseline(families: Dict[str, dict], baseline: dict,
-                           tolerance: float,
-                           quick: bool) -> List[str]:
-    """Regression messages (empty when the gate passes)."""
-    problems = []
-    same_mode = bool(baseline.get("quick")) == quick
-    if same_mode:
-        for name, base in baseline.get("families", {}).items():
-            now = families.get(name)
-            if now is None:
-                problems.append(f"{name}: family missing from this "
-                                "run")
-                continue
-            if name == DAEMON_FAMILY:
-                ceiling = base["p50_overhead_rtts"] * (1.0 + tolerance)
-                if now["p50_overhead_rtts"] > ceiling:
-                    problems.append(
-                        f"{name}: p50 overhead "
-                        f"{now['p50_overhead_rtts']:.2f} pipe round "
-                        f"trips rose above {ceiling:.2f} (baseline "
-                        f"{base['p50_overhead_rtts']:.2f} + "
-                        f"{tolerance:.0%} tolerance)")
-                continue
-            floor = base["speedup"] * (1.0 - tolerance)
-            if now["speedup"] < floor:
-                problems.append(
-                    f"{name}: speedup {now['speedup']:.2f}x fell "
-                    f"below {floor:.2f}x (baseline "
-                    f"{base['speedup']:.2f}x - {tolerance:.0%} "
-                    "tolerance)")
-    oracle = families.get(ORACLE_FAMILY)
-    if oracle is not None and oracle["speedup"] < MIN_ORACLE_SPEEDUP:
-        problems.append(
-            f"{ORACLE_FAMILY}: speedup {oracle['speedup']:.1f}x is "
-            f"below the absolute {MIN_ORACLE_SPEEDUP:.0f}x floor")
-    for name, data in families.items():
-        if name in (ORACLE_FAMILY, DAEMON_FAMILY):
-            continue
-        if data["speedup"] < MIN_BATCH_SPEEDUP:
-            problems.append(
-                f"{name}: batched speedup {data['speedup']:.2f}x is "
-                f"below the absolute {MIN_BATCH_SPEEDUP:.1f}x floor")
-    daemon = families.get(DAEMON_FAMILY)
-    if daemon is not None:
-        if daemon["p95_ms"] > MAX_DAEMON_P95_MS:
-            problems.append(
-                f"{DAEMON_FAMILY}: p95 {daemon['p95_ms']:.2f}ms "
-                f"exceeds the {MAX_DAEMON_P95_MS:.0f}ms SLO ceiling")
-    return problems
-
-
-# -- pytest-benchmark entry point --------------------------------------------
+BENCH = Bench(
+    name="serve",
+    measure=measure_all,
+    title="serving tier — precomputed oracle / batched planner vs. "
+          "per-query solves; warm daemon vs. in-process",
+    columns=("n", "queries", "qps", "baseline_qps", "speedup",
+             "p50_ms", "p95_ms", "p99_ms", "daemon_p50_ms",
+             "inprocess_p50_ms", "echo_p50_ms", "p50_overhead_rtts",
+             "p50_ratio", "hit_ratio"),
+    checks=(
+        Check("floor", (ORACLE_FAMILY,), "speedup", 20.0),
+        Check("floor", BATCHED_FAMILIES, "speedup", 1.0),
+        Check("ceiling", (DAEMON_FAMILY,), "p95_ms", 75.0),
+        Check("higher", (ORACLE_FAMILY,) + BATCHED_FAMILIES, "speedup"),
+        Check("lower", (DAEMON_FAMILY,), "p50_overhead_rtts"),
+    ),
+    stamp_mode=True,
+)
 
 
 def bench_serve_tier(benchmark):
     """Quick-mode serving families (see module doc)."""
-    from _util import report
-
-    families = benchmark.pedantic(lambda: measure_all(quick=True),
-                                  rounds=1, iterations=1)
-    report("serve", render_report(families))
-    assert families[ORACLE_FAMILY]["speedup"] >= MIN_ORACLE_SPEEDUP
-    assert (families[DAEMON_FAMILY]["p95_ms"]
-            <= MAX_DAEMON_P95_MS), families[DAEMON_FAMILY]
-    for name, data in families.items():
-        if name not in (ORACLE_FAMILY, DAEMON_FAMILY):
-            assert data["speedup"] >= MIN_BATCH_SPEEDUP, (name, data)
-
-
-# -- CLI (CI serve-smoke gate) -----------------------------------------------
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="CI-sized workloads")
-    parser.add_argument("--json", type=pathlib.Path, default=None,
-                        help="write the machine-readable report here")
-    parser.add_argument("--compare", type=pathlib.Path, default=None,
-                        help="committed baseline JSON to gate against")
-    parser.add_argument("--tolerance", type=float, default=0.25,
-                        help="allowed relative speedup regression")
-    args = parser.parse_args(argv)
-
-    families = measure_all(quick=args.quick)
-    print(render_report(families))
-
-    payload = {
-        "bench": "serve",
-        "quick": bool(args.quick),
-        "min_oracle_speedup": MIN_ORACLE_SPEEDUP,
-        "min_batch_speedup": MIN_BATCH_SPEEDUP,
-        "max_daemon_p95_ms": MAX_DAEMON_P95_MS,
-        "tolerance": args.tolerance,
-        "environment": environment_info(),
-        "families": families,
-    }
-    if args.json is not None:
-        args.json.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.json}")
-
-    if args.compare is not None:
-        baseline = json.loads(args.compare.read_text())
-        problems = check_against_baseline(
-            families, baseline, args.tolerance, bool(args.quick))
-        if problems:
-            for line in problems:
-                print(f"SERVE REGRESSION: {line}", file=sys.stderr)
-            return 1
-        print(f"serve gate ok (vs {args.compare}, "
-              f"tolerance {args.tolerance:.0%})")
-    return 0
+    run_entry(benchmark, BENCH)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(BENCH))

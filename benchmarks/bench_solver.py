@@ -13,8 +13,8 @@ the Amdahl complement of PR 3's per-primitive numbers.
 Families (all n ≥ 2048 except the 3-way reference family, which the
 pre-fabric engine could not finish at that size in CI time):
 
-* ``solve-expander-2048`` — the gate family: the acceptance floor
-  requires ≥ ``MIN_SOLVER_SPEEDUP``x vector-vs-fast here;
+* ``solve-expander-2048`` — the gate family: a short-path expander,
+  where the landmark phases carry the solve;
 * ``solve-power-law-2048`` — hub-concentrated congestion;
 * ``solve-hard-instance`` — the Section 6.3 lower-bound construction
   (n = 2286, h_st = 64): long-path phases (chain flood, DP pipeline,
@@ -32,54 +32,39 @@ point, but the gate still needs a finishing baseline).
 Every family asserts bit-identical lengths, stage outputs, and ledger
 digests across its fabrics before any throughput is reported.
 
-Gates (the CI ``perf-gate`` job runs ``--quick``)::
+Gates (declared in :data:`BENCH`; the CI ``perf-gate`` job runs
+``--quick``: one solve per fabric, a smaller oracle-build catalog, and
+the same solve families, which the baseline comparison needs)::
 
-    python benchmarks/bench_solver.py --json BENCH_solver.json \
-        --compare benchmarks/BENCH_solver.json --tolerance 0.25
+    python benchmarks/bench_solver.py --quick --json BENCH_solver.json \
+        --compare benchmarks/BENCH_solver.json
 
-* every ``solve-*`` family must hold ≥ 5x vector-vs-fast;
-* the oracle-build measurement must hold ≥ 2x vector-vs-fast;
+* every ``solve-*`` family must hold >= 5x vector-vs-fast;
+* the ``oracle-build`` family must hold >= 2x vector-vs-fast;
 * a measured ratio more than the (doubled — end-to-end runs inherit
   the kernel workloads' memory-bound noise profile) tolerance below
-  its committed baseline ratio fails the gate.
+  its committed baseline ratio fails the gate.  The committed file
+  carries no mode stamp, so a quick run is compared against it too.
 """
 
 from __future__ import annotations
 
-import argparse
-import gc
-import json
-import pathlib
-import platform as platform_mod
-import sys
 import time
-from contextlib import contextmanager
-from typing import Dict, List
+from typing import Dict
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+from _util import Bench, Check, hard_instance, main, quiet_gc, run_entry
 
-from repro.core.rpaths import solve_rpaths  # noqa: E402
-from repro.graphs import (  # noqa: E402
+from repro.core.rpaths import solve_rpaths
+from repro.graphs import (
     expander_instance,
     path_with_chords_instance,
     power_law_instance,
 )
-from repro.lowerbound import build_hard_instance  # noqa: E402
 
-#: Acceptance floor: end-to-end vector-vs-fast on every solve family.
-MIN_SOLVER_SPEEDUP = 5.0
 GATE_FAMILY = "solve-expander-2048"
-
-#: Acceptance floor for the serving tier's oracle-build funnel.
-MIN_BUILD_SPEEDUP = 2.0
-
-
-def _hard_instance(k: int, d: int, p: int):
-    matrix = [[(a + b) % 2 for b in range(k)] for a in range(k)]
-    x_bits = [i % 2 for i in range(k * k)]
-    return build_hard_instance(k, d, p, matrix, x_bits).instance
+SOLVE_FAMILIES = (GATE_FAMILY, "solve-power-law-2048",
+                  "solve-hard-instance", "solve-expander-256-3way")
+BUILD_FAMILY = "oracle-build"
 
 
 def _families():
@@ -90,24 +75,11 @@ def _families():
     yield ("solve-power-law-2048",
            power_law_instance(2048, attach=3, seed=2),
            {"landmark_c": 0.5}, ("fast", "vector"))
-    yield ("solve-hard-instance", _hard_instance(8, 3, 2),
+    yield ("solve-hard-instance", hard_instance(8, 3, 2),
            {"landmark_c": 0.5}, ("fast", "vector"))
     yield ("solve-expander-256-3way",
            expander_instance(256, degree=4, seed=5),
            {}, ("reference", "fast", "vector"))
-
-
-@contextmanager
-def _quiet_gc():
-    """Collect up front, keep the collector out of the timed region."""
-    gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def _fingerprint(report):
@@ -132,7 +104,7 @@ def measure_families(repeats: int) -> Dict[str, dict]:
             best = float("inf")
             reps = repeats if fabric != "vector" else max(repeats, 3)
             for _ in range(reps):
-                with _quiet_gc():
+                with quiet_gc():
                     start = time.perf_counter()
                     report = solve_rpaths(instance, seed=7,
                                           fabric=fabric, **kwargs)
@@ -179,7 +151,7 @@ def measure_oracle_build(quick: bool) -> dict:
         service = ShardedQueryService(catalog, shards=1,
                                       capacity=len(catalog),
                                       build_fabric=fabric)
-        with _quiet_gc():
+        with quiet_gc():
             start = time.perf_counter()
             service.warm()
             elapsed[fabric] = time.perf_counter() - start
@@ -198,170 +170,34 @@ def measure_oracle_build(quick: bool) -> dict:
     }
 
 
-def render_report(families: Dict[str, dict],
-                  oracle_build: dict) -> str:
-    from repro.analysis import format_records
-
-    records = [{"family": name, **{k: v for k, v in data.items()
-                                   if k != "solver_kwargs"}}
-               for name, data in families.items()]
-    table = format_records(
-        records,
-        ["family", "n", "hop_count", "rounds", "fast_rps",
-         "vector_rps", "speedup_vector"],
-        title="whole-solver throughput — solve_rpaths end to end "
-              "(best of N)",
-    )
-    build = (f"oracle build ({oracle_build['instances']} instances): "
-             f"fast {oracle_build['fast_seconds']}s, vector "
-             f"{oracle_build['vector_seconds']}s "
-             f"({oracle_build['speedup_vector']}x)")
-    return table + "\n" + build
+def measure(quick: bool) -> Dict[str, dict]:
+    """Every solve family, best of 1 (quick) or 2 solves per fabric,
+    then the oracle build."""
+    families = measure_families(1 if quick else 2)
+    families[BUILD_FAMILY] = measure_oracle_build(quick)
+    return families
 
 
-def environment_info() -> Dict[str, str]:
-    try:
-        import numpy
-        numpy_version = numpy.__version__
-    except ImportError:  # pragma: no cover - numpy is baked in CI
-        numpy_version = "absent"
-    return {
-        "python_version": platform_mod.python_version(),
-        "numpy_version": numpy_version,
-        "platform": platform_mod.platform(),
-    }
-
-
-def check_against_baseline(families: Dict[str, dict], baseline: dict,
-                           tolerance: float,
-                           oracle_build: dict) -> List[str]:
-    """Regression messages (empty when the gate passes)."""
-    problems = []
-    # End-to-end runs are dominated by the same memory-bound kernels as
-    # bench_fabric's vector families, so the ratio check inherits their
-    # doubled tolerance; the absolute floors catch genuine collapse.
-    ratio_tolerance = min(2.0 * tolerance, 0.9)
-    for name, base in baseline.get("families", {}).items():
-        now = families.get(name)
-        if now is None:
-            problems.append(f"{name}: family missing from this run")
-            continue
-        floor = base["speedup_vector"] * (1.0 - ratio_tolerance)
-        if now["speedup_vector"] < floor:
-            problems.append(
-                f"{name}: solver speedup {now['speedup_vector']:.2f}x "
-                f"fell below {floor:.2f}x (baseline "
-                f"{base['speedup_vector']:.2f}x - "
-                f"{ratio_tolerance:.0%} tolerance)")
-    for name, data in families.items():
-        if data["speedup_vector"] < MIN_SOLVER_SPEEDUP:
-            problems.append(
-                f"{name}: solver speedup "
-                f"{data['speedup_vector']:.2f}x is below the absolute "
-                f"{MIN_SOLVER_SPEEDUP:.1f}x floor")
-    if oracle_build["speedup_vector"] < MIN_BUILD_SPEEDUP:
-        problems.append(
-            f"oracle-build: speedup "
-            f"{oracle_build['speedup_vector']:.2f}x is below the "
-            f"absolute {MIN_BUILD_SPEEDUP:.1f}x floor")
-    base_build = baseline.get("oracle_build")
-    if base_build:
-        floor = base_build["speedup_vector"] * (1.0 - ratio_tolerance)
-        if oracle_build["speedup_vector"] < floor:
-            problems.append(
-                f"oracle-build: speedup "
-                f"{oracle_build['speedup_vector']:.2f}x fell below "
-                f"{floor:.2f}x (baseline "
-                f"{base_build['speedup_vector']:.2f}x)")
-    return problems
-
-
-# -- pytest-benchmark entry point -------------------------------------------
+BENCH = Bench(
+    name="solver",
+    measure=measure,
+    title="whole-solver throughput — solve_rpaths end to end (best "
+          "of N) and the sharded service's oracle build",
+    columns=("n", "hop_count", "rounds", "fast_rps", "vector_rps",
+             "fast_seconds", "vector_seconds", "speedup_vector"),
+    checks=(
+        Check("floor", SOLVE_FAMILIES, "speedup_vector", 5.0),
+        Check("floor", (BUILD_FAMILY,), "speedup_vector", 2.0),
+        Check("higher", SOLVE_FAMILIES + (BUILD_FAMILY,),
+              "speedup_vector", doubled=True),
+    ),
+)
 
 
 def bench_solver_throughput(benchmark):
     """End-to-end rounds/sec, vector vs fast (see module doc)."""
-    from _util import report
-
-    families = benchmark.pedantic(
-        lambda: measure_families(repeats=1),
-        rounds=1, iterations=1)
-    build = measure_oracle_build(quick=True)
-    report("solver", render_report(families, build))
-    for data in families.values():
-        assert data["speedup_vector"] >= MIN_SOLVER_SPEEDUP, data
-    assert build["speedup_vector"] >= MIN_BUILD_SPEEDUP, build
-
-
-# -- CLI (CI perf gate) ------------------------------------------------------
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--json", type=pathlib.Path, default=None,
-                        help="write the machine-readable report here")
-    parser.add_argument("--compare", type=pathlib.Path, default=None,
-                        help="committed baseline JSON to gate against")
-    parser.add_argument("--tolerance", type=float, default=0.25,
-                        help="allowed relative speedup regression "
-                             "(doubled internally, like the fabric "
-                             "bench's vector families)")
-    parser.add_argument("--repeats", type=int, default=2,
-                        help="solves per fabric (best-of timing)")
-    parser.add_argument("--quick", action="store_true",
-                        help="CI smoke mode: single repeat, smaller "
-                             "oracle-build catalog (the solve family "
-                             "set never shrinks — the baseline "
-                             "comparison needs every family present)")
-    parser.add_argument("--trace", type=pathlib.Path, default=None,
-                        help="record spans into this JSONL trace "
-                             "directory (read back with "
-                             "'repro trace summary')")
-    args = parser.parse_args(argv)
-
-    if args.trace is not None:
-        from repro import telemetry
-        telemetry.enable_tracing(args.trace)
-        telemetry.write_meta(args.trace, bench="solver",
-                             quick=args.quick, repeats=args.repeats)
-
-    repeats = 1 if args.quick else args.repeats
-    families = measure_families(repeats)
-    oracle_build = measure_oracle_build(args.quick)
-
-    if args.trace is not None:
-        from repro import telemetry
-        telemetry.flush(args.trace)
-        telemetry.disable_tracing()
-        print(f"trace: {args.trace}")
-    print(render_report(families, oracle_build))
-
-    payload = {
-        "bench": "solver",
-        "gate_family": GATE_FAMILY,
-        "min_solver_speedup": MIN_SOLVER_SPEEDUP,
-        "min_build_speedup": MIN_BUILD_SPEEDUP,
-        "tolerance": args.tolerance,
-        "environment": environment_info(),
-        "families": families,
-        "oracle_build": oracle_build,
-    }
-    if args.json is not None:
-        args.json.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.json}")
-
-    if args.compare is not None:
-        baseline = json.loads(args.compare.read_text())
-        problems = check_against_baseline(families, baseline,
-                                          args.tolerance, oracle_build)
-        if problems:
-            for line in problems:
-                print(f"PERF REGRESSION: {line}", file=sys.stderr)
-            return 1
-        print(f"perf gate ok (vs {args.compare}, "
-              f"tolerance {args.tolerance:.0%})")
-    return 0
+    run_entry(benchmark, BENCH)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(BENCH))

@@ -13,9 +13,10 @@ deterministic workload.  The minimum filters scheduler noise upward
 (noise only ever *adds* time), so the ratio of minima is a stable
 estimate of the structural overhead even on a busy machine.
 
-Usage::
+Usage (the CI gate; declared in :data:`BENCH`, best of
+:data:`REPEATS`)::
 
-    PYTHONPATH=src python benchmarks/bench_telemetry.py [--repeats N]
+    python benchmarks/bench_telemetry.py [--json FILE]
 
 ``tests/test_telemetry.py`` runs :func:`measure_overhead` with the same
 workload and asserts the bound.
@@ -23,17 +24,11 @@ workload and asserts the bound.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import json
-import pathlib
-import sys
 import time
 from typing import Dict
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+from _util import Bench, Check, main
 
 from repro.congest.metrics import PhaseStats, RoundLedger
 from repro.core.rpaths import solve_rpaths
@@ -42,6 +37,9 @@ from repro.telemetry import trace as _trace
 
 #: Committed acceptance bound on (instrumented-disabled / bypassed) - 1.
 MAX_OVERHEAD = 0.02
+
+#: Interleaved repeats of the command-line gate.
+REPEATS = 7
 
 
 @contextlib.contextmanager
@@ -109,32 +107,17 @@ def measure_overhead(repeats: int = 5, rows: int = 4,
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repeats", type=int, default=7,
-                        help="interleaved repeats (best-of timing)")
-    parser.add_argument("--rows", type=int, default=4)
-    parser.add_argument("--cols", type=int, default=12)
-    parser.add_argument("--json", type=pathlib.Path, default=None,
-                        help="write the machine-readable report here")
-    args = parser.parse_args(argv)
-
-    result = measure_overhead(repeats=args.repeats, rows=args.rows,
-                              cols=args.cols)
-    print(f"instrumented (tracing off): {result['instrumented']:.4f}s")
-    print(f"bypassed (bare phase):      {result['bypassed']:.4f}s")
-    print(f"overhead: {result['overhead'] * 100:+.2f}% "
-          f"(bound {MAX_OVERHEAD * 100:.0f}%)")
-    if args.json is not None:
-        args.json.write_text(json.dumps(
-            {"bench": "telemetry", "max_overhead": MAX_OVERHEAD,
-             **result}, indent=2) + "\n")
-        print(f"wrote {args.json}")
-    if result["overhead"] > MAX_OVERHEAD:
-        print("OVERHEAD GATE FAILED", file=sys.stderr)
-        return 1
-    return 0
+BENCH = Bench(
+    name="telemetry",
+    measure=lambda quick: {
+        "disabled-overhead": measure_overhead(repeats=REPEATS)},
+    title="disabled-tracing overhead — instrumented vs. bypassed "
+          "RoundLedger.phase, best of N seconds",
+    columns=("instrumented", "bypassed", "overhead"),
+    checks=(Check("ceiling", ("disabled-overhead",), "overhead",
+                  MAX_OVERHEAD),),
+)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(BENCH))

@@ -4,12 +4,25 @@ Also covers the runtime executor's generalized ``pool_map``, which
 suite cells and the ``parallel=`` k-source fan-out run on.
 """
 
+import itertools
 import sys
 import threading
 import time
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
+from repro.congest.words import INF
+from repro.dynamic import MutationStream, apply_mutations
 from repro.graphs.generators import grid_instance, random_instance
 from repro.runtime.executor import POOL_ERROR, pool_map
 from repro.runtime.store import ResultStore
@@ -246,6 +259,169 @@ class TestStatsUnderThreads:
         assert not any(worker.is_alive() for worker in workers)
         assert shard.stats.queries == threads * per
         assert shard.stats.lru_hits == threads * per
+
+
+#: Queries a machine step sends: (instance, source, target, edge)
+#: picks.  Few sources and edges, so fallback rows are asked for again
+#: after mutations (the memo carry); source 4 is the instance's own
+#: pair (the precomputed table).
+_PICKS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4),
+                            st.integers(0, 63), st.integers(0, 7)),
+                  min_size=1, max_size=4)
+
+
+class ShardMachine(RuleBasedStateMachine):
+    """One :class:`OracleShard` with a spill store under any order of
+    answers, mutations, stale reads and warms, against a model of its
+    LRU, previous-epoch slots and spills and against
+    ``centralized_truth`` on the epoch each answer belongs to."""
+
+    def __init__(self, store_dir):
+        super().__init__()
+        self.store = ResultStore(store_dir)
+
+    @initialize(capacity=st.integers(1, 2), seed=st.integers(0, 99))
+    def setup(self, capacity, seed):
+        self.capacity = capacity
+        self.shard = OracleShard(capacity=capacity, store=self.store,
+                                 solver="centralized")
+        instances = [
+            random_instance(12, seed=1, name="machine-0"),
+            random_instance(12, seed=2, name="machine-1"),
+            random_instance(12, seed=3, weighted=True, max_weight=5,
+                            name="machine-2"),
+        ]
+        #: key -> the instance of every epoch so far, by version.
+        self.epochs = {}
+        for inst in instances:
+            self.shard.add_instance(inst)
+            self.epochs[inst.name] = [inst]
+        self.keys = [inst.name for inst in instances]
+        self.stream = MutationStream(seed=seed)
+        self.lru = []  # hot keys, least recently used first
+        self.previous = {}  # key -> epoch of its previous-epoch slot
+        self.spilled = set()  # (key, epoch) snapshots in the store
+        self.builds = self.spill_loads = self.invalidations = 0
+        self.queries = self.stale = 0
+
+    def _current(self, key):
+        return self.epochs[key][-1]
+
+    def _queries(self, picks, key=None):
+        queries = []
+        for which, s, t, e in picks:
+            inst = self._current(key or self.keys[which])
+            edges = inst.path_edges() + [(u, v) for u, v, _ in inst.edges]
+            if s == 4:
+                s, t = inst.s, inst.t
+            queries.append(Query(s=s, t=t % inst.n, edge=edges[e],
+                                 instance=inst.name))
+        return queries
+
+    def _touch(self, key):
+        """What ``planner_for`` does to the model."""
+        if key in self.lru:
+            self.lru.remove(key)
+        else:
+            epoch = len(self.epochs[key]) - 1
+            if (key, epoch) in self.spilled:
+                self.spill_loads += 1
+            else:
+                self.builds += 1
+                self.spilled.add((key, epoch))
+            self.previous.pop(key, None)
+        self.lru.append(key)
+        del self.lru[:-self.capacity]
+
+    @rule(picks=_PICKS)
+    def answer(self, picks):
+        queries = self._queries(picks)
+        answers = self.shard.answer_batch(queries)
+        for key in dict.fromkeys(q.instance for q in queries):
+            self._touch(key)
+        for q, a in zip(queries, answers):
+            assert a.length == centralized_truth(
+                self._current(q.instance), q.s, q.t, q.edge)
+        self.queries += len(queries)
+
+    @rule(which=st.integers(0, 2), count=st.integers(1, 3),
+          batches=st.integers(1, 3))
+    def mutate(self, which, count, batches):
+        key = self.keys[which]
+        for _ in range(batches):
+            old = self._current(key)
+            result = apply_mutations(
+                old, self.stream.burst(old, count, heal_fraction=0.5))
+            if not result.applied:
+                continue
+            self.stream.note_applied(key, result.applied)
+            self.shard.invalidate(key, result.instance, result.applied)
+            self.epochs[key].append(result.instance)
+            assert result.epoch == len(self.epochs[key]) - 1
+            if key in self.lru:
+                self.lru.remove(key)
+                self.previous[key] = old.topology_version
+            self.invalidations += 1
+
+    @precondition(lambda self: any(len(e) > 1
+                                   for e in self.epochs.values()))
+    @rule(data=st.data(), picks=_PICKS)
+    def answer_stale(self, data, picks):
+        key = data.draw(st.sampled_from(
+            [k for k in self.keys if len(self.epochs[k]) > 1]))
+        queries = self._queries(picks, key)
+        out = self.shard.answer_stale(queries)
+        if key not in self.previous:
+            assert out is None
+            return
+        answers, lags = out
+        epoch = self.previous[key]
+        current = self._current(key).topology_version
+        assert lags == [current - epoch] * len(queries)
+        for q, a in zip(queries, answers):
+            assert a.length == centralized_truth(
+                self.epochs[key][epoch], q.s, q.t, q.edge)
+        self.queries += len(queries)
+        self.stale += len(queries)
+
+    @rule()
+    def warm(self):
+        self.shard.warm()
+        for key in sorted(self.keys):
+            self._touch(key)
+
+    @invariant()
+    def shard_matches_model(self):
+        with self.shard._lock:
+            hot = dict(self.shard._planners)
+            previous = {key: epoch for key, (epoch, _planner)
+                        in self.shard._previous.items()}
+        assert list(hot) == self.lru
+        assert len(hot) <= self.capacity
+        for key, planner in hot.items():
+            # A hot oracle, spill-loaded or built, is never of a
+            # superseded epoch, and every fallback row it holds
+            # (computed there or carried across epochs) is exact.
+            current = self._current(key)
+            assert planner.oracle.instance is current
+            for (s, edge), row in planner.oracle._fallback.items():
+                exact = current.dijkstra(s, avoid_edges=frozenset([edge]))
+                assert [min(d, INF) for d in row] == exact
+        assert previous == self.previous
+        stats = self.shard.stats
+        assert stats.queries == self.queries
+        assert stats.stale_answers == self.stale
+        assert stats.oracle_builds == self.builds
+        assert stats.spill_loads == self.spill_loads
+        assert stats.invalidations == self.invalidations
+
+
+def test_shard_state_machine(tmp_path):
+    stores = itertools.count()
+    run_state_machine_as_test(
+        lambda: ShardMachine(tmp_path / f"store-{next(stores)}"),
+        settings=settings(max_examples=40, stateful_step_count=20,
+                          deadline=None))
 
 
 class TestPoolMap:
