@@ -90,6 +90,10 @@ REASON_NON_DECLARATIVE = "non-declarative-task"
 REASON_OVERLAPPING_GROUPS = "overlapping-groups"
 #: Duplicate sweep-task keys would alias engine results.
 REASON_DUPLICATE_KEYS = "duplicate-keys"
+#: A strict-mode broadcast holds an item wider than the bandwidth: the
+#: abort must name the first overloaded link, which only per-item
+#: routing knows.
+REASON_STRICT_OVERLOAD = "strict-overload"
 
 
 @dataclass(frozen=True)
@@ -209,10 +213,22 @@ def _multisource_key_fits(net, call) -> bool:
             and (hop_limit + 2) * max(k, 1) < _kernels._INT64_SAFE)
 
 
-def _multisource_sources_ok(net, call) -> bool:
+def _vertex_ids_ok(net, vertices) -> bool:
     n = net.n
-    return all(isinstance(s, int) and 0 <= s < n
-               for s in call["sources"])
+    return all(isinstance(v, int) and 0 <= v < n for v in vertices)
+
+
+def _broadcast_fits_bandwidth(net, call) -> bool:
+    if not net.strict:
+        return True
+    items = ((origin, payload)
+             for origin, payloads in call["messages"].items()
+             for payload in payloads)
+    try:
+        sizes = _kernels._broadcast_size_counts(items)
+    except TypeError:
+        return False  # unsizable: the message path raises in its phase
+    return max(sizes, default=0) <= net.bandwidth_words
 
 
 def _chain_prefix_fits(net, call) -> bool:
@@ -333,7 +349,7 @@ _PRIMITIVES: Tuple[Primitive, ...] = (
                 REASON_SOURCE_RANGE,
                 "sources are in-range ints (message path owns the "
                 "error behavior otherwise)",
-                _multisource_sources_ok,
+                lambda net, call: _vertex_ids_ok(net, call["sources"]),
             ),
         ),
         ledger="opens its phase; uniform 3-word rounds of the "
@@ -347,8 +363,22 @@ _PRIMITIVES: Tuple[Primitive, ...] = (
         lemma="L2.4",
         message=("repro.congest.broadcast", "_broadcast_message"),
         vector=("repro.congest.kernels", "broadcast_messages_vector"),
-        ledger="opens its phase; per-item FIFO charges, or one bulk "
-               "charge for uniform-size batches",
+        constraints=(
+            Constraint(
+                REASON_SOURCE_RANGE,
+                "origins are in-range ints (message path owns the "
+                "error behavior otherwise)",
+                lambda net, call: _vertex_ids_ok(net, call["messages"]),
+            ),
+            Constraint(
+                REASON_STRICT_OVERLOAD,
+                "strict mode: no item wider than the bandwidth (the "
+                "abort needs the first overloaded link)",
+                _broadcast_fits_bandwidth,
+            ),
+        ),
+        ledger="opens its phase; one bulk charge: the busy-period "
+               "makespan, and each item crossing n-1 links",
     ),
     Primitive(
         name="chain_flood",

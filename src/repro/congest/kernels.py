@@ -6,8 +6,8 @@ solver** through whole-structure computation over the frozen CSR
 arrays (:meth:`~repro.congest.topology.CSRTopology.arrays` /
 :meth:`~repro.congest.topology.CSRTopology.send_arrays`): the pruned
 hop-BFS of Lemma 4.2, the k-source hop BFS of Lemma 5.5, the
-pipelined tree broadcast of Lemma 2.4 (per-item, plus a schedule-free
-uniform-size path), the Lemma 2.5 path-chain flood, the descending
+pipelined tree broadcast of Lemma 2.4 (an exact makespan from each tree
+link's busy periods), the Lemma 2.5 path-chain flood, the descending
 ζ-round DP pipeline of Lemma 4.4, the segment prefix/suffix sweeps of
 Lemmas 5.7/5.9 and their one-hop shift, and the BFS spanning-tree
 flood.  One synchronous round becomes a handful of vectorized
@@ -15,7 +15,7 @@ operations (frontier gathers via CSR range expansion, delay-shifted
 scheduling buckets, segmented max/min via
 ``np.maximum.at``/``np.minimum.at``) instead of one Python tuple per
 (sender, target) pair — and closed-form schedules (chain gaps, DP
-rounds, disjoint sweep groups, uniform broadcasts) charge whole
+rounds, disjoint sweep groups, broadcast makespans) charge whole
 executions in bulk via
 :meth:`~repro.congest.metrics.RoundLedger.charge_rounds` without
 walking rounds at all.
@@ -56,14 +56,16 @@ charge is therefore ``(M messages, M·size words, max_link = size,
 violations = M·[size > bandwidth])`` — exactly what
 :func:`~repro.congest.fastpath.exchange_batch` computes message by
 message — and aggregating it over a whole schedule is exact because
-phase stats only ever hold aggregates.  The per-item broadcast kernel
-charges per-item sizes the same way the per-link FIFO engine does.
+phase stats only ever hold aggregates.  The broadcast kernel leans on
+its own invariant: every item crosses every tree link once, one item
+per busy link per round, so its totals follow from the batch and its
+makespan, whatever the item sizes.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import deque
+from fractions import Fraction
 from typing import (
     Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple,
 )
@@ -475,154 +477,151 @@ def multi_source_hop_bfs_vector(
 
 # -- pipelined tree broadcast (Lemma 2.4) -----------------------------------
 
+#: Payload field types whose word size the type alone fixes.
+_FIXED_SIZE_FIELDS = frozenset((type(None), bool, int, float, Fraction))
 
-def _uniform_broadcast_schedule(net, tree, item_counts: List[int],
-                                count: int, size: int) -> None:
-    """Charge the whole FIFO broadcast schedule without routing items.
+#: A directed tree link's departures ``(shift, periods, items)``: busy
+#: in rounds ``[first + shift, last + shift]`` for each pair of the flat
+#: ``periods = [first, last, ...]``, ``items`` in all; None when idle.
+Link = Optional[Tuple[int, List[int], int]]
 
-    When every item has the same word size, the ledger charge is fully
-    determined by the *queue-length* dynamics: each active directed
-    tree link pops exactly one item per round (``size`` words, its own
-    link), so a round charges ``(a, a·size, size, a·[size > B])`` for
-    ``a`` active links — no item identity needed.  The queue lengths
-    themselves evolve by local conservation (one pop per active link;
-    each delivery to ``v`` feeds every link out of ``v`` except the
-    reverse one), which this helper iterates as whole-array updates:
-    O(rounds) NumPy steps instead of O(items · links) Python steps.
 
-    Total crossings are conserved — every item crosses every undirected
-    tree link exactly once — which the final assertion double-checks
-    before the bulk charge.
+def _broadcast_size_counts(items) -> Dict[int, int]:
+    """Item count per word size of ``(int origin, payload)`` items,
+    sized once per payload layout (field types, string fields keyed by
+    length) where the layout fixes the size, else per item."""
+    sized: Dict[tuple, int] = {}
+    counts: Dict[int, int] = {}
+    for item in items:
+        layout = (tuple([len(f) if type(f) is str else type(f)
+                         for f in item[1]])
+                  if type(item[1]) is tuple else None)
+        size = sized.get(layout)
+        if size is None:
+            size = words_of(item)
+            if layout is not None and all(
+                    type(f) is int or f in _FIXED_SIZE_FIELDS
+                    for f in layout):
+                sized[layout] = size
+        counts[size] = counts.get(size, 0) + 1
+    return counts
+
+
+def _arrivals(feeds: List[Link]) -> List[int]:
+    """Sorted arrival-rate events of what the busy ``feeds`` deliver.
+
+    A departure in round r is forwarded from round r + 1 on: a busy
+    period ``[first, last]`` adds one item per round from round
+    ``first + 1`` (event ``2(first + 1) + 1``) until round ``last + 2``
+    (event ``2(last + 2)``).  ``event ^ 1`` negates an event.
     """
-    np = numpy_or_none()
-    n = net.n
-    nonroot = [v for v in range(n) if v != tree.root]
-    if not nonroot or count == 0:
-        return
-    nr = np.asarray(nonroot, dtype=np.int64)
-    par = np.asarray(tree.parent, dtype=np.int64)[nr]
-    links = 2 * nr.size
-    tail = np.empty(links, dtype=np.int64)
-    head = np.empty(links, dtype=np.int64)
-    tail[0::2] = nr
-    head[0::2] = par
-    tail[1::2] = par
-    head[1::2] = nr
-    rev = np.arange(links, dtype=np.int64)
-    rev[0::2] += 1
-    rev[1::2] -= 1
-    counts_v = np.asarray(item_counts, dtype=np.int64)
-    # Every origin pushes all of its items onto each of its tree links.
-    queue = counts_v[tail].copy()
-    rounds = 0
-    total = 0
-    while True:
-        active = queue > 0
-        moved = int(active.sum())
-        if not moved:
-            break
-        rounds += 1
-        total += moved
-        delivered = np.bincount(head[active], minlength=n)
-        queue += delivered[tail] - active[rev] - active
-    assert total == count * (n - 1), "broadcast schedule lost items"
-    violations = total if size > net.bandwidth_words else 0
-    net.ledger.charge_rounds(rounds, total, total * size, size, violations)
+    events: List[int] = []
+    for shift, periods, _ in feeds:
+        fed = [2 * (r + shift) + 3 for r in periods]
+        fed[1::2] = [e + 1 for e in fed[1::2]]
+        events += fed
+    return sorted(events)
+
+
+def _link(queued: int, feeds: List[Link], events=None) -> Link:
+    """Departures of a unit-rate FIFO link holding ``queued`` items in
+    round 1, fed by ``feeds`` (or by the arrival ``events``).  Between
+    rate changes the Lindley recursion is closed-form: a positive rate
+    keeps the link busy and grows its queue by ``rate - 1`` per round,
+    a zero rate drains it."""
+    if events is None:
+        if not feeds:
+            return (0, [1, queued], queued) if queued else None
+        if len(feeds) == 1 and not queued:  # each item leaves next round
+            shift, periods, items = feeds[0]
+            return shift + 1, periods, items
+        events = _arrivals(feeds)
+    periods: List[int] = []
+    t, rate, items = 1, 0, 0
+    for event in events + [1 << 64]:
+        time = event >> 1
+        if time > t:
+            busy = time - t if rate or queued > time - t else queued
+            queued += rate * (time - t) - busy
+            if busy:
+                items += busy
+                if periods and periods[-1] == t - 1:
+                    periods[-1] = t + busy - 1
+                else:
+                    periods += (t, t + busy - 1)
+            t = time
+        rate += 1 if event & 1 else -1
+    return (0, periods, items) if periods else None
+
+
+def _broadcast_schedule(tree, item_counts: Sequence[int]) -> Tuple[int, int]:
+    """Rounds and link crossings of the FIFO tree broadcast.
+
+    Link (v→u) serves v's own items from round 1 and each departure of
+    (w→v), w ≠ u, one round later.  No link feeds its own reverse, so
+    upward links resolve leaves first, downward links root first.  A
+    vertex's downward links share its merged arrivals less the reverse
+    link's, so a hub costs one merge per busy child, not deg².
+    """
+    children = tree.children
+    order = [tree.root]
+    for v in order:
+        order.extend(children[v])
+    up: List[Link] = [None] * len(order)  # up[v]: (v → parent)
+    down: List[Link] = [None] * len(order)  # down[v]: (parent → v)
+    for v in reversed(order[1:]):
+        up[v] = _link(item_counts[v], [up[c] for c in children[v] if up[c]])
+    for p in order:
+        feeds = [up[c] for c in children[p] if up[c]]
+        if down[p]:
+            feeds.append(down[p])
+        merged = idle = None
+        for c in children[p]:
+            own = up[c]
+            if not own:
+                if idle is None:
+                    idle = _link(item_counts[p], feeds)
+                down[c] = idle
+            elif len(feeds) <= 2:
+                down[c] = _link(item_counts[p],
+                                [f for f in feeds if f is not own])
+            else:
+                if merged is None:
+                    merged = _arrivals(feeds)
+                withheld = [e ^ 1 for e in _arrivals([own])]
+                down[c] = _link(item_counts[p], [],
+                                sorted(merged + withheld))
+    links = [link for link in up + down if link]
+    return (max((s + periods[-1] for s, periods, _ in links), default=0),
+            sum(link[2] for link in links))
 
 
 @_kernel_span("broadcast")
 def broadcast_messages_vector(net, tree, messages, name: str):
-    """Frontier-batched rounds of the pipelined broadcast (Lemma 2.4).
+    """The pipelined broadcast (Lemma 2.4), charged from its makespan.
 
-    The per-link FIFO discipline is inherently sequential per queue, so
-    this kernel vectorizes the *round*, not the queue: items travel as
-    dense integer ids with their word size computed once (the message
-    engine re-sizes the same payload on every link it crosses), rounds
-    charge the ledger in one call, and deliveries apply in the exact
-    receiver-major sender-ascending order the exchange engines
-    guarantee — which is what makes the queue states, and therefore the
-    ledgers, bit-identical.
-
-    Uniform-size batches (the Lemma 5.4 pair broadcast, the Lemma 5.8
-    segment summaries) skip the per-item queues entirely: the result is
-    schedule-independent (``sorted(all_messages)``) and the ledger
-    charge reduces to the queue-length dynamics, handled whole-array by
-    :func:`_uniform_broadcast_schedule`.  Mixed sizes — and strict-mode
-    overloads, which must abort mid-schedule with the exact first
-    offender — keep the per-item path.
+    Each item crosses each of the n − 1 tree links once, and a busy
+    link sends one item per round whatever its size, so the result and
+    every ledger total but the makespan are fixed by the batch alone.
+    (Strict batches with an oversized item take the message lane.)
     """
-    n = net.n
-    bandwidth = net.bandwidth_words
-    strict = net.strict
-
     with net.ledger.phase(name):
-        all_messages: List[Tuple[int, Tuple]] = []
-        sizes: List[int] = []
-        item_counts = [0] * n
-        for origin in sorted(messages):
-            for payload in messages[origin]:
-                item = (origin, payload)
-                all_messages.append(item)
-                sizes.append(words_of(item))
-                item_counts[origin] += 1
-        if sizes and min(sizes) == max(sizes) and not (
-                strict and sizes[0] > bandwidth):
-            _uniform_broadcast_schedule(net, tree, item_counts,
-                                        len(all_messages), sizes[0])
-            return sorted(all_messages)
-
-        tree_nbrs = [tree.tree_neighbors(v) for v in range(n)]
-        queues: Dict[Tuple[int, int], deque] = {}
-        for v in range(n):
-            for u in tree_nbrs[v]:
-                queues[(v, u)] = deque()
-        active: deque = deque()
-
-        def push(link: Tuple[int, int], item_id: int) -> None:
-            queue = queues[link]
-            if not queue:
-                active.append(link)
-            queue.append(item_id)
-
-        for item_id, (origin, _) in enumerate(all_messages):
-            for u in tree_nbrs[origin]:
-                push((origin, u), item_id)
-
-        while active:
-            total_words = 0
-            max_link = 0
-            violations = 0
-            first_overload = None
-            #: (receiver, sender, item) triples of this round, applied
-            #: after the synchronous cut in receiver-major order.
-            deliveries: List[Tuple[int, int, int]] = []
-            for _ in range(len(active)):
-                link = active.popleft()
-                queue = queues[link]
-                item_id = queue.popleft()
-                if queue:
-                    active.append(link)
-                deliveries.append((link[1], link[0], item_id))
-                size = sizes[item_id]
-                total_words += size
-                if size > max_link:
-                    max_link = size
-                if size > bandwidth:
-                    violations += 1
-            deliveries.sort()
-            net.ledger.charge_round(len(deliveries), total_words,
-                                    max_link, violations)
-            if strict and violations:
-                for v, sender, item_id in deliveries:
-                    if sizes[item_id] > bandwidth:
-                        first_overload = (sender, v, sizes[item_id])
-                        break
-                assert first_overload is not None
-                raise BandwidthExceededError(*first_overload, bandwidth)
-            for v, sender, item_id in deliveries:
-                for u in tree_nbrs[v]:
-                    if u != sender:
-                        push((v, u), item_id)
+        all_messages = [(origin, payload) for origin in sorted(messages)
+                        for payload in messages[origin]]
+        item_counts = [0] * net.n
+        for origin, _ in all_messages:
+            item_counts[origin] += 1
+        sizes = _broadcast_size_counts(all_messages)
+        rounds, crossings = _broadcast_schedule(tree, item_counts)
+        links = net.n - 1
+        assert crossings == len(all_messages) * links, \
+            "broadcast schedule lost items"
+        net.ledger.charge_rounds(
+            rounds, crossings,
+            links * sum(size * count for size, count in sizes.items()),
+            max(sizes, default=0),
+            links * sum(count for size, count in sizes.items()
+                        if size > net.bandwidth_words))
         return sorted(all_messages)
 
 

@@ -27,8 +27,11 @@ Layers of evidence:
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
+from typing import List
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.congest import (
     CongestNetwork,
@@ -42,10 +45,13 @@ from repro.congest import (
 from repro.congest import kernels
 from repro.congest.dispatch import dispatch as run_primitive
 from repro.congest.dispatch import registry as primitive_registry
+from repro.congest.kernels import numpy_or_none
 from repro.congest.metrics import RoundLedger
+from repro.congest.spanning_tree import SpanningTree
 from repro.core.hop_bfs import pruned_max_hop_bfs
 from repro.graphs import (
     expander_instance,
+    path_with_chords_instance,
     power_law_instance,
     random_instance,
 )
@@ -187,6 +193,193 @@ class TestBroadcastFuzz:
                 received = broadcast_messages(net, tree, messages)
                 out[fabric] = (received, ledger_snapshot(net.ledger))
             assert out["vector"] == out["fast"], trial
+
+
+class TestBroadcastDeepTreesAndHubs:
+    """Ledger parity where links carry several busy periods.
+
+    A deep path-like tree with items at several path vertices makes
+    the traffic of each direction interleave on the path links; a
+    power-law tree's hubs merge many busy child links.
+    """
+
+    @staticmethod
+    def _parity(instance, messages):
+        out = {}
+        for fabric in ("fast", "vector"):
+            counters_mod.registry.reset()
+            net = instance.build_network(fabric=fabric)
+            tree = build_spanning_tree(net)
+            received = broadcast_messages(net, tree, messages)
+            out[fabric] = (received, ledger_snapshot(net.ledger))
+        rows = _dispatch_row_set()
+        counters_mod.registry.reset()
+        assert ("broadcast", "vector", "") in rows
+        assert not any(k == "broadcast" and o == "fallback"
+                       for k, o, _ in rows)
+        assert out["vector"] == out["fast"]
+        return out["vector"][1]
+
+    def test_deep_path_tree(self):
+        instance = path_with_chords_instance(60, seed=4)
+        path = instance.path
+        origins = path[::7]
+        uniform = {v: [("pair", i, j, 3 * i + j) for j in range(4)]
+                   for i, v in enumerate(origins)}
+        ledger = self._parity(instance, uniform)
+        assert ledger[-1]["rounds"] > 60
+        # The knowledge broadcast's mix: 3-word anchors, 6-word links.
+        mixed = {v: [("anchor", v)] if i % 2 else
+                 [("link", v, path[0], i, 5 * i), ("anchor", v)]
+                 for i, v in enumerate(path[::5])}
+        self._parity(instance, mixed)
+
+    def test_power_law_hubs(self):
+        instance = power_law_instance(300, seed=2)
+        rng = random.Random(11)
+        origins = rng.sample(range(instance.n), 40)
+        uniform = {v: [("pair", v, j, j) for j in range(3)]
+                   for v in origins}
+        self._parity(instance, uniform)
+        mixed = {v: [("anchor", v)] * (1 + v % 3)
+                 + [("link", v, 1, 2, 3)] * (v % 2) for v in origins}
+        # Oversized items outside strict mode are charged as violations.
+        mixed[origins[0]].append(("blob", "x" * 80))
+        ledger = self._parity(instance, mixed)
+        assert ledger[-1]["violations"] == instance.n - 1
+
+
+def _uniform_broadcast_schedule(net, tree, item_counts: List[int],
+                                count: int, size: int) -> None:
+    """Charge the whole FIFO broadcast schedule without routing items.
+
+    When every item has the same word size, the ledger charge is fully
+    determined by the *queue-length* dynamics: each active directed
+    tree link pops exactly one item per round (``size`` words, its own
+    link), so a round charges ``(a, a·size, size, a·[size > B])`` for
+    ``a`` active links — no item identity needed.  The queue lengths
+    themselves evolve by local conservation (one pop per active link;
+    each delivery to ``v`` feeds every link out of ``v`` except the
+    reverse one), which this helper iterates as whole-array updates:
+    O(rounds) NumPy steps instead of O(items · links) Python steps.
+
+    Total crossings are conserved — every item crosses every undirected
+    tree link exactly once — which the final assertion double-checks
+    before the bulk charge.
+    """
+    np = numpy_or_none()
+    n = net.n
+    nonroot = [v for v in range(n) if v != tree.root]
+    if not nonroot or count == 0:
+        return
+    nr = np.asarray(nonroot, dtype=np.int64)
+    par = np.asarray(tree.parent, dtype=np.int64)[nr]
+    links = 2 * nr.size
+    tail = np.empty(links, dtype=np.int64)
+    head = np.empty(links, dtype=np.int64)
+    tail[0::2] = nr
+    head[0::2] = par
+    tail[1::2] = par
+    head[1::2] = nr
+    rev = np.arange(links, dtype=np.int64)
+    rev[0::2] += 1
+    rev[1::2] -= 1
+    counts_v = np.asarray(item_counts, dtype=np.int64)
+    # Every origin pushes all of its items onto each of its tree links.
+    queue = counts_v[tail].copy()
+    rounds = 0
+    total = 0
+    while True:
+        active = queue > 0
+        moved = int(active.sum())
+        if not moved:
+            break
+        rounds += 1
+        total += moved
+        delivered = np.bincount(head[active], minlength=n)
+        queue += delivered[tail] - active[rev] - active
+    assert total == count * (n - 1), "broadcast schedule lost items"
+    violations = total if size > net.bandwidth_words else 0
+    net.ledger.charge_rounds(rounds, total, total * size, size, violations)
+
+
+def _tree_from_edges(n, edges, root):
+    """The rooted tree (BFS order from ``root``) over ``edges``."""
+    adjacent = [[] for _ in range(n)]
+    for u, v in edges:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    parent, depth = [-1] * n, [0] * n
+    children = [[] for _ in range(n)]
+    parent[root] = root
+    order = [root]
+    for v in order:
+        for u in sorted(adjacent[v]):
+            if parent[u] < 0:
+                parent[u], depth[u] = v, depth[v] + 1
+                children[v].append(u)
+                order.append(u)
+    return SpanningTree(root, parent, children, depth)
+
+
+@st.composite
+def broadcast_trees(draw):
+    """A rooted tree and per-vertex item counts."""
+    n = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(("recursive", "path", "star", "broom")))
+    if shape == "recursive":
+        edges = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
+    elif shape == "path":
+        edges = [(v - 1, v) for v in range(1, n)]
+    elif shape == "star":
+        edges = [(0, v) for v in range(1, n)]
+    else:
+        handle = draw(st.integers(0, n - 1))
+        edges = [(v - 1, v) for v in range(1, handle + 1)]
+        edges += [(handle, v) for v in range(handle + 1, n)]
+    tree = _tree_from_edges(n, edges, draw(st.integers(0, n - 1)))
+    counts = draw(st.sampled_from(("zero", "single", "every")))
+    item_counts = [0] * n
+    if counts == "single":
+        item_counts[draw(st.integers(0, n - 1))] = draw(st.integers(1, 9))
+    elif counts == "every":
+        item_counts = draw(st.lists(st.integers(1, 4), min_size=n,
+                                    max_size=n))
+    return tree, item_counts
+
+
+class TestBroadcastSchedule:
+    """The busy-period makespan against the whole-array stepper."""
+
+    def test_layout_sizes_match_words_of(self):
+        from collections import Counter
+        from fractions import Fraction
+
+        from repro.congest.words import words_of
+
+        class Label(str):
+            pass
+
+        payloads = [
+            ("pair", 1, 2, 3), ("pair", 4, 5, 6), ("p" * 9, 1),
+            ("p" * 17, 1), ("", None, True, 2.5, Fraction(1, 3)),
+            (("nested", 1), 2), (("nested", 1, 2, 3), 2), ([1, 2],),
+            ([1, 2, 3],), (Label("x" * 20),), (Label("x"),), 7, "tag",
+        ]
+        items = [(v, p) for v in range(3) for p in payloads]
+        assert kernels._broadcast_size_counts(items) == Counter(
+            words_of(item) for item in items)
+
+    @given(broadcast_trees())
+    @settings(max_examples=150, deadline=None)
+    def test_makespan_and_crossings_match_the_stepper(self, drawn):
+        tree, item_counts = drawn
+        n = len(item_counts)
+        net = SimpleNamespace(n=n, bandwidth_words=1, ledger=RoundLedger())
+        _uniform_broadcast_schedule(net, tree, item_counts,
+                                    sum(item_counts), 1)
+        stepped = (net.ledger.rounds, net.ledger["total"].messages)
+        assert kernels._broadcast_schedule(tree, item_counts) == stepped
 
 
 class TestEndToEnd:
@@ -333,6 +526,25 @@ def _multisource_delay_overflow(inst, net):
     return multi_source_hop_bfs(net, [inst.s], 4, delay=lambda w: BIG)
 
 
+def _broadcast_negative_origin(inst, net):
+    # A negative origin would index from the end of the per-vertex
+    # counts; the message path owns the error behavior.
+    tree = build_spanning_tree(net)
+    return broadcast_messages(net, tree, {-1: [("m", 1)]})
+
+
+def _broadcast_strict_overload(inst, net):
+    # One oversized item queued behind small ones at several origins:
+    # the abort must name the first overloaded link.
+    net.strict = True
+    tree = build_spanning_tree(net)
+    wide = "x" * 8 * net.bandwidth_words
+    return broadcast_messages(net, tree, {
+        inst.s: [("m", 1), ("m", 2), (wide, 3)],
+        inst.t: [("m", 4)],
+    })
+
+
 def _chain_flood_big_prefix(inst, net):
     path, h = inst.path, len(inst.path) - 1
     prefix = [i * BIG for i in range(h + 1)]
@@ -401,6 +613,8 @@ FALLBACK_CASES = {
     ("multisource", "key-encoding-overflow"): _multisource_huge_hop_limit,
     ("multisource", "source-out-of-range"): _multisource_bad_source,
     ("multisource", "delay-overflow"): _multisource_delay_overflow,
+    ("broadcast", "source-out-of-range"): _broadcast_negative_origin,
+    ("broadcast", "strict-overload"): _broadcast_strict_overload,
     ("chain_flood", "value-out-of-int64"): _chain_flood_big_prefix,
     ("dp_sweep", "value-out-of-int64"): _dp_sweep_negative_zeta,
     ("path_sweeps", "non-declarative-task"): _sweeps_closure_task,

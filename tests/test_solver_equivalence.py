@@ -4,7 +4,7 @@ PR 3 proved the *primitive* kernels bit-identical; this suite pins the
 end-to-end contract: ``solve_rpaths(fabric="vector")`` — whose round
 loops now all run as array kernels (Lemma 2.5 chain flood, Prop 4.1
 Stage 3, Lemmas 5.7–5.9 sweeps and shift, spanning-tree flood,
-uniform-size broadcasts) — must produce bit-identical ``lengths``,
+broadcasts) — must produce bit-identical ``lengths``,
 ``extras["short"]/["long"]``, and **per-phase ledger accounting**
 against the message engines on every fuzzed instance, and every kernel
 must decline cleanly (NumPy absent, non-applicable task shapes, strict
@@ -24,6 +24,7 @@ from repro.congest import (
     build_spanning_tree,
 )
 from repro.congest import kernels
+from repro.congest.dispatch import REASON_STRICT_OVERLOAD
 from repro.congest.dispatch import check as dispatch_check
 from repro.congest.metrics import RoundLedger
 from repro.congest.pipeline import SweepTask, run_path_sweeps
@@ -353,22 +354,45 @@ class TestUniformBroadcastSchedule:
                 out[fabric] = (received, ledger_snapshot(net.ledger))
             assert out["vector"] == out["fast"], trial
 
-    def test_strict_oversized_uniform_falls_to_item_path(self):
-        # All items oversized and uniform: the schedule shortcut must
-        # step aside so the abort happens mid-schedule like the engine.
-        instance = random_instance(10, seed=1)
-        messages = {instance.s: [("x" * 40, 1, 2)]}
+    @staticmethod
+    def _strict_abort(instance, messages, bandwidth_words):
+        """Per fabric: the strict abort's link, width and ledger."""
         details = {}
         for fabric in FABRICS:
-            net = instance.build_network(bandwidth_words=2,
+            net = instance.build_network(bandwidth_words=bandwidth_words,
                                          fabric=fabric)
             net.strict = True
             tree = build_spanning_tree(net)
+            if fabric == "vector":
+                assert dispatch_check(
+                    "broadcast", net, tree=tree, messages=messages,
+                    name="broadcast") == REASON_STRICT_OVERLOAD
             with pytest.raises(BandwidthExceededError) as err:
                 broadcast_messages(net, tree, messages)
-            details[fabric] = (err.value.words,
+            details[fabric] = (err.value.sender, err.value.receiver,
+                               err.value.words,
                                ledger_snapshot(net.ledger))
+        return details
+
+    def test_strict_oversized_uniform_falls_to_item_path(self):
+        # All items oversized and uniform: the makespan charge must
+        # step aside so the abort happens mid-schedule like the engine.
+        instance = random_instance(10, seed=1)
+        details = self._strict_abort(
+            instance, {instance.s: [("x" * 40, 1, 2)]}, 2)
         assert details["vector"] == details["fast"]
+
+    def test_strict_oversized_mixed_batch_names_the_same_link(self):
+        # Several origins; one oversized item queued behind small ones,
+        # so the abort lands rounds into the schedule with other items
+        # in flight.
+        instance = random_instance(24, seed=3)
+        origins = sorted({instance.s, instance.t, 5, 11})
+        messages = {v: [("m", i) for i in range(3)] for v in origins}
+        messages[origins[1]].append(("x" * 24, 7))
+        details = self._strict_abort(instance, messages, 3)
+        assert details["vector"] == details["fast"]
+        assert details["fast"][3][-1]["rounds"] > 1
 
 
 class TestTwoSispTreeReuse:
