@@ -21,13 +21,14 @@ mechanisms that make that size workable:
   orders disagreed by more than the difference being measured, so
   ``fanout-kbfs-32768`` measures the fan-out instead.
 * ``fanout-kbfs-32768`` — the fan-out mechanism in isolation: eight
-  independent 32-source kBFS chunks, run serially and then width-4
-  over ``pool_map`` with workers attaching the shared-memory topology
-  zero-copy.  Tables and merged ledgers are asserted bit-equal; the
-  speedup gate is CPU-conditional (a 1-core host *cannot* win — the
-  measured ~0.5x there is pool overhead, which is why the knob
-  defaults off) — ≥ 2x with 4+ cores, ≥ 1.2x with 2-3, report-only
-  below that.
+  independent 32-source kBFS chunks, run serially and then over
+  ``pool_map`` with workers attaching the shared-memory topology
+  zero-copy.  The fan-out asks for width 4 and runs at most
+  ``max(2, cpus)`` wide; the row reports the width that ran.  Tables
+  and merged ledgers are asserted bit-equal; the speedup gate is
+  CPU-conditional (a 1-core host *cannot* win — the measured ~0.5x
+  there is pool overhead, which is why the knob defaults off) — ≥ 2x
+  with 4+ cores, ≥ 1.2x with 2-3, report-only below that.
 
 The run also exports its peak RSS (``resource.getrusage``) through
 :data:`repro.telemetry.schema.PEAK_RSS_BYTES`, so a traced run shows
@@ -129,6 +130,14 @@ def measure_solve(instance) -> dict:
     }
 
 
+def _fanout_widths() -> float:
+    """Sum of the ``serve-batch`` fan-out widths recorded so far."""
+    from repro.telemetry.counters import registry
+    summaries = registry.snapshot()["summaries"]
+    key = 'repro_parallel_fanout_width{site="serve-batch"}'
+    return summaries.get(key, {"sum": 0})["sum"]
+
+
 def measure_fanout(instance, chunks: int = 8, chunk_size: int = 32,
                    hop_limit: int = 48) -> dict:
     """The fan-out mechanism in isolation: independent kBFS chunks,
@@ -149,6 +158,7 @@ def measure_fanout(instance, chunks: int = 8, chunk_size: int = 32,
         serial_s = time.perf_counter() - start
 
     fanned_net = instance.build_network(fabric="vector")
+    widths_before = _fanout_widths()
     with sharedmem.publish_topology(topo) as pub:
         with quiet_gc():
             start = time.perf_counter()
@@ -167,7 +177,7 @@ def measure_fanout(instance, chunks: int = 8, chunk_size: int = 32,
         "chunks": chunks,
         "chunk_size": chunk_size,
         "hop_limit": hop_limit,
-        "width": FANOUT_WIDTH,
+        "width": int(_fanout_widths() - widths_before),
         "cpus": os.cpu_count() or 1,
         "serial_seconds": round(serial_s, 3),
         "fanout_seconds": round(fanout_s, 3),

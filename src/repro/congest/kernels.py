@@ -358,7 +358,6 @@ def multi_source_hop_bfs_vector(
     avoid_edges: EdgeSet,
     delay: Optional[Callable[[int], int]],
     name: str,
-    max_rounds: Optional[int],
     plan=None,
 ) -> List[List[int]]:
     """Whole-frontier rounds of the k-source hop BFS (Lemma 5.5).
@@ -367,10 +366,13 @@ def multi_source_hop_bfs_vector(
     "announce the lexicographically smallest (distance, rank) pair not
     yet announced": stale heap entries can never become valid again,
     so the queue's valid entries are exactly the un-announced current
-    distances.  The kernel tracks that as a (k, n) un-announced mask
-    plus an incrementally-maintained per-vertex minimal key
-    ``d·k + rank`` — arrivals lower it via ``np.minimum.at``, and only
-    the columns that just announced recompute their minimum.
+    distances.  The kernel keeps vertex-major ``(n, k)`` matrices: the
+    distances, and a key matrix holding ``d·k + rank`` while the pair
+    is un-announced and the cap ``(hop_limit + 1)·k`` once it is, so a
+    vertex's next announcement is the minimum of one contiguous row.
+    After each round only the rows it touched (senders and improved
+    targets) recompute that minimum — or the whole matrix does, when
+    the round touched more than half the rows.
     """
     np = numpy_or_none()
     n = net.n
@@ -383,26 +385,21 @@ def multi_source_hop_bfs_vector(
     indptr, indices, steps = plan
     size = HOP_MESSAGE_WORDS
     overload = net.strict and size > net.bandwidth_words
+    unit_steps = delay is None or bool((steps == 1).all())
     # Valid queue entries all have distance <= hop_limit, so
-    # hop_limit + 1 is a safe (non-overflowing) key sentinel.
+    # (hop_limit + 1)·k is a safe (non-overflowing) key cap.
     key_cap = (hop_limit + 1) * k
 
     with net.ledger.phase(name):
-        dist = np.full((k, n), INF, dtype=np.int64)
-        unannounced = np.zeros((k, n), dtype=bool)
-        best_key = np.full(n, key_cap, dtype=np.int64)
-        for rank, s in enumerate(sources):
-            if dist[rank, s] > 0:
-                dist[rank, s] = 0
-                unannounced[rank, s] = True
-                if rank < best_key[s]:  # d == 0: key is the rank
-                    best_key[s] = rank
-        rank_col = np.arange(k, dtype=np.int64)[:, None]
+        dist = np.full((n, k), INF, dtype=np.int64)
+        key = np.full((n, k), key_cap, dtype=np.int64)
+        ranks = np.arange(k, dtype=np.int64)
+        src = np.asarray(sources, dtype=np.int64)
+        dist[src, ranks] = 0
+        key[src, ranks] = ranks  # d == 0: the key is the rank
         dist_flat = dist.reshape(-1)
-        unannounced_flat = unannounced.reshape(-1)
-        rounds_used = 0
-
-        unit_steps = delay is None or bool((steps == 1).all())
+        key_flat = key.reshape(-1)
+        best_key = key.min(axis=1)
 
         while True:
             senders = np.nonzero(best_key < key_cap)[0]
@@ -411,12 +408,7 @@ def multi_source_hop_bfs_vector(
             best = best_key[senders]
             d_s = best // k
             rank_s = best % k
-            unannounced[rank_s, senders] = False
-            # The announced pair left each sender's queue: recompute
-            # those columns' minima (everyone else is unchanged).
-            best_key[senders] = (
-                np.where(unannounced[:, senders], dist[:, senders],
-                         hop_limit + 1) * k + rank_col).min(axis=0)
+            key_flat[senders * k + rank_s] = key_cap  # announced
 
             if unit_steps:
                 # The hop-budget prune is per sender, not per edge:
@@ -453,26 +445,27 @@ def multi_source_hop_bfs_vector(
                     net,
                     np.repeat(send_v, counts) if unit_steps else send_v,
                     target_e, size)
-            rounds_used += 1
-            if max_rounds is not None and rounds_used > max_rounds:
-                break
+            touched = senders
             if sent:
-                flat = rank_e * n + target_e
+                flat = target_e * k + rank_e
                 before = dist_flat[flat]
                 np.minimum.at(dist_flat, flat, cand)
                 # A candidate below the pre-round distance re-enters
-                # its vertex's queue.  Duplicate (rank, vertex) hits in
+                # its vertex's queue.  Duplicate (vertex, rank) hits in
                 # one round all pass this test when any does, exactly
                 # like the sequential heap pushes — the stale larger
-                # pushes are unobservable there, and the min-reductions
-                # make them unobservable here.
+                # pushes are unobservable there, and keying the pair
+                # by its reduced distance makes them unobservable here.
                 imp = cand < before
-                if imp.any():
-                    fi = flat[imp]
-                    unannounced_flat[fi] = True
-                    np.minimum.at(best_key, target_e[imp],
-                                  cand[imp] * k + rank_e[imp])
-        return dist.tolist()
+                fi = flat[imp]
+                if fi.size:
+                    key_flat[fi] = dist_flat[fi] * k + rank_e[imp]
+                    touched = np.concatenate((senders, target_e[imp]))
+            if 2 * touched.size > n:
+                best_key = key.min(axis=1)
+            else:
+                best_key[touched] = key[touched].min(axis=1)
+        return dist.T.tolist()
 
 
 # -- pipelined tree broadcast (Lemma 2.4) -----------------------------------

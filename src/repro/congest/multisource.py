@@ -38,7 +38,6 @@ def multi_source_hop_bfs(
     avoid_edges: EdgeSet = _EMPTY,
     delay: Optional[Callable[[int], int]] = None,
     phase: Optional[str] = None,
-    max_rounds: Optional[int] = None,
 ) -> List[List[int]]:
     """Hop-bounded BFS from ``k`` sources under the CONGEST bandwidth.
 
@@ -55,8 +54,9 @@ def multi_source_hop_bfs(
         Optional ``delay(weight) -> hops`` function; when given, crossing
         an edge advances that many hops (BFS on the subdivided graph G_d).
         ``None`` means unit hops regardless of weights.
-    max_rounds:
-        Safety valve; the schedule is run to quiescence otherwise.
+    phase:
+        Ledger phase name (default ``"k-source-bfs"``).  The schedule
+        always runs to quiescence.
 
     Returns
     -------
@@ -68,7 +68,7 @@ def multi_source_hop_bfs(
     return dispatch(
         "multisource", net, sources=sources, hop_limit=hop_limit,
         direction=direction, avoid_edges=avoid_edges, delay=delay,
-        name=name, max_rounds=max_rounds)
+        name=name)
 
 
 def _multisource_message(
@@ -79,7 +79,6 @@ def _multisource_message(
     avoid_edges: EdgeSet,
     delay: Optional[Callable[[int], int]],
     name: str,
-    max_rounds: Optional[int],
 ) -> List[List[int]]:
     """The priority-schedule round loop (the registry's fallback lane)."""
     k = len(sources)
@@ -98,7 +97,6 @@ def _multisource_message(
                 dist[rank][s] = 0
                 heappush(pending[s], (0, rank))
 
-        rounds_used = 0
         while True:
             outbox: Dict[int, List[Tuple[int, object]]] = {}
             senders: List[Tuple[int, int, int]] = []
@@ -125,9 +123,6 @@ def _multisource_message(
             else:
                 net.idle_round()
                 inbox = {}
-            rounds_used += 1
-            if max_rounds is not None and rounds_used > max_rounds:
-                break
             for v, arrivals in inbox.items():
                 steps = step_in[v]
                 row_pending = pending[v]

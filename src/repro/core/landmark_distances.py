@@ -15,14 +15,15 @@ Both lemmas are powered by two hop-bounded k-source BFS runs in G \\ P
   hop-bounded distance v → l_j, which combined with the closure yields
   the exact dist_{G\\P}(v, l_j) w.h.p. (Lemma 5.6).
 
-The delay hook threads through to
-:func:`~repro.congest.multisource.multi_source_hop_bfs` so the weighted
-(1+ε) variant (Proposition 7.11) reuses this module with scaled hops.
+The weighted (1+ε) variant (Proposition 7.11) runs its own pipeline,
+:func:`~repro.approx.long_detour_approx.compute_landmark_distances_weighted`,
+which reuses only :func:`landmark_closure` and
+:class:`LandmarkDistances` from this module.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
 
 from ..congest.broadcast import broadcast_messages
 from ..congest.dispatch import dispatch
@@ -106,8 +107,6 @@ def compute_landmark_distances(
     landmarks: Sequence[int],
     hop_limit: int,
     avoid_edges: EdgeSet,
-    delay: Optional[Callable[[int], int]] = None,
-    hops_to_length: HopsToLength = _identity,
     phase: str = "landmark-distances(L5.4/5.6)",
     parallel: int = 1,
     shared=None,
@@ -133,8 +132,7 @@ def compute_landmark_distances(
             # Lazy import: the serial path must not drag the runtime
             # package in (and core <-> runtime would cycle at import).
             from ..runtime import sharedmem
-            fanout = sharedmem.fanout_ready(net, parallel, shared,
-                                            delay)
+            fanout = sharedmem.fanout_ready(net, parallel, shared)
         if fanout:
             base = dict(sources=landmarks, hop_limit=hop_limit,
                         avoid_edges=avoid_edges)
@@ -148,12 +146,10 @@ def compute_landmark_distances(
         else:
             forward_hops = multi_source_hop_bfs(
                 net, landmarks, hop_limit, direction="out",
-                avoid_edges=avoid_edges, delay=delay,
-                phase="kBFS-forward(L5.5)")
+                avoid_edges=avoid_edges, phase="kBFS-forward(L5.5)")
             backward_hops = multi_source_hop_bfs(
                 net, landmarks, hop_limit, direction="in",
-                avoid_edges=avoid_edges, delay=delay,
-                phase="kBFS-backward(L5.5)")
+                avoid_edges=avoid_edges, phase="kBFS-backward(L5.5)")
 
         # Each landmark l_b broadcasts its hop distance *from* every l_a
         # (which it learned as a vertex in the forward BFS).
@@ -168,24 +164,18 @@ def compute_landmark_distances(
             _, a, b, hops = payload
             pair_hops[a][b] = hops
 
-        closure = landmark_closure(pair_hops, hops_to_length)
+        closure = landmark_closure(pair_hops)
 
         # Local completion (Lemma 5.6 and its forward mirror): every
         # vertex stitches its hop-bounded distances with the closure.
-        # Hop->length conversions are hoisted into per-landmark length
-        # rows once; sums against an INF operand can never undercut a
-        # finite candidate, so the guarded inner branches collapse to
-        # plain min-scans over precomputed rows.
-        from_len = [[hops_to_length(h) if h < INF else INF
-                     for h in forward_hops[a]] for a in range(k)]
-        to_len = [[hops_to_length(h) if h < INF else INF
-                   for h in backward_hops[a]] for a in range(k)]
-        # On the vector fabric the min-plus completion runs as int64
-        # matrix sweeps (identical values; this is ledger-free local
-        # computation, so only value equality is at stake).
+        # Unweighted hops are lengths, and each is <= hop_limit or INF,
+        # so the hop tables are the completion's length rows as they
+        # are.  On the vector fabric the min-plus completion runs as
+        # int64 matrix sweeps (identical values; this is ledger-free
+        # local computation, so only value equality is at stake).
         from_landmark, to_landmark = dispatch(
             "landmark_completion", net, closure=closure,
-            from_len=from_len, to_len=to_len)
+            from_len=forward_hops, to_len=backward_hops)
         return LandmarkDistances(
             landmarks, closure, from_landmark, to_landmark)
 

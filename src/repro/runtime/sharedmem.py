@@ -253,20 +253,18 @@ def detach_topology(topo: CSRTopology) -> None:
 
 
 def fanout_ready(net: CongestNetwork, parallel: Optional[int],
-                 shared: Optional[PublishedTopology],
-                 delay=None) -> bool:
+                 shared: Optional[PublishedTopology]) -> bool:
     """Whether a ``parallel=`` fan-out may replace the serial calls.
 
     Gates, each preserving the bit-identity/fidelity contract:
     ``parallel >= 2`` workers requested; a published topology to
-    attach to; no ``delay`` callable (no stable pickled identity); no
-    ``strict`` bandwidth mode and no link-total recording (both keep
-    per-exchange state on the parent network that a worker snapshot
-    cannot replicate).
+    attach to; no ``strict`` bandwidth mode and no link-total
+    recording (both keep per-exchange state on the parent network
+    that a worker snapshot cannot replicate).  The fanned calls carry
+    no ``delay`` callable (it has no stable pickled identity).
     """
     return (parallel is not None and parallel >= 2
             and shared is not None
-            and delay is None
             and not net.strict
             and not net.record_link_totals)
 
@@ -278,7 +276,7 @@ def _kbfs_worker(payload: tuple):
     ledger phase snapshot)``; the parent merges the snapshot.
     """
     (handle, sources, hop_limit, direction, avoid_edges,
-     bandwidth_words, fabric, phase_stack, phase, max_rounds) = payload
+     bandwidth_words, fabric, phase_stack, phase) = payload
     from ..congest.multisource import multi_source_hop_bfs
 
     telemetry.maybe_enable_from_env()
@@ -294,8 +292,7 @@ def _kbfs_worker(payload: tuple):
                 stack.enter_context(net.ledger.phase(name))
             dist = multi_source_hop_bfs(
                 net, list(sources), hop_limit, direction=direction,
-                avoid_edges=avoid_edges, phase=phase,
-                max_rounds=max_rounds)
+                avoid_edges=avoid_edges, phase=phase)
         return dist, net.ledger.phase_snapshot()
     finally:
         detach_topology(topo)
@@ -312,22 +309,27 @@ def fanout_kbfs(
     """Fan independent ``multi_source_hop_bfs`` calls over the pool.
 
     ``calls`` entries carry the call kwargs (``sources``,
-    ``hop_limit``, ``direction``, ``avoid_edges``, ``phase``, optional
-    ``max_rounds``).  Distance tables come back in call order;
-    every worker ledger is merged into ``net.ledger`` in call order,
-    reproducing the serial ledger exactly (see the module docstring).
+    ``hop_limit``, ``direction``, ``avoid_edges``, ``phase``).
+    Distance tables come back in call order; every worker ledger is
+    merged into ``net.ledger`` in call order, reproducing the serial
+    ledger exactly (see the module docstring).
+
+    The pool is at most ``max(2, default_jobs())`` wide, whatever
+    ``parallel`` asks for: more workers than CPUs only contend.  It
+    never drops below 2 on that account, since a width of 1 would run
+    the calls inline in this process.
     """
-    from .executor import pool_map
+    from .executor import default_jobs, pool_map
 
     phase_stack = tuple(net.ledger.current_phases[1:])
     payloads = [
         (shared.handle, tuple(c["sources"]), c["hop_limit"],
          c.get("direction", "out"), c.get("avoid_edges"),
          net.bandwidth_words, net.fabric, phase_stack,
-         c.get("phase"), c.get("max_rounds"))
+         c.get("phase"))
         for c in calls
     ]
-    width = min(max(1, parallel), len(payloads))
+    width = min(max(1, parallel), max(2, default_jobs()), len(payloads))
     PARALLEL_FANOUT.inc(site=site)
     PARALLEL_FANOUT_WIDTH.observe(width, site=site)
     outcomes = pool_map(_kbfs_worker, payloads, jobs=width)

@@ -156,14 +156,12 @@ class TestMultisourceFuzz:
             k = rng.randint(1, min(6, instance.n))
             sources = rng.sample(range(instance.n), k)
             direction = rng.choice(("out", "in"))
-            max_rounds = rng.choice((None, None, 3, 10))
             out = {}
             for fabric in ("fast", "vector"):
                 net = instance.build_network(fabric=fabric)
                 dist = multi_source_hop_bfs(
                     net, sources, hop, direction=direction,
-                    avoid_edges=avoid, delay=delay,
-                    max_rounds=max_rounds)
+                    avoid_edges=avoid, delay=delay)
                 out[fabric] = (dist, ledger_snapshot(net.ledger))
             assert out["vector"] == out["fast"], trial
 
@@ -173,6 +171,85 @@ class TestMultisourceFuzz:
             net = instance.build_network(fabric=fabric)
             assert multi_source_hop_bfs(net, [], 4) == []
             assert net.ledger.rounds == 0
+
+    @staticmethod
+    def _parity(instance, sources, hop, direction="out", delay=None,
+                avoid=frozenset(), bandwidth=None):
+        """Tables (or the raised overload) and ledgers on both fabrics;
+        the vector call must have taken the kernel."""
+        out = {}
+        for fabric in ("fast", "vector"):
+            counters_mod.registry.reset()
+            if bandwidth is None:
+                net = instance.build_network(fabric=fabric)
+            else:
+                net = instance.build_network(bandwidth_words=bandwidth,
+                                             fabric=fabric)
+                net.strict = True
+            out[fabric] = (_outcome(
+                lambda inst, net: multi_source_hop_bfs(
+                    net, sources, hop, direction=direction,
+                    avoid_edges=avoid, delay=delay),
+                instance, net), ledger_snapshot(net.ledger))
+        rows = _dispatch_row_set()
+        counters_mod.registry.reset()
+        assert ("multisource", "vector", "") in rows
+        assert not any(k == "multisource" and o == "fallback"
+                       for k, o, _ in rows)
+        assert out["vector"] == out["fast"]
+        return out["vector"]
+
+    def test_many_repeated_sources(self):
+        # k up to 3n: every vertex holds several ranks at once.
+        rng = random.Random(20261017)
+        for trial in range(6):
+            instance = fuzz_instance(rng, trial)
+            n = instance.n
+            sources = [rng.randrange(n)
+                       for _ in range(rng.randint(n, 3 * n))]
+            delay = rng.choice(DELAYS) if instance.weighted else None
+            self._parity(instance, sources, rng.randint(1, 10),
+                         rng.choice(("out", "in")), delay)
+
+    def test_zero_hop_limit(self):
+        instance = random_instance(20, seed=3, weighted=True,
+                                   max_weight=5)
+        for direction in ("out", "in"):
+            for delay in (None, DELAYS[1]):
+                (status, dist), ledger = self._parity(
+                    instance, [0, 5, 5, 9], 0, direction, delay)
+                # Vertex 5 announces its two ranks in two rounds.
+                assert status == "ok" and ledger[-1]["rounds"] == 2
+                assert all(row.count(0) == 1 for row in dist)
+
+    def test_dense_rounds(self):
+        # Most rows change every round: the whole-matrix minimum.
+        instance = expander_instance(256, degree=4, seed=9)
+        sources = random.Random(4).sample(range(instance.n), 40)
+        for direction in ("out", "in"):
+            (status, _), ledger = self._parity(
+                instance, sources, 12, direction,
+                avoid=instance.path_edge_set())
+            assert status == "ok" and ledger[-1]["rounds"] > 40
+
+    def test_sparse_many_rounds(self):
+        # A few rows change per round over ~n rounds: touched rows only.
+        instance = path_with_chords_instance(60, seed=4)
+        sources = [instance.s, instance.path[30], instance.t]
+        for direction in ("out", "in"):
+            (status, _), ledger = self._parity(instance, sources,
+                                               instance.n, direction)
+            assert status == "ok" and ledger[-1]["rounds"] > 60
+
+    def test_strict_overload_in_dense_round(self):
+        # Every vertex is a source: the first round, where the 3-word
+        # announcements overload a 2-word link, has n senders.
+        instance = expander_instance(64, degree=4, seed=2)
+        sources = list(range(instance.n)) * 2
+        (status, error, _), ledger = self._parity(
+            instance, sources, 6, bandwidth=2)
+        assert (status, error) == ("raise", "BandwidthExceededError")
+        assert ledger[-1]["rounds"] == 1
 
 
 class TestBroadcastFuzz:

@@ -222,6 +222,33 @@ class TestParallelBitIdentity:
 
         assert run(1) == run(3)
 
+    def test_fanout_width_capped_at_cpu_count(self, monkeypatch):
+        from repro.runtime import executor
+        from repro.telemetry.counters import registry
+
+        # One CPU: four requested workers run two wide, never one.
+        monkeypatch.setattr(executor, "default_jobs", lambda: 1)
+        inst = random_instance(60, avg_degree=5.0, seed=19)
+        chunks = [[0, 1, 2], [3, 4], [5, 6, 7, 8]]
+        serial_net = inst.build_network(fabric="vector")
+        serial = [multi_source_hop_bfs(serial_net, chunk, hop_limit=8,
+                                       phase="chunk")
+                  for chunk in chunks]
+        fanned_net = inst.build_network(fabric="vector")
+        registry.reset()
+        with sharedmem.publish_topology(fanned_net.topology) as pub:
+            fanned = sharedmem.fanout_kbfs(
+                fanned_net, pub, 4,
+                [dict(sources=chunk, hop_limit=8, phase="chunk")
+                 for chunk in chunks],
+                site="serve-batch")
+        widths = registry.snapshot()["summaries"][
+            'repro_parallel_fanout_width{site="serve-batch"}']
+        registry.reset()
+        assert (widths["count"], widths["max"]) == (1, 2)
+        assert fanned == serial
+        assert _phases(fanned_net.ledger) == _phases(serial_net.ledger)
+
     def test_ledger_merge_reproduces_serial_aggregates(self):
         serial = RoundLedger()
         with serial.phase("outer"):
