@@ -71,8 +71,11 @@ def measure_incremental(quick: bool) -> Dict[str, object]:
     ]
     # Capacity holds the whole catalog: LRU eviction churn would
     # charge re-builds to both sides and blur the invalidation scope.
+    # Both sides build on the message lanes (fabric="fast"), as when
+    # the committed baseline ratio was measured.
     service = ShardedQueryService(instances, shards=2, capacity=count,
-                                  solver="theorem1", build_seed=0)
+                                  solver="theorem1", fabric="fast",
+                                  build_seed=0)
     service.serve([_probe(inst) for inst in instances])  # warm all K
 
     stream = MutationStream(seed=5)
@@ -101,7 +104,7 @@ def measure_incremental(quick: bool) -> Dict[str, object]:
         start = time.perf_counter()
         cold = ShardedQueryService(list(current.values()), shards=2,
                                    capacity=count, solver="theorem1",
-                                   build_seed=0)
+                                   fabric="fast", build_seed=0)
         cold_answers = cold.serve(probes).answers
         full_time = time.perf_counter() - start
     if not verify_against_centralized(list(current.values()),

@@ -205,7 +205,11 @@ def measure_families(repeats: int) -> Dict[str, dict]:
     """Record + replay every family; returns the per-family report."""
     report: Dict[str, dict] = {}
     for name, instance in _families():
-        recorder = _RecordingNetwork(instance.n, instance.edges)
+        # Record on the message lanes (fabric="fast"), as the
+        # committed baseline did: on the default vector fabric the
+        # kernels bypass exchange() and the schedule loses their rounds.
+        recorder = _RecordingNetwork(instance.n, instance.edges,
+                                     fabric="fast")
         _workload(recorder, instance)
         schedule = recorder.schedule
 

@@ -150,7 +150,7 @@ def measure_oracle_build(quick: bool) -> dict:
     for fabric in ("vector", "fast"):
         service = ShardedQueryService(catalog, shards=1,
                                       capacity=len(catalog),
-                                      build_fabric=fabric)
+                                      fabric=fabric)
         with quiet_gc():
             start = time.perf_counter()
             service.warm()

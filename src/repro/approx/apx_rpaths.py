@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .. import telemetry
 from ..congest.metrics import RoundLedger
-from ..congest.network import resolve_fabric
+from ..congest.network import DEFAULT_FABRIC, resolve_fabric
 from ..congest.spanning_tree import build_spanning_tree
 from ..congest.words import INF
 from ..graphs.instance import RPathsInstance
@@ -61,7 +61,7 @@ def solve_apx_rpaths(
     landmark_c: float = 2.0,
     use_oracle_knowledge: bool = False,
     bandwidth_words: Optional[int] = None,
-    fabric: str = "fast",
+    fabric: str = DEFAULT_FABRIC,
 ) -> ApxRPathsReport:
     """Theorem 3: solve (1+ε)-Apx-RPaths on a weighted directed instance.
 

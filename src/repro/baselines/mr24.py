@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..congest.broadcast import broadcast_messages
 from ..congest.metrics import RoundLedger
-from ..congest.network import resolve_fabric
+from ..congest.network import DEFAULT_FABRIC, resolve_fabric
 from ..congest.multisource import multi_source_hop_bfs
 from ..congest.spanning_tree import build_spanning_tree
 from ..congest.words import INF, clamp_inf
@@ -56,7 +56,7 @@ def solve_rpaths_mr24(
     seed: int = 0,
     landmarks: Optional[Sequence[int]] = None,
     landmark_c: float = 2.0,
-    fabric: str = "fast",
+    fabric: str = DEFAULT_FABRIC,
 ) -> MR24Report:
     """Run the MR24b-style algorithm (exact answers, h_st-heavy rounds)."""
     fabric = resolve_fabric(fabric)

@@ -18,7 +18,7 @@ from typing import List
 from ..congest.bfs import bfs_distances
 from ..congest.broadcast import broadcast_messages
 from ..congest.metrics import RoundLedger
-from ..congest.network import resolve_fabric
+from ..congest.network import DEFAULT_FABRIC, resolve_fabric
 from ..congest.spanning_tree import build_spanning_tree
 from ..congest.words import clamp_inf
 from ..graphs.instance import RPathsInstance
@@ -38,7 +38,7 @@ class NaiveReport:
 
 
 def solve_rpaths_naive(instance: RPathsInstance,
-                       fabric: str = "fast") -> NaiveReport:
+                       fabric: str = DEFAULT_FABRIC) -> NaiveReport:
     """Run the trivial algorithm; exact output, h_st-proportional rounds."""
     fabric = resolve_fabric(fabric)
     if instance.weighted:

@@ -932,12 +932,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: one per CPU)")
     p_run.add_argument("--smoke", action="store_true",
                        help="tiny parameter points only (CI-sized)")
-    from .congest.network import FABRICS
+    from .congest.network import DEFAULT_FABRIC, FABRICS
     p_run.add_argument("--fabric", default=None,
                        choices=list(FABRICS),
                        help="force every cell onto one exchange engine "
                             "(cached separately per fabric; default: "
-                            "each scenario's own choice)")
+                            f"{DEFAULT_FABRIC})")
     p_run.add_argument("--no-cache", action="store_true",
                        help="ignore and do not update the "
                             "content-addressed result cache "

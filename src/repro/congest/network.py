@@ -29,15 +29,15 @@ Since PR 2 the network is a thin facade over the swappable fabric:
 * :mod:`~repro.congest.fastpath` — batched delivery through flat
   per-link buffers, validated by the link-index probe.
 
-``fabric`` selects the engine: ``"fast"`` (default; batched, every
-model violation raises the proper error), ``"reference"`` (the
-pre-fabric per-message loop, kept as the equivalence oracle and
-benchmark baseline), or ``"vector"`` (the batched engine for explicit
-exchanges, plus whole-frontier NumPy kernels —
-:mod:`~repro.congest.kernels` — for the round loops of the pruned
-hop-BFS, the k-source BFS, and the pipelined broadcast).  All three
-are byte-identical in delivered inboxes, algorithm outputs, and ledger
-contents.
+``fabric`` selects the engine: ``"vector"`` (:data:`DEFAULT_FABRIC`;
+batched exchanges plus the NumPy kernels of
+:mod:`~repro.congest.kernels` for every registered primitive, each
+call falling back to its message lane when the dispatch registry
+declines it), ``"fast"`` (the same batched exchanges, message lanes
+only; the kernels' comparison target), or ``"reference"`` (the
+pre-fabric per-message loop, the semantic oracle and benchmark
+baseline).  All three are byte-identical in delivered inboxes,
+algorithm outputs, and ledger contents.
 """
 
 from __future__ import annotations
@@ -59,8 +59,9 @@ Inbox = Dict[int, List[Tuple[int, object]]]
 #: congested schedules.
 DEFAULT_BANDWIDTH_WORDS = 8
 
-#: Recognized fabric engines.
+#: Recognized fabric engines, and the one every entry point defaults to.
 FABRICS = ("fast", "reference", "vector")
+DEFAULT_FABRIC = "vector"
 
 
 def resolve_fabric(fabric: str) -> str:
@@ -97,11 +98,11 @@ class CongestNetwork:
         Optional shared :class:`RoundLedger`; a fresh one is created
         otherwise.
     fabric:
-        Exchange engine: ``"fast"`` (batched), ``"reference"``
-        (pre-fabric loop; equivalence baseline), or ``"vector"``
-        (batched exchanges + whole-frontier array kernels for the
-        kernel-covered primitives; needs NumPy, degrades to the
-        batched path per primitive when a kernel declines a call).
+        Exchange engine: ``"vector"`` (default; batched exchanges +
+        array kernels, each primitive degrading to its message lane
+        when NumPy is missing or a kernel declines the call),
+        ``"fast"`` (batched exchanges, message lanes only), or
+        ``"reference"`` (pre-fabric loop; equivalence baseline).
     topology:
         Optional prebuilt :class:`CSRTopology` to share across networks
         of the same graph (skips re-parsing ``edges``).
@@ -114,7 +115,7 @@ class CongestNetwork:
         bandwidth_words: int = DEFAULT_BANDWIDTH_WORDS,
         strict: bool = False,
         ledger: Optional[RoundLedger] = None,
-        fabric: str = "fast",
+        fabric: str = DEFAULT_FABRIC,
         topology: Optional[CSRTopology] = None,
     ) -> None:
         fabric = resolve_fabric(fabric)

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .. import telemetry
 from ..congest.metrics import RoundLedger
-from ..congest.network import resolve_fabric
+from ..congest.network import DEFAULT_FABRIC, resolve_fabric
 from ..congest.spanning_tree import build_spanning_tree
 from ..congest.words import INF
 from ..graphs.instance import RPathsInstance
@@ -76,7 +76,7 @@ def solve_rpaths(
     use_oracle_knowledge: bool = False,
     bandwidth_words: Optional[int] = None,
     compute_diameter: bool = False,
-    fabric: str = "fast",
+    fabric: str = DEFAULT_FABRIC,
     parallel: int = 1,
 ) -> RPathsReport:
     """Theorem 1: solve unweighted directed RPaths on the instance.
@@ -93,7 +93,7 @@ def solve_rpaths(
         unit tests to isolate later stages; end-to-end runs leave this
         False.
     fabric:
-        Exchange engine (``"fast"``/``"reference"``/``"vector"``); the
+        Exchange engine (default ``"vector"``; see ``FABRICS``); the
         fabric equivalence tests run the full solver on each.
     parallel:
         With ``parallel >= 2``, the topology's frozen array export is

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .. import telemetry
 from ..congest.broadcast import global_min
-from ..congest.network import resolve_fabric
+from ..congest.network import DEFAULT_FABRIC, resolve_fabric
 from ..congest.spanning_tree import (
     SpanningTree,
     build_spanning_tree,
@@ -48,7 +48,7 @@ def solve_two_sisp(
     landmarks: Optional[Sequence[int]] = None,
     landmark_c: float = 2.0,
     use_oracle_knowledge: bool = False,
-    fabric: str = "fast",
+    fabric: str = DEFAULT_FABRIC,
 ) -> TwoSispReport:
     """Solve 2-SiSP: RPaths (Theorem 1) + an O(D) aggregation.
 

@@ -42,7 +42,7 @@ from ..congest.broadcast import (
 )
 from ..congest.errors import InvalidInstanceError
 from ..congest.metrics import RoundLedger
-from ..congest.network import resolve_fabric
+from ..congest.network import DEFAULT_FABRIC, resolve_fabric
 from ..congest.spanning_tree import build_spanning_tree
 from ..congest.words import INF, clamp_inf
 from ..graphs.instance import RPathsInstance
@@ -190,7 +190,7 @@ class UndirectedReport:
 
 def solve_rpaths_undirected(
     instance: RPathsInstance,
-    fabric: str = "fast",
+    fabric: str = DEFAULT_FABRIC,
 ) -> UndirectedReport:
     """Distributed undirected RPaths in O(T_SSSP + h_st + D) rounds.
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..congest.errors import InvalidInstanceError
-from ..congest.network import CongestNetwork
+from ..congest.network import DEFAULT_FABRIC, CongestNetwork
 from ..congest.words import INF
 
 Edge = Tuple[int, int]
@@ -273,7 +273,7 @@ class RPathsInstance:
 
     def build_network(self, bandwidth_words: Optional[int] = None,
                       strict: bool = False,
-                      fabric: str = "fast") -> CongestNetwork:
+                      fabric: str = DEFAULT_FABRIC) -> CongestNetwork:
         """Instantiate a fresh CONGEST network for this instance.
 
         The frozen :class:`~repro.congest.topology.CSRTopology` is built

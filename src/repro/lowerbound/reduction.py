@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from ..congest.network import DEFAULT_FABRIC
 from ..core.two_sisp import solve_two_sisp
 from .disjointness import disjointness
 from .hard_instance import (
@@ -64,7 +65,7 @@ def decide_disjointness_via_two_sisp(
     seed: int = 0,
     landmarks: Optional[Sequence[int]] = None,
     use_oracle_knowledge: bool = False,
-    fabric: str = "fast",
+    fabric: str = DEFAULT_FABRIC,
 ) -> ReductionReport:
     """Run the full Lemma 6.9 pipeline through the CONGEST simulator."""
     matrix = bits_to_matrix(y, k)

@@ -19,20 +19,21 @@ from __future__ import annotations
 
 from typing import Dict
 
+from ..congest.network import DEFAULT_FABRIC
 from .measure import measure_algorithm
 from .registry import scenario
 
 Params = Dict[str, object]
 
 
-def _fabric(params: Params, default: str = "fast") -> str:
-    """Exchange engine for this cell.
+def _fabric(params: Params) -> str:
+    """Exchange engine for this cell (default ``DEFAULT_FABRIC``).
 
     ``repro suite run --fabric ...`` injects a ``fabric`` key into
     every cell's parameter point; scenarios thread it through to the
     solvers so one flag re-runs the whole catalog on another engine.
     """
-    return str(params.get("fabric", default))
+    return str(params.get("fabric", DEFAULT_FABRIC))
 
 
 # -- exact RPaths (Theorem 1) across topologies ------------------------------
@@ -354,7 +355,7 @@ def run_scaling_vector(params: Params, seed: int):
     k = int(params["k"])
     hop_limit = int(params["hop_limit"])
     inst = expander_instance(n, degree=4, seed=seed)
-    net = inst.build_network(fabric=_fabric(params, default="vector"))
+    net = inst.build_network(fabric=_fabric(params))
 
     step = max(1, inst.n // k)
     sources = list(range(0, inst.n, step))[:k]

@@ -105,7 +105,7 @@ def expand_cells(
     """All cells of the named scenarios (default: whole catalog).
 
     ``fabric`` injects a ``fabric`` key into every cell's parameter
-    point, overriding each scenario's default exchange engine; it
+    point, overriding the default engine (``DEFAULT_FABRIC``); it
     becomes part of the cell identity, so results for different
     fabrics occupy distinct slots in the content-addressed store.
     ``None`` leaves parameter points (and historical cache keys)

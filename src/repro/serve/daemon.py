@@ -103,8 +103,6 @@ class WorkerConfig:
     capacity: int = 4
     store_root: Optional[str] = None
     solver: str = "theorem1"
-    build_fabric: str = "fast"
-    planner_fabric: str = "vector"
     max_group: int = DEFAULT_MAX_GROUP
     build_seed: int = 0
     #: Pipe-poll interval — also the heartbeat cadence while idle.
@@ -145,9 +143,8 @@ def _worker_main(config: WorkerConfig, conn, stop_flag,
                  else ResultStore(config.store_root))
         shard = OracleShard(
             shard_id=sid, capacity=config.capacity, store=store,
-            solver=config.solver, build_fabric=config.build_fabric,
-            planner_fabric=config.planner_fabric,
-            max_group=config.max_group, build_seed=config.build_seed)
+            solver=config.solver, max_group=config.max_group,
+            build_seed=config.build_seed)
         handles = dict(config.topology_handles)
         for inst in config.instances:
             handle = handles.get(inst.name)
@@ -305,8 +302,7 @@ class ServeDaemon:
     def __init__(self, instances: Sequence[RPathsInstance],
                  workers: Optional[int] = None, capacity: int = 4,
                  store: Optional[ResultStore] = None,
-                 solver: str = "theorem1", build_fabric: str = "fast",
-                 planner_fabric: str = "vector",
+                 solver: str = "theorem1",
                  max_group: int = DEFAULT_MAX_GROUP,
                  build_seed: int = 0,
                  share_topology: bool = True,
@@ -350,8 +346,7 @@ class ServeDaemon:
                 capacity=capacity,
                 store_root=(None if store is None
                             else str(store.root)),
-                solver=solver, build_fabric=build_fabric,
-                planner_fabric=planner_fabric, max_group=max_group,
+                solver=solver, max_group=max_group,
                 build_seed=build_seed, poll_seconds=poll_seconds,
                 rebuild_delay=rebuild_delay))
         self._published: List[object] = []

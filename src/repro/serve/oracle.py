@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .. import telemetry
+from ..congest.network import DEFAULT_FABRIC
 from ..congest.words import INF, clamp_inf
 from ..graphs.instance import RPathsInstance
 from ..dynamic.stream import MUT_FAIL, MUT_HEAL, MUT_WEIGHT
@@ -132,7 +133,7 @@ class ReplacementPathOracle:
 
     @classmethod
     def build(cls, instance: RPathsInstance, solver: str = "theorem1",
-              seed: int = 0, fabric: str = "fast",
+              seed: int = 0, fabric: str = DEFAULT_FABRIC,
               **solver_kwargs) -> "ReplacementPathOracle":
         """Run the chosen solver once and capture its |st ⋄ e| table."""
         if solver not in SOLVERS:

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..congest.multisource import multi_source_hop_bfs
+from ..congest.network import DEFAULT_FABRIC
 from ..congest.words import INF
 from .oracle import ReplacementPathOracle
 from .queries import (
@@ -81,7 +82,7 @@ class BatchPlanner:
     """Answer query batches against one oracle with grouped solves."""
 
     def __init__(self, oracle: ReplacementPathOracle,
-                 fabric: str = "vector",
+                 fabric: str = DEFAULT_FABRIC,
                  max_group: int = DEFAULT_MAX_GROUP) -> None:
         if max_group < 1:
             raise ValueError("max_group must be positive")

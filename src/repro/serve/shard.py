@@ -34,6 +34,7 @@ from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
+from ..congest.network import DEFAULT_FABRIC
 from ..dynamic.stream import (
     AppliedMutation,
     Mutation,
@@ -154,12 +155,12 @@ def _scatter(answers: List[Optional[QueryAnswer]],
 
 
 class OracleShard:
-    """One shard: its instances, hot-oracle LRU, and spill store."""
+    """One shard: its instances, hot-oracle LRU, and spill store;
+    ``fabric`` builds its oracles and runs its planners' solves."""
 
     def __init__(self, shard_id: int = 0, capacity: int = 4,
                  store: Optional[ResultStore] = None,
-                 solver: str = "theorem1", build_fabric: str = "fast",
-                 planner_fabric: str = "vector",
+                 solver: str = "theorem1", fabric: str = DEFAULT_FABRIC,
                  max_group: int = DEFAULT_MAX_GROUP,
                  build_seed: int = 0) -> None:
         if capacity < 1:
@@ -168,8 +169,7 @@ class OracleShard:
         self.capacity = capacity
         self.store = store
         self.solver = solver
-        self.build_fabric = build_fabric
-        self.planner_fabric = planner_fabric
+        self.fabric = fabric
         self.max_group = max_group
         self.build_seed = build_seed
         self.instances: Dict[str, RPathsInstance] = {}
@@ -273,12 +273,12 @@ class OracleShard:
             if oracle is None:
                 oracle = ReplacementPathOracle.build(
                     instance, solver=self.solver,
-                    seed=self.build_seed, fabric=self.build_fabric)
+                    seed=self.build_seed, fabric=self.fabric)
                 self._count(oracle_builds=1, rounds=oracle.build_rounds)
                 # Spill at build time: the snapshot is immutable, so
                 # the later eviction is free and crash-safe.
                 self._spill(key, oracle)
-            planner = BatchPlanner(oracle, fabric=self.planner_fabric,
+            planner = BatchPlanner(oracle, fabric=self.fabric,
                                    max_group=self.max_group)
             with self._lock:
                 if self.instances.get(key) is not instance:
@@ -459,8 +459,7 @@ class ShardedQueryService:
     def __init__(self, instances: Sequence[RPathsInstance],
                  shards: Optional[int] = None, capacity: int = 4,
                  store: Optional[ResultStore] = None,
-                 solver: str = "theorem1", build_fabric: str = "fast",
-                 planner_fabric: str = "vector",
+                 solver: str = "theorem1", fabric: str = DEFAULT_FABRIC,
                  max_group: int = DEFAULT_MAX_GROUP,
                  build_seed: int = 0) -> None:
         instances = list(instances)
@@ -473,8 +472,7 @@ class ShardedQueryService:
         self.store = store
         self._shards = [
             OracleShard(shard_id=i, capacity=capacity, store=store,
-                        solver=solver, build_fabric=build_fabric,
-                        planner_fabric=planner_fabric,
+                        solver=solver, fabric=fabric,
                         max_group=max_group, build_seed=build_seed)
             for i in range(shards)
         ]

@@ -36,6 +36,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Sequence, Tuple
 
+from ..congest.network import DEFAULT_FABRIC
 from ..congest.words import INF
 from ..graphs.instance import RPathsInstance
 from ..runtime.registry import scenario
@@ -191,13 +192,11 @@ def _run_serve_cell(kind: str, params: Params, seed: int,
 
     n = int(params["n"])
     count = int(params["queries"])
-    fabric = params.get("fabric")
     instances = _serve_instances(n, seed)
     service = ShardedQueryService(
         instances, shards=2, capacity=2, store=None,
         solver="theorem1",
-        build_fabric=str(fabric) if fabric else "fast",
-        planner_fabric=str(fabric) if fabric else "vector",
+        fabric=str(params.get("fabric", DEFAULT_FABRIC)),
         build_seed=seed)
     # Interleave the instances' streams and serve in waves, so the
     # second wave exercises warm oracles and the (s, e) memo.

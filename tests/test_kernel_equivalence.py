@@ -33,6 +33,9 @@ from typing import List
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.approx.apx_rpaths import solve_apx_rpaths
+from repro.baselines.mr24 import solve_rpaths_mr24
+from repro.baselines.naive_distributed import solve_rpaths_naive
 from repro.congest import (
     CongestNetwork,
     SweepTask,
@@ -43,18 +46,27 @@ from repro.congest import (
     vector_enabled,
 )
 from repro.congest import kernels
+from repro.congest.dispatch import REASON_FABRIC, REASON_NUMPY_MISSING
 from repro.congest.dispatch import dispatch as run_primitive
 from repro.congest.dispatch import registry as primitive_registry
 from repro.congest.kernels import numpy_or_none
 from repro.congest.metrics import RoundLedger
 from repro.congest.spanning_tree import SpanningTree
+from repro.core import rpaths
 from repro.core.hop_bfs import pruned_max_hop_bfs
+from repro.core.two_sisp import solve_two_sisp
+from repro.extensions import (
+    random_undirected_instance,
+    solve_rpaths_undirected,
+)
 from repro.graphs import (
     expander_instance,
     path_with_chords_instance,
     power_law_instance,
     random_instance,
 )
+from repro.lowerbound.reduction import decide_disjointness_via_two_sisp
+from repro.serve import BatchPlanner, Query, ReplacementPathOracle
 from repro.telemetry import counters as counters_mod
 from repro.telemetry import tooling
 
@@ -497,7 +509,55 @@ class TestEndToEnd:
         assert summaries["vector"] == summaries["fast"]
 
 
+def _small():
+    return random_instance(16, seed=3)
+
+
+def _default_planner_batch():
+    instance = _small()
+    oracle = ReplacementPathOracle.build(instance, solver="centralized")
+    edge = instance.path_edges()[0]
+    return BatchPlanner(oracle).answer_batch(
+        [Query(s=v, t=instance.t, edge=edge) for v in range(1, 4)])
+
+
+#: Public entry point -> a call on a small instance that leaves
+#: ``fabric`` at its default.
+DEFAULT_FABRIC_CALLS = {
+    "CongestNetwork": lambda: CongestNetwork(16, _small().edges),
+    "build_network": lambda: _small().build_network(),
+    "solve_rpaths": lambda: rpaths.solve_rpaths(_small()),
+    "solve_two_sisp": lambda: solve_two_sisp(_small()),
+    "solve_apx_rpaths": lambda: solve_apx_rpaths(
+        random_instance(14, seed=3, weighted=True, max_weight=4)),
+    "solve_rpaths_mr24": lambda: solve_rpaths_mr24(_small()),
+    "solve_rpaths_naive": lambda: solve_rpaths_naive(_small()),
+    "solve_rpaths_undirected": lambda: solve_rpaths_undirected(
+        random_undirected_instance(16, seed=3)),
+    "decide_disjointness_via_two_sisp":
+        lambda: decide_disjointness_via_two_sisp(
+            [1, 0, 0, 0], [1, 0, 0, 0], 2, use_oracle_knowledge=True),
+    "ReplacementPathOracle.build":
+        lambda: ReplacementPathOracle.build(_small()),
+    "BatchPlanner": _default_planner_batch,
+}
+
+
 class TestKernelGating:
+    @pytest.mark.parametrize("entry", sorted(DEFAULT_FABRIC_CALLS))
+    def test_entry_point_defaults_to_vector(self, entry):
+        counters_mod.registry.reset()
+        try:
+            out = DEFAULT_FABRIC_CALLS[entry]()
+            rows = _dispatch_row_set()
+        finally:
+            counters_mod.registry.reset()
+        if isinstance(out, CongestNetwork):
+            assert vector_enabled(out)
+            return
+        assert any(o == "vector" for _, o, _ in rows), rows
+        assert not any(r == REASON_FABRIC for _, _, r in rows), rows
+
     def test_vector_enabled_only_for_vector_fabric(self):
         instance = random_instance(10, seed=2)
         assert vector_enabled(instance.build_network(fabric="vector"))
@@ -526,6 +586,23 @@ class TestKernelGating:
         assert got == want
         assert (ledger_snapshot(net.ledger)
                 == ledger_snapshot(ref_net.ledger))
+
+        # The default solve takes every message lane through the
+        # numpy-missing gate, with the fast fabric's tables and ledger.
+        for instance in (random_instance(40, seed=3),
+                         expander_instance(48, degree=3, seed=2)):
+            counters_mod.registry.reset()
+            try:
+                got = rpaths.solve_rpaths(instance)
+                rows = _dispatch_row_set()
+            finally:
+                counters_mod.registry.reset()
+            want = rpaths.solve_rpaths(instance, fabric="fast")
+            assert got.lengths == want.lengths
+            assert (ledger_snapshot(got.ledger)
+                    == ledger_snapshot(want.ledger))
+            assert rows == {(name, "fallback", REASON_NUMPY_MISSING)
+                            for name in primitive_registry()}
 
     def test_vector_fabric_exchange_matches_fast(self):
         # Non-kernelized primitives on the vector fabric go through the

@@ -37,6 +37,8 @@ from repro.serve import (
     spill_key,
     verify_against_centralized,
 )
+from repro.telemetry import counters as counters_mod
+from repro.telemetry import tooling
 
 
 def _instances(count=4, n=24):
@@ -168,6 +170,47 @@ class TestServing:
         report = service.serve([])
         assert report.queries == 0
         assert report.hit_ratio == 0.0
+
+
+def _dispatch_rows():
+    counters = counters_mod.registry.snapshot()["counters"]
+    return {(kernel, outcome, reason)
+            for kernel, outcome, reason, _ in
+            tooling.dispatch_rows(counters)}
+
+
+class TestOneFabric:
+    def test_fabric_builds_the_oracle_and_runs_the_planner(self):
+        # A theorem-1 build plus a mixed stream: oracle hits and
+        # planner fallbacks (k-source solves) on one engine setting.
+        insts = _instances(2)
+        queries = [q for inst in insts
+                   for q in generate_workload("mixed", inst, 30, seed=2)]
+        out = {}
+        try:
+            for fabric in ("default", "fast"):
+                kw = {} if fabric == "default" else {"fabric": fabric}
+                service = ShardedQueryService(insts, shards=2, **kw)
+                counters_mod.registry.reset()
+                service.warm()
+                build = _dispatch_rows()
+                counters_mod.registry.reset()
+                answers = service.serve(queries).answers
+                plan = _dispatch_rows()
+                tables = [service.shard_for(inst.name)
+                          .planner_for(inst.name).oracle.lengths
+                          for inst in insts]
+                out[fabric] = (answers, tables, build, plan)
+        finally:
+            counters_mod.registry.reset()
+        assert out["default"][:2] == out["fast"][:2]
+        _, _, build, plan = out["default"]
+        assert any(o == "vector" for _, o, _ in build), build
+        assert ("multisource", "vector", "") in plan, plan
+        _, _, build, plan = out["fast"]
+        assert build and plan
+        assert build | plan == {(kernel, "fallback", "fabric-not-vector")
+                                for kernel, _, _ in build | plan}
 
 
 def _double(x):
