@@ -1,28 +1,18 @@
-"""Shared helpers for the benchmarks, and the one harness of the CI
-bench gates.
+"""The one harness of the CI bench gates.
 
-Every bench regenerates one paper artifact (see DESIGN.md's
-per-experiment index).  Since pytest captures stdout, each bench also
-writes its rendered table to ``benchmarks/results/<name>.txt`` so the
-paper-shaped rows survive a plain ``pytest benchmarks/ --benchmark-only``
-run.
-
-Benches that sweep many cells go through the runtime executor
-(:func:`scenario_speedup`), which runs the same cells serially and then
-``jobs``-wide and reports the measured wall-clock speedup — on a
-single-core host expect ~1x (the executor still overlaps nothing), on a
-multi-core host the parallel path wins.
-
-The gate benches (``bench_fabric``, ``bench_solver``, ``bench_serve``,
-``bench_scale``, ``bench_dynamic``, ``bench_telemetry``) each declare
-one :class:`Bench`: a ``measure(quick) -> {family: row}`` callable,
-its report columns and its :class:`Check` rules.  This module owns the
-rest: the environment stamp, the GC guard, the check engine, the
-report, the JSON record, the ``--quick`` / ``--json`` / ``--compare``
-command line (``$REPRO_TRACE_DIR`` records the run's spans for
-``repro trace summary``) and the pytest-benchmark entry.  Importing it
-also puts the repository's ``src/`` on ``sys.path``, so the gate
-scripts run without an install.
+The paper's experiments are catalog scenarios whose claims ``repro
+suite run`` checks (DESIGN.md); the scripts here measure and gate
+performance.  The gate benches (``bench_fabric``, ``bench_solver``,
+``bench_serve``, ``bench_scale``, ``bench_dynamic``,
+``bench_telemetry``) each declare one :class:`Bench`: a
+``measure(quick) -> {family: row}`` callable, its report columns and
+its :class:`Check` rules.  This module owns the rest: the environment
+stamp, the GC guard, the check engine, the report, the JSON record,
+the ``--quick`` / ``--json`` / ``--compare`` command line
+(``$REPRO_TRACE_DIR`` records the run's spans for ``repro trace
+summary``) and the pytest-benchmark entry.  Importing it also puts the
+repository's ``src/`` on ``sys.path``, so the gate scripts run without
+an install.
 """
 
 from __future__ import annotations
@@ -34,7 +24,6 @@ import os
 import pathlib
 import platform
 import sys
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -43,42 +32,11 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
 #: Relative regression a baseline rule allows.  Ratios, not absolute
 #: rates, are compared: they are stable across runner hardware.
 TOLERANCE = 0.25
 
 Rows = Dict[str, dict]
-
-
-def report(name: str, text: str) -> str:
-    """Print a rendered experiment table and persist it."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.txt"
-    path.write_text(text + "\n")
-    print(f"\n[{name}]\n{text}\n")
-    return text
-
-
-def scenario_speedup(names, jobs: int = 2, smoke: bool = False,
-                     timeout: float = 300.0):
-    """Run the named scenarios' cells serially, then ``jobs``-wide.
-
-    Returns ``(serial_results, parallel_results, SpeedupStats)``; both
-    executions bypass the result cache so the comparison is honest.
-    """
-    from repro.analysis import speedup_stats
-    from repro.runtime import expand_cells, run_cells
-
-    specs = expand_cells(names, smoke=smoke)
-    t0 = time.perf_counter()
-    serial = run_cells(specs, jobs=1, timeout=timeout)
-    t_serial = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    parallel = run_cells(specs, jobs=jobs, timeout=timeout)
-    t_parallel = time.perf_counter() - t0
-    return serial, parallel, speedup_stats(t_serial, t_parallel, jobs)
 
 
 def hard_instance(k: int, d: int, p: int):
@@ -130,7 +88,7 @@ def environment() -> Dict[str, object]:
 
 #: Absolute rules, and rules against the committed baseline.
 ABSOLUTE_KINDS = ("floor", "ceiling", "true")
-BASELINE_KINDS = ("higher", "lower")
+BASELINE_KINDS = ("higher", "lower", "same")
 
 
 @dataclass(frozen=True)
@@ -139,8 +97,10 @@ class Check:
 
     ``kind`` is ``"floor"`` or ``"ceiling"`` (at least / at most
     ``bound``), ``"true"``, or a rule against the committed baseline's
-    value: ``"higher"`` (at least it less :data:`TOLERANCE`) or
-    ``"lower"`` (at most it plus :data:`TOLERANCE`); ``doubled``
+    value: ``"higher"`` (at least it less :data:`TOLERANCE`),
+    ``"lower"`` (at most it plus :data:`TOLERANCE`) or ``"same"``
+    (equal to it: the size of the workload a ratio was timed on, so a
+    changed workload fails by name instead of as a ratio); ``doubled``
     doubles the tolerance, capped at 0.9, for the memory-bound timing
     ratios that are noisiest on shared runners.  ``when`` limits the
     rule to the rows it accepts; a baseline rule needs it to accept
@@ -168,6 +128,11 @@ class Check:
         if self.kind == "true":
             return None if value else (
                 f"{family}: {self.key} is {value!r}, not true")
+        if self.kind == "same":
+            old = base[self.key]
+            return None if value == old else (
+                f"{family}: {self.key} {value} differs from the "
+                f"baseline {old}")
         low = self.kind in ("floor", "higher")
         if self.kind in ABSOLUTE_KINDS:
             limit, source = self.bound, f"the {self.kind}"
@@ -290,9 +255,9 @@ def main(bench: Bench, argv=None) -> int:
 def run_entry(benchmark, bench: Bench,
                 measure: Optional[Callable[[], Rows]] = None) -> None:
     """pytest-benchmark entry: time the quick measurement (or
-    ``measure``), write its report and assert the absolute rules."""
+    ``measure``), print its report and assert the absolute rules."""
     rows = benchmark.pedantic(measure or (lambda: bench.measure(True)),
                               rounds=1, iterations=1)
-    report(bench.name, render(bench, rows))
+    print(render(bench, rows))
     problems = gate(bench.checks, rows, quick=True)
     assert not problems, problems

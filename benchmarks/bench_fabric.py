@@ -40,7 +40,10 @@ through ``benchmarks/_util.py``)::
   memory-bound vector families get double tolerance — a busy
   neighbour slows the array kernels far more than the
   interpreter-bound message loops; their absolute floor does the
-  heavy lifting).
+  heavy lifting);
+* every family's workload (``n``, ``m``, ``rounds``, ``messages``,
+  ``words``) must equal the committed one exactly, so a ratio is only
+  ever compared on the workload it was recorded on.
 
 The committed baseline stores *speedup ratios* (same-machine), which
 are stable across runner hardware, unlike absolute rounds/sec; the
@@ -263,7 +266,8 @@ BENCH = Bench(
         Check("higher", REPLAY_FAMILIES, "speedup_fast"),
         Check("floor", VECTOR_FAMILIES, "speedup_vector", 5.0),
         Check("higher", VECTOR_FAMILIES, "speedup_vector", doubled=True),
-    ),
+    ) + tuple(Check("same", REPLAY_FAMILIES + VECTOR_FAMILIES, key)
+              for key in ("n", "m", "rounds", "messages", "words")),
 )
 
 

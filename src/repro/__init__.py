@@ -24,7 +24,7 @@ Public API quick reference
     ``python -m repro suite``.
 
 See DESIGN.md for the full system inventory, the runtime quickstart,
-and the per-experiment index.
+and where each paper claim is checked.
 """
 
 from .congest.words import INF, is_unreachable

@@ -1,35 +1,22 @@
-"""Measurement analysis: power-law fits, invariance checks, tables."""
+"""Measurement analysis: power-law fits, claim values, tables."""
 
 from .scaling import (
-    InvarianceStats,
     PowerLawFit,
-    SpeedupStats,
     fit_power_law,
-    invariance,
-    speedup_stats,
+    power_law_r2,
+    power_law_slope,
+    smallest_step,
+    worst,
 )
-from .tables import format_records, format_series, format_table
-from .experiments import (
-    AlgorithmRun,
-    approx_quality,
-    hst_sweep,
-    run_table1_cell,
-    scaling_series,
-)
+from .tables import format_records, format_table
 
 __all__ = [
-    "AlgorithmRun",
-    "InvarianceStats",
     "PowerLawFit",
-    "SpeedupStats",
-    "approx_quality",
     "fit_power_law",
     "format_records",
-    "format_series",
     "format_table",
-    "hst_sweep",
-    "invariance",
-    "run_table1_cell",
-    "scaling_series",
-    "speedup_stats",
+    "power_law_r2",
+    "power_law_slope",
+    "smallest_step",
+    "worst",
 ]

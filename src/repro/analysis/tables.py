@@ -1,8 +1,6 @@
-"""Plain-text table rendering for the benchmark harness.
-
-Benchmarks print the same row/series structure the paper reports
-(Table 1's algorithm-vs-bound landscape, scaling series, correspondence
-tallies); this module keeps the formatting in one place.
+"""Plain-text table rendering for the CLI, the suite report (cell
+summaries and claim verdicts) and the bench gates; this module keeps
+the formatting in one place.
 """
 
 from __future__ import annotations
@@ -37,13 +35,6 @@ def _render(x: object) -> str:
             return str(x)
         return f"{x:.3g}" if abs(x) < 1000 else f"{x:.0f}"
     return str(x)
-
-
-def format_series(label: str, xs: Sequence[object],
-                  ys: Sequence[object]) -> str:
-    """One-line series rendering: label: (x=y), (x=y), ..."""
-    pairs = ", ".join(f"{x}={_render(y)}" for x, y in zip(xs, ys))
-    return f"{label}: {pairs}"
 
 
 def format_records(records: Sequence[object],

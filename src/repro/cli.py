@@ -15,8 +15,9 @@ lower-bound
 suite
     The experiment runtime: ``suite list`` shows the scenario catalog,
     ``suite run`` executes scenario cells in parallel against the
-    content-addressed result cache, ``suite diff`` compares two run
-    manifests.
+    content-addressed result cache and checks the paper claims of
+    every scenario whose full grid ran, ``suite diff`` compares two
+    run manifests.
 query
     Answer one (s, t, failed-edge) replacement-path query from a
     precomputed oracle (build once, O(1) per hit).
@@ -123,9 +124,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from .analysis import run_table1_cell
+    from .baselines import replacement_lengths
+    from .runtime import measure_algorithm
     instance = _build_instance(args)
-    runs = run_table1_cell(instance, seed=args.seed)
+    truth = replacement_lengths(instance)
+    runs = [measure_algorithm(instance, algorithm, seed=args.seed,
+                              truth=truth)
+            for algorithm in ("theorem1", "mr24b", "trivial")]
     rows = [[r.algorithm, r.rounds, r.max_link_words,
              "OK" if r.correct else "WRONG"] for r in runs]
     print(format_table(
@@ -212,7 +217,11 @@ def cmd_suite_run(args) -> int:
         for r in report.results:
             if r.correct is False:
                 print(f"INCORRECT {r.spec.label}")
-    return 0 if (report.ok and report.all_correct) else 1
+    for verdict in report.failed_claims:
+        print(f"CLAIM FAILED {verdict.scenario} seed={verdict.seed}: "
+              f"{verdict.claim.text}: {verdict.problem}")
+    return 0 if (report.ok and report.all_correct
+                 and not report.failed_claims) else 1
 
 
 def cmd_suite_diff(args) -> int:
@@ -870,8 +879,8 @@ def cmd_info(_args) -> int:
     from .runtime import scenario_names
     print(f"repro {__version__} — reproduction of 'Optimal Distributed "
           "Replacement Paths' (PODC 2025)")
-    print("experiments: see DESIGN.md (layout + runtime quickstart); "
-          "benches under benchmarks/")
+    print("experiments: 'repro suite run' checks the paper's claims "
+          "(DESIGN.md); CI perf gates under benchmarks/")
     names = scenario_names()
     print(f"scenario catalog ({len(names)}): {', '.join(names)}")
     return 0
@@ -924,14 +933,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.set_defaults(func=cmd_suite_list)
 
     p_run = suite_sub.add_parser(
-        "run", help="run scenario cells (parallel, cached)")
+        "run", help="run scenario cells (parallel, cached) and check "
+                    "the paper claims of every full grid")
     p_run.add_argument("--scenario", action="append", default=[],
                        help="scenario name (repeatable; default: all)")
     p_run.add_argument("--jobs", type=int, default=None,
                        help="parallel worker processes "
                             "(default: one per CPU)")
     p_run.add_argument("--smoke", action="store_true",
-                       help="tiny parameter points only (CI-sized)")
+                       help="tiny parameter points only (CI-sized; "
+                            "checks no claims)")
     from .congest.network import DEFAULT_FABRIC, FABRICS
     p_run.add_argument("--fabric", default=None,
                        choices=list(FABRICS),

@@ -6,6 +6,7 @@ from .undirected import (
     branch_labels,
     crossing_edge_replacement_lengths,
     is_symmetric,
+    ladder_instance,
     random_undirected_instance,
     solve_rpaths_undirected,
     symmetrize,
@@ -17,6 +18,7 @@ __all__ = [
     "branch_labels",
     "crossing_edge_replacement_lengths",
     "is_symmetric",
+    "ladder_instance",
     "random_undirected_instance",
     "solve_rpaths_undirected",
     "symmetrize",

@@ -393,3 +393,22 @@ def random_undirected_instance(
     instance.path = path
     instance.validate()
     return instance
+
+
+def ladder_instance(rungs: int) -> RPathsInstance:
+    """A ``rungs``-hop path beside a rail: h_st and D grow together.
+
+    Path 0..rungs runs beside a rail of ``rungs - 1`` vertices, and rung
+    ``i`` joins path vertex ``i`` to rail vertex ``rungs + 1 + i``, so
+    detours run along the rail.  The family that shows the undirected
+    O(T_SSSP + h_st + D) round profile.
+    """
+    edges = symmetrize(
+        [(i, i + 1) for i in range(rungs)]
+        + [(i + rungs + 1, i + rungs + 2) for i in range(rungs - 2)]
+        + [(i, i + rungs + 1) for i in range(rungs - 1)])
+    instance = RPathsInstance(
+        n=2 * rungs, edges=edges, path=list(range(rungs + 1)),
+        name=f"ladder({rungs})")
+    instance.validate()
+    return instance

@@ -2,8 +2,9 @@
 
 The runtime turns ad-hoc benchmark loops into declarative experiments:
 
-* :mod:`~repro.runtime.registry` — ``Scenario`` dataclasses and the
-  ``@scenario`` decorator; the standard catalog
+* :mod:`~repro.runtime.registry` — ``Scenario`` dataclasses, the
+  ``@scenario`` decorator, and ``Claim``: a paper claim declared on
+  the scenario that measures it; the standard catalog
   (:mod:`~repro.runtime.catalog`) registers one scenario per
   experimental regime.
 * :mod:`~repro.runtime.executor` — fans scenario x seed cells out over
@@ -12,13 +13,15 @@ The runtime turns ad-hoc benchmark loops into declarative experiments:
   keyed by (scenario, params, seed, code version); re-runs are cache
   hits and regression diffs are :func:`diff_results`.
 * :mod:`~repro.runtime.suite` — :func:`run_suite` wires the three
-  together and backs the ``repro suite`` CLI.
+  together, checks every full-grid scenario's claims, and backs the
+  ``repro suite`` CLI.
 
 See DESIGN.md for the end-to-end walkthrough.
 """
 
 from .measure import ALGORITHMS, Measurement, measure_algorithm
 from .registry import (
+    Claim,
     Scenario,
     all_scenarios,
     get_scenario,
@@ -36,12 +39,20 @@ from .store import (
     code_version,
     diff_results,
 )
-from .suite import SuiteReport, expand_cells, format_suite_report, run_suite
+from .suite import (
+    ClaimVerdict,
+    SuiteReport,
+    expand_cells,
+    format_suite_report,
+    run_suite,
+)
 
 __all__ = [
     "ALGORITHMS",
     "CellResult",
     "CellSpec",
+    "Claim",
+    "ClaimVerdict",
     "DiffReport",
     "Measurement",
     "ResultStore",

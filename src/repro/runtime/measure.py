@@ -1,9 +1,8 @@
 """One (instance, algorithm) measurement — the runtime's inner loop.
 
-Both the scenario catalog and :mod:`repro.analysis.experiments` funnel
-through :func:`measure_algorithm`, so every harness (CLI, benches,
-suite, tables) counts rounds, words, congestion, and oracle correctness
-the same way.
+The scenario catalog and ``repro compare`` funnel through
+:func:`measure_algorithm`, so every harness counts rounds, words,
+congestion, and oracle correctness the same way.
 """
 
 from __future__ import annotations
@@ -94,16 +93,12 @@ def measure_algorithm(
     seed: int = 0,
     epsilon: Optional[float] = None,
     truth: Optional[Sequence[int]] = None,
-    check: bool = True,
     **solver_kwargs: object,
 ) -> Measurement:
     """Run ``algorithm`` on ``instance`` and package the measurement.
 
     ``truth`` (centralized replacement lengths) may be supplied to avoid
-    recomputing the oracle when several algorithms share an instance;
-    with ``check=False`` the oracle is skipped entirely and ``correct``
-    is vacuously True (the lower-bound and fault scenarios verify their
-    own invariants instead).
+    recomputing the oracle when several algorithms share an instance.
     """
     from ..baselines.centralized import replacement_lengths, two_sisp_length
 
@@ -114,6 +109,8 @@ def measure_algorithm(
         report = solve_rpaths(instance, seed=seed, **solver_kwargs)
         lengths = list(report.lengths)
         extras["landmark_count"] = report.landmark_count
+        extras["short_rounds"] = report.phase_rounds("short-detour(P4.1)")
+        extras["long_rounds"] = report.phase_rounds("long-detour(P5.1)")
     elif algorithm == "mr24b":
         from ..baselines.mr24 import solve_rpaths_mr24
         report = solve_rpaths_mr24(instance, seed=seed, **solver_kwargs)
@@ -147,26 +144,22 @@ def measure_algorithm(
                          f"expected one of {ALGORITHMS}")
     wall = time.perf_counter() - start
 
-    correct = True
-    if check:
-        if algorithm == "undirected":
-            from ..extensions.undirected import (
-                undirected_replacement_lengths,
-            )
-            truth = (list(truth) if truth is not None
-                     else undirected_replacement_lengths(instance))
-        elif truth is None:
-            truth = replacement_lengths(instance)
-        if algorithm == "apx":
-            correct = _apx_match(lengths, truth, float(epsilon))
-            extras["worst_ratio"] = round(worst_ratio(lengths, truth), 6)
-        else:
-            correct = _exact_match(lengths, truth)
-        if algorithm == "two-sisp":
-            want = two_sisp_length(instance)
-            got = report.length if report.exists else INF
-            correct = correct and (got == min(want, INF)
-                                   or (got >= INF and want >= INF))
+    if algorithm == "undirected":
+        from ..extensions.undirected import undirected_replacement_lengths
+        truth = (list(truth) if truth is not None
+                 else undirected_replacement_lengths(instance))
+    elif truth is None:
+        truth = replacement_lengths(instance)
+    if algorithm == "apx":
+        correct = _apx_match(lengths, truth, float(epsilon))
+        extras["worst_ratio"] = round(worst_ratio(lengths, truth), 6)
+    else:
+        correct = _exact_match(lengths, truth)
+    if algorithm == "two-sisp":
+        want = two_sisp_length(instance)
+        got = report.length if report.exists else INF
+        correct = correct and (got == min(want, INF)
+                               or (got >= INF and want >= INF))
 
     ledger = (report.rpaths.ledger if algorithm == "two-sisp"
               else report.ledger)

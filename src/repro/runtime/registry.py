@@ -2,8 +2,9 @@
 
 A :class:`Scenario` bundles everything needed to reproduce one slice of
 the paper's experimental landscape: a *run function* (build an instance,
-run a solver, return metrics), the parameter grid to sweep, and the seed
-list.  Scenarios register themselves with the :func:`scenario`
+run a solver, return metrics), the parameter grid to sweep, the seed
+list, and the paper claims (:class:`Claim`) its full grid must bear
+out.  Scenarios register themselves with the :func:`scenario`
 decorator; the executor and the CLI only ever see scenario *names*, so
 cells stay picklable and the registry is the single source of truth.
 
@@ -17,10 +18,52 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..analysis.scaling import Cell
 from .results import CellSpec
 
 #: A scenario run function: (params, seed) -> flat metrics mapping.
 RunFn = Callable[[Dict[str, object], int], Dict[str, object]]
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One paper claim, checked on one seed's cells of the full grid.
+
+    ``value`` maps those cells to a number; the claim holds when it
+    lies in ``[low, high]`` (inclusive, either side may be open).  A
+    strict integer inequality is a bound of 1: "directed rounds exceed
+    undirected rounds" is ``directed - undirected >= 1``.
+    """
+
+    text: str
+    value: Callable[[Sequence[Cell]], float]
+    low: Optional[float] = None
+    high: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.low is None and self.high is None:
+            raise ValueError(f"claim {self.text!r} has no bound")
+
+    @property
+    def bound(self) -> str:
+        low = "(-inf" if self.low is None else f"[{self.low:g}"
+        high = "inf)" if self.high is None else f"{self.high:g}]"
+        return f"{low}, {high}"
+
+    def problem(self, value: float) -> Optional[str]:
+        """Why ``value`` breaks this claim (None when it holds; a NaN
+        never holds)."""
+        if ((self.low is None or value >= self.low)
+                and (self.high is None or value <= self.high)):
+            return None
+        return f"{format_value(value)} outside {self.bound}"
+
+
+def format_value(value: float) -> str:
+    """Integers as they are, fractions to three decimals."""
+    if isinstance(value, float) and not value.is_integer():
+        return f"{value:.3f}"
+    return str(int(value))
 
 
 @dataclass
@@ -37,6 +80,8 @@ class Scenario:
     #: the first full parameter point / first seed.
     smoke_params: Optional[List[Dict[str, object]]] = None
     smoke_seeds: Optional[List[int]] = None
+    #: Checked on each seed's cells whenever the full grid runs.
+    claims: Tuple[Claim, ...] = ()
 
     def cells(self, smoke: bool = False) -> List[CellSpec]:
         """Expand the scenario into its cell grid (params x seeds)."""
@@ -80,6 +125,7 @@ def scenario(
     tags: Sequence[str] = (),
     smoke_params: Optional[Sequence[Mapping[str, object]]] = None,
     smoke_seeds: Optional[Sequence[int]] = None,
+    claims: Sequence[Claim] = (),
 ) -> Callable[[RunFn], RunFn]:
     """Decorator: register the function as scenario ``name``.
 
@@ -100,6 +146,7 @@ def scenario(
                           else [dict(p) for p in smoke_params]),
             smoke_seeds=(None if smoke_seeds is None
                          else list(smoke_seeds)),
+            claims=tuple(claims),
         ))
         return fn
 

@@ -1,25 +1,79 @@
-"""Suite orchestration: registry -> cache -> executor -> store.
+"""Suite orchestration: registry -> cache -> executor -> store -> claims.
 
 :func:`run_suite` is the one entry point every harness uses (the
-``repro suite`` CLI, the benches, CI's smoke job): it expands the
+``repro suite`` CLI, CI's smoke and claims jobs): it expands the
 requested scenarios into cells, serves what it can from the
 content-addressed store, fans the rest out over the executor, persists
-fresh results, and writes a JSONL run manifest for later ``suite
-diff``.
+fresh results, checks each full-grid scenario's paper claims, and
+writes a JSONL run manifest for later ``suite diff``.
 """
 
 from __future__ import annotations
 
 import pathlib
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .. import telemetry
 from .executor import run_cells
-from .registry import all_scenarios, get_scenario
+from .registry import (
+    Claim,
+    Scenario,
+    all_scenarios,
+    format_value,
+    get_scenario,
+)
 from .results import CellResult, CellSpec, canonical_params
 from .store import ResultStore, cell_key, code_version
+
+
+@dataclass(frozen=True)
+class ClaimVerdict:
+    """One claim on one seed: its value, or None when not evaluated."""
+
+    scenario: str
+    claim: Claim
+    seed: int
+    value: Optional[float] = None
+
+    @property
+    def problem(self) -> Optional[str]:
+        return None if self.value is None else self.claim.problem(
+            self.value)
+
+    @property
+    def verdict(self) -> str:
+        if self.value is None:
+            return "not evaluated"
+        return "FAILED" if self.problem else "ok"
+
+    def row(self) -> List[object]:
+        value = "-" if self.value is None else format_value(self.value)
+        return [self.scenario, self.claim.text, self.seed, value,
+                self.claim.bound, self.verdict]
+
+
+def evaluate_claims(scen: Scenario,
+                    results: Sequence[CellResult]) -> List[ClaimVerdict]:
+    """Every claim of ``scen`` on each seed's cells of its full grid.
+
+    A seed whose cells did not all finish ok is not evaluated (the run
+    already fails on those cells).
+    """
+    by_seed: Dict[int, List[CellResult]] = {}
+    for result in results:
+        by_seed.setdefault(result.seed, []).append(result)
+    verdicts = []
+    for claim in scen.claims:
+        for seed in scen.seeds:
+            cells = by_seed.get(seed, [])
+            value = None
+            if cells and all(cell.ok for cell in cells):
+                value = claim.value(
+                    [{**cell.params, **cell.metrics} for cell in cells])
+            verdicts.append(ClaimVerdict(scen.name, claim, seed, value))
+    return verdicts
 
 
 @dataclass
@@ -34,6 +88,7 @@ class SuiteReport:
     manifest_path: Optional[pathlib.Path] = None
     code_version: str = ""
     trace_dir: Optional[pathlib.Path] = None
+    claims: List[ClaimVerdict] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -42,6 +97,10 @@ class SuiteReport:
     @property
     def all_correct(self) -> bool:
         return all(r.correct is not False for r in self.results)
+
+    @property
+    def failed_claims(self) -> List[ClaimVerdict]:
+        return [v for v in self.claims if v.problem]
 
     def by_scenario(self) -> Dict[str, List[CellResult]]:
         out: Dict[str, List[CellResult]] = {}
@@ -97,6 +156,12 @@ class SuiteReport:
         ]
 
 
+def _scenarios(names: Optional[Sequence[str]]) -> List[Scenario]:
+    if names:
+        return [get_scenario(name) for name in names]
+    return all_scenarios()
+
+
 def expand_cells(
     names: Optional[Sequence[str]] = None,
     smoke: bool = False,
@@ -114,12 +179,8 @@ def expand_cells(
     if fabric is not None:
         from ..congest.network import resolve_fabric
         fabric = resolve_fabric(fabric)
-    if names:
-        scenarios = [get_scenario(name) for name in names]
-    else:
-        scenarios = all_scenarios()
     specs: List[CellSpec] = []
-    for scen in scenarios:
+    for scen in _scenarios(names):
         specs.extend(scen.cells(smoke=smoke))
     if fabric is not None:
         specs = [
@@ -153,6 +214,10 @@ def run_suite(
     artifact into a fresh ``traces/`` directory of the store
     (``SuiteReport.trace_dir``); worker processes inherit the sink via
     the environment and flush their own per-pid files.
+
+    Unless ``smoke`` (one point per scenario fits no shape), every
+    selected scenario's claims are evaluated over its cells, cached
+    ones included, into ``SuiteReport.claims``.
     """
     start = time.perf_counter()
     store = store if store is not None else ResultStore()
@@ -208,6 +273,11 @@ def run_suite(
     )
     if record:
         report.manifest_path = store.record_run(label, final)
+    if not smoke:
+        by_scenario = report.by_scenario()
+        for scen in _scenarios(names):
+            report.claims.extend(evaluate_claims(
+                scen, by_scenario.get(scen.name, [])))
     return report
 
 
@@ -215,7 +285,8 @@ def format_suite_report(report: SuiteReport, title: str = "",
                         durations: int = 0) -> str:
     """Rendered per-scenario summary table plus the cache line.
 
-    ``durations > 0`` appends a table of the N slowest cells.
+    ``durations > 0`` appends a table of the N slowest cells; a run
+    that evaluated claims appends their verdicts.
     """
     from ..analysis.tables import format_table
 
@@ -232,6 +303,11 @@ def format_suite_report(report: SuiteReport, title: str = "",
         f"jobs: {report.jobs}  wall: {report.wall_time:.2f}s  "
         f"code: {report.code_version}",
     ]
+    if report.claims:
+        lines.append(format_table(
+            ["scenario", "claim", "seed", "value", "bound", "verdict"],
+            [verdict.row() for verdict in report.claims],
+            title="paper claims"))
     if durations > 0 and report.results:
         lines.append(format_table(
             ["scenario", "params", "seed", "status", "wall"],

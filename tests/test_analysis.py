@@ -1,19 +1,17 @@
-"""Tests for the analysis helpers (fits, tables, experiment drivers)."""
+"""Tests for the analysis helpers (fits, claim values, tables)."""
 
+import math
 
 import pytest
 
 from repro.analysis import (
-    approx_quality,
     fit_power_law,
     format_records,
-    format_series,
     format_table,
-    hst_sweep,
-    invariance,
-    run_table1_cell,
-    scaling_series,
-    speedup_stats,
+    power_law_r2,
+    power_law_slope,
+    smallest_step,
+    worst,
 )
 
 
@@ -42,14 +40,44 @@ class TestPowerLawFit:
         with pytest.raises(ValueError):
             fit_power_law([1], [1])
 
-    def test_invariance_flat_series(self):
-        stats = invariance([10, 100, 1000], [5.0, 5.5, 5.2])
-        assert stats.is_flat
-        assert stats.spread_ratio < 1.2
 
-    def test_invariance_growing_series(self):
-        stats = invariance([10, 100, 1000], [10, 100, 1000])
-        assert not stats.is_flat
+class TestClaimValues:
+    """The cell helpers on hand-made cells (params + metrics, flat)."""
+
+    def cells(self, exponent, log2=False):
+        return [{"n": n, "rounds": 3.0 * n ** exponent
+                 * (math.log(n) ** 2 if log2 else 1.0), "seed": 0}
+                for n in (32, 64, 128, 256)]
+
+    def test_slope_of_exact_power_law_is_its_exponent(self):
+        assert power_law_slope(self.cells(2 / 3), "n", "rounds") == \
+            pytest.approx(2 / 3)
+        assert power_law_r2(self.cells(2 / 3), "n", "rounds") == \
+            pytest.approx(1.0)
+
+    def test_log2_correction_divides_out_the_log_factor(self):
+        cells = self.cells(2 / 3, log2=True)
+        raw = power_law_slope(cells, "n", "rounds")
+        corrected = power_law_slope(cells, "n", "rounds",
+                                    log2_corrected=True)
+        assert corrected == pytest.approx(2 / 3)
+        assert raw > corrected + 0.3
+
+    def test_worst_is_the_largest_per_cell_value(self):
+        cells = [{"rounds": 100, "h": 8}, {"rounds": 90, "h": 2}]
+        assert worst(cells, lambda c: c["rounds"] - 12 * c["h"]) == 66
+
+    def test_smallest_step_orders_cells_by_the_axis(self):
+        cells = [{"eps": 0.1, "rounds": 50}, {"eps": 0.5, "rounds": 20},
+                 {"eps": 0.25, "rounds": 30}]
+        assert smallest_step(cells, "eps", "rounds") == -20
+        assert smallest_step(cells, "eps", "rounds",
+                             descending=True) == 10
+
+    def test_smallest_step_sees_a_flat_stretch(self):
+        cells = [{"z": z, "short": s}
+                 for z, s in ((4, 7), (8, 15), (16, 15))]
+        assert smallest_step(cells, "z", "short") == 0
 
 
 class TestTables:
@@ -60,9 +88,6 @@ class TestTables:
         assert lines[0] == "T"
         assert "a" in lines[1] and "bb" in lines[1]
         assert len(lines) == 5
-
-    def test_format_series(self):
-        assert format_series("r", [1, 2], [3, 4]) == "r: 1=3, 2=4"
 
     def test_float_rendering(self):
         assert "inf" in format_table(["x"], [[float("inf")]])
@@ -78,42 +103,3 @@ class TestTables:
         class Row:
             a = 5
         assert "5" in format_records([Row()], ["a", "zz"])
-
-    def test_speedup_stats(self):
-        stats = speedup_stats(4.0, 2.0, 2)
-        assert stats.speedup == pytest.approx(2.0)
-        assert stats.efficiency == pytest.approx(1.0)
-        assert "2.00x speedup" in stats.render()
-
-
-class TestExperimentDrivers:
-    def test_table1_cell_all_correct(self):
-        from repro.graphs import random_instance
-        runs = run_table1_cell(random_instance(40, seed=3))
-        assert {r.algorithm for r in runs} == \
-            {"theorem1", "mr24b", "trivial"}
-        assert all(r.correct for r in runs)
-
-    def test_scaling_series_shapes(self):
-        from repro.graphs import random_instance
-        ns, rounds, fit = scaling_series(
-            lambda size, seed: random_instance(size, seed=seed),
-            sizes=[30, 50], seed=1)
-        assert len(ns) == len(rounds) == 2
-        assert fit.points
-
-    def test_hst_sweep_structure(self):
-        sweep = hst_sweep([8, 16], seed=1, include_naive=False)
-        assert set(sweep) == {"theorem1", "mr24b"}
-        assert all(len(v) == 2 for v in sweep.values())
-        assert all(r.correct for v in sweep.values() for r in v)
-
-    def test_approx_quality_bounds(self):
-        from repro.graphs import random_instance
-        inst = random_instance(25, seed=2, weighted=True)
-        rows = approx_quality(inst, [0.5], seed=1,
-                              landmarks=list(range(inst.n)))
-        eps, worst, rounds = rows[0]
-        assert eps == 0.5
-        assert 1.0 <= worst <= 1.5 + 1e-9
-        assert rounds > 0

@@ -52,17 +52,23 @@ def limit_of(check, base_row):
         return None
     if check.kind in _util.ABSOLUTE_KINDS:
         return check.bound
+    if check.kind == "same":
+        return base_row[check.key]
     tolerance = _util.TOLERANCE * (2 if check.doubled else 1)
     sign = -1 if check.kind == "higher" else 1
     return base_row[check.key] * (1 + sign * min(tolerance, 0.9))
 
 
 def nudged(check, limit, past, step=1e-6):
-    """A value just inside (``past`` False) or just past the limit."""
+    """Values just inside (``past`` False) or just past the limit; a
+    "same" value is inside only at the limit, and past it either way."""
     if check.kind == "true":
-        return not past
+        return [not past]
+    delta = step * max(abs(limit), 1)
+    if check.kind == "same":
+        return [limit - delta, limit + delta] if past else []
     low = check.kind in ("floor", "higher")
-    return limit + (-1 if low == past else 1) * step * max(abs(limit), 1)
+    return [limit + (-1 if low == past else 1) * delta]
 
 
 def declared():
@@ -108,21 +114,23 @@ def test_each_bound_separates_inside_from_past(name, check, family):
                if check.applies(dict(template, cpus=cpus)))
     baseline = {"families": {family: row}}
     limit = limit_of(check, row)
-    inside = [nudged(check, limit, past=False)]
+    inside = nudged(check, limit, past=False)
     if limit is not None:
         inside.append(limit)  # the bound itself still holds
     for value in inside:
         assert _util.gate([check], {family: dict(
             row, **{check.key: value})}, baseline) == []
-    problems = _util.gate([check], {family: dict(
-        row, **{check.key: nudged(check, limit, past=True)})}, baseline)
-    assert len(problems) == 1
-    assert problems[0].startswith(f"{family}: {check.key} ")
+    for value in nudged(check, limit, past=True):
+        problems = _util.gate([check], {family: dict(
+            row, **{check.key: value})}, baseline)
+        assert len(problems) == 1
+        assert problems[0].startswith(f"{family}: {check.key} ")
 
 
 def regressed(name, payload):
     """The committed rows with every baseline-ruled value moved 1%
-    past its limit (still inside every absolute bound)."""
+    past its limit ("same" values 1% up; still inside every absolute
+    bound)."""
     rows = {family: dict(row)
             for family, row in payload["families"].items()}
     count = 0

@@ -67,14 +67,15 @@ class TestBroadcast:
 
     def test_round_bound_linear_in_m_plus_d(self):
         # Lemma 2.4: O(M + D) rounds.  M messages from one end of a path
-        # of diameter D; allow a small constant factor.
-        n, m = 20, 15
-        net = path_net(n)
-        tree = build_spanning_tree(net)
-        before = net.rounds
-        broadcast_messages(net, tree, {0: [("m", i) for i in range(m)]})
-        used = net.rounds - before
-        assert used <= 3 * (m + n)
+        # of diameter D = n - 1; allow a small constant factor.
+        for n, m in ((20, 15), (20, 10), (20, 60), (60, 10), (60, 120)):
+            net = path_net(n)
+            tree = build_spanning_tree(net)
+            before = net.rounds
+            broadcast_messages(
+                net, tree, {0: [("m", i) for i in range(m)]})
+            used = net.rounds - before
+            assert used <= 3 * (m + n - 1), (n, m, used)
 
     def test_pipelining_beats_sequential(self):
         # M messages through a path must not cost M × D rounds.

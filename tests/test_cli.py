@@ -79,6 +79,36 @@ class TestSuiteFabricFlag:
         assert "misses: 1" in capsys.readouterr().out
 
 
+def _cheap_cell(params, seed):
+    return {"n": 2, "rounds": params["x"], "correct": True}
+
+
+class TestSuiteClaims:
+    def test_broken_claim_fails_full_runs_not_smoke(self, tmp_path,
+                                                    capsys):
+        from repro.runtime import Claim, Scenario, register, unregister
+        register(Scenario(
+            name="tmp-cheap", run=_cheap_cell,
+            params=[{"x": 1}, {"x": 2}], seeds=[0],
+            claims=(Claim("rounds stay at most 1", lambda cells: max(
+                c["rounds"] for c in cells), high=1),)))
+        argv = ["suite", "run", "--scenario", "tmp-cheap", "--jobs",
+                "1", "--cache-dir", str(tmp_path), "--no-record"]
+        failed = ("CLAIM FAILED tmp-cheap seed=0: rounds stay at most "
+                  "1: 2 outside (-inf, 1]")
+        try:
+            assert main(argv) == 1
+            assert failed in capsys.readouterr().out
+            # Cached cells count: the re-run is all hits, still checked.
+            assert main(argv) == 1
+            out = capsys.readouterr().out
+            assert "misses: 0" in out and failed in out
+            assert main(argv + ["--smoke"]) == 0
+            assert "CLAIM" not in capsys.readouterr().out
+        finally:
+            unregister("tmp-cheap")
+
+
 class TestOtherCommands:
     def test_compare(self, capsys):
         code = main(["compare", "--family", "grid", "--n", "20"])
@@ -86,6 +116,15 @@ class TestOtherCommands:
         assert code == 0
         for name in ("theorem1", "mr24b", "trivial"):
             assert name in out
+
+    def test_compare_all_exact_on_random(self, capsys):
+        code = main(["compare", "--family", "random", "--n", "40",
+                     "--seed", "3"])
+        rows = [line.split() for line in
+                capsys.readouterr().out.splitlines()[3:]]
+        assert code == 0
+        assert [(row[0], row[-1]) for row in rows] == [
+            ("theorem1", "OK"), ("mr24b", "OK"), ("trivial", "OK")]
 
     def test_lower_bound(self, capsys):
         code = main(["lower-bound", "--k", "2", "--seed", "5"])

@@ -15,6 +15,7 @@ from repro.lowerbound import (
 class TestGammaGraph:
     @pytest.mark.parametrize("gamma,d,p", [
         (2, 2, 1), (4, 2, 2), (3, 3, 1), (2, 2, 3),
+        (2, 2, 2), (3, 3, 2), (8, 2, 3),
     ])
     def test_observation_6_3_vertex_count(self, gamma, d, p):
         g = build_gamma_graph(gamma, d, p)
@@ -28,7 +29,8 @@ class TestGammaGraph:
         assert undirected_diameter(g) == g.expected_diameter() == 8
 
     def test_diameter_never_exceeds_bound(self):
-        for gamma, d, p in [(2, 2, 1), (4, 2, 2), (3, 3, 1)]:
+        for gamma, d, p in [(2, 2, 1), (4, 2, 2), (3, 3, 1), (2, 2, 2),
+                            (2, 2, 3), (3, 3, 2), (8, 2, 3)]:
             g = build_gamma_graph(gamma, d, p)
             assert undirected_diameter(g) <= 2 * p + 2
 
@@ -77,7 +79,7 @@ class TestHardInstance:
         return build_hard_instance(k, d, p, M, x)
 
     def test_observation_6_6_exact_count(self):
-        for k, d, p in [(2, 2, 1), (2, 2, 2), (3, 2, 1)]:
+        for k, d, p in [(2, 2, 1), (2, 2, 2), (3, 2, 1), (3, 2, 2)]:
             hard = build_hard_instance(
                 k, d, p, [[1] * k for _ in range(k)], [1] * (k * k))
             assert hard.n == hard.expected_vertex_count_order()

@@ -50,6 +50,14 @@ class TestLemma68:
         hard = build_hard_instance(k, 2, 2, M, x)
         assert verify_correspondence(hard).holds
 
+    def test_k3_larger_tree_depth(self):
+        rng = random.Random(42)
+        k = 3
+        M = [[rng.randint(0, 1) for _ in range(k)] for _ in range(k)]
+        x = [rng.randint(0, 1) for _ in range(k * k)]
+        hard = build_hard_instance(k, 2, 2, M, x)
+        assert verify_correspondence(hard).holds
+
     def test_hit_count_matches_inner_structure(self):
         k = 2
         M = [[1, 0], [0, 1]]

@@ -36,12 +36,13 @@ class TestOmegaDConstruction:
 
     def test_rounds_grow_with_diameter(self):
         rounds = []
-        for diameter in (4, 16):
+        for diameter in (4, 8, 16, 32):
             inst = build_diameter_instance(diameter)
-            rounds.append(
-                solve_two_sisp(inst,
-                               landmarks=list(range(inst.n))).rounds)
-        assert rounds[1] > rounds[0]
+            got = solve_two_sisp(inst, landmarks=list(range(inst.n)))
+            assert got.length == expected_two_sisp(diameter, None)
+            rounds.append(got.rounds)
+        assert rounds == sorted(rounds)
+        assert rounds[2] > rounds[0] and rounds[3] > rounds[0]
 
     def test_padding_clique(self):
         inst = build_diameter_instance(4, pad_to=30)
@@ -88,6 +89,7 @@ class TestCutAnalysis:
         # optimal detours thread the bipartite gadget.
         assert report.crossing_words > 0
         assert report.payload_bits == 4
+        assert report.crossing_words >= report.payload_bits
         assert report.total_words >= report.crossing_words
         assert report.rounds > 0
         assert report.words_per_round > 0

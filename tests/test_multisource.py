@@ -48,12 +48,14 @@ class TestMultiSourceBfs:
 
     def test_round_bound_k_plus_h(self):
         # Lemma 5.5: O(k + h) rounds; allow a small constant.
-        instance = random_instance(80, seed=33)
-        net = instance.build_network()
-        sources = list(range(0, 80, 10))  # k = 8
-        hop = 7
-        multi_source_hop_bfs(net, sources, hop_limit=hop)
-        assert net.rounds <= 4 * (len(sources) + hop) + 4
+        cases = [(random_instance(80, seed=33), range(0, 80, 10), 7)]
+        wide = random_instance(150, seed=9)
+        cases += [(wide, range(0, 7 * k, 7), hop)
+                  for k, hop in ((4, 4), (4, 16), (16, 4), (16, 16))]
+        for instance, sources, hop in cases:
+            net = instance.build_network()
+            multi_source_hop_bfs(net, list(sources), hop_limit=hop)
+            assert net.rounds <= 4 * (len(sources) + hop) + 4
 
     def test_congestion_one_announcement_per_link(self):
         instance = random_instance(50, seed=34)

@@ -5,6 +5,7 @@ import pytest
 from repro.baselines import replacement_lengths
 from repro.congest.words import INF
 from repro.core.rpaths import default_zeta, solve_rpaths
+from repro.graphs import path_with_chords_instance
 from tests.conftest import family_instances
 
 
@@ -36,14 +37,18 @@ class TestExactness:
 
 class TestReportContents:
     def test_phases_present(self, grid):
-        report = solve_rpaths(grid, seed=1)
-        breakdown = report.ledger.breakdown()
-        assert "short-detour(P4.1)" in breakdown
-        assert "long-detour(P5.1)" in breakdown
-        assert "knowledge(L2.5)" in breakdown
-        assert sum(v for k, v in breakdown.items()
-                   if k in ("short-detour(P4.1)", "long-detour(P5.1)",
-                            "knowledge(L2.5)")) <= report.rounds
+        chords = path_with_chords_instance(128, seed=3, overlay_hub=True)
+        for instance, seed in ((grid, 1), (chords, 2)):
+            report = solve_rpaths(instance, seed=seed)
+            breakdown = report.ledger.breakdown()
+            assert "short-detour(P4.1)" in breakdown
+            assert "long-detour(P5.1)" in breakdown
+            assert "knowledge(L2.5)" in breakdown
+            assert sum(v for k, v in breakdown.items()
+                       if k in ("short-detour(P4.1)", "long-detour(P5.1)",
+                                "knowledge(L2.5)")) <= report.rounds
+            assert report.phase_rounds("short-detour(P4.1)") > 0
+            assert report.phase_rounds("long-detour(P5.1)") > 0
 
     def test_extras_hold_stage_outputs(self, grid):
         report = solve_rpaths(grid, landmarks=list(range(grid.n)))

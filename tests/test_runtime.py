@@ -9,6 +9,8 @@ import pytest
 from repro.runtime import (
     CellResult,
     CellSpec,
+    Claim,
+    ClaimVerdict,
     ResultStore,
     Scenario,
     all_scenarios,
@@ -17,6 +19,7 @@ from repro.runtime import (
     diff_results,
     execute_cell,
     expand_cells,
+    format_suite_report,
     get_scenario,
     register,
     run_cells,
@@ -24,6 +27,7 @@ from repro.runtime import (
     scenario_names,
     unregister,
 )
+from repro.runtime.registry import format_value
 from repro.runtime.results import results_from_jsonl, results_to_jsonl
 
 
@@ -34,10 +38,9 @@ class TestRegistry:
         names = scenario_names()
         assert len(names) >= 10
         for required in ("exact-chords", "apx-eps-sweep", "two-sisp",
-                         "undirected-extension", "baseline-mr24",
-                         "baseline-trivial", "lowerbound-hard",
-                         "fault-injection", "topo-expander",
-                         "topo-powerlaw"):
+                         "undirected-extension", "hst-sweep",
+                         "lowerbound-hard", "fault-injection",
+                         "topo-expander", "topo-powerlaw"):
             assert required in names
 
     def test_round_trip(self):
@@ -71,6 +74,98 @@ class TestRegistry:
         b = CellSpec.make("x", {"a": 1, "b": 2}, 0)
         assert a == b
         assert a.identity() == b.identity()
+
+
+# -- claims -----------------------------------------------------------------
+
+def declared_bounds():
+    for scen in all_scenarios():
+        for claim in scen.claims:
+            for side in ("low", "high"):
+                if getattr(claim, side) is not None:
+                    yield pytest.param(
+                        scen, claim, side,
+                        id=f"{scen.name}-{claim.text}-{side}")
+
+
+def inside(claim):
+    return claim.low if claim.low is not None else claim.high
+
+
+class TestClaims:
+    @pytest.mark.parametrize("scen, claim, side", list(declared_bounds()))
+    def test_each_bound_holds_and_fails_its_claim_past_it(
+            self, scen, claim, side):
+        # No cell is solved: every claim of the scenario gets a value
+        # inside its bounds, but ``claim`` gets the bound or just past.
+        bound = getattr(claim, side)
+        past = bound + (-1 if side == "low" else 1) * 1e-6 * max(
+            abs(bound), 1)
+
+        def verdicts(value):
+            return [ClaimVerdict(scen.name, other, 0,
+                                 value if other is claim else inside(other))
+                    for other in scen.claims]
+
+        assert [v.verdict for v in verdicts(bound)] == \
+            ["ok"] * len(scen.claims)
+        [failed] = [v for v in verdicts(past) if v.problem]
+        assert failed.claim is claim
+        assert failed.row() == [scen.name, claim.text, 0,
+                                format_value(past), claim.bound,
+                                "FAILED"]
+        assert failed.problem == \
+            f"{format_value(past)} outside {claim.bound}"
+
+    def test_a_claim_needs_a_bound(self):
+        with pytest.raises(ValueError, match="no bound"):
+            Claim("unbounded", len)
+
+    def test_failed_cells_leave_their_seed_unevaluated(self, tmp_path):
+        def run(params, seed):
+            if seed == 1:
+                raise RuntimeError("boom")
+            return {"rounds": params["x"], "correct": True}
+
+        register(Scenario(
+            name="tmp-claims", run=run, params=[{"x": 1}, {"x": 2}],
+            seeds=[0, 1],
+            claims=(Claim("most rounds", lambda cells: max(
+                c["rounds"] for c in cells), high=1),)))
+        try:
+            report = run_suite(names=["tmp-claims"],
+                               store=ResultStore(tmp_path), record=False)
+            smoke = run_suite(names=["tmp-claims"], smoke=True,
+                              store=ResultStore(tmp_path), record=False)
+        finally:
+            unregister("tmp-claims")
+        assert [(v.seed, v.value, v.verdict) for v in report.claims] == \
+            [(0, 2, "FAILED"), (1, None, "not evaluated")]
+        assert report.failed_claims == report.claims[:1]
+        assert "not evaluated" in format_suite_report(report)
+        assert smoke.claims == []
+
+
+# -- catalog cells ----------------------------------------------------------
+
+class TestCatalogCells:
+    def test_lowerbound_hard_times_the_reduction_of_its_own_instance(
+            self):
+        import random
+
+        from repro.lowerbound import decide_disjointness_via_two_sisp
+        k, d, p = 3, 2, 1
+        result = execute_cell(CellSpec.make(
+            "lowerbound-hard", {"k": k, "d": d, "p": p}, 0))
+        # The cell draws M and x for Lemma 6.8, then the reduction's
+        # inputs, from one seeded stream.
+        rng = random.Random(0)
+        bits = [rng.randint(0, 1) for _ in range(4 * k * k)]
+        reduction = decide_disjointness_via_two_sisp(
+            bits[2 * k * k:3 * k * k], bits[3 * k * k:], k, d=d, p=p,
+            use_oracle_knowledge=True)
+        assert reduction.n == result.metrics["n"]
+        assert result.metrics["rounds"] == reduction.rounds
 
 
 # -- executor ---------------------------------------------------------------

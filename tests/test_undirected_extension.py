@@ -7,6 +7,7 @@ from repro.extensions import (
     branch_labels,
     crossing_edge_replacement_lengths,
     is_symmetric,
+    ladder_instance,
     random_undirected_instance,
     solve_rpaths_undirected,
     symmetrize,
@@ -124,15 +125,7 @@ class TestDistributedUndirected:
     def test_round_profile_additive_in_hst(self):
         # O(T_SSSP + h_st + D): on a long undirected path-with-ladder,
         # rounds must stay within a small multiple of h_st + D.
-        rungs = 40
-        base = symmetrize(
-            [(i, i + 1) for i in range(rungs)]
-            + [(i + rungs + 1, i + rungs + 2) for i in range(rungs - 2)]
-            + [(i, i + rungs + 1) for i in range(rungs - 1)])
-        inst = RPathsInstance(
-            n=2 * rungs, edges=base, path=list(range(rungs + 1)),
-            name="ladder")
-        inst.validate()
+        inst = ladder_instance(40)
         report = solve_rpaths_undirected(inst)
         assert report.lengths == undirected_replacement_lengths(inst)
         diameter = inst.build_network().undirected_diameter()
