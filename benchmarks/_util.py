@@ -102,9 +102,7 @@ class Check:
     (equal to it: the size of the workload a ratio was timed on, so a
     changed workload fails by name instead of as a ratio); ``doubled``
     doubles the tolerance, capped at 0.9, for the memory-bound timing
-    ratios that are noisiest on shared runners.  ``when`` limits the
-    rule to the rows it accepts; a baseline rule needs it to accept
-    the committed row too.
+    ratios that are noisiest on shared runners.
     """
 
     kind: str
@@ -112,14 +110,10 @@ class Check:
     key: str
     bound: float = 0.0
     doubled: bool = False
-    when: Optional[Callable[[dict], bool]] = None
 
     def __post_init__(self) -> None:
         if self.kind not in ABSOLUTE_KINDS + BASELINE_KINDS:
             raise ValueError(f"unknown check kind {self.kind!r}")
-
-    def applies(self, row: dict) -> bool:
-        return self.when is None or self.when(row)
 
     def problem(self, family: str, row: dict,
                 base: Optional[dict] = None) -> Optional[str]:
@@ -167,10 +161,8 @@ def gate(checks: Sequence[Check], rows: Rows,
     for check in checks:
         for family in check.families:
             row, base = rows.get(family), committed.get(family)
-            if row is None or not check.applies(row):
-                continue
-            if check.kind in BASELINE_KINDS and (
-                    base is None or not check.applies(base)):
+            if row is None or (check.kind in BASELINE_KINDS
+                               and base is None):
                 continue
             problem = check.problem(family, row, base)
             if problem:

@@ -1,8 +1,6 @@
-"""Scale-out gate: int32 memory diet + shared-topology fan-out.
+"""Scale gate: int32 memory diet + one whole solve at n = 65536.
 
-PR 8's tentpole is about *n*, not rounds/sec: push one solve to
-n ≥ 65536 and keep it honest.  Three families measure the three
-mechanisms that make that size workable:
+Two families measure what makes that size workable:
 
 * ``diet-32768`` / ``diet-65536`` — the int32 memory diet.  Every
   :class:`TopologyArrays` export picks the narrowest dtype its value
@@ -12,23 +10,10 @@ mechanisms that make that size workable:
   deterministic 2x; at n = 65536 the ``tail·n + head`` keys exceed
   int32 and promote, leaving ~1.69x.  Both ratios are byte arithmetic,
   not timing — the gate tolerance catches code drift, not noise.
-* ``solve-expander-65536`` — one full ``solve_rpaths`` at the target
-  size (landmark_c = 0.05 keeps |L|² pair broadcasts within a CI
-  budget), timed serially, then run again with ``parallel=2``.  The
-  family *asserts* bit-equal lengths and per-phase ledgers — the
-  fan-out's core contract.  The parallel run is not timed: whichever
-  solve runs second inherits the first one's warm caches, and the two
-  orders disagreed by more than the difference being measured, so
-  ``fanout-kbfs-32768`` measures the fan-out instead.
-* ``fanout-kbfs-32768`` — the fan-out mechanism in isolation: eight
-  independent 32-source kBFS chunks, run serially and then over
-  ``pool_map`` with workers attaching the shared-memory topology
-  zero-copy.  The fan-out asks for width 4 and runs at most
-  ``max(2, cpus)`` wide; the row reports the width that ran.  Tables
-  and merged ledgers are asserted bit-equal; the speedup gate is
-  CPU-conditional (a 1-core host *cannot* win — the measured ~0.5x
-  there is pool overhead, which is why the knob defaults off) — ≥ 2x
-  with 4+ cores, ≥ 1.2x with 2-3, report-only below that.
+* ``solve-expander-65536`` — one full serial ``solve_rpaths`` at the
+  target size (landmark_c = 0.05 keeps |L|² pair broadcasts within a
+  CI budget).  Its round count must equal the committed one, so a
+  kernel change that moves the n = 65536 ledger fails by name.
 
 The run also exports its peak RSS (``resource.getrusage``) through
 :data:`repro.telemetry.schema.PEAK_RSS_BYTES`, so a traced run shows
@@ -45,38 +30,25 @@ n = 65536 run)::
 
 * diet ratios must hold the absolute floors (1.9x / 1.5x) and stay
   within the plain tolerance of the committed baseline;
-* the fan-out speedup must hold its CPU-tier floor, and is compared
-  against the baseline only when both runs had >= 2 CPUs;
-* peak RSS must stay under 3072 MiB (the committed run peaked at
-  1961 MiB: the ceiling is the "still fits a laptop" line, not a
-  tight bound);
-* every bit-identity assertion fails the run outright.
+* the n = 65536 solve's ``rounds`` must equal the committed baseline's;
+* peak RSS must stay under 3072 MiB (the "still fits a laptop" line,
+  not a tight bound).
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import sys
 import time
-from typing import Dict, List
+from typing import Dict
 
 from _util import Bench, Check, main, quiet_gc, run_entry
 
-from repro.congest.multisource import multi_source_hop_bfs
 from repro.congest.topology import TopologyArrays
 from repro.core.rpaths import solve_rpaths
 from repro.graphs import expander_instance
 
 SOLVE_FAMILY = "solve-expander-65536"
-FANOUT_FAMILY = "fanout-kbfs-32768"
-
-#: Fan-out worker width (the "≥ 2 workers" of the acceptance gate).
-FANOUT_WIDTH = 4
-
-
-def _phases(ledger) -> List[dict]:
-    return [stats.as_dict() for stats in ledger.phases()]
 
 
 # -- families -----------------------------------------------------------------
@@ -102,87 +74,18 @@ def measure_diet(instance) -> dict:
 
 
 def measure_solve(instance) -> dict:
-    """Whole solve at n=65536, timed serially, then again with
-    parallel=2 for the bit-identity contract (untimed: see the module
-    doc)."""
+    """Whole serial solve at n=65536."""
     with quiet_gc():
         start = time.perf_counter()
-        serial = solve_rpaths(instance, seed=7, fabric="vector",
+        report = solve_rpaths(instance, seed=7, fabric="vector",
                               landmark_c=0.05)
-        serial_s = time.perf_counter() - start
-    # Untimed, but under the same collector guard as before, so the
-    # gated peak RSS of the run is what it was.
-    with quiet_gc():
-        fanned = solve_rpaths(instance, seed=7, fabric="vector",
-                              landmark_c=0.05, parallel=2)
-    if fanned.lengths != serial.lengths:
-        raise AssertionError(f"{SOLVE_FAMILY}: parallel lengths differ")
-    if _phases(fanned.ledger) != _phases(serial.ledger):
-        raise AssertionError(f"{SOLVE_FAMILY}: parallel ledger differs")
+        seconds = time.perf_counter() - start
     return {
         "n": instance.n,
         "m": instance.m,
-        "rounds": serial.rounds,
+        "rounds": report.rounds,
         "landmark_c": 0.05,
-        "workers": 2,
-        "serial_seconds": round(serial_s, 3),
-        "identical": True,
-    }
-
-
-def _fanout_widths() -> float:
-    """Sum of the ``serve-batch`` fan-out widths recorded so far."""
-    from repro.telemetry.counters import registry
-    summaries = registry.snapshot()["summaries"]
-    key = 'repro_parallel_fanout_width{site="serve-batch"}'
-    return summaries.get(key, {"sum": 0})["sum"]
-
-
-def measure_fanout(instance, chunks: int = 8, chunk_size: int = 32,
-                   hop_limit: int = 48) -> dict:
-    """The fan-out mechanism in isolation: independent kBFS chunks,
-    serial loop vs shared-memory pool, bit-identity asserted."""
-    from repro.runtime import sharedmem
-
-    topo = instance.build_network(fabric="vector").topology
-    sources = [list(range(c * chunk_size, (c + 1) * chunk_size))
-               for c in range(chunks)]
-
-    serial_net = instance.build_network(fabric="vector")
-    with quiet_gc():
-        start = time.perf_counter()
-        serial = [multi_source_hop_bfs(serial_net, chunk,
-                                       hop_limit=hop_limit,
-                                       phase="scale-fanout")
-                  for chunk in sources]
-        serial_s = time.perf_counter() - start
-
-    fanned_net = instance.build_network(fabric="vector")
-    widths_before = _fanout_widths()
-    with sharedmem.publish_topology(topo) as pub:
-        with quiet_gc():
-            start = time.perf_counter()
-            fanned = sharedmem.fanout_kbfs(
-                fanned_net, pub, FANOUT_WIDTH,
-                [dict(sources=chunk, hop_limit=hop_limit,
-                      phase="scale-fanout") for chunk in sources],
-                site="serve-batch")
-            fanout_s = time.perf_counter() - start
-    if fanned != serial:
-        raise AssertionError(f"{FANOUT_FAMILY}: pooled tables differ")
-    if _phases(fanned_net.ledger) != _phases(serial_net.ledger):
-        raise AssertionError(f"{FANOUT_FAMILY}: merged ledger differs")
-    return {
-        "n": instance.n,
-        "chunks": chunks,
-        "chunk_size": chunk_size,
-        "hop_limit": hop_limit,
-        "width": int(_fanout_widths() - widths_before),
-        "cpus": os.cpu_count() or 1,
-        "serial_seconds": round(serial_s, 3),
-        "fanout_seconds": round(fanout_s, 3),
-        "speedup_fanout": round(serial_s / fanout_s, 3),
-        "identical": True,
+        "serial_seconds": round(seconds, 3),
     }
 
 
@@ -190,7 +93,6 @@ def measure_families() -> Dict[str, dict]:
     families: Dict[str, dict] = {}
     mid = expander_instance(32768, degree=4, seed=5)
     families["diet-32768"] = measure_diet(mid)
-    families[FANOUT_FAMILY] = measure_fanout(mid)
     del mid
     gc.collect()
     big = expander_instance(65536, degree=4, seed=3)
@@ -200,7 +102,7 @@ def measure_families() -> Dict[str, dict]:
 
 
 def measure_peak_rss() -> dict:
-    """Peak RSS of this process + its pool children, exported as the
+    """Peak RSS of this process, exported as the
     :data:`repro.telemetry.schema.PEAK_RSS_BYTES` gauge (``ru_maxrss`` is
     KiB on Linux)."""
     import resource
@@ -209,24 +111,18 @@ def measure_peak_rss() -> dict:
 
     unit = 1024 if sys.platform != "darwin" else 1
     self_b = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit
-    child_b = (resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-               * unit)
     PEAK_RSS_BYTES.set(self_b)
-    return {
-        "self_mib": round(self_b / (1 << 20), 1),
-        "children_mib": round(child_b / (1 << 20), 1),
-    }
+    return {"self_mib": round(self_b / (1 << 20), 1)}
 
 
 BENCH = Bench(
     name="scale",
     measure=lambda quick: {**measure_families(),
                            "peak-rss": measure_peak_rss()},
-    title="scale-out — int32 diet bytes vs int64 layout, whole solve "
-          "at n=65536, shared-memory fan-out, peak RSS",
-    columns=("n", "m", "ratio", "key_dtype", "rounds", "chunks", "cpus",
-             "serial_seconds", "fanout_seconds", "speedup_fanout",
-             "self_mib", "children_mib"),
+    title="scale — int32 diet bytes vs int64 layout, whole solve at "
+          "n=65536, peak RSS",
+    columns=("n", "m", "ratio", "key_dtype", "rounds", "serial_seconds",
+             "self_mib"),
     checks=(
         # Every group fits int32 up to n=32768 (the pytest entry's
         # diet-16384 too); at n=65536 the keys promote to int64.
@@ -234,15 +130,7 @@ BENCH = Bench(
         Check("floor", ("diet-65536",), "ratio", 1.5),
         # Byte ratios are deterministic: plain tolerance.
         Check("higher", ("diet-32768", "diet-65536"), "ratio"),
-        # A 1-core host cannot win (the ~0.5x there is pool overhead,
-        # which is why the knob defaults off): report-only below 2.
-        Check("floor", (FANOUT_FAMILY,), "speedup_fanout", 2.0,
-              when=lambda row: row["cpus"] >= 4),
-        Check("floor", (FANOUT_FAMILY,), "speedup_fanout", 1.2,
-              when=lambda row: 2 <= row["cpus"] < 4),
-        # Compared only when both runs could overlap work.
-        Check("higher", (FANOUT_FAMILY,), "speedup_fanout", doubled=True,
-              when=lambda row: row.get("cpus", 1) >= 2),
+        Check("same", (SOLVE_FAMILY,), "rounds"),
         Check("ceiling", ("peak-rss",), "self_mib", 3072),
     ),
 )

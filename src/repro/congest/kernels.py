@@ -15,8 +15,9 @@ operations (frontier gathers via CSR range expansion, delay-shifted
 scheduling buckets, segmented max/min via
 ``np.maximum.at``/``np.minimum.at``) instead of one Python tuple per
 (sender, target) pair — and closed-form schedules (chain gaps, DP
-rounds, disjoint sweep groups, broadcast makespans) charge whole
-executions in bulk via
+rounds, disjoint sweep groups, broadcast makespans, the repeating
+tail of the pruned hop-BFS once its unit-step state reaches a fixed
+point) charge whole executions in bulk via
 :meth:`~repro.congest.metrics.RoundLedger.charge_rounds` without
 walking rounds at all.
 
@@ -248,6 +249,14 @@ def pruned_max_hop_bfs_vector(
     frontier, one delay shift into per-arrival-hop buckets, one
     segmented max (or min) per touched bucket.
 
+    With unit steps nothing is ever pending across rounds, so a round's
+    settled frontier and indices decide every later round.  Once a
+    round settles exactly the state of the round before, every round up
+    to ``hop_limit`` repeats it: the remaining rounds are charged in
+    one :func:`charge_uniform_rounds` call and the row is repeated in
+    the tables.  A strict overload raises inside the first sending
+    round, before any repeat can be seen.
+
     ``plan`` is the prebuilt send-arrays triple the dispatcher's
     prepare hook supplies (built before the phase opens, so a
     pathological delay function overflows before anything is charged
@@ -267,6 +276,10 @@ def pruned_max_hop_bfs_vector(
     sentinel = -_INT64_SAFE if prefer_larger else _INT64_SAFE
     aux_of = {value[0]: value[1] for value in seeds.values()}
     record = (None if record_for is None else set(record_for))
+    recorded = None
+    if record is not None:
+        recorded = np.zeros(n, dtype=bool)
+        recorded[[u for u in record if 0 <= u < n]] = True
     size = HOP_MESSAGE_WORDS
     overload = net.strict and size > net.bandwidth_words
     empty = np.zeros(0, dtype=np.int64)
@@ -280,6 +293,8 @@ def pruned_max_hop_bfs_vector(
         #: most max-delay buckets live at once).
         buckets: Dict[int, object] = {}
         settled: List[Tuple[int, object, object]] = []
+        #: Rounds after the last settled row that repeat it.
+        repeats = 0
 
         for d in range(1, hop_limit + 1):
             if not run_full_budget and not fr_v.size and not buckets:
@@ -327,10 +342,22 @@ def pruned_max_hop_bfs_vector(
             bucket = buckets.pop(d, None)
             if bucket is None:
                 fr_v = fr_idx = empty
-            else:
-                fr_v = np.nonzero(bucket != sentinel)[0]
-                fr_idx = bucket[fr_v]
-                settled.append((d, fr_v, fr_idx))
+                continue
+            new_v = np.nonzero(bucket != sentinel)[0]
+            new_idx = bucket[new_v]
+            settled.append((d, new_v, new_idx))
+            # From round 2 on, a non-empty unit-step frontier is the
+            # row settled in round d - 1.
+            if (unit_steps and 1 < d < hop_limit
+                    and np.array_equal(new_v, fr_v)
+                    and np.array_equal(new_idx, fr_idx)):
+                repeats = hop_limit - d
+                # A strict overload raised in the first sending round,
+                # so the round-1 links are never read here.
+                charge_uniform_rounds(
+                    net, repeats, repeats * total, size, (), ())
+                break
+            fr_v, fr_idx = new_v, new_idx
 
         tables: Dict[int, List[Optional[Value]]] = {
             u: [None] * (hop_limit + 1)
@@ -340,9 +367,16 @@ def pruned_max_hop_bfs_vector(
             if record is None or u in record:
                 tables[u][0] = value
         for d, verts, idxs in settled:
+            if recorded is not None:
+                mask = recorded[verts]
+                verts, idxs = verts[mask], idxs[mask]
             for u, idx in zip(verts.tolist(), idxs.tolist()):
-                if record is None or u in record:
-                    tables[u][d] = (idx, aux_of[idx])
+                tables[u][d] = (idx, aux_of[idx])
+        if repeats:
+            # ``d`` and ``verts`` still name the last, repeating row.
+            for u in verts.tolist():
+                row = tables[u]
+                row[d + 1:] = [row[d]] * repeats
         return tables
 
 

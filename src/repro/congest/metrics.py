@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping
+from typing import Dict, Iterator, List
 
 from ..telemetry import trace as _trace
 
@@ -137,43 +137,6 @@ class RoundLedger:
             if max_link_words > stats.max_link_words:
                 stats.max_link_words = max_link_words
             stats.violations += violations
-
-    # -- merging (parallel fan-out) ----------------------------------------
-
-    def phase_snapshot(self) -> List[dict]:
-        """Picklable dump: every phase's aggregates, first-opened order.
-
-        A ``parallel=`` worker runs its primitive calls on a fresh
-        ledger (with the parent's open phase stack replicated, so
-        charges land under the same names) and ships this snapshot
-        home; the parent folds it back via :meth:`merge_phases`.
-        """
-        return [self._stats[name].as_dict() for name in self._order]
-
-    def merge_phases(self, phases: Iterable[Mapping[str, int]]) -> None:
-        """Fold another ledger's phase aggregates into this one.
-
-        Per phase: rounds/messages/words/violations add, the per-link
-        maximum takes the max, and phases this ledger has not opened
-        yet are appended in the given order.  Because
-        :class:`PhaseStats` only ever holds aggregates, merging worker
-        snapshots in the serial call order reproduces the serial
-        ledger exactly — the bit-identity contract of the parallel
-        fan-out (asserted by ``tests/test_scaleout.py``).
-        """
-        for snap in phases:
-            name = snap["name"]
-            stats = self._stats.get(name)
-            if stats is None:
-                stats = PhaseStats(name)
-                self._stats[name] = stats
-                self._order.append(name)
-            stats.rounds += snap["rounds"]
-            stats.messages += snap["messages"]
-            stats.words += snap["words"]
-            if snap["max_link_words"] > stats.max_link_words:
-                stats.max_link_words = snap["max_link_words"]
-            stats.violations += snap["violations"]
 
     # -- reading -----------------------------------------------------------
 

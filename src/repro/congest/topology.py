@@ -329,9 +329,9 @@ class CSRTopology:
         One export backs *every* solve on this topology — the k-source
         and landmark runs of a ``solve_rpaths`` execution, every batch
         the serve planner answers, and (via
-        :mod:`repro.runtime.sharedmem`) the worker processes of a
-        ``parallel=`` fan-out all gather over the same frozen arrays
-        instead of re-materializing per call.  Dtypes follow the int32
+        :mod:`repro.runtime.sharedmem`) the serve daemon's worker
+        processes all gather over the same frozen arrays instead of
+        re-materializing per call.  Dtypes follow the int32
         memory diet (see :class:`TopologyArrays`).
 
         Requires NumPy; the message fabrics never call this, so the

@@ -67,7 +67,13 @@ def pruned_max_hop_bfs(
         vertex -> (index, aux); these are the S_0 values (each v_i seeds
         its own index i).
     hop_limit:
-        ζ (or ζ* for the rounding graphs): the exact-hop horizon.
+        ζ (or ζ* for the rounding graphs): the exact-hop horizon; with
+        ``run_full_budget`` the ledger is charged exactly this many
+        rounds.  On the vector fabric, once a unit-step round settles
+        the same frontier and indices as the round before, the
+        remaining rounds repeat it and are charged in one call: tables
+        and ledger are the ones the message lane steps through round
+        by round.
     avoid_edges:
         Directed edges the walks must avoid — the edges of P.
     delay:
@@ -82,7 +88,9 @@ def pruned_max_hop_bfs(
         exits before a round in which nothing is in flight and nothing
         is scheduled; every round that does start is charged to the
         ledger (as an exchange or an idle round), so early-exit ledgers
-        agree with full-budget ledgers on their common prefix.
+        agree with full-budget ledgers on their common prefix.  A
+        repeating (non-empty) round never goes idle, so it runs, and is
+        charged, to ``hop_limit`` either way.
     sense:
         ``"backward"``: walks run from u *to* the seeds, messages travel
         against edge directions (Lemma 4.2).  ``"forward"``: walks run

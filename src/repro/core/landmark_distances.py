@@ -108,48 +108,23 @@ def compute_landmark_distances(
     hop_limit: int,
     avoid_edges: EdgeSet,
     phase: str = "landmark-distances(L5.4/5.6)",
-    parallel: int = 1,
-    shared=None,
 ) -> LandmarkDistances:
     """Run the Lemma 5.4 + Lemma 5.6 pipeline.
 
     Rounds: two k-source h-hop BFS runs (O(|L| + h) each, Lemma 5.5) plus
     one broadcast of |L|² words (O(|L|² + D), Lemma 2.4).
-
-    The forward and backward BFS runs are independent primitive calls;
-    with ``parallel >= 2`` and a ``shared``
-    :class:`~repro.runtime.sharedmem.PublishedTopology`, they fan out
-    to worker processes attached to the shared arrays, with results
-    and ledger charges bit-identical to the serial pair.
     """
     k = len(landmarks)
     with net.ledger.phase(phase):
         if k == 0:
             return LandmarkDistances([], [], [], [])
 
-        fanout = False
-        if shared is not None and parallel >= 2:
-            # Lazy import: the serial path must not drag the runtime
-            # package in (and core <-> runtime would cycle at import).
-            from ..runtime import sharedmem
-            fanout = sharedmem.fanout_ready(net, parallel, shared)
-        if fanout:
-            base = dict(sources=landmarks, hop_limit=hop_limit,
-                        avoid_edges=avoid_edges)
-            forward_hops, backward_hops = sharedmem.fanout_kbfs(
-                net, shared, parallel,
-                [dict(base, direction="out",
-                      phase="kBFS-forward(L5.5)"),
-                 dict(base, direction="in",
-                      phase="kBFS-backward(L5.5)")],
-                site="landmark-kbfs")
-        else:
-            forward_hops = multi_source_hop_bfs(
-                net, landmarks, hop_limit, direction="out",
-                avoid_edges=avoid_edges, phase="kBFS-forward(L5.5)")
-            backward_hops = multi_source_hop_bfs(
-                net, landmarks, hop_limit, direction="in",
-                avoid_edges=avoid_edges, phase="kBFS-backward(L5.5)")
+        forward_hops = multi_source_hop_bfs(
+            net, landmarks, hop_limit, direction="out",
+            avoid_edges=avoid_edges, phase="kBFS-forward(L5.5)")
+        backward_hops = multi_source_hop_bfs(
+            net, landmarks, hop_limit, direction="in",
+            avoid_edges=avoid_edges, phase="kBFS-backward(L5.5)")
 
         # Each landmark l_b broadcasts its hop distance *from* every l_a
         # (which it learned as a vertex in the forward BFS).

@@ -46,8 +46,6 @@ def long_detour_lengths(
     seed: int = 0,
     landmark_c: float = 2.0,
     phase: str = "long-detour(P5.1)",
-    parallel: int = 1,
-    shared=None,
 ) -> List[int]:
     """Proposition 5.1.  Returns ``x[i]`` for every path edge i.
 
@@ -68,7 +66,6 @@ def long_detour_lengths(
             net, tree, landmarks,
             hop_limit=zeta,
             avoid_edges=instance.path_edge_set(),
-            parallel=parallel, shared=shared,
         )
 
         segment_len = max(1, math.ceil(instance.n ** (2.0 / 3.0)))

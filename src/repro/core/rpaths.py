@@ -77,7 +77,6 @@ def solve_rpaths(
     bandwidth_words: Optional[int] = None,
     compute_diameter: bool = False,
     fabric: str = DEFAULT_FABRIC,
-    parallel: int = 1,
 ) -> RPathsReport:
     """Theorem 1: solve unweighted directed RPaths on the instance.
 
@@ -95,14 +94,6 @@ def solve_rpaths(
     fabric:
         Exchange engine (default ``"vector"``; see ``FABRICS``); the
         fabric equivalence tests run the full solver on each.
-    parallel:
-        With ``parallel >= 2``, the topology's frozen array export is
-        published once into shared memory
-        (:mod:`repro.runtime.sharedmem`) and the solver's independent
-        k-source BFS runs (the forward/backward landmark pair) fan
-        out over that many worker processes.  Results *and* round
-        ledgers are bit-identical to ``parallel=1``; the knob only
-        buys wall-clock.
     """
     if instance.weighted:
         raise ValueError(
@@ -114,32 +105,22 @@ def solve_rpaths(
 
     with telemetry.span("solve/rpaths", instance=instance.name,
                         n=instance.n, fabric=fabric,
-                        zeta=zeta, parallel=parallel) as sp:
+                        zeta=zeta) as sp:
         net = instance.build_network(bandwidth_words=bandwidth_words,
                                      fabric=fabric)
         sp.set_ledger(net.ledger)
-        shared = None
-        if parallel >= 2 and not net.strict:
-            from ..runtime import sharedmem
-            shared = sharedmem.publish_topology(net.topology)
-        try:
-            tree = build_spanning_tree(net)
-            if use_oracle_knowledge:
-                knowledge = oracle_knowledge(instance)
-            else:
-                knowledge = acquire_path_knowledge(
-                    instance, net, tree=tree, seed=seed)
+        tree = build_spanning_tree(net)
+        if use_oracle_knowledge:
+            knowledge = oracle_knowledge(instance)
+        else:
+            knowledge = acquire_path_knowledge(
+                instance, net, tree=tree, seed=seed)
 
-            short = short_detour_lengths(instance, net, knowledge,
-                                         zeta)
-            long_ = long_detour_lengths(
-                instance, net, tree, knowledge, zeta,
-                landmarks=landmarks, seed=seed + 1,
-                landmark_c=landmark_c, parallel=parallel,
-                shared=shared)
-        finally:
-            if shared is not None:
-                shared.close()
+        short = short_detour_lengths(instance, net, knowledge, zeta)
+        long_ = long_detour_lengths(
+            instance, net, tree, knowledge, zeta,
+            landmarks=landmarks, seed=seed + 1,
+            landmark_c=landmark_c)
 
         lengths = [min(a, b) for a, b in zip(short, long_)]
     report = RPathsReport(

@@ -43,6 +43,11 @@ class ReductionReport:
     optimal_length: int
     rounds: int
     n: int
+    #: Ledger totals of the 2-SiSP run, beside its ``rounds``.
+    messages: int
+    words: int
+    max_link_words: int
+    violations: int
 
     @property
     def correct(self) -> bool:
@@ -79,6 +84,7 @@ def decide_disjointness_via_two_sisp(
         use_oracle_knowledge=use_oracle_knowledge, fabric=fabric)
     optimal = expected_optimal_length(k, d, p)
     decided = 0 if result.length == optimal else 1
+    ledger = result.rpaths.ledger
     return ReductionReport(
         k=k, d=d, p=p,
         expected=disjointness(x, y),
@@ -87,4 +93,8 @@ def decide_disjointness_via_two_sisp(
         optimal_length=optimal,
         rounds=result.rounds,
         n=hard.n,
+        messages=ledger.messages,
+        words=ledger.words,
+        max_link_words=ledger.max_link_words,
+        violations=ledger.violations,
     )

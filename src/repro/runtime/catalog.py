@@ -460,10 +460,10 @@ def run_lowerbound_hard(params: Params, seed: int):
         "m": len(hard.instance.edges),
         "hop_count": hard.instance.hop_count,
         "rounds": red.rounds,
-        "messages": 0,
-        "words": 0,
-        "max_link_words": 0,
-        "violations": 0,
+        "messages": red.messages,
+        "words": red.words,
+        "max_link_words": red.max_link_words,
+        "violations": red.violations,
         "correct": bool(report.holds and red.correct),
         "optimal_length": report.optimal_length,
         "hit_count": report.hit_count,

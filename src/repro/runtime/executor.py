@@ -147,9 +147,9 @@ def pool_map(
 
     The returned list always has ``len(payloads)`` entries, one per
     payload in order — a worker (or fallback) that returns ``None``
-    keeps its slot.  Other subsystems reuse this for non-cell work
-    (the sharded query service fans shard batches out through it, and
-    the ``parallel=`` solve fan-out ships shared-topology jobs here).
+    keeps its slot.  :func:`run_cells` is its one caller in the
+    package; solves and the serve tier run no pool of their own (the
+    daemon keeps long-lived workers instead).
 
     ``jobs <= 1`` runs every payload inline in this process — same
     fallback/progress/counter semantics, no pool, no pickling — so

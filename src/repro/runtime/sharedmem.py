@@ -1,4 +1,4 @@
-"""Shared-memory topology publication for the ``parallel=`` fan-out.
+"""Shared-memory topology publication for the serve daemon's workers.
 
 A run's :class:`~repro.congest.topology.CSRTopology` is frozen by
 contract, so its array export can back worker processes as well as the
@@ -11,42 +11,17 @@ same physical pages; the per-vertex Python-list structures the message
 lanes need are rebuilt lazily on first access, so vector-fabric
 workers never pay for them.
 
-The fan-out itself (:func:`fanout_kbfs`) ships independent
-k-source-BFS calls through :func:`~repro.runtime.executor.pool_map`.
-Bit-identity with the serial path holds for results *and* ledgers:
-
-* each call is an already-independent primitive invocation (the
-  forward/backward landmark pair of Lemma 5.4/5.6, the per-(failed
-  edge, chunk) solves of the serve planner) — the serial path never
-  threads state between them;
-* each worker replicates the parent's open phase stack on a fresh
-  ledger, so charges land under exactly the serial phase names, and
-  the parent folds the snapshots back **in serial call order** via
-  :meth:`~repro.congest.metrics.RoundLedger.merge_phases`.  Phase
-  stats only ever hold sums and maxima, so the merged ledger equals
-  the serial one phase by phase, column by column
-  (``tests/test_scaleout.py`` asserts both).
-
 Every lifecycle transition is counted
-(``repro_sharedmem_events_total``) and every fan-out records its
-worker width (``repro_parallel_fanout_*``) — see
-:mod:`repro.telemetry.schema`.
+(``repro_sharedmem_events_total``, see :mod:`repro.telemetry.schema`).
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from .. import telemetry
-from ..congest.network import CongestNetwork
 from ..congest.topology import CSRTopology, TopologyArrays, _numpy
-from ..telemetry.schema import (
-    PARALLEL_FANOUT,
-    PARALLEL_FANOUT_WIDTH,
-    SHAREDMEM_EVENTS,
-)
+from ..telemetry.schema import SHAREDMEM_EVENTS
 
 #: Extra array shipped beside :attr:`TopologyArrays.FIELDS`: the
 #: input-order dense edge keys, so ``directed_edges()`` (and anything
@@ -84,8 +59,8 @@ class PublishedTopology:
     """A topology export living in one shared-memory block.
 
     Create via :func:`publish_topology`; the parent owns the block and
-    must :meth:`close` it (unlink included) when the fan-out is done —
-    ``solve_rpaths`` does so in a ``finally``.  Usable as a context
+    must :meth:`close` it (unlink included) when its workers are done —
+    the serve daemon does so when it stops.  Usable as a context
     manager.
     """
 
@@ -248,93 +223,3 @@ def detach_topology(topo: CSRTopology) -> None:
         shm.close()
         SHAREDMEM_EVENTS.inc(event="detach")
 
-
-# -- the fan-out --------------------------------------------------------------
-
-
-def fanout_ready(net: CongestNetwork, parallel: Optional[int],
-                 shared: Optional[PublishedTopology]) -> bool:
-    """Whether a ``parallel=`` fan-out may replace the serial calls.
-
-    Gates, each preserving the bit-identity/fidelity contract:
-    ``parallel >= 2`` workers requested; a published topology to
-    attach to; no ``strict`` bandwidth mode and no link-total
-    recording (both keep per-exchange state on the parent network
-    that a worker snapshot cannot replicate).  The fanned calls carry
-    no ``delay`` callable (it has no stable pickled identity).
-    """
-    return (parallel is not None and parallel >= 2
-            and shared is not None
-            and not net.strict
-            and not net.record_link_totals)
-
-
-def _kbfs_worker(payload: tuple):
-    """Run one k-source hop-BFS against the shared topology.
-
-    Module-level (picklable by reference).  Returns ``(dist table,
-    ledger phase snapshot)``; the parent merges the snapshot.
-    """
-    (handle, sources, hop_limit, direction, avoid_edges,
-     bandwidth_words, fabric, phase_stack, phase) = payload
-    from ..congest.multisource import multi_source_hop_bfs
-
-    telemetry.maybe_enable_from_env()
-    topo = attach_topology(handle)
-    try:
-        net = CongestNetwork(
-            handle.n, (), bandwidth_words=bandwidth_words,
-            fabric=fabric, topology=topo)
-        with contextlib.ExitStack() as stack:
-            # Replicate the parent's open phases so every charge lands
-            # under the same names the serial run would use.
-            for name in phase_stack:
-                stack.enter_context(net.ledger.phase(name))
-            dist = multi_source_hop_bfs(
-                net, list(sources), hop_limit, direction=direction,
-                avoid_edges=avoid_edges, phase=phase)
-        return dist, net.ledger.phase_snapshot()
-    finally:
-        detach_topology(topo)
-        telemetry.flush()
-
-
-def fanout_kbfs(
-    net: CongestNetwork,
-    shared: PublishedTopology,
-    parallel: int,
-    calls: Sequence[dict],
-    site: str,
-) -> List[List[List[int]]]:
-    """Fan independent ``multi_source_hop_bfs`` calls over the pool.
-
-    ``calls`` entries carry the call kwargs (``sources``,
-    ``hop_limit``, ``direction``, ``avoid_edges``, ``phase``).
-    Distance tables come back in call order; every worker ledger is
-    merged into ``net.ledger`` in call order, reproducing the serial
-    ledger exactly (see the module docstring).
-
-    The pool is at most ``max(2, default_jobs())`` wide, whatever
-    ``parallel`` asks for: more workers than CPUs only contend.  It
-    never drops below 2 on that account, since a width of 1 would run
-    the calls inline in this process.
-    """
-    from .executor import default_jobs, pool_map
-
-    phase_stack = tuple(net.ledger.current_phases[1:])
-    payloads = [
-        (shared.handle, tuple(c["sources"]), c["hop_limit"],
-         c.get("direction", "out"), c.get("avoid_edges"),
-         net.bandwidth_words, net.fabric, phase_stack,
-         c.get("phase"))
-        for c in calls
-    ]
-    width = min(max(1, parallel), max(2, default_jobs()), len(payloads))
-    PARALLEL_FANOUT.inc(site=site)
-    PARALLEL_FANOUT_WIDTH.observe(width, site=site)
-    outcomes = pool_map(_kbfs_worker, payloads, jobs=width)
-    dists: List[List[List[int]]] = []
-    for dist, phases in outcomes:
-        net.ledger.merge_phases(phases)
-        dists.append(dist)
-    return dists

@@ -90,75 +90,12 @@ class BatchPlanner:
         self.fabric = fabric
         self.max_group = max_group
         self._net = None  # built lazily; reused across batches
-        self._parallel = 1
-        self._shared = None  # PublishedTopology while warmed parallel
 
     def _network(self):
         if self._net is None:
             self._net = self.oracle.instance.build_network(
                 fabric=self.fabric)
         return self._net
-
-    def warm(self, parallel: int = 1) -> None:
-        """Pre-build the network; opt into multiprocess fan-out.
-
-        With ``parallel >= 2`` the topology's frozen array export is
-        published once into shared memory
-        (:mod:`repro.runtime.sharedmem`); every subsequent batch fans
-        its per-(failed edge, source chunk) solves over that many
-        workers attached to the shared arrays.  Answers, oracle
-        seeding, and the ledger stay bit-identical to the serial
-        path.  Call :meth:`close` when done to release the block.
-        """
-        net = self._network()
-        self._parallel = max(1, int(parallel))
-        if self._parallel >= 2 and self._shared is None:
-            from ..runtime import sharedmem
-            self._shared = sharedmem.publish_topology(net.topology)
-
-    def close(self) -> None:
-        """Release the shared-memory block (idempotent)."""
-        if self._shared is not None:
-            self._shared.close()
-            self._shared = None
-
-    def __enter__(self) -> "BatchPlanner":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _solve_jobs(self, net, jobs: Sequence[Tuple[Edge, List[int]]]):
-        """Distance tables for the (failed edge, chunk) jobs, in order.
-
-        Serial by default; a warmed-parallel planner fans the jobs
-        over workers attached to the published topology and merges
-        their ledgers back in job order (bit-identical either way).
-        """
-        if net is None or not jobs:
-            return []
-        hop_limit = self.oracle.instance.n
-        if (self._shared is not None and self._parallel >= 2
-                and len(jobs) >= 2):
-            from ..runtime import sharedmem
-            if sharedmem.fanout_ready(net, self._parallel,
-                                      self._shared):
-                calls = [
-                    dict(sources=chunk, hop_limit=hop_limit,
-                         avoid_edges=frozenset([edge]),
-                         phase=f"serve-batch({edge[0]},{edge[1]})")
-                    for edge, chunk in jobs
-                ]
-                return sharedmem.fanout_kbfs(
-                    net, self._shared, self._parallel, calls,
-                    site="serve-batch")
-        return [
-            multi_source_hop_bfs(
-                net, chunk, hop_limit=hop_limit,
-                avoid_edges=frozenset([edge]),
-                phase=f"serve-batch({edge[0]},{edge[1]})")
-            for edge, chunk in jobs
-        ]
 
     def answer_batch(
         self, queries: Sequence[Query],
@@ -189,31 +126,29 @@ class BatchPlanner:
                         q.s, []).append(idx)
 
             # Pass 2: one k-source solve per (failed edge, source
-            # chunk).  The jobs are independent by construction, so a
-            # warmed-parallel planner fans them over worker processes
-            # and replays the results in the same serial order below.
+            # chunk).
             net = self._network() if groups else None
             if net is not None:
                 sp.set_ledger(net.ledger)
-            jobs: List[Tuple[Edge, List[int]]] = []
             for edge, by_source in sorted(groups.items()):
                 report.groups += 1
                 sources = sorted(by_source)
                 for lo in range(0, len(sources), self.max_group):
-                    jobs.append((edge, sources[lo:lo + self.max_group]))
-            tables = self._solve_jobs(net, jobs)
-            for (edge, chunk), dist in zip(jobs, tables):
-                by_source = groups[edge]
-                report.batch_solves += 1
-                for rank, s in enumerate(chunk):
-                    self.oracle.seed_fallback(s, edge, dist[rank])
-                    for idx in by_source[s]:
-                        q = queries[idx]
-                        length = dist[rank][q.t]
-                        answers[idx] = QueryAnswer(
-                            q, INF if length >= INF else length,
-                            BATCHED_SOLVE)
-                        report.batched_queries += 1
+                    chunk = sources[lo:lo + self.max_group]
+                    dist = multi_source_hop_bfs(
+                        net, chunk, hop_limit=inst.n,
+                        avoid_edges=frozenset([edge]),
+                        phase=f"serve-batch({edge[0]},{edge[1]})")
+                    report.batch_solves += 1
+                    for rank, s in enumerate(chunk):
+                        self.oracle.seed_fallback(s, edge, dist[rank])
+                        for idx in by_source[s]:
+                            q = queries[idx]
+                            length = dist[rank][q.t]
+                            answers[idx] = QueryAnswer(
+                                q, INF if length >= INF else length,
+                                BATCHED_SOLVE)
+                            report.batched_queries += 1
 
         final = [a for a in answers if a is not None]
         assert len(final) == len(queries)

@@ -104,7 +104,7 @@ KERNEL_DISPATCH = counter(
     reason=_derived("repro.congest.dispatch", "known_reasons"),
     optional=("reason",))
 
-# -- scale-out (topology exports, send plans, shared memory, fan-out) -------
+# -- scale-out (topology exports, send plans, shared memory) ----------------
 
 TOPOLOGY_EXPORT = counter(
     "repro_topology_export_total",
@@ -120,15 +120,6 @@ SHAREDMEM_EVENTS = counter(
     "repro_sharedmem_events_total",
     "Shared-memory topology lifecycle events.",
     event=("publish", "attach", "detach", "unlink"))
-_FANOUT_SITES = ("landmark-kbfs", "serve-batch")
-PARALLEL_FANOUT = counter(
-    "repro_parallel_fanout_total",
-    "Batches of independent k-source BFS calls handed to the pool.",
-    site=_FANOUT_SITES)
-PARALLEL_FANOUT_WIDTH = summary(
-    "repro_parallel_fanout_width",
-    "Worker width of each fan-out.",
-    site=_FANOUT_SITES)
 PEAK_RSS_BYTES = gauge(
     "repro_peak_rss_bytes",
     "Peak resident set size in bytes (max across processes).")

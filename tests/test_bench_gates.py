@@ -7,7 +7,6 @@ files, and rows nudged to either side of every declared bound.
 """
 
 import importlib
-import itertools
 import json
 import pathlib
 import sys
@@ -108,10 +107,7 @@ def test_checks_name_families_the_bench_measures(name):
 @pytest.mark.parametrize("name, check, family", list(declared()))
 def test_each_bound_separates_inside_from_past(name, check, family):
     rows = committed(name)["families"] if name in COMMITTED else {}
-    template = dict(rows.get(family) or SYNTHETIC[family])
-    # The only condition a gate declares is on the row's CPU count.
-    row = next(dict(template, cpus=cpus) for cpus in (1, 2, 3, 4)
-               if check.applies(dict(template, cpus=cpus)))
+    row = dict(rows.get(family) or SYNTHETIC[family])
     baseline = {"families": {family: row}}
     limit = limit_of(check, row)
     inside = nudged(check, limit, past=False)
@@ -139,8 +135,6 @@ def regressed(name, payload):
             continue
         for family in check.families:
             base = payload["families"][family]
-            if not check.applies(base):
-                continue
             low = check.kind == "higher"
             rows[family][check.key] = (limit_of(check, base)
                                        * (0.99 if low else 1.01))
@@ -167,27 +161,6 @@ def test_unstamped_solver_file_is_compared_in_every_mode():
         problems = _util.gate(bench("solver").checks, rows, payload,
                               quick)
         assert count and len(problems) == count
-
-
-@pytest.mark.parametrize("cpus, speedup, failing", [
-    (1, 0.1, False), (2, 1.19, True), (2, 1.21, False),
-    (3, 1.19, True), (4, 1.99, True), (4, 2.01, False),
-])
-def test_fanout_floor_follows_cpus(cpus, speedup, failing):
-    rows = {"fanout-kbfs-32768": {"cpus": cpus,
-                                  "speedup_fanout": speedup}}
-    assert bool(_util.gate(bench("scale").checks, rows)) == failing
-
-
-def test_fanout_baseline_needs_two_cpus_on_both_sides():
-    family = "fanout-kbfs-32768"
-    for run_cpus, base_cpus in itertools.product((1, 2, 4), repeat=2):
-        # 2.5x holds every CPU floor, but is a collapse from 10x.
-        rows = {family: {"cpus": run_cpus, "speedup_fanout": 2.5}}
-        baseline = {"families": {family: {"cpus": base_cpus,
-                                          "speedup_fanout": 10.0}}}
-        problems = _util.gate(bench("scale").checks, rows, baseline)
-        assert len(problems) == (run_cpus >= 2 and base_cpus >= 2)
 
 
 @pytest.mark.parametrize("name", COMMITTED)

@@ -60,11 +60,14 @@ from repro.extensions import (
     solve_rpaths_undirected,
 )
 from repro.graphs import (
+    double_path_instance,
     expander_instance,
+    grid_instance,
     path_with_chords_instance,
     power_law_instance,
     random_instance,
 )
+from repro.graphs.instance import RPathsInstance
 from repro.lowerbound.reduction import decide_disjointness_via_two_sisp
 from repro.serve import BatchPlanner, Query, ReplacementPathOracle
 from repro.telemetry import counters as counters_mod
@@ -109,7 +112,92 @@ def fuzz_avoid(rng: random.Random, instance):
     return frozenset(picked)
 
 
+def _expander():
+    return expander_instance(100, degree=4, seed=5)
+
+
+def _late_arrival():
+    """A core of cycles of length 2 and 3 repeats its state from round
+    5, while a 9-step edge still carries P[1]'s index toward it."""
+    a, d, b, c, e = range(5)
+    edges = [(a, d, 1), (e, d, 9), (a, e, 1), (b, a, 1), (a, b, 1),
+             (c, b, 1), (a, c, 1)]
+    return RPathsInstance(n=5, edges=edges, path=[a, d],
+                          name="late-arrival")
+
+
+#: Fixed-point exit cases of the hop-BFS kernel: name -> (instance,
+#: call overrides, network settings).  The hop limit defaults to ζ.
+HOP_BFS_EXIT_CASES = {
+    # The state repeats early: the tail is charged in one call.
+    "expander-period-1": (_expander, {}, {}),
+    # Bipartite: the state alternates with period 2, so no exit.
+    "grid-period-2": (lambda: grid_instance(20, 20), {}, {}),
+    # The frontier empties by itself before the budget.
+    "double-path-empties": (lambda: double_path_instance(10),
+                            {"hop_limit": 30}, {}),
+    # A delayed arrival is still pending when the state repeats.
+    "delayed-steps": (_late_arrival, {"delay": lambda w: w,
+                                      "hop_limit": 16}, {}),
+    "early-exit-budget": (_expander, {"run_full_budget": False}, {}),
+    # Non-strict overload: the tail's violations are charged in bulk.
+    "bulk-violations": (_expander, {}, {"bandwidth_words": 2}),
+    # Strict overload: raises inside round 1, before any repeat.
+    "strict-overload": (_expander, {},
+                        {"bandwidth_words": 2, "strict": True}),
+}
+
+
+def _hop_bfs_exit_run(case, fabric, sense="backward", select="max"):
+    """Tables (or the raised error) and ledger of one exit case."""
+    build, call, settings_ = HOP_BFS_EXIT_CASES[case]
+    instance = build()
+    net = instance.build_network(
+        bandwidth_words=settings_.get("bandwidth_words"), fabric=fabric)
+    net.strict = settings_.get("strict", False)
+    call = {"hop_limit": rpaths.default_zeta(instance.n), **call}
+    seeds = {v: (i, 7 * i + 3) for i, v in enumerate(instance.path)}
+    outcome = _outcome(
+        lambda inst, net: pruned_max_hop_bfs(
+            net, seeds, avoid_edges=inst.path_edge_set(),
+            record_for=inst.path, sense=sense, select=select, **call),
+        instance, net)
+    return outcome, ledger_snapshot(net.ledger)
+
+
 class TestPrunedHopBfsFuzz:
+    @pytest.mark.parametrize("sense, select",
+                             [("backward", "max"), ("forward", "min")])
+    @pytest.mark.parametrize("case", sorted(HOP_BFS_EXIT_CASES))
+    def test_fixed_point_exit_is_bit_identical(self, case, sense,
+                                               select):
+        vector = _hop_bfs_exit_run(case, "vector", sense, select)
+        assert vector == _hop_bfs_exit_run(case, "fast", sense, select)
+        (status, *_), ledger = vector
+        phase = ledger[-1]
+        if case == "strict-overload":
+            assert status == "raise" and phase["rounds"] == 1
+        else:
+            assert status == "ok"
+        if case == "bulk-violations":
+            assert phase["violations"] == phase["messages"] > 0
+
+    def test_fixed_point_exit_charges_the_tail_in_bulk(
+            self, monkeypatch):
+        per_round = []
+        charge = kernels._charge_uniform_round
+
+        def counted(*args):
+            per_round.append(args)
+            charge(*args)
+
+        monkeypatch.setattr(kernels, "_charge_uniform_round", counted)
+        (status, _), ledger = _hop_bfs_exit_run(
+            "expander-period-1", "vector")
+        zeta = rpaths.default_zeta(_expander().n)
+        assert status == "ok" and ledger[-1]["rounds"] == zeta
+        assert 1 < len(per_round) < zeta
+
     def test_randomized_equivalence(self):
         rng = random.Random(20260728)
         for trial in range(30):

@@ -167,6 +167,32 @@ class TestCatalogCells:
         assert reduction.n == result.metrics["n"]
         assert result.metrics["rounds"] == reduction.rounds
 
+    def test_lowerbound_hard_reports_the_reductions_ledger(self):
+        import random
+
+        from repro.core.two_sisp import solve_two_sisp
+        from repro.lowerbound import build_hard_instance
+        from repro.lowerbound.reduction import bits_to_matrix
+        k, d, p = 2, 2, 1
+        metrics = execute_cell(CellSpec.make(
+            "lowerbound-hard", {"k": k, "d": d, "p": p}, 0)).metrics
+        rng = random.Random(0)
+        bits = [rng.randint(0, 1) for _ in range(4 * k * k)]
+        x, y = bits[2 * k * k:3 * k * k], bits[3 * k * k:]
+        hard = build_hard_instance(k, d, p, bits_to_matrix(y, k), x)
+        ledger = solve_two_sisp(
+            hard.instance, landmarks=list(range(hard.n)),
+            use_oracle_knowledge=True).rpaths.ledger
+        assert metrics["messages"] > 0
+        assert ([metrics[key] for key in (
+            "rounds", "messages", "words", "max_link_words",
+            "violations")] == [ledger.rounds, ledger.messages,
+                               ledger.words, ledger.max_link_words,
+                               ledger.violations])
+        # The rounds and the verdict the cell reported before it
+        # carried the totals.
+        assert (metrics["rounds"], metrics["correct"]) == (3048, True)
+
 
 # -- executor ---------------------------------------------------------------
 

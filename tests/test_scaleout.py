@@ -1,6 +1,6 @@
-"""Tests for the scale-out machinery: int32 diet, shm, ``parallel=``.
+"""Tests for the scale-out machinery: int32 diet and shared memory.
 
-Three contracts:
+Two contracts:
 
 1. **Memory diet** — :class:`TopologyArrays` / ``send_arrays`` emit
    int32 views exactly when the value ranges permit, promote to int64
@@ -9,9 +9,6 @@ Three contracts:
 2. **Shared memory** — a published topology attaches to a bit-equal,
    read-only replica whose lazily materialized Python side answers
    every scalar accessor like the original.
-3. **Parallel fan-out** — ``solve_rpaths(parallel=...)`` and a
-   warmed-parallel :class:`BatchPlanner` return results *and* round
-   ledgers bit-identical to the serial path, on every fabric.
 """
 
 from __future__ import annotations
@@ -24,16 +21,10 @@ from repro.congest.metrics import RoundLedger
 from repro.congest.multisource import multi_source_hop_bfs
 from repro.congest.network import CongestNetwork
 from repro.congest.topology import CSRTopology, TopologyArrays
-from repro.core.rpaths import solve_rpaths
-from repro.graphs import grid_instance, random_instance
+from repro.graphs import random_instance
 from repro.runtime import sharedmem
-from repro.serve.oracle import ReplacementPathOracle
-from repro.serve.planner import BatchPlanner
-from repro.serve.queries import Query
 
 np = pytest.importorskip("numpy")
-
-FABRICS = ("reference", "fast", "vector")
 
 
 def _random_topology(n: int, m: int, seed: int,
@@ -188,87 +179,3 @@ class TestSharedMemory:
             finally:
                 sharedmem.detach_topology(attached)
 
-
-# -- 3: parallel-vs-serial bit-identity ---------------------------------------
-
-
-class TestParallelBitIdentity:
-    @pytest.mark.parametrize("fabric", FABRICS)
-    def test_solve_rpaths_tables_and_ledgers(self, fabric):
-        inst = random_instance(60, avg_degree=5.0, seed=13)
-        serial = solve_rpaths(inst, fabric=fabric, parallel=1)
-        fanned = solve_rpaths(inst, fabric=fabric, parallel=2)
-        assert fanned.lengths == serial.lengths
-        assert _phases(fanned.ledger) == _phases(serial.ledger)
-
-    def test_planner_warm_parallel_matches_serial(self):
-        inst = random_instance(50, avg_degree=5.0, seed=17)
-        queries = [Query(s=s, t=inst.t, edge=e)
-                   for e in inst.path_edges()[:4]
-                   for s in range(0, 40, 5)]
-
-        def run(parallel):
-            planner = BatchPlanner(ReplacementPathOracle.build(inst),
-                                   fabric="vector", max_group=4)
-            planner.warm(parallel=parallel)
-            try:
-                answers, report = planner.answer_batch(queries)
-            finally:
-                planner.close()
-            return ([a.length for a in answers],
-                    [a.kind for a in answers],
-                    _phases(planner._net.ledger),
-                    report.as_metrics())
-
-        assert run(1) == run(3)
-
-    def test_fanout_width_capped_at_cpu_count(self, monkeypatch):
-        from repro.runtime import executor
-        from repro.telemetry.counters import registry
-
-        # One CPU: four requested workers run two wide, never one.
-        monkeypatch.setattr(executor, "default_jobs", lambda: 1)
-        inst = random_instance(60, avg_degree=5.0, seed=19)
-        chunks = [[0, 1, 2], [3, 4], [5, 6, 7, 8]]
-        serial_net = inst.build_network(fabric="vector")
-        serial = [multi_source_hop_bfs(serial_net, chunk, hop_limit=8,
-                                       phase="chunk")
-                  for chunk in chunks]
-        fanned_net = inst.build_network(fabric="vector")
-        registry.reset()
-        with sharedmem.publish_topology(fanned_net.topology) as pub:
-            fanned = sharedmem.fanout_kbfs(
-                fanned_net, pub, 4,
-                [dict(sources=chunk, hop_limit=8, phase="chunk")
-                 for chunk in chunks],
-                site="serve-batch")
-        widths = registry.snapshot()["summaries"][
-            'repro_parallel_fanout_width{site="serve-batch"}']
-        registry.reset()
-        assert (widths["count"], widths["max"]) == (1, 2)
-        assert fanned == serial
-        assert _phases(fanned_net.ledger) == _phases(serial_net.ledger)
-
-    def test_ledger_merge_reproduces_serial_aggregates(self):
-        serial = RoundLedger()
-        with serial.phase("outer"):
-            with serial.phase("a"):
-                serial.charge_round(3, 9, 2)
-            with serial.phase("b"):
-                serial.charge_rounds(4, 8, 16, 5, violations=1)
-
-        parent = RoundLedger()
-        workers = []
-        for name, charge in (("a", lambda led: led.charge_round(3, 9, 2)),
-                             ("b", lambda led: led.charge_rounds(
-                                 4, 8, 16, 5, violations=1))):
-            worker = RoundLedger()
-            with worker.phase("outer"):
-                with worker.phase(name):
-                    charge(worker)
-            workers.append(worker.phase_snapshot())
-        with parent.phase("outer"):
-            pass
-        for snapshot in workers:
-            parent.merge_phases(snapshot)
-        assert _phases(parent) == _phases(serial)

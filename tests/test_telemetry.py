@@ -466,7 +466,7 @@ class TestCliSurfaces:
         assert code == 1
 
     def test_trace_check_reasons_sees_summaries(self, tmp_path, capsys):
-        width = 'repro_parallel_fanout_width{site="landmark-kbfs"}'
+        width = 'repro_executor_cell_seconds{scenario="exact-grid"}'
         for pid, summaries in (
                 (7, {width: {"count": 2, "sum": 8, "min": 4, "max": 4}}),
                 (8, {width: {"count": 1, "sum": 2, "min": 2, "max": 2},
@@ -656,13 +656,18 @@ class TestScaleEnums:
 
     def test_real_scaleout_run_emits_only_known_labels(self):
         pytest.importorskip("numpy")
+        from repro.runtime import sharedmem
+
         instance = random_instance(40, seed=23)
-        solve_rpaths(instance, fabric="vector", parallel=2)
+        solve_rpaths(instance, fabric="vector")
+        topology = instance.build_network(fabric="vector").topology
+        with sharedmem.publish_topology(topology) as published:
+            sharedmem.detach_topology(
+                sharedmem.attach_topology(published.handle))
         snap = counters_mod.registry.snapshot()
         counters = snap["counters"]
         # The run actually exercised the surface being enum-checked.
-        for metric in (schema.TOPOLOGY_EXPORT, schema.SHAREDMEM_EVENTS,
-                       schema.PARALLEL_FANOUT):
+        for metric in (schema.TOPOLOGY_EXPORT, schema.SHAREDMEM_EVENTS):
             assert any(k.startswith(metric.name) for k in counters)
         assert telemetry.unknown_labels(snap) == []
 
@@ -676,7 +681,8 @@ class TestScaleEnums:
     def test_unknown_scale_labels_flagged(self):
         counters = {
             'repro_sharedmem_events_total{event="explode"}': 1.0,
-            'repro_parallel_fanout_total{site="somewhere"}': 1.0,
+            'repro_topology_export_total{array="somewhere",'
+            'dtype="int32"}': 1.0,
             'repro_topology_export_total{array="keys",'
             'dtype="float64"}': 1.0,
             "repro_sendplan_cache_total": 1.0,  # missing label
