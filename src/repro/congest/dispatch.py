@@ -83,13 +83,9 @@ REASON_KEY_OVERFLOW = "key-encoding-overflow"
 REASON_SOURCE_RANGE = "source-out-of-range"
 #: A delay function produced steps beyond int64 mid-plan.
 REASON_DELAY_OVERFLOW = "delay-overflow"
-#: A sweep task carries an opaque ``combine`` closure instead of a
-#: declarative ``local_min`` table.
+#: Path sweeps given as tasks with opaque ``combine`` closures instead
+#: of a declarative segment grid.
 REASON_NON_DECLARATIVE = "non-declarative-task"
-#: Sweep start groups occupy overlapping link ranges.
-REASON_OVERLAPPING_GROUPS = "overlapping-groups"
-#: Duplicate sweep-task keys would alias engine results.
-REASON_DUPLICATE_KEYS = "duplicate-keys"
 #: A strict-mode broadcast holds an item wider than the bandwidth: the
 #: abort must name the first overloaded link, which only per-item
 #: routing knows.
@@ -239,56 +235,15 @@ def _dp_zeta_fits(net, call) -> bool:
     return 0 <= call["zeta"] < _kernels._INT64_SAFE
 
 
-def _sweeps_declarative(net, call) -> bool:
-    return all(task.local_min is not None for task in call["tasks"])
-
-
 def _sweeps_values_ok(net, call) -> bool:
-    checked = set()
-    for task in call["tasks"]:
-        if type(task.init) is not int or not _kernels._fits_int64(task.init):
-            return False
-        local = task.local_min
-        if id(local) not in checked:
-            if not all(type(x) is int and _kernels._fits_int64(x)
-                       for x in local):
-                return False
-            checked.add(id(local))
-    return True
+    segments = call["segments"]
+    return (_kernels._int64_values_ok((segments.offset,))
+            and _kernels._int64_values_ok(segments.table))
 
 
-def _sweeps_keys_distinct(net, call) -> bool:
-    seen = set()
-    for task in call["tasks"]:
-        if task.key in seen:
-            return False
-        seen.add(task.key)
-    return True
-
-
-def _sweeps_groups_disjoint(net, call) -> bool:
-    spans: Dict[int, Dict[int, List[int]]] = {1: {}, -1: {}}
-    for task in call["tasks"]:
-        if task.start == task.end:
-            continue
-        direction = 1 if task.end > task.start else -1
-        lo, hi = sorted((task.start, task.end))
-        span = spans[direction].get(task.start)
-        if span is None:
-            spans[direction][task.start] = [lo, hi]
-        else:
-            span[0] = min(span[0], lo)
-            span[1] = max(span[1], hi)
-    for groups in spans.values():
-        intervals = sorted(groups.values())
-        for (_, a_hi), (b_lo, _) in zip(intervals, intervals[1:]):
-            if a_hi > b_lo:
-                return False
-    return True
-
-
-def _n_shift_rows_int(net, call) -> bool:
-    return all(type(v) is int for row in call["rows"] for v in row)
+def _n_shift_values_ok(net, call) -> bool:
+    return all(_kernels._int64_values_ok(call[key])
+               for key in ("prefix", "suffix", "m_seg", "n_seg"))
 
 
 # -- send-plan prepare hooks (the OverflowError escape hatches) ---------------
@@ -399,8 +354,8 @@ _PRIMITIVES: Tuple[Primitive, ...] = (
     ),
     Primitive(
         name="dp_sweep",
-        title="descending DP pipeline",
-        lemma="L4.4",
+        title="first-hit candidates + descending DP pipeline",
+        lemma="L4.3/4.4",
         message=("repro.core.short_detour", "_dp_sweep_message"),
         vector=("repro.congest.kernels", "dp_sweep_vector"),
         constraints=(
@@ -421,24 +376,14 @@ _PRIMITIVES: Tuple[Primitive, ...] = (
         constraints=(
             Constraint(
                 REASON_NON_DECLARATIVE,
-                "every task declarative (local_min table, no combine "
-                "closure)",
-                _sweeps_declarative,
+                "a declarative segment grid (task lists carry combine "
+                "closures)",
+                lambda net, call: call.get("segments") is not None,
             ),
             Constraint(
                 REASON_VALUE_RANGE,
-                "task init values and local_min tables int64-safe ints",
+                "segment offsets and table int64-safe ints",
                 _sweeps_values_ok,
-            ),
-            Constraint(
-                REASON_DUPLICATE_KEYS,
-                "task keys pairwise distinct",
-                _sweeps_keys_distinct,
-            ),
-            Constraint(
-                REASON_OVERLAPPING_GROUPS,
-                "start groups occupy disjoint link ranges per direction",
-                _sweeps_groups_disjoint,
             ),
         ),
         ledger="opens its phase; bulk-charges the FIFO makespan",
@@ -454,24 +399,24 @@ _PRIMITIVES: Tuple[Primitive, ...] = (
     ),
     Primitive(
         name="n_shift",
-        title="segment-table N-shift",
-        lemma="L5.9",
+        title="segment combine + N-shift",
+        lemma="L5.8/5.9",
         message=("repro.core.segments", "_n_shift_message"),
         vector=("repro.congest.kernels", "n_shift_vector"),
         constraints=(
             Constraint(
                 REASON_VALUE_RANGE,
-                "all shifted values plain ints (3-word tokens; "
-                "Fractions take the message path)",
-                _n_shift_rows_int,
+                "segment tables and summaries int64-safe ints (3-word "
+                "tokens; Fractions take the message path)",
+                _n_shift_values_ok,
             ),
         ),
         ledger="charges in the caller's open phase (k bulk rounds)",
     ),
     Primitive(
         name="landmark_completion",
-        title="landmark min-plus completion",
-        lemma="L5.6",
+        title="landmark closure + min-plus completion",
+        lemma="L5.4/5.6",
         message=("repro.core.landmark_distances", "_completion_message"),
         vector=("repro.congest.kernels", "landmark_completion_vector"),
         ledger="ledger-free local computation (value equality only)",

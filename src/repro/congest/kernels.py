@@ -8,8 +8,9 @@ arrays (:meth:`~repro.congest.topology.CSRTopology.arrays` /
 hop-BFS of Lemma 4.2, the k-source hop BFS of Lemma 5.5, the
 pipelined tree broadcast of Lemma 2.4 (an exact makespan from each tree
 link's busy periods), the Lemma 2.5 path-chain flood, the descending
-ζ-round DP pipeline of Lemma 4.4, the segment prefix/suffix sweeps of
-Lemmas 5.7/5.9 and their one-hop shift, and the BFS spanning-tree
+ζ-round DP pipeline of Lemma 4.4 (with each vertex's local Lemma 4.3
+inside it), the segment prefix/suffix sweeps of Lemmas 5.7/5.9 and
+their combine and one-hop shift, and the BFS spanning-tree
 flood.  One synchronous round becomes a handful of vectorized
 operations (frontier gathers via CSR range expansion, delay-shifted
 scheduling buckets, segmented max/min via
@@ -30,7 +31,7 @@ rounds, message counts, word totals, per-link maxima, and violation
 counts.  The message engines stay the semantic oracles; the
 conditions under which a kernel can guarantee parity for a given call
 (functional auxiliary words, no ``record_link_totals`` cut analysis,
-NumPy present, no key-encoding overflow, declarative sweep tasks) are
+NumPy present, no key-encoding overflow, a declarative sweep grid) are
 declared as per-primitive constraints in the registry of
 :mod:`repro.congest.dispatch`, whose :func:`~repro.congest.dispatch.
 dispatch` entry point routes every call and falls back to the message
@@ -40,6 +41,18 @@ gone — the registry is the only gatekeeper.)
 
 NumPy is imported lazily (module import never touches it), so the
 message engines remain importable — and fully functional — without it.
+
+After the hop-BFS and the k-source BFS, the Theorem 1 stages hand
+each other one data format on this fabric: int64 arrays.  The landmark
+completion returns ``(k, n)`` tables; the segment sweeps gather their
+path columns into ``(k, h_st + 1)`` local rows and return ``(k, h_st)``
+running minima; the combine and shift return the ``(k, h_st)`` M and N
+tables the min-sum reduces.  Lemma 4.3 runs inside the DP kernel, on
+the first hits of the hop-BFS rows, over the ζ window only.  Dicts and
+lists exist only inside the message lanes, which build them once, on
+entry; anything that leaves a kernel as a message payload or a
+returned length is converted with ``tolist()`` first (``words_of``
+prices no NumPy scalar).
 
 The topology exports the kernels gather over follow the int32 memory
 diet (:class:`~repro.congest.topology.TopologyArrays`): indptr/
@@ -67,6 +80,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import groupby
 from typing import (
     Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple,
 )
@@ -149,6 +163,18 @@ def vector_enabled(net) -> bool:
 
 def _fits_int64(value: int) -> bool:
     return -_INT64_SAFE < value < _INT64_SAFE
+
+
+def _int64_values_ok(table) -> bool:
+    """Is every value of ``table`` (an array, or rows of values) an
+    int64-safe int?  An integer array costs one min and one max."""
+    np = numpy_or_none()
+    if np is not None and isinstance(table, np.ndarray):
+        return table.dtype.kind == "i" and (
+            not table.size or (-_INT64_SAFE < int(table.min())
+                               and int(table.max()) < _INT64_SAFE))
+    return all(type(x) is int and _fits_int64(x)
+               for row in table for x in row)
 
 
 def _expand_ranges(np, starts, counts, total: int):
@@ -652,49 +678,59 @@ def broadcast_messages_vector(net, tree, messages, name: str):
         return sorted(all_messages)
 
 
-# -- local landmark completion (Lemma 5.6) ----------------------------------
+# -- local landmark closure and completion (Lemmas 5.4/5.6) -----------------
 
 
 @_kernel_span("landmark_completion")
-def landmark_completion_vector(net, closure, from_len, to_len):
-    """Vectorized min-plus completion of Lemma 5.6 (local computation).
+def landmark_completion_vector(net, pair_hops, from_len, to_len):
+    """Vectorized closure and completion of Lemmas 5.4/5.6 (local).
 
-    Every vertex stitches its hop-bounded landmark distances with the
-    broadcast closure; this is ledger-free local work, so the only
-    contract is value equality with the scalar loops in
-    ``repro.core.landmark_distances``.  All operands are bounded by
-    the INF sentinel (2^60), so int64 sums are exact.  ``net`` is
-    unused beyond the uniform dispatch signature (and the span join).
+    The broadcast pair hops close under min-plus in k vectorized
+    relaxations (Floyd–Warshall by pivot: row and column ``mid`` do not
+    move while ``mid`` relaxes, because the diagonal is 0); then every
+    vertex stitches its hop-bounded landmark distances with the
+    closure.  This is ledger-free local work, so the only contract is
+    value equality with ``repro.core.landmark_distances``.  All
+    operands are bounded by the INF sentinel (2^60), so int64 sums are
+    exact.  Returns the closure as lists (k × k words every vertex
+    holds) and the two completed tables as ``(k, n)`` int64 arrays.
+    ``net`` is unused beyond the uniform dispatch signature (and the
+    span join).
     """
     np = numpy_or_none()
-    k = len(closure)
-    closure_m = np.asarray(closure, dtype=np.int64)
+    k = len(pair_hops)
+    closure = np.minimum(np.asarray(pair_hops, dtype=np.int64), INF)
+    np.fill_diagonal(closure, 0)
+    for mid in range(k):
+        np.minimum(closure, closure[:, mid, None] + closure[mid],
+                   out=closure)
     from_m = np.asarray(from_len, dtype=np.int64)
     to_m = np.asarray(to_len, dtype=np.int64)
-    from_out = []
-    to_out = []
+    from_out = np.empty_like(from_m)
+    to_out = np.empty_like(to_m)
     for a in range(k):
         # closure[a][a] == 0, so the min-plus row already includes the
         # direct hop-bounded distance the scalar loops seed with.
-        best_f = (closure_m[a][:, None] + from_m).min(axis=0)
-        best_t = (closure_m[:, a][:, None] + to_m).min(axis=0)
-        from_out.append(np.where(best_f >= INF, INF, best_f).tolist())
-        to_out.append(np.where(best_t >= INF, INF, best_t).tolist())
-    return from_out, to_out
+        (closure[a][:, None] + from_m).min(axis=0, out=from_out[a])
+        (closure[:, a][:, None] + to_m).min(axis=0, out=to_out[a])
+    np.minimum(from_out, INF, out=from_out)
+    np.minimum(to_out, INF, out=to_out)
+    return closure.tolist(), from_out, to_out
 
 
 @_kernel_span("pairwise_min_sum")
 def pairwise_min_sum_vector(net, m_rows, n_rows) -> List[int]:
     """``out[i] = clamp_inf(min_j m_rows[j][i] + n_rows[j][i])``.
 
-    The Proposition 5.1 finish (ledger-free local computation); operands
-    are clamped at INF = 2^60, so int64 sums are exact.  ``net`` is
-    unused beyond the uniform dispatch signature (and the span join).
+    The Proposition 5.1 finish (ledger-free local computation) over the
+    ``(k, h)`` tables the segment combine returns; operands are clamped
+    at INF = 2^60, so int64 sums are exact.  ``net`` is unused beyond
+    the uniform dispatch signature (and the span join).
     """
     np = numpy_or_none()
     best = (np.asarray(m_rows, dtype=np.int64)
             + np.asarray(n_rows, dtype=np.int64)).min(axis=0)
-    return np.where(best >= INF, INF, best).tolist()
+    return np.minimum(best, INF).tolist()
 
 
 # -- Lemma 2.5 path-chain flood ----------------------------------------------
@@ -739,7 +775,7 @@ def chain_flood_vector(
     return from_left
 
 
-# -- Lemma 4.4 descending DP pipeline (Prop 4.1 Stage 3) ---------------------
+# -- Lemmas 4.3/4.4 descending DP pipeline (Prop 4.1 Stages 2-3) ------------
 
 #: Wire size of the Stage-3 tokens: ("dp", X value).
 DP_MESSAGE_WORDS = words_of(("dp", 0))
@@ -749,104 +785,124 @@ DP_MESSAGE_WORDS = words_of(("dp", 0))
 def dp_sweep_vector(
     net,
     path: Sequence[int],
-    x_geq: Sequence[Dict[int, int]],
+    tables: Sequence[List[Optional[Value]]],
     hop_count: int,
     zeta: int,
     name: str,
 ) -> List[int]:
-    """The ζ−1 descending rounds of Lemma 4.4 as array shifts.
+    """Lemma 4.3 and the ζ−1 descending rounds of Lemma 4.4 as arrays.
 
-    Every round moves exactly ``hop_count`` two-word tokens, one per
-    P-edge, so the whole schedule bulk-charges; the prefix-closed
-    recurrence X[≤ i, ≥ i+d−1] = min(X[≤ i−1, ≥ i+d], X[i, ≥ i+d−1])
-    is one shifted elementwise minimum per descending d.
+    Each row's first hit on each later index j ≤ h_st within ζ hops is
+    one candidate: row i, offset min(j − i, ζ) (a hit beyond the ζ
+    window counts for every X[i, ≥ i+d] the DP reads, d ≤ ζ), value
+    h_st − (j − i) + d.  As d descends from ζ, one ``np.minimum.at``
+    folds the offset-d candidates into the running column
+    X[·, ≥ ·+d], and the prefix-closed recurrence
+    X[≤ i, ≥ i+d−1] = min(X[≤ i−1, ≥ i+d], X[i, ≥ i+d−1]) is one
+    shifted minimum: memory is O(h_st + candidates).  Every round
+    moves exactly ``hop_count`` two-word tokens, one per P-edge, so
+    the whole schedule bulk-charges.
     """
     np = numpy_or_none()
     h = hop_count
+    rows: List[int] = []
+    hits: List[int] = []
+    hops: List[int] = []
+    for i, row in enumerate(tables):
+        top = min(zeta, len(row) - 1)
+        if top < 1 or row.count(None) + (row[0] is not None) >= len(row):
+            continue
+        first = set()
+        d = 1
+        for entry, run in groupby(row[1:top + 1]):
+            if entry is not None:
+                j = entry[0]
+                if i < j <= h and j not in first:
+                    first.add(j)
+                    rows.append(i)
+                    hits.append(j)
+                    hops.append(d)
+            d += len(list(run))
+    row_a = np.array(rows, dtype=np.int64)
+    gap = np.array(hits, dtype=np.int64) - row_a
+    offset = np.minimum(gap, zeta)
+    order = np.argsort(offset, kind="stable")
+    offset, row_a = offset[order], row_a[order]
+    value = (h - gap + np.array(hops, dtype=np.int64))[order]
+    # bounds[d]:bounds[d + 1] slices the offset-d candidates.
+    bounds = np.searchsorted(offset, np.arange(min(zeta, h) + 2))
 
-    def column(d: int):
-        return np.fromiter(
-            ((x_geq[i].get(i + d, INF) if i + d <= h else INF)
-             for i in range(h + 1)),
-            dtype=np.int64, count=h + 1)
+    running = np.full(h + 1, INF, dtype=np.int64)
+
+    def fold(d: int) -> None:
+        if d < bounds.size - 1 and bounds[d] < bounds[d + 1]:
+            lo, hi = bounds[d], bounds[d + 1]
+            np.minimum.at(running, row_a[lo:hi], value[lo:hi])
 
     with net.ledger.phase(name):
         rounds = max(0, zeta - 1)
         charge_uniform_rounds(net, rounds, rounds * h, DP_MESSAGE_WORDS,
                                path[:h], path[1:h + 1])
-        best = column(zeta)
-        inf_head = np.full(1, INF, dtype=np.int64)
+        fold(zeta)
+        best = running.copy()
         for d in range(zeta, 1, -1):
-            shifted = np.concatenate((inf_head, best[:-1]))
-            best = np.minimum(shifted, column(d - 1))
+            fold(d - 1)
+            np.minimum(best[:-1], running[1:], out=best[1:])
+            best[0] = running[0]
         return best.tolist()
 
 
-# -- pipelined path sweeps (Lemmas 4.4/5.7/5.9 engine) -----------------------
+# -- pipelined segment sweeps (Lemmas 5.7/5.9) -------------------------------
 
 #: Wire size of a sweep token: ("sweep", carried int).
 SWEEP_MESSAGE_WORDS = words_of(("sweep", 0))
 
 
 @_kernel_span("path_sweeps")
-def run_path_sweeps_vector(net, path, tasks, name: str) -> Dict:
-    """Whole-schedule sweeps: returns ``{key: (final, trace)}``.
+def run_path_sweeps_vector(net, path, tasks, segments, name: str):
+    """The Lemma 5.7/5.9 segment grid, charged in bulk.
 
-    The FIFO pipeline of one start-group is closed-form (token j
-    crosses link m in round j + 1 + m), so the ledger bulk-charges the
-    makespan and total token-hops; values are running minima of each
-    task's ``local_min`` table along the visited positions — one
-    ``np.minimum.accumulate`` per task.
+    Returns ``(carried, finals)`` (see
+    :class:`~repro.congest.pipeline.SegmentSweeps`; ``tasks`` is empty
+    here).  The FIFO pipeline of one segment is closed-form (its token
+    j crosses the segment's link m in round j + 1 + m), so the ledger
+    bulk-charges the makespan and total token-hops.  The values are
+    one running minimum per segment over the ``(k, h_st + 1)`` local
+    rows, built from the table's path columns.
     """
     np = numpy_or_none()
+    checkpoints = segments.checkpoints
+    rightward = segments.rightward
+    # The table is the completion's (k, n) int64 array: asarray copies
+    # nothing, and only the h_st + 1 path columns are gathered.
+    columns = np.asarray(segments.table, dtype=np.int64)[:, path]
+    local = np.minimum(
+        columns + np.asarray(segments.offset, dtype=np.int64), INF)
+    k, positions = local.shape
+    num_segments = len(checkpoints) - 1
+    starts = checkpoints[:-1] if rightward else checkpoints[1:]
+    step = 1 if rightward else -1
     with net.ledger.phase(name):
-        out: Dict = {}
-        groups: Dict[Tuple[int, int], List] = {}
-        for task in tasks:
-            if task.start == task.end:
-                trace = {task.start: task.init} if task.deposit else {}
-                out[task.key] = (task.init, trace)
-                continue
-            direction = 1 if task.end > task.start else -1
-            groups.setdefault((task.start, direction), []).append(task)
-
-        rounds = 0
-        total = 0
-        first_senders: List[int] = []
-        first_targets: List[int] = []
-        for (start, direction), members in groups.items():
-            for j, task in enumerate(members):
-                length = abs(task.end - task.start)
-                total += length
-                if j + length > rounds:
-                    rounds = j + length
-            first_senders.append(path[start])
-            first_targets.append(path[start + direction])
-        charge_uniform_rounds(net, rounds, total, SWEEP_MESSAGE_WORDS,
-                               first_senders, first_targets)
-
-        tables: Dict[int, object] = {}
-        for (start, direction), members in groups.items():
-            for task in members:
-                table = tables.get(id(task.local_min))
-                if table is None:
-                    table = tables[id(task.local_min)] = np.asarray(
-                        task.local_min, dtype=np.int64)
-                if direction == 1:
-                    seg = table[start + 1: task.end + 1]
-                else:
-                    seg = table[task.end: start][::-1]
-                values = np.minimum(
-                    task.init, np.minimum.accumulate(seg)).tolist()
-                trace = {}
-                if task.deposit:
-                    trace[start] = task.init
-                    pos = start
-                    for value in values:
-                        pos += direction
-                        trace[pos] = value
-                out[task.key] = (values[-1], trace)
-        return out
+        charge_uniform_rounds(
+            net, k - 1 + max(np.diff(checkpoints).tolist()),
+            k * (checkpoints[-1] - checkpoints[0]), SWEEP_MESSAGE_WORDS,
+            [path[p] for p in starts], [path[p + step] for p in starts])
+        carried = np.empty((k, positions - 1), dtype=np.int64)
+        finals = np.empty((k, num_segments), dtype=np.int64)
+        for g in range(num_segments):
+            left, right = checkpoints[g], checkpoints[g + 1]
+            block = local[:, left:right + 1]
+            if rightward:
+                run = np.minimum.accumulate(block, axis=1)
+                carried[:, left:right] = run[:, :-1]
+                finals[:, g] = run[:, -1]
+            else:
+                # Suffix minima: position p's entry is the token's
+                # value on leaving v_p, i.e. crossing edge p - 1.
+                run = np.minimum.accumulate(block[:, ::-1], axis=1)[:, ::-1]
+                carried[:, left:right] = run[:, 1:]
+                finals[:, g] = run[:, 0]
+        return carried, finals.tolist()
 
 
 # -- BFS spanning-tree flood -------------------------------------------------
@@ -909,17 +965,36 @@ def spanning_tree_flood_vector(net, root: int, name: str):
 
 
 @_kernel_span("n_shift")
-def n_shift_vector(net, path: Sequence[int], rows,
-                   hop_count: int) -> List[List[int]]:
-    """The Lemma 5.9 one-hop leftward shift, charged in bulk.
+def n_shift_vector(net, path: Sequence[int], hop_count: int,
+                   checkpoints: Sequence[int], prefix, suffix, m_seg,
+                   n_seg):
+    """The Lemma 5.8/5.9 combine and one-hop shift as array operations.
 
-    Charges within the caller's open phase (``N-shift``).  Every round
-    moves exactly ``hop_count`` three-word tokens one hop leftward and
-    the shifted row is already local knowledge, so the whole k-round
-    schedule bulk-charges and the result is pure slicing.
+    Charges within the caller's open phase (``N-shift``).  Each edge's
+    running minima meet the exclusive prefix (M) or suffix (N) minimum
+    of the broadcast segment summaries, repeated over the segment's
+    edges.  Every shift round moves exactly ``hop_count`` three-word
+    tokens one hop leftward and the shifted row is already local
+    knowledge, so the whole k-round schedule bulk-charges and N needs
+    no move at all: it is indexed by edge.  Returns ``(M, N)`` as
+    ``(k, h_st)`` int64 arrays.
     """
+    np = numpy_or_none()
     h = hop_count
-    k = len(rows)
+    prefix = np.asarray(prefix, dtype=np.int64)
+    suffix = np.asarray(suffix, dtype=np.int64)
+    k = prefix.shape[0]
     charge_uniform_rounds(net, k, k * h, N_SHIFT_MESSAGE_WORDS,
                           path[1:h + 1], path[:h])
-    return [list(row[1:h + 1]) for row in rows]
+    lengths = np.diff(checkpoints)
+    inf_row = np.full((1, k), INF, dtype=np.int64)
+    m_seg = np.asarray(m_seg, dtype=np.int64).reshape(-1, k)
+    n_seg = np.asarray(n_seg, dtype=np.int64).reshape(-1, k)
+    # Row g: the minimum over the segments before (after) segment g.
+    before = np.concatenate(
+        (inf_row, np.minimum.accumulate(m_seg, axis=0)))[:-1]
+    after = np.concatenate(
+        (np.minimum.accumulate(n_seg[::-1], axis=0)[::-1], inf_row))[1:]
+    m_final = np.minimum(prefix, np.repeat(before.T, lengths, axis=1))
+    n_final = np.minimum(suffix, np.repeat(after.T, lengths, axis=1))
+    return m_final, n_final

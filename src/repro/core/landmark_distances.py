@@ -85,6 +85,9 @@ class LandmarkDistances:
         ``from_landmark[a][v]`` = dist_{G\\P}(l_a, v) (exact w.h.p.).
     to_landmark:
         ``to_landmark[a][v]`` = dist_{G\\P}(v, l_a) (exact w.h.p.).
+
+    The two vertex tables are ``(k, n)`` int64 arrays when the vector
+    fabric completed them, and lists of rows on the message lanes.
     """
 
     def __init__(self, landmarks: Sequence[int],
@@ -139,17 +142,17 @@ def compute_landmark_distances(
             _, a, b, hops = payload
             pair_hops[a][b] = hops
 
-        closure = landmark_closure(pair_hops)
-
-        # Local completion (Lemma 5.6 and its forward mirror): every
-        # vertex stitches its hop-bounded distances with the closure.
+        # Local closure and completion (Lemma 5.4, then Lemma 5.6 and
+        # its forward mirror): every vertex closes the broadcast pair
+        # hops and stitches its hop-bounded distances with the closure.
         # Unweighted hops are lengths, and each is <= hop_limit or INF,
         # so the hop tables are the completion's length rows as they
-        # are.  On the vector fabric the min-plus completion runs as
-        # int64 matrix sweeps (identical values; this is ledger-free
-        # local computation, so only value equality is at stake).
-        from_landmark, to_landmark = dispatch(
-            "landmark_completion", net, closure=closure,
+        # are.  On the vector fabric the closure is k vectorized
+        # relaxations and the completed tables stay (k, n) int64
+        # arrays (ledger-free local computation, so only value
+        # equality is at stake).
+        closure, from_landmark, to_landmark = dispatch(
+            "landmark_completion", net, pair_hops=pair_hops,
             from_len=forward_hops, to_len=backward_hops)
         return LandmarkDistances(
             landmarks, closure, from_landmark, to_landmark)
@@ -157,11 +160,13 @@ def compute_landmark_distances(
 
 def _completion_message(
     net: CongestNetwork,
-    closure: List[List[int]],
+    pair_hops: List[List[int]],
     from_len: List[List[int]],
     to_len: List[List[int]],
-) -> Tuple[List[List[int]], List[List[int]]]:
-    """The scalar min-plus completion (the registry's fallback lane)."""
+) -> Tuple[List[List[int]], List[List[int]], List[List[int]]]:
+    """The scalar closure and min-plus completion (the registry's
+    fallback lane)."""
+    closure = landmark_closure(pair_hops)
     k = len(closure)
     n = net.n
     closure_t = [[closure[mid][a] for mid in range(k)]
@@ -187,4 +192,4 @@ def _completion_message(
                     best_t = candidate
             out_f[v] = clamp_inf(best_f)
             out_t[v] = clamp_inf(best_t)
-    return from_landmark, to_landmark
+    return closure, from_landmark, to_landmark

@@ -19,14 +19,14 @@ v_i at the end (O(|L|) pipelined rounds).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from ..congest.broadcast import broadcast_messages
 from ..congest.dispatch import dispatch
 from ..congest.network import CongestNetwork
-from ..congest.pipeline import SweepTask, run_path_sweeps
+from ..congest.pipeline import SegmentSweeps, run_segment_sweeps
 from ..congest.spanning_tree import SpanningTree
-from ..congest.words import INF, clamp_inf
+from ..congest.words import INF
 from .knowledge import PathKnowledge
 from .landmark_distances import LandmarkDistances
 
@@ -45,37 +45,19 @@ def prefix_min_to_landmarks(
     distances: LandmarkDistances,
     checkpoints: Sequence[int],
     phase: str = "segment-prefix(L5.7)",
-) -> List[List[Dict[int, int]]]:
+) -> Tuple[object, List[List[int]]]:
     """Lemma 5.7 — M^g[l_j, v] for every segment g, landmark j, and v.
 
-    Returns ``M[g][j]`` = {position: value} over positions in segment g.
-    One pipelined sweep per (segment, landmark), all concurrent.
+    Returns ``(carried, finals)`` (see :class:`SegmentSweeps`):
+    ``carried[j][i]`` = M^g[l_j, v_i] for the segment g holding edge
+    (v_i, v_{i+1}), and ``finals[j][g]`` = M^g[l_j, c_{g+1}].  One
+    pipelined sweep per (segment, landmark), all concurrent; at
+    position p the owning vertex locally knows |s v_p| + |v_p l_j|,
+    and the sweep semantics are exactly "min with the local value".
     """
-    path = knowledge.path
-    k = distances.count
-    # One declarative table per landmark, shared by every segment: at
-    # position p the owning vertex locally knows |s v_p| + |v_p l_j|,
-    # and the sweep semantics are exactly "min with the local value" —
-    # which is what lets the vector fabric batch the whole schedule.
-    locals_j = [
-        [clamp_inf(knowledge.dist_from_s[pos]
-                   + distances.to_landmark[j][path[pos]])
-         for pos in range(len(path))]
-        for j in range(k)
-    ]
-    tasks = []
-    for g in range(len(checkpoints) - 1):
-        left, right = checkpoints[g], checkpoints[g + 1]
-        for j in range(k):
-            tasks.append(SweepTask(
-                key=("M", g, j), start=left, end=right,
-                init=locals_j[j][left], local_min=locals_j[j],
-                deposit=True))
-    results = run_path_sweeps(net, path, tasks, phase=phase)
-    table: List[List[Dict[int, int]]] = []
-    for g in range(len(checkpoints) - 1):
-        table.append([results[("M", g, j)].trace for j in range(k)])
-    return table
+    return run_segment_sweeps(net, knowledge.path, SegmentSweeps(
+        checkpoints, knowledge.dist_from_s, distances.to_landmark,
+        rightward=True), phase)
 
 
 def suffix_min_from_landmarks(
@@ -84,33 +66,17 @@ def suffix_min_from_landmarks(
     distances: LandmarkDistances,
     checkpoints: Sequence[int],
     phase: str = "segment-suffix(L5.9)",
-) -> List[List[Dict[int, int]]]:
+) -> Tuple[object, List[List[int]]]:
     """Lemma 5.9's segment stage — the suffix-minimum mirror of Lemma 5.7.
 
-    ``N[g][j]`` = {position: min_{u : pos ≤_P u ≤_P c_{g+1}}
-                   ( |l_j u|_{G\\P} + |ut| )} over positions in segment g.
+    Returns ``(carried, finals)`` with ``carried[j][i]`` =
+    min_{u : v_{i+1} ≤_P u ≤_P c_{g+1}} ( |l_j u|_{G\\P} + |ut| ) for
+    the segment g holding edge i, held at v_{i+1}, and ``finals[j][g]``
+    the same minimum over the whole segment, held at c_g.
     """
-    path = knowledge.path
-    k = distances.count
-    locals_j = [
-        [clamp_inf(distances.from_landmark[j][path[pos]]
-                   + knowledge.dist_to_t[pos])
-         for pos in range(len(path))]
-        for j in range(k)
-    ]
-    tasks = []
-    for g in range(len(checkpoints) - 1):
-        left, right = checkpoints[g], checkpoints[g + 1]
-        for j in range(k):
-            tasks.append(SweepTask(
-                key=("N", g, j), start=right, end=left,
-                init=locals_j[j][right], local_min=locals_j[j],
-                deposit=True))
-    results = run_path_sweeps(net, path, tasks, phase=phase)
-    table: List[List[Dict[int, int]]] = []
-    for g in range(len(checkpoints) - 1):
-        table.append([results[("N", g, j)].trace for j in range(k)])
-    return table
+    return run_segment_sweeps(net, knowledge.path, SegmentSweeps(
+        checkpoints, knowledge.dist_to_t, distances.from_landmark,
+        rightward=False), phase)
 
 
 def finish_distance_tables(
@@ -119,37 +85,33 @@ def finish_distance_tables(
     knowledge: PathKnowledge,
     distances: LandmarkDistances,
     checkpoints: Sequence[int],
-    prefix_table: List[List[Dict[int, int]]],
-    suffix_table: List[List[Dict[int, int]]],
+    prefix_table: Tuple[object, List[List[int]]],
+    suffix_table: Tuple[object, List[List[int]]],
     phase: str = "segment-combine(L5.8/5.9)",
-) -> Dict[str, List[List[int]]]:
+) -> Dict[str, object]:
     """Broadcast segment summaries and finish Lemmas 5.8 / 5.9 locally.
 
     Returns ``{"M": M, "N": N}`` with
     ``M[j][i]`` = |s l_j ⋄ P[v_i, t]|  (detour leaves at or before v_i),
     ``N[j][i]`` = |l_j t ⋄ P[s, v_{i+1}]|  (detour rejoins at or after
     v_{i+1}), both stored at v_i for i ∈ [0, h_st − 1]; the one-hop shift
-    of N from v_{i+1} to v_i costs |L| pipelined rounds.
+    of N from v_{i+1} to v_i costs |L| pipelined rounds.  The tables are
+    ``(k, h_st)`` int64 arrays on the vector fabric.
     """
     path = knowledge.path
     h = knowledge.hop_count
     k = distances.count
     num_segments = len(checkpoints) - 1
+    prefix, m_finals = prefix_table
+    suffix, n_finals = suffix_table
     with net.ledger.phase(phase):
         # Broadcast the full-segment values (Lemma 5.8's O(ℓ·|L|) words).
-        # Each origin's batch is built in one extend per segment instead
-        # of 2·|L| setdefault probes.
         messages: Dict[int, list] = {}
         for g in range(num_segments):
-            left, right = checkpoints[g], checkpoints[g + 1]
-            origin_m = path[right]
-            origin_n = path[left]
-            m_row = prefix_table[g]
-            n_row = suffix_table[g]
-            messages.setdefault(origin_m, []).extend(
-                ("Mseg", g, j, m_row[j][right]) for j in range(k))
-            messages.setdefault(origin_n, []).extend(
-                ("Nseg", g, j, n_row[j][left]) for j in range(k))
+            messages.setdefault(path[checkpoints[g + 1]], []).extend(
+                ("Mseg", g, j, m_finals[j][g]) for j in range(k))
+            messages.setdefault(path[checkpoints[g]], []).extend(
+                ("Nseg", g, j, n_finals[j][g]) for j in range(k))
         records = broadcast_messages(net, tree, messages,
                                      phase="segment-broadcast(L2.4)")
         m_seg = [[INF] * k for _ in range(num_segments)]
@@ -161,56 +123,35 @@ def finish_distance_tables(
             else:
                 n_seg[g][j] = value
 
-        # Prefix/suffix minima over whole segments (local, via broadcast
-        # data known at every vertex).
-        m_before = [[INF] * k for _ in range(num_segments)]
-        for g in range(1, num_segments):
-            for j in range(k):
-                m_before[g][j] = min(m_before[g - 1][j], m_seg[g - 1][j])
-        n_after = [[INF] * k for _ in range(num_segments)]
-        for g in range(num_segments - 2, -1, -1):
-            for j in range(k):
-                n_after[g][j] = min(n_after[g + 1][j], n_seg[g + 1][j])
-
-        segment_of = _segment_of_positions(checkpoints, h)
-
-        m_final = [[INF] * h for _ in range(k)]
-        for i in range(h):
-            g = segment_of[i]
-            for j in range(k):
-                m_final[j][i] = min(
-                    prefix_table[g][j][i], m_before[g][j])
-
-        # N is naturally available at v_{i+1}; compute it there, then
-        # shift one hop left, pipelining the |L| values per edge.
-        n_at_vertex = [[INF] * (h + 1) for _ in range(k)]
-        for pos in range(1, h + 1):
-            # v_{i+1} with i+1 == pos serves the edge i = pos−1, which
-            # lies in segment segment_of[pos−1]; that segment's suffix
-            # trace contains position pos.
-            g = segment_of[pos - 1]
-            for j in range(k):
-                n_at_vertex[j][pos] = min(
-                    suffix_table[g][j].get(pos, INF), n_after[g][j])
-
         with net.ledger.phase("N-shift"):
-            # The bulk charge assumes every token is the 3-word
+            # Every vertex combines its segment's running minimum with
+            # the broadcast summaries of the segments before (M) or
+            # after (N) it; N is naturally available at v_{i+1}, so it
+            # then shifts one hop left, pipelining the |L| values per
+            # edge.  The bulk charge assumes every token is the 3-word
             # ("Nshift", j, int); the weighted Theorem 3 pipeline
             # shifts exact Fraction lengths (2 words each), so any
-            # non-int value sends the whole shift down the message
+            # non-int value sends the whole stage down the message
             # path.  Both lanes charge within this open phase.
-            n_final = dispatch("n_shift", net, path=path,
-                               rows=n_at_vertex, hop_count=h)
+            m_final, n_final = dispatch(
+                "n_shift", net, path=path, hop_count=h,
+                checkpoints=checkpoints, prefix=prefix, suffix=suffix,
+                m_seg=m_seg, n_seg=n_seg)
         return {"M": m_final, "N": n_final}
 
 
 def _n_shift_message(
     net: CongestNetwork,
     path: Sequence[int],
-    rows: List[List[int]],
     hop_count: int,
-) -> List[List[int]]:
-    """The per-row one-hop shift rounds (the registry's fallback lane).
+    checkpoints: Sequence[int],
+    prefix: List[List[object]],
+    suffix: List[List[object]],
+    m_seg: List[List[object]],
+    n_seg: List[List[object]],
+) -> Tuple[List[List[object]], List[List[object]]]:
+    """The scalar combine and per-row shift rounds (the registry's
+    fallback lane).
 
     Path vertices are pairwise distinct (P is a shortest path), so each
     round's outbox is one message per path vertex — built directly, no
@@ -218,15 +159,34 @@ def _n_shift_message(
     three-word tokens one hop leftward.
     """
     h = hop_count
-    n_final = [[INF] * h for _ in range(len(rows))]
-    for j, row in enumerate(rows):
-        outbox: Dict[int, list] = {
-            path[pos]: [(path[pos - 1], ("Nshift", j, row[pos]))]
-            for pos in range(1, h + 1)
-        }
-        net.exchange(outbox)
-        n_final[j][:] = row[1:h + 1]
-    return n_final
+    num_segments = len(checkpoints) - 1
+    # Prefix/suffix minima over whole segments (local, via broadcast
+    # data known at every vertex).
+    k = len(prefix)
+    m_before = [[INF] * k for _ in range(num_segments)]
+    for g in range(1, num_segments):
+        for j in range(k):
+            m_before[g][j] = min(m_before[g - 1][j], m_seg[g - 1][j])
+    n_after = [[INF] * k for _ in range(num_segments)]
+    for g in range(num_segments - 2, -1, -1):
+        for j in range(k):
+            n_after[g][j] = min(n_after[g + 1][j], n_seg[g + 1][j])
+    segment_of = _segment_of_positions(checkpoints, h)
+
+    m_final = [
+        [min(prefix[j][i], m_before[segment_of[i]][j]) for i in range(h)]
+        for j in range(k)
+    ]
+    n_final = [
+        [min(suffix[j][i], n_after[segment_of[i]][j]) for i in range(h)]
+        for j in range(k)
+    ]
+    for j, row in enumerate(n_final):
+        net.exchange({
+            path[i + 1]: [(path[i], ("Nshift", j, row[i]))]
+            for i in range(h)
+        })
+    return m_final, n_final
 
 
 def _segment_of_positions(checkpoints: Sequence[int],

@@ -9,7 +9,10 @@ Stage 2 (Lemma 4.3, local): from the table, v_i derives
                 rejoining at or after v_j of the replacement length,
 
 using  h*(i,j) = min{d : f*_{v_i}(d) = j}  and the descending recurrence
-X[i, ≥ j] = min(X[i, ≥ j+1], h_st − (j−i) + h*(i,j)).
+X[i, ≥ j] = min(X[i, ≥ j+1], h_st − (j−i) + h*(i,j)).  Stage 3 reads
+only j ≤ i+ζ, so v_i builds that window and folds every detour
+rejoining beyond it into X[i, ≥ i+ζ].  Stages 2 and 3 run as one
+``dp_sweep`` primitive.
 
 Stage 3 (Lemma 4.4, ζ−1 rounds of pipelining along P): the prefix-closed
 quantity X[≤ i, ≥ i+d] is swept down from d = ζ to d = 1 with one word
@@ -36,11 +39,13 @@ def x_geq_from_table(
     hop_count: int,
     zeta: int,
 ) -> Dict[int, int]:
-    """Lemma 4.3: compute X[i, ≥ j] for all j > i from f*_{v_i}.
+    """Lemma 4.3: compute X[i, ≥ j] from f*_{v_i} over the ζ window.
 
     ``table[d]`` is (f*_{v_i}(d), aux) or None.  Pure local computation
-    of vertex v_i; returns a dict over j ∈ [i+1, h_st] (missing keys are
-    INF, which only happens past the table's reach).
+    of vertex v_i; returns a dict over j ∈ (i, min(h_st, i+ζ)], the
+    only keys the Lemma 4.4 DP reads.  Every candidate rejoining beyond
+    the window folds into j = i+ζ, so the window's values are exactly
+    the unbounded recurrence's, in O(ζ) space instead of O(h_st).
     """
     # h*(i, j): first exact hop count at which the BFS furthest-index
     # equals j.
@@ -50,16 +55,23 @@ def x_geq_from_table(
         if entry is None:
             continue
         j = entry[0]
-        if j > i and j not in h_star:
+        if i < j <= hop_count and j not in h_star:
             h_star[j] = d
+
+    top = min(hop_count, i + zeta)
+    best_at: Dict[int, int] = {}
+    for j, d in h_star.items():
+        key = min(j, top)
+        candidate = hop_count - (j - i) + d
+        if candidate < best_at.get(key, INF):
+            best_at[key] = candidate
 
     x_geq: Dict[int, int] = {}
     running = INF
-    for j in range(hop_count, i, -1):
-        if j in h_star:
-            candidate = hop_count - (j - i) + h_star[j]
-            if candidate < running:
-                running = candidate
+    for j in range(top, i, -1):
+        candidate = best_at.get(j, INF)
+        if candidate < running:
+            running = candidate
         x_geq[j] = running
     return x_geq
 
@@ -92,15 +104,11 @@ def short_detour_lengths(
             phase="hop-bfs(L4.2)",
         )
 
-        # Stage 2: local Lemma 4.3 at every v_i.
-        x_geq = [
-            x_geq_from_table(tables[path[i]], i, h, zeta)
-            for i in range(h + 1)
-        ]
-
-        # Stage 3: Lemma 4.4 — ζ−1 pipelined rounds along P.
-        # best[i] holds X[≤ i, ≥ i+d] as d descends from ζ to 1.
-        best = dispatch("dp_sweep", net, path=path, x_geq=x_geq,
+        # Stages 2 and 3: each v_i's local Lemma 4.3 from its table,
+        # then Lemma 4.4's ζ−1 pipelined rounds along P.  best[i]
+        # holds X[≤ i, ≥ i+d] as d descends from ζ to 1.
+        best = dispatch("dp_sweep", net, path=path,
+                        tables=[tables[v] for v in path],
                         hop_count=h, zeta=zeta,
                         name="dp-pipeline(L4.4)")
         return [min(best[i], INF) for i in range(h)]
@@ -109,13 +117,15 @@ def short_detour_lengths(
 def _dp_sweep_message(
     net: CongestNetwork,
     path: Sequence[int],
-    x_geq: List[Dict[int, int]],
+    tables: Sequence[List[Optional[tuple]]],
     hop_count: int,
     zeta: int,
     name: str,
 ) -> List[int]:
-    """The per-round DP exchange loop (the registry's fallback lane)."""
+    """Lemma 4.3 per vertex, then the per-round DP exchange loop (the
+    registry's fallback lane)."""
     h = hop_count
+    x_geq = [x_geq_from_table(tables[i], i, h, zeta) for i in range(h + 1)]
 
     def x_i_geq(i: int, j: int) -> int:
         if j > h:

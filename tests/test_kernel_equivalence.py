@@ -31,7 +31,8 @@ from types import SimpleNamespace
 from typing import List
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.approx.apx_rpaths import solve_apx_rpaths
 from repro.baselines.mr24 import solve_rpaths_mr24
@@ -46,11 +47,13 @@ from repro.congest import (
     vector_enabled,
 )
 from repro.congest import kernels
+from repro.congest.pipeline import SegmentSweeps, run_segment_sweeps
 from repro.congest.dispatch import REASON_FABRIC, REASON_NUMPY_MISSING
 from repro.congest.dispatch import dispatch as run_primitive
 from repro.congest.dispatch import registry as primitive_registry
 from repro.congest.kernels import numpy_or_none
 from repro.congest.metrics import RoundLedger
+from repro.congest.words import INF
 from repro.congest.spanning_tree import SpanningTree
 from repro.core import rpaths
 from repro.core.hop_bfs import pruned_max_hop_bfs
@@ -80,6 +83,18 @@ DELAYS = (None, lambda w: w, lambda w: 2 * w - 1, lambda w: min(w, 3))
 def ledger_snapshot(ledger: RoundLedger):
     """Everything the ledger records, phase by phase."""
     return [stats.as_dict() for stats in ledger.phases()]
+
+
+def plain(value):
+    """``value`` with every vector-lane array turned into lists, so the
+    two lanes' results compare with ``==``."""
+    if hasattr(value, "tolist"):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return type(value)(plain(v) for v in value)
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    return value
 
 
 def fuzz_instance(rng: random.Random, trial: int):
@@ -577,8 +592,8 @@ class TestEndToEnd:
                 dists = compute_landmark_distances(
                     net, tree, landmarks, hop_limit=6,
                     avoid_edges=instance.path_edge_set())
-                out[fabric] = (dists.closure, dists.from_landmark,
-                               dists.to_landmark,
+                out[fabric] = (dists.closure, plain(dists.from_landmark),
+                               plain(dists.to_landmark),
                                ledger_snapshot(net.ledger))
             assert out["vector"] == out["fast"], trial
 
@@ -798,7 +813,7 @@ def _chain_flood_big_prefix(inst, net):
 def _dp_sweep_negative_zeta(inst, net):
     path, h = inst.path, len(inst.path) - 1
     return run_primitive("dp_sweep", net, path=path,
-                         x_geq=[{} for _ in range(h + 1)],
+                         tables=[[None] for _ in range(h + 1)],
                          hop_count=h, zeta=-1, name="dp-pipeline(L4.4)")
 
 
@@ -810,39 +825,32 @@ def _sweeps_closure_task(inst, net):
     return _sweep_values(run_path_sweeps(net, path, tasks))
 
 
-def _sweeps_float_init(inst, net):
+def _sweeps_grid(inst, net, table):
+    path = inst.path
+    grid = SegmentSweeps([0, 2, len(path) - 1],
+                         list(range(len(path))), table, rightward=True)
+    return run_segment_sweeps(net, path, grid, "sweeps")
+
+
+def _sweeps_float_table(inst, net):
+    return _sweeps_grid(inst, net, [[0.5 * v for v in range(net.n)]])
+
+
+def _n_shift_call(inst, net, suffix):
     path, h = inst.path, len(inst.path) - 1
-    tasks = [SweepTask(key="f", start=0, end=h, init=0.5,
-                       local_min=list(range(h + 1)))]
-    return _sweep_values(run_path_sweeps(net, path, tasks))
-
-
-def _sweeps_duplicate_keys(inst, net):
-    path, h = inst.path, len(inst.path) - 1
-    table = list(range(h + 1))
-    tasks = [SweepTask(key="k", start=0, end=h, init=9,
-                       local_min=table),
-             SweepTask(key="k", start=0, end=h, init=7,
-                       local_min=table)]
-    return _sweep_values(run_path_sweeps(net, path, tasks))
-
-
-def _sweeps_overlapping_groups(inst, net):
-    path, h = inst.path, len(inst.path) - 1
-    table = list(range(h + 1))
-    tasks = [SweepTask(key="a", start=0, end=h, init=9,
-                       local_min=table),
-             SweepTask(key="b", start=1, end=h, init=7,
-                       local_min=table)]
-    return _sweep_values(run_path_sweeps(net, path, tasks))
+    checkpoints = [0, 2, h]
+    with net.ledger.phase("N-shift"):
+        return run_primitive(
+            "n_shift", net, path=path, hop_count=h,
+            checkpoints=checkpoints,
+            prefix=[[3 * i for i in range(h)], [h] * h], suffix=suffix,
+            m_seg=[[4, 1], [0, 9]], n_seg=[[2, 2], [5, 0]])
 
 
 def _n_shift_float_rows(inst, net):
-    path, h = inst.path, len(inst.path) - 1
-    rows = [[0.5 * i for i in range(h + 1)], [float(h)] * (h + 1)]
-    with net.ledger.phase("N-shift"):
-        return run_primitive("n_shift", net, path=path, rows=rows,
-                             hop_count=h)
+    h = len(inst.path) - 1
+    return _n_shift_call(inst, net, [[0.5 * i for i in range(h)],
+                                     [float(h)] * h])
 
 
 #: (primitive, fallback reason) -> a call violating exactly that
@@ -860,9 +868,7 @@ FALLBACK_CASES = {
     ("chain_flood", "value-out-of-int64"): _chain_flood_big_prefix,
     ("dp_sweep", "value-out-of-int64"): _dp_sweep_negative_zeta,
     ("path_sweeps", "non-declarative-task"): _sweeps_closure_task,
-    ("path_sweeps", "value-out-of-int64"): _sweeps_float_init,
-    ("path_sweeps", "duplicate-keys"): _sweeps_duplicate_keys,
-    ("path_sweeps", "overlapping-groups"): _sweeps_overlapping_groups,
+    ("path_sweeps", "value-out-of-int64"): _sweeps_float_table,
     ("n_shift", "value-out-of-int64"): _n_shift_float_rows,
 }
 
@@ -882,36 +888,50 @@ def _chain_flood_valid(inst, net):
 
 def _dp_sweep_valid(inst, net):
     path, h = inst.path, len(inst.path) - 1
-    x_geq = [{i + 1: 2 * i} for i in range(h + 1)]
-    return run_primitive("dp_sweep", net, path=path, x_geq=x_geq,
+    # Row i first hits i+1 at hop 1 and h at hop 2, then repeats.
+    tables = [[(i, 0), (i + 1, 0), (h, 0), (h, 0)] for i in range(h + 1)]
+    return run_primitive("dp_sweep", net, path=path, tables=tables,
                          hop_count=h, zeta=3, name="dp-pipeline(L4.4)")
 
 
 def _sweeps_valid(inst, net):
-    path, h = inst.path, len(inst.path) - 1
-    tasks = [SweepTask(key="a", start=0, end=h, init=h,
-                       local_min=list(range(h + 1)), deposit=True)]
-    return _sweep_values(run_path_sweeps(net, path, tasks))
+    return _sweeps_grid(inst, net, [[(7 * v) % 5 for v in range(net.n)],
+                                    [INF] * net.n])
 
 
 def _n_shift_valid(inst, net):
-    path, h = inst.path, len(inst.path) - 1
-    rows = [[3 * i for i in range(h + 1)], [h] * (h + 1)]
-    with net.ledger.phase("N-shift"):
-        return run_primitive("n_shift", net, path=path, rows=rows,
-                             hop_count=h)
+    h = len(inst.path) - 1
+    return _n_shift_call(inst, net, [[7 - i for i in range(h)],
+                                     [h] * h])
 
 
 def _landmark_completion_valid(inst, net):
+    # The pair hops carry a non-zero diagonal: the closure must reset
+    # it, or the completion loses the direct hop-bounded distances.
     return run_primitive(
-        "landmark_completion", net, closure=[[0, 2], [2, 0]],
-        from_len=[[1] * net.n, [3] * net.n],
-        to_len=[[2] * net.n, [1] * net.n])
+        "landmark_completion", net, pair_hops=[[3, 2], [INF, 5]],
+        from_len=[[v % 4 for v in range(net.n)], [3] * net.n],
+        to_len=[[2] * net.n, [v % 3 for v in range(net.n)]])
 
 
 def _pairwise_min_sum_valid(inst, net):
     return run_primitive("pairwise_min_sum", net,
                          m_rows=[[1, 5, 2]], n_rows=[[4, 0, 3]])
+
+
+@st.composite
+def dp_sweep_calls(draw):
+    """``(h, zeta, tables)`` for one ``dp_sweep`` call: hits behind the
+    row and past h, hits beyond the ζ window, repeated indices, rows
+    of any length, ζ in {0, 1} or past h, and h = 0."""
+    h = draw(st.integers(0, 8))
+    zeta = draw(st.sampled_from([0, 1, 2, 3, h + 2]))
+    entry = st.one_of(st.none(), st.tuples(st.integers(-1, h + 1),
+                                           st.integers(0, 3)))
+    tables = draw(st.lists(st.lists(entry, min_size=1,
+                                    max_size=zeta + 3),
+                           min_size=h + 1, max_size=h + 1))
+    return h, zeta, tables
 
 
 #: primitive -> a call satisfying every declared constraint (runs on
@@ -936,7 +956,7 @@ VALID_CALLS = {
 def _outcome(scenario, inst, net):
     """Run a scenario, folding raises into a comparable value."""
     try:
-        return ("ok", scenario(inst, net))
+        return ("ok", plain(scenario(inst, net)))
     except Exception as exc:  # noqa: BLE001 - equivalence of errors
         return ("raise", type(exc).__name__, str(exc))
 
@@ -1012,6 +1032,45 @@ class TestRegistryForcedFallbacks:
         assert (primitive, "vector", "") in rows
         assert not any(k == primitive and o == "fallback"
                        for k, o, _ in rows)
+
+    @pytest.mark.parametrize("primitive", sorted(VALID_CALLS))
+    def test_valid_call_matches_the_message_lane(self, primitive):
+        scenario = VALID_CALLS[primitive]
+        instance = self._instance()
+        out = {}
+        for fabric in ("fast", "vector"):
+            net = instance.build_network(fabric=fabric)
+            out[fabric] = (_outcome(scenario, instance, net),
+                           ledger_snapshot(net.ledger))
+        assert out["vector"] == out["fast"]
+        assert out["vector"][0][0] == "ok"
+
+    @given(call=dp_sweep_calls())
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(call=(4, 2, [
+        [(0, 0), (0, 1), (4, 0)],         # behind the row, then past i+ζ
+        [(1, 0), (2, 0), (2, 0)],         # j = 2 again: not a first hit
+        [(2, 0), None, (3, 1), None, (4, 0)],
+        [None],
+        [(4, 0), (4, 0)],
+    ]))
+    def test_dp_sweep_lanes_agree(self, call):
+        # Lemma 4.3 inside dp_sweep: both lanes give the same values
+        # and ledger on any hop-BFS-shaped tables.
+        h, zeta, tables = call
+        out = {}
+        for fabric in ("fast", "vector"):
+            counters_mod.registry.reset()
+            net = CongestNetwork(h + 1, [(i, i + 1) for i in range(h)],
+                                 fabric=fabric)
+            best = run_primitive("dp_sweep", net, path=list(range(h + 1)),
+                                 tables=tables, hop_count=h, zeta=zeta,
+                                 name="dp-pipeline(L4.4)")
+            assert all(type(x) is int for x in best)
+            out[fabric] = (best, ledger_snapshot(net.ledger))
+        assert ("dp_sweep", "vector", "") in _dispatch_row_set()
+        assert out["vector"] == out["fast"]
 
     @pytest.mark.parametrize("primitive", sorted(VALID_CALLS))
     def test_link_totals_gate_forces_fallback(self, primitive):

@@ -11,12 +11,13 @@ def path_net(n):
 
 
 def prefix_min_reference(values, start, end):
+    """The running minimum after every stop, in walk order."""
     best = values[start]
-    out = {start: best}
+    out = [best]
     step = 1 if end >= start else -1
     for pos in range(start + step, end + step, step):
         best = min(best, values[pos])
-        out[pos] = best
+        out.append(best)
     return out
 
 
@@ -50,7 +51,7 @@ class TestSweepBasics:
                          combine=lambda p, v: 0, deposit=True)
         results = run_path_sweeps(net, [0, 1, 2], [task])
         assert results["z"].final == 42
-        assert results["z"].trace == {1: 42}
+        assert results["z"].trace == [42]
 
     def test_out_of_bounds_task_rejected(self):
         net = path_net(3)

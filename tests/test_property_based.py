@@ -125,8 +125,8 @@ def test_sweep_engine_equals_sequential_reference(seed, length):
     results = run_path_sweeps(net, list(range(length)), [task])
     step = 1 if end >= start else -1
     best = values[start]
-    expect = {start: best}
+    expect = [best]
     for pos in range(start + step, end + step, step):
         best = min(best, values[pos])
-        expect[pos] = best
+        expect.append(best)
     assert results["t"].trace == expect

@@ -90,10 +90,11 @@ def test_prefix_traces_are_local_minima():
     instance = grid_instance(3, 7)
     net, tree, knowledge, distances, checkpoints = build_environment(
         instance, 3)
-    prefix = prefix_min_to_landmarks(net, knowledge, distances,
-                                     checkpoints)
-    # Within each segment the trace must be the running minimum of the
-    # local quantity, independently recomputed here.
+    carried, finals = prefix_min_to_landmarks(net, knowledge, distances,
+                                              checkpoints)
+    # Within each segment the token carries the running minimum of the
+    # local quantity across every edge, independently recomputed here,
+    # and ends with the whole segment's minimum.
     for g in range(len(checkpoints) - 1):
         left, right = checkpoints[g], checkpoints[g + 1]
         for j in range(distances.count):
@@ -102,8 +103,30 @@ def test_prefix_traces_are_local_minima():
                 local = (knowledge.dist_from_s[pos]
                          + distances.to_landmark[j][knowledge.path[pos]])
                 best = min(best, local)
-                assert prefix[g][j][pos] == min(best, INF + local - local) \
-                    or prefix[g][j][pos] == best
+                if pos < right:
+                    assert carried[j][pos] == best, (g, j, pos)
+            assert finals[j][g] == best, (g, j)
+
+
+def test_suffix_traces_are_local_minima():
+    instance = path_with_chords_instance(14, seed=2)
+    net, tree, knowledge, distances, checkpoints = build_environment(
+        instance, 4)
+    carried, finals = suffix_min_from_landmarks(
+        net, knowledge, distances, checkpoints)
+    # Leftward: edge i's value leaves v_{i+1}, and the segment ends at
+    # its left checkpoint.
+    for g in range(len(checkpoints) - 1):
+        left, right = checkpoints[g], checkpoints[g + 1]
+        for j in range(distances.count):
+            best = INF
+            for pos in range(right, left - 1, -1):
+                local = (distances.from_landmark[j][knowledge.path[pos]]
+                         + knowledge.dist_to_t[pos])
+                best = min(best, local)
+                if pos > left:
+                    assert carried[j][pos - 1] == best, (g, j, pos)
+            assert finals[j][g] == best, (g, j)
 
 
 def test_segment_sweeps_pipelined_round_bound():

@@ -1,7 +1,7 @@
 """Sharded service: routing, LRU, spill persistence, serving.
 
 Also covers the runtime executor's generalized ``pool_map``, which
-suite cells and the ``parallel=`` k-source fan-out run on.
+suite cells run on.
 """
 
 import itertools

@@ -79,3 +79,13 @@ class TestXGeqLocalComputation:
         table = [None, None, None, (2, 0)]
         x = x_geq_from_table(table, i=0, hop_count=2, zeta=2)
         assert x[2] == INF  # the hit at hop 3 is beyond ζ = 2
+
+    def test_window_folds_hits_beyond_zeta(self):
+        # Only j in (i, i+ζ] is built, whatever h_st is.  The 1-hop
+        # detour rejoining at j = h_st has length h − (j − i) + 1 = 1;
+        # it folds in at j = i+ζ and so covers the whole window.
+        x = x_geq_from_table([None, (10 ** 6, 0)], i=0,
+                             hop_count=10 ** 6, zeta=3)
+        assert len(x) == 3
+        assert x[3] == 1
+        assert x == {1: 1, 2: 1, 3: 1}

@@ -27,7 +27,13 @@ from repro.congest import kernels
 from repro.congest.dispatch import REASON_STRICT_OVERLOAD
 from repro.congest.dispatch import check as dispatch_check
 from repro.congest.metrics import RoundLedger
-from repro.congest.pipeline import SweepTask, run_path_sweeps
+from repro.congest.words import INF
+from repro.congest.pipeline import (
+    SegmentSweeps,
+    SweepTask,
+    run_path_sweeps,
+    run_segment_sweeps,
+)
 from repro.core.knowledge import acquire_path_knowledge, oracle_knowledge
 from repro.core.rpaths import solve_rpaths
 from repro.core.short_detour import short_detour_lengths
@@ -40,12 +46,18 @@ from repro.graphs import (
     power_law_instance,
     random_instance,
 )
+from repro.graphs.instance import RPathsInstance
 
 FABRICS = ("fast", "vector")
 
 
 def ledger_snapshot(ledger: RoundLedger):
     return [stats.as_dict() for stats in ledger.phases()]
+
+
+def plain(value):
+    """Nested lists of a vector-lane array; anything else as it is."""
+    return value.tolist() if hasattr(value, "tolist") else value
 
 
 def solver_fingerprint(report):
@@ -111,6 +123,33 @@ class TestWholeSolverFuzz:
                 instance, landmarks=list(range(instance.n)),
                 use_oracle_knowledge=True, fabric=fabric)
             out[fabric] = solver_fingerprint(report)
+        assert out["vector"] == out["fast"]
+
+    @pytest.mark.parametrize("zeta", [None, 5])
+    def test_segment_stages_hand_arrays_over(self, zeta):
+        # Three segments: the Lemma 5.7-5.9 grid, the combine, the
+        # N-shift and the min-sum run on arrays on the vector fabric,
+        # and every returned length is still a plain Python int.
+        out = {}
+        for fabric in FABRICS:
+            report = solve_rpaths(path_with_chords_instance(60, seed=5),
+                                  seed=2, fabric=fabric, zeta=zeta)
+            for key in ("short", "long"):
+                assert all(type(x) is int for x in report.extras[key])
+            assert all(type(x) is int for x in report.lengths)
+            out[fabric] = solver_fingerprint(report)
+        assert out["vector"] == out["fast"]
+
+    def test_zero_hop_path_has_no_segments(self):
+        # s = t: no segment to sweep, yet the combine still charges
+        # its k shift rounds on both lanes.
+        out = {}
+        for fabric in FABRICS:
+            instance = RPathsInstance(
+                n=3, edges=[(0, 1, 1), (1, 2, 1), (2, 0, 1)], path=[0],
+                name="zero-hop")
+            out[fabric] = solver_fingerprint(
+                solve_rpaths(instance, fabric=fabric, landmarks=[1, 2]))
         assert out["vector"] == out["fast"]
 
     def test_numpy_absence_runs_whole_solver_on_message_path(
@@ -210,37 +249,29 @@ class TestShortDetourPipeline:
 
 
 class TestPathSweepKernel:
-    def _declarative_tasks(self, n, rng):
-        tables = [[rng.randrange(0, 50) for _ in range(n)]
-                  for _ in range(3)]
-        cut = n // 2
-        tasks = []
-        for j, table in enumerate(tables):
-            tasks.append(SweepTask(key=("R", j), start=0, end=cut,
-                                   init=table[0], local_min=table,
-                                   deposit=True))
-            tasks.append(SweepTask(key=("R2", j), start=cut,
-                                   end=n - 1, init=table[cut],
-                                   local_min=table, deposit=True))
-            tasks.append(SweepTask(key=("L", j), start=n - 1, end=cut,
-                                   init=table[n - 1], local_min=table,
-                                   deposit=bool(j % 2)))
-        return tasks
+    @staticmethod
+    def _grid(n, rng, rightward):
+        # Path vertices are a permutation, so the kernel's path-column
+        # gather is exercised; INF entries exercise the clamp.
+        path = rng.sample(range(n), n)
+        table = [[rng.choice((rng.randrange(50), INF)) for _ in range(n)]
+                 for _ in range(3)]
+        offset = [rng.randrange(20) for _ in range(n)]
+        return path, SegmentSweeps([0, 3, 4, n - 1], offset, table,
+                                   rightward)
 
-    def test_declarative_sweeps_match_engine(self):
-        rng = random.Random(11)
+    @pytest.mark.parametrize("rightward", [True, False])
+    def test_segment_grid_matches_engine(self, rightward):
         n = 9
-        path = list(range(n))
         out = {}
         for fabric in FABRICS:
-            net = CongestNetwork(n, [(i, i + 1) for i in range(n - 1)],
+            path, grid = self._grid(n, random.Random(11), rightward)
+            net = CongestNetwork(n, list(zip(path, path[1:])),
                                  fabric=fabric)
-            rng_f = random.Random(11)
-            results = run_path_sweeps(
-                net, path, self._declarative_tasks(n, rng_f))
-            out[fabric] = (
-                {k: (r.final, r.trace) for k, r in results.items()},
-                ledger_snapshot(net.ledger))
+            carried, finals = run_segment_sweeps(net, path, grid,
+                                                 "sweeps")
+            out[fabric] = (plain(carried), finals,
+                           ledger_snapshot(net.ledger))
         assert out["vector"] == out["fast"]
 
     def test_callable_tasks_fall_back_identically(self):
@@ -266,43 +297,16 @@ class TestPathSweepKernel:
                            ledger_snapshot(net.ledger))
         assert out["vector"] == out["fast"]
 
-    def test_overlapping_groups_decline(self):
-        # Two start-groups sharing links would interleave in the FIFO
-        # queues; the kernel must decline (and the engine still serve).
-        n = 8
-        table = list(range(n))
-        tasks = [
-            SweepTask(key="a", start=0, end=6, init=0,
-                      local_min=table),
-            SweepTask(key="b", start=3, end=7, init=0,
-                      local_min=table),
-        ]
-        net = CongestNetwork(n, [(i, i + 1) for i in range(n - 1)],
-                             fabric="vector")
-        assert (dispatch_check("path_sweeps", net, tasks=tasks)
-                == "overlapping-groups")
-        out = {}
-        for fabric in FABRICS:
-            net = CongestNetwork(n, [(i, i + 1) for i in range(n - 1)],
-                                 fabric=fabric)
-            results = run_path_sweeps(net, list(range(n)), tasks)
-            out[fabric] = ({k: (r.final, r.trace)
-                            for k, r in results.items()},
-                           ledger_snapshot(net.ledger))
-        assert out["vector"] == out["fast"]
-
     def test_strict_overload_raises_identically(self):
         n = 6
-        table = [9, 7, 5, 3, 2, 1]
-        tasks = [SweepTask(key="s", start=0, end=n - 1, init=table[0],
-                           local_min=table, deposit=True)]
         details = {}
         for fabric in FABRICS:
-            net = CongestNetwork(n, [(i, i + 1) for i in range(n - 1)],
+            path, grid = self._grid(n, random.Random(3), rightward=False)
+            net = CongestNetwork(n, list(zip(path, path[1:])),
                                  bandwidth_words=1, strict=True,
                                  fabric=fabric)
             with pytest.raises(BandwidthExceededError) as err:
-                run_path_sweeps(net, list(range(n)), tasks)
+                run_segment_sweeps(net, path, grid, "sweeps")
             details[fabric] = (err.value.sender, err.value.receiver,
                                err.value.words,
                                ledger_snapshot(net.ledger))
