@@ -25,10 +25,11 @@ from ..congest.broadcast import broadcast_messages
 from ..congest.multisource import multi_source_hop_bfs
 from ..congest.network import CongestNetwork
 from ..congest.spanning_tree import SpanningTree
-from ..congest.words import INF, clamp_inf
+from ..congest.words import INF
 from ..graphs.instance import RPathsInstance
 from ..core.knowledge import PathKnowledge
-from ..core.landmark_distances import LandmarkDistances, landmark_closure
+from ..core.landmark_distances import LandmarkDistances, _completion_message
+from ..core.long_detour import _pairwise_min_sum_message
 from ..core.landmarks import sample_landmarks
 from ..core.segments import (
     checkpoint_positions,
@@ -90,25 +91,10 @@ def compute_landmark_distances_weighted(
         for _, payload in records:
             _, a, b, value = payload
             pair[a][b] = value
-        closure = landmark_closure(pair)  # values already lengths
-
-        from_landmark = [[INF] * net.n for _ in range(k)]
-        to_landmark = [[INF] * net.n for _ in range(k)]
-        for v in range(net.n):
-            for a in range(k):
-                best_f = direct_from[a][v]
-                best_t = direct_to[a][v]
-                for mid in range(k):
-                    if closure[a][mid] < INF and direct_from[mid][v] < INF:
-                        candidate = closure[a][mid] + direct_from[mid][v]
-                        if candidate < best_f:
-                            best_f = candidate
-                    if direct_to[mid][v] < INF and closure[mid][a] < INF:
-                        candidate = direct_to[mid][v] + closure[mid][a]
-                        if candidate < best_t:
-                            best_t = candidate
-                from_landmark[a][v] = clamp_inf(best_f)
-                to_landmark[a][v] = clamp_inf(best_t)
+        # Lemmas 5.4/5.6 on the scalar lane (the vector one holds no
+        # Fractions).
+        closure, from_landmark, to_landmark = _completion_message(
+            net, pair, direct_from, direct_to)
         return LandmarkDistances(list(landmarks), closure,
                                  from_landmark, to_landmark)
 
@@ -149,14 +135,4 @@ def long_detour_lengths_weighted(
         tables = finish_distance_tables(
             net, tree, knowledge, distances, checkpoints,
             prefix_table, suffix_table)
-        m_final, n_final = tables["M"], tables["N"]
-
-        out = []
-        for i in range(h):
-            best = INF
-            for j in range(len(landmarks)):
-                candidate = m_final[j][i] + n_final[j][i]
-                if candidate < best:
-                    best = candidate
-            out.append(best if best < INF else INF)
-        return out
+        return _pairwise_min_sum_message(net, tables["M"], tables["N"])

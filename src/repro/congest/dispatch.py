@@ -332,8 +332,8 @@ _PRIMITIVES: Tuple[Primitive, ...] = (
                 _broadcast_fits_bandwidth,
             ),
         ),
-        ledger="opens its phase; one bulk charge: the busy-period "
-               "makespan, and each item crossing n-1 links",
+        ledger="opens its phase; one bulk charge: the makespan over "
+               "the tree's leaves, and each item crossing n-1 links",
     ),
     Primitive(
         name="chain_flood",
@@ -394,8 +394,8 @@ _PRIMITIVES: Tuple[Primitive, ...] = (
         lemma="L2.4 backbone",
         message=("repro.congest.spanning_tree", "_flood_message"),
         vector=("repro.congest.kernels", "spanning_tree_flood_vector"),
-        ledger="opens its phase; one offers + one confirmation round "
-               "per BFS level",
+        ledger="opens its phase; one bulk charge from the BFS "
+               "layering: an offers and a confirmation round per level",
     ),
     Primitive(
         name="n_shift",

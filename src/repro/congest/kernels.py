@@ -6,19 +6,20 @@ solver** through whole-structure computation over the frozen CSR
 arrays (:meth:`~repro.congest.topology.CSRTopology.arrays` /
 :meth:`~repro.congest.topology.CSRTopology.send_arrays`): the pruned
 hop-BFS of Lemma 4.2, the k-source hop BFS of Lemma 5.5, the
-pipelined tree broadcast of Lemma 2.4 (an exact makespan from each tree
-link's busy periods), the Lemma 2.5 path-chain flood, the descending
+pipelined tree broadcast of Lemma 2.4 (an exact makespan from the
+tree's leaves), the Lemma 2.5 path-chain flood, the descending
 ζ-round DP pipeline of Lemma 4.4 (with each vertex's local Lemma 4.3
 inside it), the segment prefix/suffix sweeps of Lemmas 5.7/5.9 and
-their combine and one-hop shift, and the BFS spanning-tree
-flood.  One synchronous round becomes a handful of vectorized
-operations (frontier gathers via CSR range expansion, delay-shifted
-scheduling buckets, segmented max/min via
+their combine and one-hop shift, and the BFS spanning-tree flood
+(charged from one BFS's layering).  One synchronous round becomes a
+handful of vectorized operations (frontier gathers via CSR range
+expansion, delay-shifted scheduling buckets, segmented max/min via
 ``np.maximum.at``/``np.minimum.at``) instead of one Python tuple per
 (sender, target) pair — and closed-form schedules (chain gaps, DP
-rounds, disjoint sweep groups, broadcast makespans, the repeating
-tail of the pruned hop-BFS once its unit-step state reaches a fixed
-point) charge whole executions in bulk via
+rounds, disjoint sweep groups, broadcast makespans, the flood's two
+rounds per BFS level, the repeating tail of the pruned hop-BFS once
+its unit-step state reaches a fixed point) charge whole executions in
+bulk via
 :meth:`~repro.congest.metrics.RoundLedger.charge_rounds` without
 walking rounds at all.
 
@@ -79,6 +80,7 @@ makespan, whatever the item sizes.
 from __future__ import annotations
 
 import functools
+from array import array
 from fractions import Fraction
 from itertools import groupby
 from typing import (
@@ -533,10 +535,9 @@ def multi_source_hop_bfs_vector(
 #: Payload field types whose word size the type alone fixes.
 _FIXED_SIZE_FIELDS = frozenset((type(None), bool, int, float, Fraction))
 
-#: A directed tree link's departures ``(shift, periods, items)``: busy
-#: in rounds ``[first + shift, last + shift]`` for each pair of the flat
-#: ``periods = [first, last, ...]``, ``items`` in all; None when idle.
-Link = Optional[Tuple[int, List[int], int]]
+#: Cells of the (origin, vertex) and (stem, origin) tables one chunk
+#: of the broadcast makespan builds at a time.
+_TOUR_CHUNK = 1 << 20
 
 
 def _broadcast_size_counts(items) -> Dict[int, int]:
@@ -560,93 +561,104 @@ def _broadcast_size_counts(items) -> Dict[int, int]:
     return counts
 
 
-def _arrivals(feeds: List[Link]) -> List[int]:
-    """Sorted arrival-rate events of what the busy ``feeds`` deliver.
-
-    A departure in round r is forwarded from round r + 1 on: a busy
-    period ``[first, last]`` adds one item per round from round
-    ``first + 1`` (event ``2(first + 1) + 1``) until round ``last + 2``
-    (event ``2(last + 2)``).  ``event ^ 1`` negates an event.
-    """
-    events: List[int] = []
-    for shift, periods, _ in feeds:
-        fed = [2 * (r + shift) + 3 for r in periods]
-        fed[1::2] = [e + 1 for e in fed[1::2]]
-        events += fed
-    return sorted(events)
-
-
-def _link(queued: int, feeds: List[Link], events=None) -> Link:
-    """Departures of a unit-rate FIFO link holding ``queued`` items in
-    round 1, fed by ``feeds`` (or by the arrival ``events``).  Between
-    rate changes the Lindley recursion is closed-form: a positive rate
-    keeps the link busy and grows its queue by ``rate - 1`` per round,
-    a zero rate drains it."""
-    if events is None:
-        if not feeds:
-            return (0, [1, queued], queued) if queued else None
-        if len(feeds) == 1 and not queued:  # each item leaves next round
-            shift, periods, items = feeds[0]
-            return shift + 1, periods, items
-        events = _arrivals(feeds)
-    periods: List[int] = []
-    t, rate, items = 1, 0, 0
-    for event in events + [1 << 64]:
-        time = event >> 1
-        if time > t:
-            busy = time - t if rate or queued > time - t else queued
-            queued += rate * (time - t) - busy
-            if busy:
-                items += busy
-                if periods and periods[-1] == t - 1:
-                    periods[-1] = t + busy - 1
-                else:
-                    periods += (t, t + busy - 1)
-            t = time
-        rate += 1 if event & 1 else -1
-    return (0, periods, items) if periods else None
+def _tree_tour(np, tree):
+    """``(tin, tout, depth, stems, first, leaves)`` of ``tree``, kept on
+    the tree: v's subtree holds preorder positions ``[tin[v], tout[v])``;
+    the leaves (tree degree 1, so the root when it has one child) come
+    grouped by stem, their one neighbour, from ``first[g]`` for the
+    ``g``-th stem in preorder."""
+    if tree._tour is None:
+        children, parent, root = tree.children, tree.parent, tree.root
+        n = len(children)
+        tin, tout = [0] * n, [0] * n
+        clock, stack, leaves, stems = 0, [root], [], []
+        while stack:
+            v = stack.pop()
+            if v < 0:
+                tout[~v] = clock
+                continue
+            tin[v] = clock
+            clock += 1
+            if len(children[v]) == (v == root):
+                leaves.append(v)
+                stems.append(children[v][0] if v == root else parent[v])
+            stack.append(~v)
+            stack += children[v]
+        tin = np.array(tin)
+        stems = np.array(stems, dtype=np.int64)
+        order = np.argsort(tin[stems], kind="stable")
+        stems = stems[order]
+        first = np.flatnonzero(np.diff(stems, prepend=-1))
+        tree._tour = (tin, np.array(tout), np.array(tree.depth),
+                      stems[first], first,
+                      np.array(leaves, dtype=np.int64)[order])
+    return tree._tour
 
 
 def _broadcast_schedule(tree, item_counts: Sequence[int]) -> Tuple[int, int]:
     """Rounds and link crossings of the FIFO tree broadcast.
 
-    Link (v→u) serves v's own items from round 1 and each departure of
-    (w→v), w ≠ u, one round later.  No link feeds its own reverse, so
-    upward links resolve leaves first, downward links root first.  A
-    vertex's downward links share its merged arrivals less the reverse
-    link's, so a hub costs one merge per busy child, not deg².
+    Every item crosses each of the n − 1 tree links once.  The makespan
+    is the maximum, over the leaves ℓ and σ ≥ 1, of σ − 1 plus the
+    number of items whose origin lies at tree distance ≥ σ from ℓ:
+
+    (a) The links upstream of a link (v→u) form an in-tree that carries
+        only (v→u)'s own items, one per busy link per round.  So
+        (v→u) idles in round t only when every item still to cross it
+        started at least t hops from v, and its last departure is the
+        maximum over τ of τ + #items on v's side at distance ≥ τ from
+        v.
+    (b) A non-backtracking step (v→u) → (u→w) raises that value by at
+        least 1 (u's side holds v's, one hop further), so the maximum
+        sits on a link into a leaf ℓ, from ℓ's stem s (its one tree
+        neighbour): over τ = σ − 1 ≥ 0, τ + #items at distance ≥ τ
+        from s, less ℓ's own items while τ ≤ 1.  Of the leaves of one
+        stem, the one with the fewest own items bounds them all: one
+        row per stem.
+
+    The ancestors o shares with a stem are o's Euler-tour intervals
+    ``tin[a] <= tin[o] < tout[a]`` that hold the stem's position: one
+    cumulative sum per origin row.  Per stem, origins sorted by
+    distance give running item counts; the last count of a tie is its
+    largest, so ties need no order.
     """
-    children = tree.children
-    order = [tree.root]
-    for v in order:
-        order.extend(children[v])
-    up: List[Link] = [None] * len(order)  # up[v]: (v → parent)
-    down: List[Link] = [None] * len(order)  # down[v]: (parent → v)
-    for v in reversed(order[1:]):
-        up[v] = _link(item_counts[v], [up[c] for c in children[v] if up[c]])
-    for p in order:
-        feeds = [up[c] for c in children[p] if up[c]]
-        if down[p]:
-            feeds.append(down[p])
-        merged = idle = None
-        for c in children[p]:
-            own = up[c]
-            if not own:
-                if idle is None:
-                    idle = _link(item_counts[p], feeds)
-                down[c] = idle
-            elif len(feeds) <= 2:
-                down[c] = _link(item_counts[p],
-                                [f for f in feeds if f is not own])
-            else:
-                if merged is None:
-                    merged = _arrivals(feeds)
-                withheld = [e ^ 1 for e in _arrivals([own])]
-                down[c] = _link(item_counts[p], [],
-                                sorted(merged + withheld))
-    links = [link for link in up + down if link]
-    return (max((s + periods[-1] for s, periods, _ in links), default=0),
-            sum(link[2] for link in links))
+    n = len(item_counts)
+    items = sum(item_counts)
+    if n < 2 or not items:
+        return 0, 0
+    np = numpy_or_none()
+    tin, tout, depth, stems, first, leaves = _tree_tour(np, tree)
+    at_stem = tin[stems]
+    counts = np.asarray(item_counts, dtype=np.int64)
+    spare = np.minimum.reduceat(counts[leaves], first)
+    origins = np.flatnonzero(counts)
+    weights = counts[origins]
+    width = stems.size + 1
+    dist = np.empty((stems.size, origins.size), dtype=np.int64)
+    step = max(1, _TOUR_CHUNK // n)
+    for lo in range(0, origins.size, step):
+        chunk = origins[lo:lo + step]
+        at = tin[chunk, None]
+        rows, anc = np.nonzero((tin <= at) & (at < tout))
+        rows *= width
+        cells = chunk.size * width
+        marks = (np.bincount(rows + np.searchsorted(at_stem, tin[anc]),
+                             minlength=cells)
+                 - np.bincount(rows + np.searchsorted(at_stem, tout[anc]),
+                               minlength=cells))
+        shared = marks.reshape(chunk.size, width).cumsum(axis=1)[:, :-1]
+        dist[:, lo:lo + chunk.size] = (depth[stems, None] + depth[chunk]
+                                       + 2 - 2 * shared.T)
+    rounds = 0
+    step = max(1, _TOUR_CHUNK // origins.size)
+    for lo in range(0, stems.size, step):
+        block = dist[lo:lo + step]
+        order = np.argsort(-block, axis=1)
+        far = np.take_along_axis(block, order, axis=1)
+        ends = (far + weights[order].cumsum(axis=1)
+                - spare[lo:lo + step, None] * (far <= 1))
+        rounds = max(rounds, int(ends.max()))
+    return rounds, items * (n - 1)
 
 
 @_kernel_span("broadcast")
@@ -655,20 +667,20 @@ def broadcast_messages_vector(net, tree, messages, name: str):
 
     Each item crosses each of the n − 1 tree links once, and a busy
     link sends one item per round whatever its size, so the result and
-    every ledger total but the makespan are fixed by the batch alone.
-    (Strict batches with an oversized item take the message lane.)
+    every ledger total but the makespan are fixed by the batch alone;
+    the makespan is a maximum over the tree's leaves
+    (:func:`_broadcast_schedule`).  (Strict batches with an oversized
+    item take the message lane.)
     """
     with net.ledger.phase(name):
         all_messages = [(origin, payload) for origin in sorted(messages)
                         for payload in messages[origin]]
         item_counts = [0] * net.n
-        for origin, _ in all_messages:
-            item_counts[origin] += 1
+        for origin, payloads in messages.items():
+            item_counts[origin] = len(payloads)
         sizes = _broadcast_size_counts(all_messages)
         rounds, crossings = _broadcast_schedule(tree, item_counts)
         links = net.n - 1
-        assert crossings == len(all_messages) * links, \
-            "broadcast schedule lost items"
         net.ledger.charge_rounds(
             rounds, crossings,
             links * sum(size * count for size, count in sizes.items()),
@@ -910,58 +922,70 @@ def run_path_sweeps_vector(net, path, tasks, segments, name: str):
 #: Wire size of the flood control messages: ("offer",) / ("adopt",).
 TREE_MESSAGE_WORDS = words_of(("offer",))
 
+#: Frontier size from which a BFS level steps as one CSR gather.
+#: Every level of solve-longpath's path-like graph is narrower, and an
+#: expander(2048)'s are wider from depth 3 on.
+_WIDE_FRONTIER = 64
+
 
 @_kernel_span("spanning_tree")
 def spanning_tree_flood_vector(net, root: int, name: str):
-    """Whole-frontier rounds of the BFS spanning-tree flood.
+    """The BFS spanning-tree flood, charged from the BFS layering.
 
     Opens phase ``name`` and returns ``(parent, depth)`` lists (``-1``
     marks unreached vertices; the caller raises the disconnection
-    error and assembles the tree).  Each level costs two rounds
-    exactly like the message path: an offers round (one 1-word message
-    per (frontier vertex, unreached neighbor) link) and a confirmation
-    round (one per adopted vertex); adoption picks the smallest
-    offering neighbor via a segmented minimum.
+    error and assembles the tree).  Each level of the message lane
+    costs an offers round (one 1-word message per link from a frontier
+    vertex to an unreached neighbour, one level deeper) and a
+    confirmation round (one per adopted vertex), and a vertex adopts
+    its smallest offering neighbour.  So one BFS gives the whole
+    charge, and one pass over the receiver-major link slots (senders
+    ascending) the parents.  A level steps in Python over the neighbour
+    lists while its frontier is narrower than ``_WIDE_FRONTIER``, else
+    as one CSR gather; both share one depth buffer.
     """
     np = numpy_or_none()
-    n = net.n
+    nbr_lists = net.topology.nbr_lists
     arr = net.topology.arrays()
     indptr, indices = arr.nbr_indptr, arr.nbr_indices
-    size = TREE_MESSAGE_WORDS
-    overload = net.strict and size > net.bandwidth_words
-    with net.ledger.phase(name):
-        depth = np.full(n, -1, dtype=np.int64)
-        parent = np.full(n, -1, dtype=np.int64)
-        depth[root] = 0
-        parent[root] = root
-        #: per-vertex smallest offering neighbor (n = "no offer yet").
-        chosen = np.full(n, n, dtype=np.int64)
-        frontier = np.asarray([root], dtype=np.int64)
-        level = 0
-        while frontier.size:
+    depth_of = array("q", [-1]) * net.n
+    depth = np.frombuffer(depth_of, dtype=np.int64)
+    depth_of[root] = 0
+    frontier, level, adopted = [root], 0, 0
+    while len(frontier):
+        level += 1
+        if type(frontier) is list:
+            found = {v for u in frontier for v in nbr_lists[u]
+                     if depth_of[v] < 0}
+            for v in found:
+                depth_of[v] = level
+            frontier = (list(found) if len(found) < _WIDE_FRONTIER
+                        else np.fromiter(found, np.int64, len(found)))
+        else:
             counts = indptr[frontier + 1] - indptr[frontier]
-            total = int(counts.sum())
-            if not total:
-                break
-            slots = _expand_ranges(np, indptr[frontier], counts, total)
-            targets = indices[slots]
-            unreached = depth[targets] < 0
-            offer_targets = targets[unreached]
-            if not offer_targets.size:
-                break
-            offer_senders = np.repeat(frontier, counts)[unreached]
-            _charge_uniform_round(net, int(offer_targets.size), size)
-            if overload:
-                _raise_first_overload(net, offer_senders, offer_targets,
-                                      size)
-            np.minimum.at(chosen, offer_targets, offer_senders)
-            adopted = np.unique(offer_targets)
-            parent[adopted] = chosen[adopted]
-            depth[adopted] = level + 1
-            _charge_uniform_round(net, int(adopted.size), size)
-            frontier = adopted
-            level += 1
-        return parent.tolist(), depth.tolist()
+            targets = indices[_expand_ranges(
+                np, indptr[frontier], counts, int(counts.sum()))]
+            found = np.sort(targets[depth[targets] < 0])
+            found = found[np.diff(found, prepend=-1) != 0]
+            depth[found] = level
+            frontier = (found.tolist() if found.size < _WIDE_FRONTIER
+                        else found)
+        adopted += len(frontier)
+    # Link slot i runs indices[i] -> link_receiver[i].  An unreached
+    # sender (depth -1) neighbours no reached vertex: it offers nothing.
+    receivers = arr.link_receiver
+    offers = np.flatnonzero(depth[receivers] == depth[indices] + 1)
+    offered = receivers[offers]
+    first = np.diff(offered, prepend=-1) != 0
+    parent = np.full(net.n, -1, dtype=np.int64)
+    parent[offered[first]] = indices[offers[first]]
+    parent[root] = root
+    with net.ledger.phase(name):
+        charge_uniform_rounds(net, 2 * (level - 1), offers.size + adopted,
+                              TREE_MESSAGE_WORDS,
+                              [root] * len(nbr_lists[root]),
+                              nbr_lists[root])
+    return parent.tolist(), depth.tolist()
 
 
 @_kernel_span("n_shift")

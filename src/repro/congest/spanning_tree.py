@@ -8,7 +8,7 @@ each vertex adopts the first sender it hears as its parent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .dispatch import dispatch
@@ -31,12 +31,16 @@ class SpanningTree:
         ``children[v]`` lists v's tree children (sorted).
     depth:
         ``depth[v]`` is the hop distance from the root.
+    _tour:
+        The Euler tour the vector broadcasts cache (not compared).
     """
 
     root: int
     parent: List[int]
     children: List[List[int]]
     depth: List[int]
+    _tour: Optional[tuple] = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     @property
     def height(self) -> int:
@@ -161,29 +165,17 @@ def replay_spanning_tree_charges(
     Callers that already hold the tree for this topology (Corollary
     6.2's 2-SiSP aggregation reuses the solver's tree) replay the
     charges instead of re-flooding, keeping ledgers bit-identical to a
-    rebuild at none of the cost.  Assumes a non-strict network (the
-    1-word control messages cannot overload any real budget).
+    rebuild at none of the cost: the phase holds aggregates only, so
+    the 2·height rounds are one bulk charge.  Assumes a non-strict
+    network (the 1-word control messages cannot overload any real
+    budget).
     """
     name = phase if phase is not None else "spanning-tree"
     nbr_lists = net.topology.nbr_lists
     depth = tree.depth
-    height = max(depth)
-    offers = [0] * (height + 1)
-    adopted = [0] * (height + 1)
-    for u in range(net.n):
-        du = depth[u]
-        if du > 0:
-            adopted[du] += 1
-        for v in nbr_lists[u]:
-            if depth[v] == du + 1:
-                offers[du] += 1
+    sent = net.n - 1 + sum(depth[v] == depth[u] + 1
+                           for u in range(net.n) for v in nbr_lists[u])
     size = words_of(("offer",))
-    oversized = size > net.bandwidth_words
     with net.ledger.phase(name):
-        for level in range(height):
-            off = offers[level]
-            net.ledger.charge_round(off, off * size, size,
-                                    off if oversized else 0)
-            ado = adopted[level + 1]
-            net.ledger.charge_round(ado, ado * size, size,
-                                    ado if oversized else 0)
+        net.ledger.charge_rounds(2 * tree.height, sent, sent * size, size,
+                                 sent if size > net.bandwidth_words else 0)

@@ -94,7 +94,7 @@ def _pairwise_min_sum_message(
 ) -> List[int]:
     """The scalar min-plus reduction (the registry's fallback lane)."""
     k = len(m_rows)
-    h = len(m_rows[0]) if m_rows else 0
+    h = len(m_rows[0]) if k else 0
     out = []
     for i in range(h):
         best = INF

@@ -518,18 +518,28 @@ def _tree_from_edges(n, edges, root):
 def broadcast_trees(draw):
     """A rooted tree and per-vertex item counts."""
     n = draw(st.integers(1, 40))
-    shape = draw(st.sampled_from(("recursive", "path", "star", "broom")))
+    shape = draw(st.sampled_from(
+        ("recursive", "path", "star", "broom", "caterpillar")))
     if shape == "recursive":
         edges = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
     elif shape == "path":
         edges = [(v - 1, v) for v in range(1, n)]
     elif shape == "star":
         edges = [(0, v) for v in range(1, n)]
+    elif shape == "caterpillar":
+        # A spine 0..spine-1 with pendant leaves; items sit on the spine.
+        spine = draw(st.integers(1, n))
+        edges = [(v - 1, v) for v in range(1, spine)]
+        edges += [(v, draw(st.integers(0, spine - 1)))
+                  for v in range(spine, n)]
     else:
         handle = draw(st.integers(0, n - 1))
         edges = [(v - 1, v) for v in range(1, handle + 1)]
         edges += [(handle, v) for v in range(handle + 1, n)]
     tree = _tree_from_edges(n, edges, draw(st.integers(0, n - 1)))
+    if shape == "caterpillar":
+        return tree, draw(st.lists(st.integers(0, 4), min_size=spine,
+                                   max_size=spine)) + [0] * (n - spine)
     counts = draw(st.sampled_from(("zero", "single", "every")))
     item_counts = [0] * n
     if counts == "single":
@@ -541,7 +551,7 @@ def broadcast_trees(draw):
 
 
 class TestBroadcastSchedule:
-    """The busy-period makespan against the whole-array stepper."""
+    """The leaf makespan against the whole-array stepper."""
 
     def test_layout_sizes_match_words_of(self):
         from collections import Counter
@@ -563,6 +573,11 @@ class TestBroadcastSchedule:
             words_of(item) for item in items)
 
     @given(broadcast_trees())
+    @example((_tree_from_edges(2, [(0, 1)], 0), [2, 1]))
+    @example((_tree_from_edges(2, [(0, 1)], 1), [0, 3]))
+    # Both leaves hold more items than the hops between them: the
+    # makespan (5) counts no leaf's own items; counting all 9 reads 8.
+    @example((_tree_from_edges(3, [(0, 1), (1, 2)], 1), [4, 1, 4]))
     @settings(max_examples=150, deadline=None)
     def test_makespan_and_crossings_match_the_stepper(self, drawn):
         tree, item_counts = drawn

@@ -19,6 +19,7 @@ import pytest
 
 from repro.congest import (
     BandwidthExceededError,
+    CongestError,
     CongestNetwork,
     broadcast_messages,
     build_spanning_tree,
@@ -182,6 +183,25 @@ class TestWeightedApproxSolver:
                                ledger_snapshot(report.ledger))
             assert out["vector"] == out["fast"], trial
 
+    def test_theorem3_with_an_unreachable_landmark(self):
+        # The only landmark ends a 200-hop tail beyond every hop budget:
+        # every landmark length is the int INF, so the segment stages
+        # take the vector lanes and hand Theorem 3's min-sum arrays.
+        from repro.approx.apx_rpaths import solve_apx_rpaths
+
+        edges = [(0, 1, 2), (1, 2, 2), (2, 3, 2), (0, 4, 3), (4, 3, 3)]
+        tail = [3] + list(range(5, 206))
+        edges += [(u, v, 1) for u, v in zip(tail, tail[1:])]
+        instance = RPathsInstance(n=206, edges=edges, path=[0, 1, 2, 3],
+                                  weighted=True)
+        out = {}
+        for fabric in FABRICS:
+            report = solve_apx_rpaths(instance, epsilon=0.5, zeta=4,
+                                      landmarks=[205], fabric=fabric)
+            out[fabric] = (report.lengths, ledger_snapshot(report.ledger))
+        assert out["vector"] == out["fast"]
+        assert out["fast"][0] == [6.0, 6.0, 6.0]
+
 
 class TestKnowledgeChainFlood:
     def test_weighted_chain_parity(self):
@@ -313,7 +333,75 @@ class TestPathSweepKernel:
         assert details["vector"] == details["fast"]
 
 
+def _support(instance):
+    """``(n, edges)`` of an instance's communication graph."""
+    return instance.n, [(u, v) for u, v, _ in instance.edges]
+
+
+def _expander_with_tail():
+    """An expander whose last vertex starts a 100-hop tail: the frontier
+    widens past ``kernels._WIDE_FRONTIER``, then narrows to one vertex
+    per level."""
+    n, edges = _support(expander_instance(512, degree=4, seed=2))
+    return n + 100, edges + [(v, v + 1) for v in range(n - 1, n + 99)]
+
+
+def _hub():
+    """A root with 99 spokes closed into a ring: the first level is
+    already wide, and the root is one of its neighbours."""
+    return 100, ([(0, v) for v in range(1, 100)]
+                 + [(v, v % 99 + 1) for v in range(1, 100)])
+
+
+def _disconnected():
+    """An expander and, apart from it, a path."""
+    n, edges = _support(expander_instance(64, degree=4, seed=3))
+    return n + 10, edges + [(v, v + 1) for v in range(n, n + 9)]
+
+
+#: Flood graphs: every level narrow, levels wide from depth 3 on, wide
+#: then narrow again, wide from depth 1, and one the flood cannot span.
+TREE_GRAPHS = {
+    "chords-300": lambda: _support(path_with_chords_instance(300, seed=5)),
+    "expander-2048": lambda: _support(
+        expander_instance(2048, degree=4, seed=1)),
+    "expander-tail": _expander_with_tail,
+    "hub": _hub,
+    "disconnected": _disconnected,
+}
+
+
 class TestSpanningTreeKernel:
+    @pytest.mark.parametrize("graph", sorted(TREE_GRAPHS))
+    def test_level_steps_match_the_message_lane(self, graph):
+        n, edges = TREE_GRAPHS[graph]()
+        out = {}
+        for fabric in FABRICS:
+            net = CongestNetwork(n, edges, fabric=fabric)
+            try:
+                tree = build_spanning_tree(net)
+                built = (tree.parent, tree.children, tree.depth)
+            except CongestError as err:
+                built = repr(err)
+            out[fabric] = (built, ledger_snapshot(net.ledger))
+        assert out["vector"] == out["fast"]
+        if graph == "disconnected":
+            assert "disconnected" in out["fast"][0]
+
+    def test_graphs_take_both_level_steps(self):
+        def widths(graph):
+            n, edges = TREE_GRAPHS[graph]()
+            depth = build_spanning_tree(CongestNetwork(n, edges)).depth
+            return [depth.count(d) for d in range(max(depth) + 1)]
+
+        wide = kernels._WIDE_FRONTIER
+        chords = widths("chords-300")
+        assert len(chords) > 64 and max(chords) < wide
+        assert max(widths("expander-2048")) >= wide
+        tail = widths("expander-tail")
+        assert max(tail) >= wide and tail[-50:] == [1] * 50
+        assert widths("hub") == [1, 99]
+
     def test_tree_and_ledger_parity(self):
         rng = random.Random(9)
         for trial in range(6):
