@@ -59,7 +59,7 @@ def measure_diet(instance) -> dict:
     arr = instance.build_network(fabric="vector").topology.arrays()
     diet = arr.nbytes()
     int64_eq = sum(getattr(arr, field).size * 8
-                   for field, _role in TopologyArrays.FIELDS)
+                   for field in TopologyArrays.FIELDS)
     import numpy as np
     return {
         "n": instance.n,

@@ -103,10 +103,6 @@ class RoundLedger:
             popped = self._stack.pop()
             assert popped == name, "phase stack corrupted"
 
-    @property
-    def current_phases(self) -> List[str]:
-        return list(self._stack)
-
     # -- charging ----------------------------------------------------------
 
     def charge_round(self, messages: int, words: int, max_link_words: int,

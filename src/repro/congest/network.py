@@ -241,11 +241,5 @@ class CongestNetwork:
             best = max(best, ecc)
         return best
 
-    def undirected_eccentricity(self, root: int) -> int:
-        dist = self.undirected_bfs_layers(root)
-        if min(dist) < 0:
-            raise ValueError("communication graph is disconnected")
-        return max(dist)
-
     def is_connected(self) -> bool:
         return min(self.undirected_bfs_layers(0)) >= 0

@@ -90,35 +90,22 @@ class TopologyArrays:
       already at n > 46340;
     * *weights* promote when any edge weight exceeds int32.
 
-    Since one export is now shared across every solve of a run (and,
-    via :mod:`repro.runtime.sharedmem`, across worker processes), all
+    Since one export is shared across every solve of a run, all
     arrays are frozen with ``writeable=False``.  Kernels must treat
     int32 operands as *addressing* data only: arithmetic that can
     exceed int32 (hop sums, key encodings) upcasts to int64 at the
     gather site.
     """
 
-    __slots__ = (
+    #: The exported arrays, by attribute name.
+    FIELDS = (
         "out_indptr", "out_indices", "out_weights", "out_keys",
         "in_indptr", "in_indices", "in_weights", "in_keys",
         "nbr_indptr", "nbr_indices", "link_receiver",
-        "index_dtype", "key_dtype", "weight_dtype",
     )
+    __slots__ = FIELDS + ("index_dtype", "key_dtype", "weight_dtype")
 
-    #: Field layout: (name, dtype role) — what the shared-memory
-    #: publisher serializes and the attach side reconstructs.
-    FIELDS = (
-        ("out_indptr", "index"), ("out_indices", "index"),
-        ("out_weights", "weight"), ("out_keys", "key"),
-        ("in_indptr", "index"), ("in_indices", "index"),
-        ("in_weights", "weight"), ("in_keys", "key"),
-        ("nbr_indptr", "index"), ("nbr_indices", "index"),
-        ("link_receiver", "index"),
-    )
-
-    def __init__(self, topology: Optional["CSRTopology"]) -> None:
-        if topology is None:
-            return  # shell for _from_arrays (shared-memory attach)
+    def __init__(self, topology: "CSRTopology") -> None:
         np = _numpy()
         n = topology.n
         wbk = topology._weight_by_key
@@ -156,27 +143,12 @@ class TopologyArrays:
         self._freeze()
 
     def _freeze(self) -> None:
-        for name, _role in self.FIELDS:
+        for name in self.FIELDS:
             getattr(self, name).flags.writeable = False
-
-    @classmethod
-    def _from_arrays(cls, fields: Dict[str, object]) -> "TopologyArrays":
-        """Rebuild from prebuilt arrays (the shared-memory attach path).
-
-        The arrays are adopted as-is (typically read-only views over a
-        shared buffer); dtype roles are re-derived from the fields.
-        """
-        self = cls(None)
-        for name, role in cls.FIELDS:
-            setattr(self, name, fields[name])
-        self.index_dtype = fields["nbr_indices"].dtype.type
-        self.key_dtype = fields["out_keys"].dtype.type
-        self.weight_dtype = fields["out_weights"].dtype.type
-        return self
 
     def nbytes(self) -> int:
         """Total bytes of all exported arrays (the diet's scoreboard)."""
-        return sum(getattr(self, name).nbytes for name, _ in self.FIELDS)
+        return sum(getattr(self, name).nbytes for name in self.FIELDS)
 
 
 class CSRTopology:
@@ -326,13 +298,12 @@ class CSRTopology:
     def arrays(self) -> TopologyArrays:
         """Read-only NumPy views of the frozen CSR (built once, cached).
 
-        One export backs *every* solve on this topology — the k-source
-        and landmark runs of a ``solve_rpaths`` execution, every batch
-        the serve planner answers, and (via
-        :mod:`repro.runtime.sharedmem`) the serve daemon's worker
-        processes all gather over the same frozen arrays instead of
-        re-materializing per call.  Dtypes follow the int32
-        memory diet (see :class:`TopologyArrays`).
+        One export backs *every* solve on this topology in a process —
+        the k-source and landmark runs of a ``solve_rpaths`` execution
+        and every batch the serve planner answers all gather over the
+        same frozen arrays instead of re-materializing per call.
+        Dtypes follow the int32 memory diet (see
+        :class:`TopologyArrays`).
 
         Requires NumPy; the message fabrics never call this, so the
         dependency stays confined to ``fabric="vector"`` executions.

@@ -158,8 +158,12 @@ def random_instance(
     s is vertex 0; t is a finite-distance vertex of maximal distance, so
     h_st is the (small, O(log n)-ish) directed eccentricity.
     """
-    rng = _resolve_rng(seed, rng)
     target_m = max(n, int(avg_degree * n / 2))
+    if target_m > n * (n - 1):
+        raise ValueError(
+            f"random_instance(n={n}, avg_degree={avg_degree}) needs "
+            f"{target_m} distinct edges; only {n * (n - 1)} exist")
+    rng = _resolve_rng(seed, rng)
     edges: Set[Edge] = set()
     while len(edges) < target_m:
         u = rng.randrange(n)

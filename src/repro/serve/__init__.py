@@ -19,8 +19,8 @@ precomputed answers hot and amortizes everything else:
   adversarial / mixed query-stream generators, registered as
   ``serve-*`` suite scenarios.
 * :mod:`~repro.serve.daemon` — ``ServeDaemon``: long-lived worker
-  processes that own their shards (shared-memory topology attach,
-  warm-once oracles, heartbeat health, bounded restart with re-warm).
+  processes that own their shards (warm-once oracles built from the
+  shipped edges, heartbeat health, bounded restart with re-warm).
 * :mod:`~repro.serve.frontend` — ``ServeFrontend``: admission that
   routes on submit, with per-shard in-flight caps, a bounded
   per-shard backlog (reject-with-``overloaded`` backpressure),

@@ -5,20 +5,17 @@ that answers in the caller's process.  The daemon spreads the same
 shards over processes: **worker processes own their shards for the
 life of the service**.  Each worker
 
-* attaches its instances' frozen CSR topologies from the parent's
-  ``multiprocessing.shared_memory`` publication
-  (:mod:`repro.runtime.sharedmem` — zero-copy, one physical copy of
-  the arrays regardless of worker count),
 * builds or spill-loads its oracles **once** at startup
   (:meth:`~repro.serve.shard.OracleShard.warm`, ResultStore spill
-  intact), and
+  intact), building each instance's CSR topology itself from the
+  edges its :class:`WorkerConfig` ships, and
 * then serves request batches from the warm LRU over one duplex
   ``multiprocessing.Pipe``.
 
 Lifecycle is stop-flag + drain (the Morelia threaded-streaming idiom:
 a shared flag the worker polls between pipe reads): ``stop
 (drain=True)`` sets the flag, the worker finishes everything already
-sent, reports its lifetime stats, detaches, and exits.  Health is
+sent, reports its lifetime stats, and exits.  Health is
 heartbeat-based — each worker stamps a shared monotonic timestamp
 between batches; the parent's monitor thread declares a worker dead
 when the process exits or the stamp goes stale, and restarts it
@@ -51,6 +48,7 @@ from multiprocessing import connection as _connection
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
+from ..congest.kernels import numpy_or_none
 from ..dynamic import stream as _stream
 from ..graphs.instance import RPathsInstance
 from ..runtime.executor import default_jobs
@@ -93,9 +91,7 @@ AnswerCallback = Callable[[Optional[List[int]], Optional[List[str]],
 class WorkerConfig:
     """Everything a worker process needs to rebuild its shard.
 
-    Instances ship cache-free (:func:`_portable_instance`); the heavy
-    CSR arrays arrive through the shared-memory ``topology_handles``
-    instead of the pickle stream.
+    Instances ship cache-free (:func:`_portable_instance`).
     """
 
     shard_id: int
@@ -111,8 +107,6 @@ class WorkerConfig:
     #: rebuild starts — a test/chaos knob that widens the degraded
     #: window so stale serving is deterministically observable.
     rebuild_delay: float = 0.0
-    #: instance key -> SharedTopologyHandle (empty when numpy absent).
-    topology_handles: Tuple[Tuple[str, object], ...] = ()
 
 
 def _portable_instance(instance: RPathsInstance) -> RPathsInstance:
@@ -126,16 +120,13 @@ def _portable_instance(instance: RPathsInstance) -> RPathsInstance:
 
 def _worker_main(config: WorkerConfig, conn, stop_flag,
                  heartbeat) -> None:
-    """One worker process: attach, warm once, serve until stopped.
+    """One worker process: warm once, serve until stopped.
 
     The loop stamps ``heartbeat`` between pipe reads; with the stop
     flag set it keeps answering until nothing is left to read
     (drain), then reports lifetime stats and exits.
     """
-    from ..runtime import sharedmem
-
     telemetry.maybe_enable_from_env()
-    attached: List[object] = []
     sid = config.shard_id
     heartbeat.value = time.monotonic()
     try:
@@ -145,13 +136,7 @@ def _worker_main(config: WorkerConfig, conn, stop_flag,
             shard_id=sid, capacity=config.capacity, store=store,
             solver=config.solver, max_group=config.max_group,
             build_seed=config.build_seed)
-        handles = dict(config.topology_handles)
         for inst in config.instances:
-            handle = handles.get(inst.name)
-            if handle is not None:
-                topo = sharedmem.attach_topology(handle)
-                inst._topology = topo  # build_network rides the views
-                attached.append(topo)
             shard.add_instance(inst)
         with telemetry.span("serve/daemon-warm", shard=sid,
                             instances=len(config.instances)):
@@ -159,8 +144,6 @@ def _worker_main(config: WorkerConfig, conn, stop_flag,
     except Exception as exc:  # noqa: BLE001 - reported to the parent
         conn.send((_RSP_READY, os.getpid(), {},
                    f"{type(exc).__name__}: {exc}"))
-        for topo in attached:
-            sharedmem.detach_topology(topo)
         return
     conn.send((_RSP_READY, os.getpid(), shard.stats.as_metrics(), ""))
 
@@ -261,8 +244,6 @@ def _worker_main(config: WorkerConfig, conn, stop_flag,
             conn.send(reply)
     finally:
         conn.send((_RSP_FINAL, shard.stats.as_metrics()))
-        for topo in attached:
-            sharedmem.detach_topology(topo)
         telemetry.flush()
 
 
@@ -305,7 +286,6 @@ class ServeDaemon:
                  solver: str = "theorem1",
                  max_group: int = DEFAULT_MAX_GROUP,
                  build_seed: int = 0,
-                 share_topology: bool = True,
                  poll_seconds: float = 0.05,
                  heartbeat_timeout: float = 5.0,
                  monitor_interval: float = 0.25,
@@ -319,7 +299,6 @@ class ServeDaemon:
         if workers < 1:
             raise ValueError("worker count must be positive")
         self.store = store
-        self.share_topology = share_topology
         self.heartbeat_timeout = heartbeat_timeout
         self.monitor_interval = monitor_interval
         self.max_restarts = max_restarts
@@ -349,8 +328,6 @@ class ServeDaemon:
                 solver=solver, max_group=max_group,
                 build_seed=build_seed, poll_seconds=poll_seconds,
                 rebuild_delay=rebuild_delay))
-        self._published: List[object] = []
-        self._topology_handles: Dict[str, object] = {}
         self._req_ids = itertools.count(1)
         self._lock = threading.Lock()
         #: Serializes topology mutations (epoch bumps are ordered).
@@ -421,9 +398,8 @@ class ServeDaemon:
         The parent is authoritative for epochs: it applies the batch
         (cheap — one SSSP), swaps the instance into the owning
         worker's config (so a *restart* warms against the new epoch,
-        not the old one), drops the now-stale shared-topology handle,
-        and sends the worker an invalidate message that rotates its
-        hot oracle and kicks the background re-warm.
+        not the old one), and sends the worker an invalidate message
+        that rotates its hot oracle and kicks the background re-warm.
         """
         sid = self.shard_for_key(instance_key)
         worker = self._workers[sid]
@@ -443,12 +419,7 @@ class ServeDaemon:
                 "instances": tuple(
                     portable if inst.name == instance_key else inst
                     for inst in config.instances),
-                "topology_handles": tuple(
-                    (name, handle)
-                    for name, handle in config.topology_handles
-                    if name != instance_key),
             })
-            self._topology_handles.pop(instance_key, None)
         if (self._running and not self._stopping
                 and worker.process is not None and not worker.failed):
             # A dead worker misses this; its restart warms from the
@@ -468,36 +439,7 @@ class ServeDaemon:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def _publish_topologies(self) -> Dict[str, object]:
-        """Publish each instance's frozen CSR arrays once (zero-copy
-        for every worker and every restart); {} when numpy is absent."""
-        if not self.share_topology:
-            return {}
-        try:
-            from ..congest.topology import CSRTopology
-            from ..runtime import sharedmem
-            handles: Dict[str, object] = {}
-            for insts in self._instances.values():
-                for inst in insts:
-                    if inst._topology is None:
-                        inst._topology = CSRTopology(inst.n, inst.edges)
-                    shared = sharedmem.publish_topology(inst._topology)
-                    self._published.append(shared)
-                    handles[inst.name] = shared.handle
-            return handles
-        except ImportError:  # numpy-less: workers rebuild from edges
-            return {}
-
-    def _spawn(self, worker: _Worker,
-               handles: Dict[str, object]) -> None:
-        config = worker.config
-        if handles:
-            shard_handles = tuple(
-                (inst.name, handles[inst.name])
-                for inst in config.instances if inst.name in handles)
-            config = WorkerConfig(**{
-                **config.__dict__, "topology_handles": shard_handles})
-            worker.config = config
+    def _spawn(self, worker: _Worker) -> None:
         parent_end, child_end = self._ctx.Pipe()
         # Swapped in first, so the reader ignores whatever lifecycle
         # news the replaced generation left unread; sends made before
@@ -510,7 +452,8 @@ class ServeDaemon:
         worker.ready_error = ""
         worker.process = self._ctx.Process(
             target=_worker_main,
-            args=(config, child_end, worker.stop_flag, worker.heartbeat),
+            args=(worker.config, child_end, worker.stop_flag,
+                  worker.heartbeat),
             daemon=True)
         worker.process.start()
         # The worker now holds the only copy of its end: the pipe reads
@@ -526,14 +469,17 @@ class ServeDaemon:
         if self._running:
             return self
         SERVE_DAEMON_EVENTS.inc(event="start")
-        self._topology_handles = self._publish_topologies()
+        # Forked workers (and their restarts) inherit NumPy from here
+        # instead of each importing it (~170 ms on a 2-vCPU VM) on its
+        # first vector kernel call.
+        numpy_or_none()
         self._running = True  # the reader returns once this is unset
         self._reader = threading.Thread(
             target=self._read_loop, name="serve-daemon-reader",
             daemon=True)
         self._reader.start()
         for worker in self._workers.values():
-            self._spawn(worker, self._topology_handles)
+            self._spawn(worker)
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="serve-daemon-monitor",
             daemon=True)
@@ -606,9 +552,6 @@ class ServeDaemon:
                 self._inflight[sid] = 0
         for _req_id, entry in leftovers:
             entry[3](None, None, None, "shutdown")
-        for shared in self._published:
-            shared.close()
-        self._published.clear()
         SERVE_WORKERS_ALIVE.set(0)
         if drain:
             SERVE_DAEMON_EVENTS.inc(event="stop")
@@ -810,7 +753,7 @@ class ServeDaemon:
         # keeps at the current epoch — so pending requests resubmit
         # against the *new* topology even when the kill raced an
         # invalidate message the dead worker never consumed.
-        self._spawn(worker, self._topology_handles)
+        self._spawn(worker)
         with self._lock:
             outstanding = [
                 (req_id, entry[1], entry[2])

@@ -104,7 +104,7 @@ KERNEL_DISPATCH = counter(
     reason=_derived("repro.congest.dispatch", "known_reasons"),
     optional=("reason",))
 
-# -- scale-out (topology exports, send plans, shared memory) ----------------
+# -- scale-out (topology exports, send plans) --------------------------------
 
 TOPOLOGY_EXPORT = counter(
     "repro_topology_export_total",
@@ -116,10 +116,6 @@ SENDPLAN_CACHE = counter(
     "Send-plan requests; bypass means a delay callable with no stable "
     "cache key.",
     outcome=("hit", "build", "bypass"))
-SHAREDMEM_EVENTS = counter(
-    "repro_sharedmem_events_total",
-    "Shared-memory topology lifecycle events.",
-    event=("publish", "attach", "detach", "unlink"))
 PEAK_RSS_BYTES = gauge(
     "repro_peak_rss_bytes",
     "Peak resident set size in bytes (max across processes).")

@@ -37,6 +37,18 @@ class TestRandomInstance:
         b = random_instance(45, seed=2)
         assert a.edges != b.edges
 
+    @pytest.mark.parametrize("n,avg_degree", [(1, 4.0), (2, 4.0),
+                                              (4, 7.0)])
+    def test_more_edges_than_the_digraph_holds_rejected(
+            self, n, avg_degree):
+        with pytest.raises(ValueError, match=f"n={n}, avg_degree="):
+            random_instance(n, avg_degree=avg_degree)
+
+    def test_complete_digraph_still_built(self):
+        inst = random_instance(3)
+        assert len(inst.edges) == 6
+        inst.validate()
+
 
 class TestChords:
     @pytest.mark.parametrize("hops", [4, 16, 50])

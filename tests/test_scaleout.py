@@ -1,14 +1,9 @@
-"""Tests for the scale-out machinery: int32 diet and shared memory.
+"""Tests for the scale-out machinery: the int32 memory diet.
 
-Two contracts:
-
-1. **Memory diet** — :class:`TopologyArrays` / ``send_arrays`` emit
-   int32 views exactly when the value ranges permit, promote to int64
-   when they do not (including the OverflowError escape for
-   pathological delay steps), and the values are identical either way.
-2. **Shared memory** — a published topology attaches to a bit-equal,
-   read-only replica whose lazily materialized Python side answers
-   every scalar accessor like the original.
+:class:`TopologyArrays` / ``send_arrays`` emit int32 views exactly when
+the value ranges permit, promote to int64 when they do not (including
+the OverflowError escape for pathological delay steps), and the values
+are identical either way.
 """
 
 from __future__ import annotations
@@ -17,12 +12,7 @@ import random
 
 import pytest
 
-from repro.congest.metrics import RoundLedger
-from repro.congest.multisource import multi_source_hop_bfs
-from repro.congest.network import CongestNetwork
 from repro.congest.topology import CSRTopology, TopologyArrays
-from repro.graphs import random_instance
-from repro.runtime import sharedmem
 
 np = pytest.importorskip("numpy")
 
@@ -39,20 +29,13 @@ def _random_topology(n: int, m: int, seed: int,
         n, [(u, v, rng.randint(1, max_weight)) for u, v in edges])
 
 
-def _phases(ledger: RoundLedger):
-    return [stats.as_dict() for stats in ledger.phases()]
-
-
-# -- 1: the int32 memory diet -------------------------------------------------
-
-
 class TestInt32Diet:
     def test_small_topology_exports_int32(self):
         arr = _random_topology(60, 150, seed=1).arrays()
         assert arr.index_dtype is np.int32
         assert arr.key_dtype is np.int32
         assert arr.weight_dtype is np.int32
-        for name, _role in TopologyArrays.FIELDS:
+        for name in TopologyArrays.FIELDS:
             view = getattr(arr, name)
             assert view.flags.writeable is False, name
 
@@ -134,48 +117,3 @@ class TestInt32Diet:
                 kept.add((u, v))
         expect = set(topo.directed_edges()) - avoid
         assert kept == expect
-
-
-# -- 2: shared-memory round-trip ----------------------------------------------
-
-
-class TestSharedMemory:
-    def test_publish_attach_roundtrip(self):
-        topo = _random_topology(50, 140, seed=9, max_weight=6)
-        with sharedmem.publish_topology(topo) as pub:
-            attached = sharedmem.attach_topology(pub.handle)
-            try:
-                a, b = topo.arrays(), attached.arrays()
-                for name, _role in TopologyArrays.FIELDS:
-                    va, vb = getattr(a, name), getattr(b, name)
-                    assert va.dtype == vb.dtype, name
-                    assert va.tolist() == vb.tolist(), name
-                    assert vb.flags.writeable is False, name
-                # Scalar accessors ride the lazily rebuilt Python side.
-                assert attached.n == topo.n
-                assert attached.num_edges == topo.num_edges
-                assert (list(attached.directed_edges())
-                        == list(topo.directed_edges()))
-                for u, v in list(topo.directed_edges())[:10]:
-                    assert attached.weight(u, v) == topo.weight(u, v)
-                    assert attached.link_id(u, v) == topo.link_id(u, v)
-            finally:
-                sharedmem.detach_topology(attached)
-
-    def test_attached_topology_runs_message_fabric(self):
-        inst = random_instance(40, seed=11)
-        topo = inst.build_network(fabric="fast").topology
-        with sharedmem.publish_topology(topo) as pub:
-            attached = sharedmem.attach_topology(pub.handle)
-            try:
-                base = CongestNetwork(topo.n, (), fabric="fast",
-                                      topology=topo)
-                over = CongestNetwork(topo.n, (), fabric="fast",
-                                      topology=attached)
-                want = multi_source_hop_bfs(base, [0, 1], hop_limit=12)
-                got = multi_source_hop_bfs(over, [0, 1], hop_limit=12)
-                assert want == got
-                assert (_phases(base.ledger) == _phases(over.ledger))
-            finally:
-                sharedmem.detach_topology(attached)
-

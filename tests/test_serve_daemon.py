@@ -11,13 +11,18 @@ catalog, on every workload family.
 """
 
 import json
+import multiprocessing
 import os
+import pathlib
 import signal
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.graphs.generators import random_instance
 from repro.runtime.store import ResultStore
 from repro.serve import (
@@ -157,6 +162,51 @@ class TestLifecycle:
         assert 'repro_serve_shard_stat{shard="0",stat="queries"}' in text
         assert "repro_serve_shard_pid" not in text
         assert "repro_serve_workers_alive" in text
+
+
+#: A 2-worker theorem-1 daemon under the start method named in argv[1]:
+#: every path-edge answer must match the centralized truth.  Prints
+#: whether this process had started a resource tracker once the
+#: workers were warm.
+_START_METHOD_SCRIPT = """
+import multiprocessing, sys
+from multiprocessing import resource_tracker
+from repro.graphs.generators import random_instance
+from repro.serve import ServeDaemon, centralized_truth
+
+multiprocessing.set_start_method(sys.argv[1])
+insts = [random_instance(16, seed=s, name=f"start-{s}") for s in (1, 2)]
+with ServeDaemon(insts, workers=2) as daemon:
+    tracker = resource_tracker._resource_tracker._pid
+    for inst in insts:
+        for edge in inst.path_edges():
+            got = daemon.query(inst.name, inst.s, inst.t, edge, timeout=60)
+            want = centralized_truth(inst, inst.s, inst.t, edge)
+            assert got.length == want, (inst.name, edge, got.length, want)
+print("tracker", "none" if tracker is None else "started")
+"""
+
+
+class TestStartMethods:
+    @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+    def test_daemon_runs_clean_under_each_start_method(self, method):
+        """Under spawn and forkserver each worker's config crosses a
+        pickle into a fresh interpreter, and the workers share the
+        parent's resource tracker, which prints a traceback for any
+        resource a worker unregisters behind the parent's back.  Under
+        fork the daemon makes nothing the tracker would track, so the
+        tracker is never started."""
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{method} is not available here")
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _START_METHOD_SCRIPT, method],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert "Traceback" not in run.stderr, run.stderr
+        if method == "fork":
+            assert "tracker none" in run.stdout
 
 
 class TestHealth:
@@ -520,7 +570,6 @@ class TestDynamicEpochs:
         """A re-warm that raises lands in the shard stats (and the
         daemon totals); the fresh-demanding batch retries the build
         inline and reports the error instead of a wrong answer."""
-        import multiprocessing
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("workers must inherit the patched build")
         from repro.serve.oracle import ReplacementPathOracle
@@ -550,8 +599,8 @@ class TestDynamicEpochs:
 
     def test_restart_races_concurrent_invalidation(self):
         """Satellite: a worker killed right after an invalidation must
-        re-warm against the NEW epoch (stale topology handles are
-        stripped), resubmit pending requests exactly once, and answer
+        re-warm against the NEW epoch (its config carries the mutated
+        instance), resubmit pending requests exactly once, and answer
         them bit-identically to the new epoch's truth."""
         from repro.serve import centralized_truth
         insts = _instances(1, n=16)
@@ -571,7 +620,7 @@ class TestDynamicEpochs:
             os.kill(first_pid, signal.SIGKILL)
             # Submitted while (possibly) dead: the monitor respawns,
             # the replacement warms from the daemon's current catalog
-            # (epoch 1, not the pre-mutation shared topology), and the
+            # (epoch 1, not the pre-mutation instance), and the
             # pending request is resubmitted against it.
             calls = []
             daemon.submit_batch(

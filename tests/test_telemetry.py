@@ -656,18 +656,12 @@ class TestScaleEnums:
 
     def test_real_scaleout_run_emits_only_known_labels(self):
         pytest.importorskip("numpy")
-        from repro.runtime import sharedmem
-
         instance = random_instance(40, seed=23)
         solve_rpaths(instance, fabric="vector")
-        topology = instance.build_network(fabric="vector").topology
-        with sharedmem.publish_topology(topology) as published:
-            sharedmem.detach_topology(
-                sharedmem.attach_topology(published.handle))
         snap = counters_mod.registry.snapshot()
         counters = snap["counters"]
         # The run actually exercised the surface being enum-checked.
-        for metric in (schema.TOPOLOGY_EXPORT, schema.SHAREDMEM_EVENTS):
+        for metric in (schema.TOPOLOGY_EXPORT, schema.SENDPLAN_CACHE):
             assert any(k.startswith(metric.name) for k in counters)
         assert telemetry.unknown_labels(snap) == []
 
@@ -680,7 +674,7 @@ class TestScaleEnums:
 
     def test_unknown_scale_labels_flagged(self):
         counters = {
-            'repro_sharedmem_events_total{event="explode"}': 1.0,
+            'repro_sendplan_cache_total{outcome="explode"}': 1.0,
             'repro_topology_export_total{array="somewhere",'
             'dtype="int32"}': 1.0,
             'repro_topology_export_total{array="keys",'
@@ -731,13 +725,13 @@ class TestServingEnums:
             'repro_serve_daemon_events_total{event="imploded"}': 1.0,
             'repro_serve_admission_total{outcome="maybe"}': 2.0,
             "repro_serve_admission_total": 1.0,  # missing label
-            'repro_sharedmem_events_total{event="attach"}': 1.0,
+            'repro_serve_daemon_events_total{event="resubmit"}': 1.0,
         }
         unknown = telemetry.unknown_labels({"counters": counters})
         assert any("imploded" in u for u in unknown)
         assert any("maybe" in u for u in unknown)
         assert any("<missing>" in u for u in unknown)
-        assert not any("attach" in u for u in unknown)
+        assert not any("resubmit" in u for u in unknown)
 
     def test_gauges_and_summary_record(self):
         schema.SERVE_QUEUE_DEPTH.set(7)

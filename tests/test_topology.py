@@ -92,7 +92,7 @@ class TestLinkIds:
 
 
 class TestSharing:
-    def test_networks_share_topology_but_not_ledgers(self):
+    def test_networks_share_one_topology_but_not_ledgers(self):
         topo = diamond()
         a = CongestNetwork(4, [], topology=topo)
         b = CongestNetwork(4, [], topology=topo)
