@@ -6,13 +6,14 @@ performance.  The gate benches (``bench_fabric``, ``bench_solver``,
 ``bench_serve``, ``bench_scale``, ``bench_dynamic``,
 ``bench_telemetry``) each declare one :class:`Bench`: a
 ``measure(quick) -> {family: row}`` callable, its report columns and
-its :class:`Check` rules.  This module owns the rest: the environment
-stamp, the GC guard, the check engine, the report, the JSON record,
-the ``--quick`` / ``--json`` / ``--compare`` command line
-(``$REPRO_TRACE_DIR`` records the run's spans for ``repro trace
-summary``) and the pytest-benchmark entry.  Importing it also puts the
-repository's ``src/`` on ``sys.path``, so the gate scripts run without
-an install.
+its :class:`Check` rules.  This module owns the rest: the GC guard,
+the check engine, the report, the JSON record, the ``--quick`` /
+``--json`` / ``--compare`` command line (``$REPRO_TRACE_DIR`` records
+the run's spans for ``repro trace summary``) and the pytest-benchmark
+entry.  The environment stamp is the repo benchmark's
+(``perfbench.host.environment``, used read-only).  Importing this
+module also puts the repository root and its ``src/`` on ``sys.path``,
+so the gate scripts run without an install.
 """
 
 from __future__ import annotations
@@ -20,17 +21,18 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import pathlib
-import platform
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+for _path in (REPO_ROOT, REPO_ROOT / "src"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
+
+from perfbench.host import environment  # noqa: E402
 
 #: Relative regression a baseline rule allows.  Ratios, not absolute
 #: rates, are compared: they are stable across runner hardware.
@@ -68,22 +70,6 @@ def quiet_gc():
     finally:
         if was_enabled:
             gc.enable()
-
-
-def environment() -> Dict[str, object]:
-    """Interpreter, NumPy, platform and CPU count, so a baseline
-    refresh is attributable to the machine that produced it."""
-    try:
-        import numpy
-        numpy_version = numpy.__version__
-    except ImportError:  # pragma: no cover - numpy is baked in CI
-        numpy_version = "absent"
-    return {
-        "python_version": platform.python_version(),
-        "numpy_version": numpy_version,
-        "platform": platform.platform(),
-        "cpus": os.cpu_count() or 1,
-    }
 
 
 #: Absolute rules, and rules against the committed baseline.

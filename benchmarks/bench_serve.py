@@ -57,12 +57,11 @@ step)::
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from contextlib import contextmanager
 from typing import Dict
 
 from _util import Bench, Check, main, quiet_gc, run_entry
+from perfbench.host import EchoProbe
 
 from repro.congest import bfs_distances
 from repro.core.rpaths import solve_rpaths
@@ -221,40 +220,6 @@ def measure_batched(kind: str, quick: bool,
     }
 
 
-def _echo(conn) -> None:
-    """Helper process: send every message back until ``None``."""
-    while True:
-        message = conn.recv()
-        if message is None:
-            return
-        conn.send(message)
-
-
-@contextmanager
-def _pipe_echo():
-    """A round trip of a small message to a helper process over a
-    pipe: wake-up cost like a daemon request's, none of its work."""
-    ctx = multiprocessing.get_context("spawn")
-    conn, child = ctx.Pipe()
-    helper = ctx.Process(target=_echo, args=(child,), daemon=True)
-    helper.start()
-    child.close()
-
-    def round_trip(_query):
-        conn.send(0)
-        return conn.recv()
-
-    try:
-        yield round_trip
-    finally:
-        conn.send(None)
-        helper.join(timeout=5.0)
-        if helper.is_alive():
-            helper.kill()
-            helper.join()
-        conn.close()
-
-
 def _interleaved_pass(sides, queries, offset: int):
     """Every side's results and per-query seconds over ``queries``, in
     blocks of ``DAEMON_BLOCK`` that rotate which side goes first."""
@@ -315,7 +280,7 @@ def measure_daemon_loop(quick: bool) -> Dict[str, object]:
 
     passes = []
     seconds = {"direct": [], "daemon": [], "echo": []}
-    with _pipe_echo() as echo:
+    with EchoProbe() as probe:
         warm_start = time.perf_counter()
         daemon = ServeDaemon(instances, workers=2, solver="theorem1",
                              build_seed=0).start()
@@ -334,12 +299,12 @@ def measure_daemon_loop(quick: bool) -> Dict[str, object]:
             sides = {
                 "direct": lambda q: service.serve([q]).answers[0].length,
                 "daemon": via_daemon,
-                "echo": echo,
+                "echo": lambda _q: probe.round_trip(),
             }
             try:
                 for query in queries:
                     via_daemon(query)
-                    echo(query)
+                    probe.round_trip()
                 with quiet_gc():
                     for round_no in range(DAEMON_ROUNDS):
                         lengths, taken = _interleaved_pass(

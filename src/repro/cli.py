@@ -64,21 +64,24 @@ def _build_instance(args):
         random_instance,
     )
     family = args.family
-    if family == "random":
-        return random_instance(args.n, seed=args.seed,
-                               weighted=args.weighted)
-    if family == "chords":
-        return path_with_chords_instance(
-            max(2, args.n // 2), seed=args.seed, weighted=args.weighted,
-            overlay_hub=True)
-    if family == "grid":
-        cols = max(2, args.n // 4)
-        return grid_instance(4, cols)
-    if family == "layered":
-        width = 4
-        layers = max(2, args.n // width)
-        return layered_instance(layers, width, seed=args.seed,
-                                weighted=args.weighted)
+    try:
+        if family == "random":
+            return random_instance(args.n, seed=args.seed,
+                                   weighted=args.weighted)
+        if family == "chords":
+            return path_with_chords_instance(
+                max(2, args.n // 2), seed=args.seed,
+                weighted=args.weighted, overlay_hub=True)
+        if family == "grid":
+            cols = max(2, args.n // 4)
+            return grid_instance(4, cols)
+        if family == "layered":
+            width = 4
+            layers = max(2, args.n // width)
+            return layered_instance(layers, width, seed=args.seed,
+                                    weighted=args.weighted)
+    except ValueError as exc:  # a size the generator cannot build
+        raise SystemExit(f"error: {exc}") from None
     raise SystemExit(f"unknown family {family!r}")
 
 

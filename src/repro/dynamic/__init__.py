@@ -28,7 +28,6 @@ from .stream import (  # noqa: F401
     MutationStream,
     PROFILES,
     apply_mutations,
-    ground_truth_length,
 )
 # The chaos harness imports the serve tier, and the serve daemon
 # imports ``dynamic.stream`` — loading ``chaos`` eagerly here would
@@ -53,6 +52,5 @@ __all__ = [
     "MutationStream",
     "PROFILES",
     "apply_mutations",
-    "ground_truth_length",
     "run_chaos",
 ]

@@ -34,13 +34,25 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from ..graphs.instance import RPathsInstance
-from ..serve.client import RetryPolicy, query_with_retry
+from ..serve.client import query_with_retry
 from ..serve.daemon import ServeDaemon
 from ..serve.frontend import ServeFrontend
 from ..serve.loadgen import latency_summary_ms
 from ..serve.oracle import centralized_truth
 from ..serve.queries import Query
 from .stream import MutationStream
+
+#: How long each injected stall wedges a worker's serving loop.
+STALL_SECONDS = 0.2
+#: Budget for the post-storm fresh answers of every path edge.
+QUIESCE_TIMEOUT = 60.0
+#: The daemon's health settings: a heartbeat older than
+#: ``HEARTBEAT_TIMEOUT`` (10x the stall) restarts the worker, checked
+#: every ``MONITOR_INTERVAL``; workers poll their pipe (and stamp the
+#: heartbeat) every ``POLL_SECONDS``.
+HEARTBEAT_TIMEOUT = 2.0
+MONITOR_INTERVAL = 0.1
+POLL_SECONDS = 0.01
 
 
 @dataclass
@@ -108,15 +120,10 @@ def run_chaos(instances: Sequence[RPathsInstance],
               workers: int = 2, solver: str = "centralized",
               store=None,
               kills: int = 1, stalls: int = 1,
-              stall_seconds: float = 0.2,
               mutation_bursts: int = 3, burst_size: int = 4,
               max_staleness: int = 8,
               query_timeout: float = 30.0,
-              rebuild_delay: float = 0.0,
-              quiesce_timeout: float = 60.0,
-              heartbeat_timeout: float = 2.0,
-              monitor_interval: float = 0.1,
-              poll_seconds: float = 0.01) -> ChaosReport:
+              rebuild_delay: float = 0.0) -> ChaosReport:
     """Concurrent storm + kill + stall chaos, then verified quiesce.
 
     Deterministic in its *injections* (seeded mutation stream, seeded
@@ -132,16 +139,15 @@ def run_chaos(instances: Sequence[RPathsInstance],
     daemon = ServeDaemon(
         instances, workers=workers, solver=solver, store=store,
         rebuild_delay=rebuild_delay,
-        heartbeat_timeout=heartbeat_timeout,
-        monitor_interval=monitor_interval,
-        poll_seconds=poll_seconds,
+        heartbeat_timeout=HEARTBEAT_TIMEOUT,
+        monitor_interval=MONITOR_INTERVAL,
+        poll_seconds=POLL_SECONDS,
         # The killer must never exhaust the budget: a permanently
         # failed worker is a convergence failure, not a chaos input.
         max_restarts=kills + 2)
     names = [inst.name for inst in instances]
     results: List[object] = []
     stop = threading.Event()
-    policy = RetryPolicy(max_attempts=4, backoff_seconds=0.05)
 
     def load_loop() -> None:
         qrng = random.Random(seed + 1)
@@ -150,7 +156,7 @@ def run_chaos(instances: Sequence[RPathsInstance],
             query = _random_query(qrng, daemon.instance_for(name))
             results.append(query_with_retry(
                 frontend, query, timeout=query_timeout,
-                max_staleness=max_staleness, policy=policy))
+                max_staleness=max_staleness))
 
     def mutate_loop() -> None:
         interval = duration / (mutation_bursts + 1)
@@ -188,7 +194,7 @@ def run_chaos(instances: Sequence[RPathsInstance],
                 return
             sid = rng.randrange(daemon.workers)
             try:
-                daemon.inject_stall(sid, stall_seconds)
+                daemon.inject_stall(sid, STALL_SECONDS)
                 report.stalls += 1
             except RuntimeError:
                 return
@@ -209,7 +215,7 @@ def run_chaos(instances: Sequence[RPathsInstance],
             t.join(timeout=query_timeout + 5.0)
 
         # -- quiesce + bit-identical convergence check -------------------
-        deadline = time.monotonic() + quiesce_timeout
+        deadline = time.monotonic() + QUIESCE_TIMEOUT
         for name in names:
             final = daemon.instance_for(name)
             truth_edges = final.path_edges()

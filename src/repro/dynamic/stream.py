@@ -31,7 +31,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..congest.words import INF
 from ..graphs.instance import RPathsInstance
 from ..telemetry.schema import DYNAMIC_MUTATIONS, DYNAMIC_SKIPPED
 
@@ -378,10 +377,3 @@ class MutationStream:
 
 #: Mutation-stream profiles the CLI / scenarios accept.
 PROFILES = ("burst", "storm", "regional", "maintenance")
-
-
-def ground_truth_length(instance: RPathsInstance, s: int, t: int,
-                        edge: Edge) -> int:
-    """d(s, t) in G \\ {edge} on the *current* epoch — one SSSP."""
-    dist = instance.dijkstra(s, avoid_edges=frozenset([edge]))
-    return INF if dist[t] >= INF else dist[t]

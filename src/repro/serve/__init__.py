@@ -12,9 +12,11 @@ precomputed answers hot and amortizes everything else:
 * :mod:`~repro.serve.planner` — ``BatchPlanner``: groups a query batch
   by failed edge and spends one k-source vector-fabric solve per
   group instead of one solve per query.
-* :mod:`~repro.serve.shard` — ``ShardedQueryService``: stable-hash
-  instance sharding, per-shard hot-oracle LRU, and persistent spill
-  into the content-addressed result store, answered in-process.
+* :mod:`~repro.serve.shard` — ``route_instances``, the one routing
+  rule (stable-hash instance sharding) of the library service and the
+  daemon; ``ShardedQueryService``: per-shard hot-oracle LRU and
+  persistent spill into the content-addressed result store, answered
+  in-process.
 * :mod:`~repro.serve.workload` — seedable uniform / zipf /
   adversarial / mixed query-stream generators, registered as
   ``serve-*`` suite scenarios.
@@ -29,7 +31,7 @@ precomputed answers hot and amortizes everything else:
   invalidated oracle re-warms).
 * :mod:`~repro.serve.client` — ``query_with_retry``: bounded
   exponential-backoff retries on transient ``overloaded`` /
-  ``worker-lost`` outcomes.
+  ``worker-lost`` outcomes (the chaos harness's client).
 * :mod:`~repro.serve.loadgen` — open/closed-loop load generation with
   p50/p95/p99 latency reporting for the SLO gates.
 
@@ -37,12 +39,7 @@ See DESIGN.md's "Serving layer" and "Serve daemon" sections for the
 full cost model and lifecycle.
 """
 
-from .client import (
-    DEFAULT_RETRY_POLICY,
-    RetryPolicy,
-    query_with_retry,
-    run_queries_with_retry,
-)
+from .client import query_with_retry
 from .daemon import ServeDaemon, WorkerConfig
 from .frontend import (
     DEFAULT_TIMEOUT,
@@ -91,7 +88,6 @@ from .workload import (
 __all__ = [
     "BATCHED_SOLVE",
     "BatchPlanner",
-    "DEFAULT_RETRY_POLICY",
     "DEFAULT_TIMEOUT",
     "FALLBACK_CACHED",
     "FALLBACK_SOLVE",
@@ -105,7 +101,6 @@ __all__ = [
     "Query",
     "QueryAnswer",
     "ReplacementPathOracle",
-    "RetryPolicy",
     "ServeDaemon",
     "ServeFrontend",
     "ServeResult",
@@ -124,7 +119,6 @@ __all__ = [
     "query_with_retry",
     "run_load",
     "run_queries",
-    "run_queries_with_retry",
     "shard_of",
     "spill_key",
 ]

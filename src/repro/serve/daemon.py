@@ -43,7 +43,7 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing import connection as _connection
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -51,7 +51,6 @@ from .. import telemetry
 from ..congest.kernels import numpy_or_none
 from ..dynamic import stream as _stream
 from ..graphs.instance import RPathsInstance
-from ..runtime.executor import default_jobs
 from ..runtime.store import ResultStore
 from ..telemetry import counters as _counters
 from ..telemetry.schema import (
@@ -59,9 +58,13 @@ from ..telemetry.schema import (
     SERVE_INFLIGHT,
     SERVE_WORKERS_ALIVE,
 )
-from .planner import DEFAULT_MAX_GROUP
 from .queries import Query, QueryAnswer
-from .shard import OracleShard, ShardStats, shard_exposition, shard_of
+from .shard import (
+    OracleShard,
+    ShardStats,
+    route_instances,
+    shard_exposition,
+)
 
 #: Request message kinds (worker side).
 _MSG_BATCH = "batch"
@@ -71,6 +74,9 @@ _MSG_INVALIDATE = "invalidate"
 #: Chaos injection: (kind, seconds) — the worker sleeps in its serving
 #: loop without stamping its heartbeat, simulating a wedged worker.
 _MSG_STALL = "stall"
+
+#: Seconds :meth:`ServeDaemon.start` waits for every worker to warm.
+WARM_TIMEOUT = 120.0
 
 #: Reply message kinds (parent side).
 _RSP_READY = "ready"
@@ -99,7 +105,6 @@ class WorkerConfig:
     capacity: int = 4
     store_root: Optional[str] = None
     solver: str = "theorem1"
-    max_group: int = DEFAULT_MAX_GROUP
     build_seed: int = 0
     #: Pipe-poll interval — also the heartbeat cadence while idle.
     poll_seconds: float = 0.05
@@ -134,8 +139,7 @@ def _worker_main(config: WorkerConfig, conn, stop_flag,
                  else ResultStore(config.store_root))
         shard = OracleShard(
             shard_id=sid, capacity=config.capacity, store=store,
-            solver=config.solver, max_group=config.max_group,
-            build_seed=config.build_seed)
+            solver=config.solver, build_seed=config.build_seed)
         for inst in config.instances:
             shard.add_instance(inst)
         with telemetry.span("serve/daemon-warm", shard=sid,
@@ -259,7 +263,9 @@ class _Worker:
     lock: threading.Lock = field(default_factory=threading.Lock)
     stop_flag: object = None
     heartbeat: object = None
+    #: Set once the current generation reports back from its warm.
     ready: threading.Event = field(default_factory=threading.Event)
+    #: The last warm's error ("" once a generation warms cleanly).
     ready_error: str = ""
     warm_stats: Dict[str, int] = field(default_factory=dict)
     final_stats: Optional[Dict[str, int]] = None
@@ -271,7 +277,8 @@ class _Worker:
 class ServeDaemon:
     """Own a fleet of long-lived shard workers and route to them.
 
-    Instances are partitioned by the same SHA-256 mapping as
+    Instances are placed by
+    :func:`~repro.serve.shard.route_instances`, as in
     :class:`~repro.serve.shard.ShardedQueryService`, one worker per
     shard.  :meth:`submit_batch` is asynchronous (answers arrive on
     the reader thread's callback); :meth:`query` is the synchronous
@@ -284,49 +291,29 @@ class ServeDaemon:
                  workers: Optional[int] = None, capacity: int = 4,
                  store: Optional[ResultStore] = None,
                  solver: str = "theorem1",
-                 max_group: int = DEFAULT_MAX_GROUP,
                  build_seed: int = 0,
                  poll_seconds: float = 0.05,
                  heartbeat_timeout: float = 5.0,
                  monitor_interval: float = 0.25,
                  max_restarts: int = 2,
                  rebuild_delay: float = 0.0) -> None:
-        instances = list(instances)
-        if not instances:
-            raise ValueError("daemon needs at least one instance")
-        if workers is None:
-            workers = min(default_jobs(), len(instances))
-        if workers < 1:
-            raise ValueError("worker count must be positive")
+        self._route, self._instances = route_instances(instances, workers)
         self.store = store
         self.heartbeat_timeout = heartbeat_timeout
         self.monitor_interval = monitor_interval
         self.max_restarts = max_restarts
-        self._route: Dict[str, int] = {}
-        self._instances: Dict[int, List[RPathsInstance]] = {
-            sid: [] for sid in range(workers)}
-        for inst in instances:
-            if not inst.name:
-                raise ValueError("every served instance needs a name")
-            if inst.name in self._route:
-                raise ValueError(
-                    f"duplicate instance name {inst.name!r}")
-            sid = shard_of(inst.name, workers)
-            self._route[inst.name] = sid
-            self._instances[sid].append(inst)
         import multiprocessing as mp
         self._ctx = mp.get_context()
         self._workers: Dict[int, _Worker] = {}
-        for sid in range(workers):
+        for sid, insts in enumerate(self._instances):
             self._workers[sid] = _Worker(config=WorkerConfig(
                 shard_id=sid,
-                instances=tuple(_portable_instance(i)
-                                for i in self._instances[sid]),
+                instances=tuple(_portable_instance(i) for i in insts),
                 capacity=capacity,
                 store_root=(None if store is None
                             else str(store.root)),
-                solver=solver, max_group=max_group,
-                build_seed=build_seed, poll_seconds=poll_seconds,
+                solver=solver, build_seed=build_seed,
+                poll_seconds=poll_seconds,
                 rebuild_delay=rebuild_delay))
         self._req_ids = itertools.count(1)
         self._lock = threading.Lock()
@@ -346,6 +333,8 @@ class ServeDaemon:
         self._conns: Dict[object, _Worker] = {}
         self._running = False
         self._stopping = False
+        #: Notified whenever a worker reports ready or fails for good.
+        self._warmed = threading.Condition()
         #: Set by stop(): ends the monitor's wait at once.
         self._halt = threading.Event()
         self._monitor: Optional[threading.Thread] = None
@@ -365,12 +354,7 @@ class ServeDaemon:
         return sorted(self._route)
 
     def shard_for_key(self, instance_key: str) -> int:
-        try:
-            return self._route[instance_key]
-        except KeyError:
-            known = ", ".join(sorted(self._route))
-            raise KeyError(f"unknown instance {instance_key!r}; "
-                           f"served: {known}") from None
+        return self._route[instance_key]
 
     def inflight(self, shard_id: int) -> int:
         """Queries dispatched to ``shard_id`` and not yet answered."""
@@ -413,13 +397,9 @@ class ServeDaemon:
                 if inst.name == instance_key:
                     insts[i] = result.instance
             portable = _portable_instance(result.instance)
-            config = worker.config
-            worker.config = WorkerConfig(**{
-                **config.__dict__,
-                "instances": tuple(
-                    portable if inst.name == instance_key else inst
-                    for inst in config.instances),
-            })
+            worker.config = replace(worker.config, instances=tuple(
+                portable if inst.name == instance_key else inst
+                for inst in worker.config.instances))
         if (self._running and not self._stopping
                 and worker.process is not None and not worker.failed):
             # A dead worker misses this; its restart warms from the
@@ -448,8 +428,7 @@ class ServeDaemon:
             worker.conn = parent_end
         worker.stop_flag = self._ctx.Event()
         worker.heartbeat = self._ctx.Value("d", time.monotonic())
-        worker.ready = threading.Event()
-        worker.ready_error = ""
+        worker.ready.clear()
         worker.process = self._ctx.Process(
             target=_worker_main,
             args=(worker.config, child_end, worker.stop_flag,
@@ -464,8 +443,14 @@ class ServeDaemon:
         self._wake_w.send_bytes(b"")
         SERVE_DAEMON_EVENTS.inc(event="worker-start")
 
-    def start(self, warm_timeout: float = 120.0) -> "ServeDaemon":
-        """Spawn + warm every worker; raises if any fails to warm."""
+    def start(self) -> "ServeDaemon":
+        """Spawn + warm every worker.
+
+        Returns once the current generation of every worker is warm.
+        Raises as soon as a worker fails to warm (its warm raised, or
+        it died through its restart budget), and when a worker is not
+        warm within :data:`WARM_TIMEOUT`.
+        """
         if self._running:
             return self
         SERVE_DAEMON_EVENTS.inc(event="start")
@@ -484,21 +469,28 @@ class ServeDaemon:
             target=self._monitor_loop, name="serve-daemon-monitor",
             daemon=True)
         self._monitor.start()
-        deadline = time.monotonic() + warm_timeout
+        with self._warmed:
+            self._warmed.wait_for(self._warm_settled, timeout=WARM_TIMEOUT)
         for sid, worker in self._workers.items():
-            remaining = max(0.0, deadline - time.monotonic())
-            if not worker.ready.wait(timeout=remaining):
+            if worker.failed or worker.ready_error:
+                error = (worker.ready_error
+                         or f"died {worker.restarts + 1} times")
                 self.stop(drain=False)
-                raise RuntimeError(
-                    f"worker {sid} did not warm within "
-                    f"{warm_timeout:.0f}s")
-            if worker.ready_error:
-                error = worker.ready_error
+                raise RuntimeError(f"worker {sid} failed to warm: {error}")
+        for sid, worker in self._workers.items():
+            if not worker.ready.is_set():
                 self.stop(drain=False)
-                raise RuntimeError(
-                    f"worker {sid} failed to warm: {error}")
+                raise RuntimeError(f"worker {sid} did not warm within "
+                                   f"{WARM_TIMEOUT:.0f}s")
         SERVE_WORKERS_ALIVE.set(len(self._workers))
         return self
+
+    def _warm_settled(self) -> bool:
+        """Every worker's current generation has reported back from its
+        warm, or some worker failed to warm."""
+        workers = self._workers.values()
+        return (all(w.ready.is_set() for w in workers)
+                or any(w.failed or w.ready_error for w in workers))
 
     def __enter__(self) -> "ServeDaemon":
         return self.start()
@@ -674,8 +666,10 @@ class ServeDaemon:
             _kind, pid, warm_stats, error = msg
             worker.pid = pid
             worker.warm_stats = dict(warm_stats)
-            worker.ready_error = error
-            worker.ready.set()
+            with self._warmed:
+                worker.ready_error = error
+                worker.ready.set()
+                self._warmed.notify_all()
             if not error:
                 SERVE_DAEMON_EVENTS.inc(event="worker-ready")
         elif kind == _RSP_FINAL:
@@ -735,7 +729,9 @@ class ServeDaemon:
             worker.process.terminate()
             worker.process.join(timeout=5.0)
         if worker.restarts >= self.max_restarts:
-            worker.failed = True
+            with self._warmed:
+                worker.failed = True
+                self._warmed.notify_all()
             with self._lock:
                 lost = [(req_id, entry)
                         for req_id, entry in self._pending.items()

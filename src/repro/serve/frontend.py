@@ -159,17 +159,13 @@ class ServeFrontend:
 
     def __init__(self, daemon: ServeDaemon, max_queue: int = 256,
                  default_timeout: float = DEFAULT_TIMEOUT,
-                 max_inflight: int = 64,
-                 default_staleness: int = 0) -> None:
+                 max_inflight: int = 64) -> None:
         if max_queue < 1 or max_inflight < 1:
             raise ValueError("front-end bounds must be positive")
-        if default_staleness < 0:
-            raise ValueError("staleness budget cannot be negative")
         self.daemon = daemon
         self.default_timeout = default_timeout
         self.max_queue = max_queue
         self.max_inflight = max_inflight
-        self.default_staleness = default_staleness
         self._lock = threading.Lock()
         #: shard -> requests held at admission, oldest first.
         self._backlog: Dict[int, Deque[PendingQuery]] = defaultdict(deque)
@@ -188,11 +184,11 @@ class ServeFrontend:
                timeout: Optional[float] = None,
                max_staleness: Optional[int] = None) -> PendingQuery:
         """Send, hold or reject one query; never blocks on a capped
-        shard or a full backlog."""
+        shard or a full backlog.  ``max_staleness`` defaults to 0
+        (fresh answers only)."""
         pending = PendingQuery(
             query, self.default_timeout if timeout is None else timeout,
-            max_staleness=(self.default_staleness
-                           if max_staleness is None else max_staleness))
+            max_staleness=max_staleness or 0)
         try:
             sid = self.daemon.shard_for_key(query.instance)
         except KeyError as exc:

@@ -8,14 +8,14 @@ batch and spends as few solves as possible on it:
    grouping needed.
 2. The remaining *fallback* queries are grouped by failed edge e: all
    of them want distances in the same graph G \\ {e}, so the group's
-   distinct sources are batched (``max_group`` at a time, the Lemma 5.5
+   distinct sources are batched (``MAX_GROUP`` at a time, the Lemma 5.5
    congestion knob) into **one** k-source hop-BFS on the vector fabric.
    One fabric execution answers every (s, t) pair in the group; the
    resulting distance rows are seeded into the oracle's fallback memo
    so later singleton queries for the same (s, e) are cache hits.
 
 The batching rule in one line: *solves per batch = Σ over distinct
-failed edges of ⌈distinct sources / max_group⌉*, versus one solve per
+failed edges of ⌈distinct sources / MAX_GROUP⌉*, versus one solve per
 query for the unbatched path.
 
 The k-source kernel computes hop distances, so batching applies to
@@ -43,8 +43,8 @@ from .queries import (
     kind_counts,
 )
 
-#: Default cap on sources per k-source solve (O(k + h) rounds each).
-DEFAULT_MAX_GROUP = 32
+#: Cap on sources per k-source solve (O(k + h) rounds each).
+MAX_GROUP = 32
 
 
 @dataclass
@@ -82,13 +82,9 @@ class BatchPlanner:
     """Answer query batches against one oracle with grouped solves."""
 
     def __init__(self, oracle: ReplacementPathOracle,
-                 fabric: str = DEFAULT_FABRIC,
-                 max_group: int = DEFAULT_MAX_GROUP) -> None:
-        if max_group < 1:
-            raise ValueError("max_group must be positive")
+                 fabric: str = DEFAULT_FABRIC) -> None:
         self.oracle = oracle
         self.fabric = fabric
-        self.max_group = max_group
         self._net = None  # built lazily; reused across batches
 
     def _network(self):
@@ -133,8 +129,8 @@ class BatchPlanner:
             for edge, by_source in sorted(groups.items()):
                 report.groups += 1
                 sources = sorted(by_source)
-                for lo in range(0, len(sources), self.max_group):
-                    chunk = sources[lo:lo + self.max_group]
+                for lo in range(0, len(sources), MAX_GROUP):
+                    chunk = sources[lo:lo + MAX_GROUP]
                     dist = multi_source_hop_bfs(
                         net, chunk, hop_limit=inst.n,
                         avoid_edges=frozenset([edge]),

@@ -1,8 +1,9 @@
 """Sharded serving engine: instances → shards, shards → processes.
 
-The service partitions its catalog of instances across shards by a
-*stable* key hash (SHA-256 of the instance name — ``hash()`` is
-per-process salted and would scatter assignments across workers).  Each
+:func:`route_instances` partitions a catalog of instances across
+shards by a *stable* key hash (SHA-256 of the instance name —
+``hash()`` is per-process salted and would scatter assignments across
+workers); the library service and the daemon both route with it.  Each
 shard owns:
 
 * an **LRU of hot oracles** (``capacity`` planners, each wrapping a
@@ -56,7 +57,7 @@ from ..telemetry.schema import (
     exposition,
 )
 from .oracle import ReplacementPathOracle, carry_fallback_memo
-from .planner import DEFAULT_MAX_GROUP, BatchPlanner
+from .planner import BatchPlanner
 from .queries import Query, QueryAnswer, hit_ratio
 
 #: LRU hits happen once per served batch: pre-bound like the oracle's
@@ -71,6 +72,46 @@ def shard_of(key: str, shards: int) -> int:
     """Stable shard assignment (identical in every process)."""
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % shards
+
+
+class _Routes(dict):
+    """Instance name -> shard id; looking up a name the catalog does
+    not hold raises the serve tier's one ``unknown instance`` error."""
+
+    def __missing__(self, key: str) -> int:
+        raise KeyError(f"unknown instance {key!r}; "
+                       f"served: {', '.join(sorted(self))}")
+
+
+def route_instances(instances: Sequence[RPathsInstance],
+                    shards: Optional[int] = None,
+                    ) -> Tuple[Dict[str, int], List[List[RPathsInstance]]]:
+    """Place a catalog on ``shards`` shards by :func:`shard_of`.
+
+    ``shards`` defaults to ``min(default_jobs(), len(instances))``.
+    Returns the name -> shard map, whose lookup of a name it does not
+    hold raises ``KeyError("unknown instance ...; served: ...")``, and
+    each shard's instances in catalog order.  An empty catalog, a shard
+    count below 1, an unnamed instance or a repeated name raise
+    ValueError.
+    """
+    instances = list(instances)
+    if not instances:
+        raise ValueError("serving needs at least one instance")
+    if shards is None:
+        shards = min(default_jobs(), len(instances))
+    if shards < 1:
+        raise ValueError("shard count must be positive")
+    routes = _Routes()
+    placed: List[List[RPathsInstance]] = [[] for _ in range(shards)]
+    for inst in instances:
+        if not inst.name:
+            raise ValueError("every served instance needs a name")
+        if inst.name in routes:
+            raise ValueError(f"duplicate instance name {inst.name!r}")
+        sid = routes[inst.name] = shard_of(inst.name, shards)
+        placed[sid].append(inst)
+    return routes, placed
 
 
 def spill_key(instance_key: str, solver: str,
@@ -161,7 +202,6 @@ class OracleShard:
     def __init__(self, shard_id: int = 0, capacity: int = 4,
                  store: Optional[ResultStore] = None,
                  solver: str = "theorem1", fabric: str = DEFAULT_FABRIC,
-                 max_group: int = DEFAULT_MAX_GROUP,
                  build_seed: int = 0) -> None:
         if capacity < 1:
             raise ValueError("shard LRU capacity must be positive")
@@ -170,7 +210,6 @@ class OracleShard:
         self.store = store
         self.solver = solver
         self.fabric = fabric
-        self.max_group = max_group
         self.build_seed = build_seed
         self.instances: Dict[str, RPathsInstance] = {}
         self._planners: "OrderedDict[str, BatchPlanner]" = OrderedDict()
@@ -278,8 +317,7 @@ class OracleShard:
                 # Spill at build time: the snapshot is immutable, so
                 # the later eviction is free and crash-safe.
                 self._spill(key, oracle)
-            planner = BatchPlanner(oracle, fabric=self.fabric,
-                                   max_group=self.max_group)
+            planner = BatchPlanner(oracle, fabric=self.fabric)
             with self._lock:
                 if self.instances.get(key) is not instance:
                     continue  # superseded mid-build: solve the newer
@@ -460,32 +498,17 @@ class ShardedQueryService:
                  shards: Optional[int] = None, capacity: int = 4,
                  store: Optional[ResultStore] = None,
                  solver: str = "theorem1", fabric: str = DEFAULT_FABRIC,
-                 max_group: int = DEFAULT_MAX_GROUP,
                  build_seed: int = 0) -> None:
-        instances = list(instances)
-        if not instances:
-            raise ValueError("service needs at least one instance")
-        if shards is None:
-            shards = min(default_jobs(), len(instances))
-        if shards < 1:
-            raise ValueError("shard count must be positive")
+        self._route, placed = route_instances(instances, shards)
         self.store = store
-        self._shards = [
-            OracleShard(shard_id=i, capacity=capacity, store=store,
-                        solver=solver, fabric=fabric,
-                        max_group=max_group, build_seed=build_seed)
-            for i in range(shards)
-        ]
-        self._route: Dict[str, int] = {}
-        for inst in instances:
-            if not inst.name:
-                raise ValueError("every served instance needs a name")
-            if inst.name in self._route:
-                raise ValueError(
-                    f"duplicate instance name {inst.name!r}")
-            sid = shard_of(inst.name, shards)
-            self._shards[sid].add_instance(inst)
-            self._route[inst.name] = sid
+        self._shards: List[OracleShard] = []
+        for sid, insts in enumerate(placed):
+            shard = OracleShard(shard_id=sid, capacity=capacity,
+                                store=store, solver=solver,
+                                fabric=fabric, build_seed=build_seed)
+            for inst in insts:
+                shard.add_instance(inst)
+            self._shards.append(shard)
 
     @property
     def shards(self) -> int:
@@ -501,12 +524,7 @@ class ShardedQueryService:
         return sorted(self._route)
 
     def shard_for(self, instance_key: str) -> OracleShard:
-        try:
-            return self._shards[self._route[instance_key]]
-        except KeyError:
-            known = ", ".join(sorted(self._route))
-            raise KeyError(f"unknown instance {instance_key!r}; "
-                           f"served: {known}") from None
+        return self._shards[self._route[instance_key]]
 
     def query(self, instance_key: str, s: int, t: int,
               edge: Tuple[int, int]) -> QueryAnswer:
@@ -567,10 +585,6 @@ class ShardedQueryService:
                    ) -> Dict[int, List[int]]:
         parts: Dict[int, List[int]] = {}
         for idx, q in enumerate(queries):
-            if q.instance not in self._route:
-                known = ", ".join(sorted(self._route))
-                raise KeyError(f"unknown instance {q.instance!r}; "
-                               f"served: {known}")
             parts.setdefault(self._route[q.instance], []).append(idx)
         return parts
 

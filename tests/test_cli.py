@@ -37,6 +37,10 @@ class TestSolveCommand:
         assert code == 0
         assert "short-detour(P4.1)" in out
 
+    def test_too_small_instance_is_a_one_line_error(self):
+        with pytest.raises(SystemExit, match="^error: random_instance"):
+            main(["solve", "--n", "2"])
+
     def test_weighted_requires_epsilon(self):
         with pytest.raises(SystemExit):
             main(["solve", "--family", "random", "--n", "30",

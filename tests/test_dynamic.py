@@ -19,7 +19,6 @@ from repro.dynamic import (
     MutationStream,
     PROFILES,
     apply_mutations,
-    ground_truth_length,
     run_chaos,
 )
 from repro.dynamic.stream import AppliedMutation
@@ -328,8 +327,8 @@ class TestChaosConvergence:
                  for i in range(2)]
         report = run_chaos(insts, duration=1.0, seed=1, workers=2,
                            solver="centralized", kills=1, stalls=1,
-                           stall_seconds=0.1, mutation_bursts=2,
-                           burst_size=3, max_staleness=8)
+                           mutation_bursts=2, burst_size=3,
+                           max_staleness=8)
         assert report.converged, report.as_json()
         assert report.verified > 0
         assert not report.mismatches
@@ -419,7 +418,11 @@ class TestTelemetryEnums:
         assert unknown_labels(snap) == []
 
     def test_ground_truth_helper_matches_centralized(self):
-        inst = _instance(seed=14)
-        edge = inst.path_edges()[0]
-        assert ground_truth_length(inst, inst.s, inst.t, edge) \
-            == centralized_truth(inst, inst.s, inst.t, edge)
+        """The serve tier's ground truth reads the current epoch."""
+        from repro.baselines.centralized import replacement_lengths
+        current = MutationStream(seed=14).step(
+            _instance(seed=14), profile="burst", count=4).instance
+        assert current.topology_version == 1
+        assert [centralized_truth(current, current.s, current.t, edge)
+                for edge in current.path_edges()] \
+            == replacement_lengths(current)

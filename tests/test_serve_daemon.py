@@ -26,11 +26,13 @@ import repro
 from repro.graphs.generators import random_instance
 from repro.runtime.store import ResultStore
 from repro.serve import (
+    OracleShard,
     Query,
     ServeDaemon,
     ServeFrontend,
     ShardedQueryService,
     WORKLOADS,
+    centralized_truth,
     generate_workload,
     latency_summary_ms,
     percentile,
@@ -38,6 +40,7 @@ from repro.serve import (
     run_queries,
     verify_against_centralized,
 )
+from repro.serve import daemon as daemon_mod
 
 # Timing knobs shared by every test.  A loaded CI runner stretches the
 # *deadlines* (generous waits, long heartbeat grace) while keeping the
@@ -207,6 +210,63 @@ class TestStartMethods:
         assert "Traceback" not in run.stderr, run.stderr
         if method == "fork":
             assert "tracker none" in run.stdout
+
+
+class TestStartFollowsRestarts:
+    """``start()`` waits on each worker's current generation: a worker
+    that dies while warming and warms on its restart lets ``start()``
+    return, and one that dies through its restart budget makes it
+    raise at once.  Workers die by ``os._exit`` in a patched
+    ``OracleShard.warm``, which only forked workers inherit."""
+
+    #: Stands in for the two minutes ``start()`` allows a real warm.
+    WARM_TIMEOUT = 6.0
+
+    @pytest.fixture(autouse=True)
+    def _forked_workers(self, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("needs the fork start method")
+        monkeypatch.setattr(daemon_mod, "WARM_TIMEOUT", self.WARM_TIMEOUT)
+
+    def test_returns_once_the_restarted_worker_warms(self, monkeypatch,
+                                                      tmp_path):
+        died = tmp_path / "died"
+        warm = OracleShard.warm
+
+        def die_once(shard):
+            if not died.exists():
+                died.touch()
+                os._exit(3)
+            warm(shard)
+
+        monkeypatch.setattr(OracleShard, "warm", die_once)
+        insts = _instances(1)
+        daemon = _daemon(insts, workers=1, max_restarts=1)
+        started = time.monotonic()
+        try:
+            daemon.start()
+            took = time.monotonic() - started
+            assert daemon._workers[0].restarts == 1
+            inst = insts[0]
+            edge = inst.path_edges()[0]
+            answer = daemon.query(inst.name, inst.s, inst.t, edge,
+                                  timeout=QUERY_TIMEOUT)
+        finally:
+            daemon.stop()
+        assert took < self.WARM_TIMEOUT
+        assert answer.length == centralized_truth(inst, inst.s, inst.t,
+                                                  edge)
+
+    def test_raises_once_the_restart_budget_is_spent(self, monkeypatch):
+        monkeypatch.setattr(OracleShard, "warm",
+                            lambda shard: os._exit(3))
+        daemon = _daemon(_instances(1), workers=1, max_restarts=1)
+        started = time.monotonic()
+        with pytest.raises(RuntimeError,
+                           match="worker 0 failed to warm: died 2 times"):
+            daemon.start()
+        assert time.monotonic() - started < self.WARM_TIMEOUT
+        assert daemon._workers[0].failed
 
 
 class TestHealth:

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from conftest import family_instances
+from repro.serve import planner as planner_mod
 from repro.serve import (
     BATCHED_SOLVE,
     BatchPlanner,
@@ -21,9 +22,9 @@ from repro.serve import (
 )
 
 
-def _planner(inst, fabric="vector", **kw):
+def _planner(inst, fabric="vector"):
     oracle = ReplacementPathOracle.build(inst, solver="centralized")
-    return BatchPlanner(oracle, fabric=fabric, **kw)
+    return BatchPlanner(oracle, fabric=fabric)
 
 
 def _assert_truth(inst, answers):
@@ -83,9 +84,11 @@ class TestBatchingRule:
         assert all(a.kind == BATCHED_SOLVE for a in answers)
         _assert_truth(inst, answers)
 
-    def test_max_group_chunks_the_sources(self, small_random):
+    def test_max_group_chunks_the_sources(self, small_random,
+                                          monkeypatch):
+        monkeypatch.setattr(planner_mod, "MAX_GROUP", 4)
         inst = small_random
-        planner = _planner(inst, max_group=4)
+        planner = _planner(inst)
         edge = inst.path_edges()[0]
         sources = [v for v in range(inst.n) if v != inst.s][:9]
         stream = [Query(s=s, t=inst.t, edge=edge) for s in sources]
@@ -122,9 +125,3 @@ class TestBatchingRule:
         answers, report = planner.answer_batch(stream)
         assert report.batch_solves == 0  # no hop-BFS on weights
         _assert_truth(inst, answers)
-
-    def test_rejects_silly_max_group(self, grid):
-        oracle = ReplacementPathOracle.build(grid,
-                                             solver="centralized")
-        with pytest.raises(ValueError):
-            BatchPlanner(oracle, max_group=0)

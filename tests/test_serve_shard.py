@@ -29,6 +29,7 @@ from repro.runtime.store import ResultStore
 from repro.serve import (
     OracleShard,
     Query,
+    ServeDaemon,
     ShardStats,
     ShardedQueryService,
     centralized_truth,
@@ -82,6 +83,31 @@ class TestRouting:
         inst.name = ""
         with pytest.raises(ValueError, match="name"):
             ShardedQueryService([inst])
+
+    @pytest.mark.parametrize("cls, count, lookup", [
+        (ShardedQueryService, "shards", "shard_for"),
+        (ServeDaemon, "workers", "shard_for_key"),
+    ])
+    def test_both_serving_paths_route_alike(self, cls, count, lookup):
+        """The library service and the daemon (never started here)
+        place a catalog with the same checks and the same error."""
+        insts = _instances(3)
+        unnamed = grid_instance(3, 5, name="x")
+        unnamed.name = ""
+        for catalog, kw, match in (
+                ([], {}, "at least one instance"),
+                (insts, {count: 0}, "count must be positive"),
+                ([unnamed], {}, "needs a name"),
+                ([insts[0], insts[0]], {}, "duplicate instance name")):
+            with pytest.raises(ValueError, match=match):
+                cls(catalog, solver="centralized", **kw)
+        served = cls(insts, solver="centralized", **{count: 2})
+        assert served.instance_keys == sorted(i.name for i in insts)
+        names = ", ".join(sorted(i.name for i in insts))
+        with pytest.raises(KeyError) as err:
+            getattr(served, lookup)("nope")
+        assert err.value.args == (
+            f"unknown instance 'nope'; served: {names}",)
 
 
 class TestLruAndSpill:
