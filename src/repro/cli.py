@@ -248,18 +248,8 @@ def cmd_suite_diff(args) -> int:
     return 0 if report.clean else 1
 
 
-class _QueryTimeout(Exception):
-    pass
-
-
-def _query_alarm(signum, frame):  # pragma: no cover - signal path
-    raise _QueryTimeout()
-
-
 def cmd_query(args) -> int:
-    import signal
-    import threading
-
+    from .runtime.executor import DeadlineExceeded, deadline
     from .serve import ReplacementPathOracle, centralized_truth
     instance = _build_instance(args)
     solver = args.solver
@@ -274,25 +264,17 @@ def cmd_query(args) -> int:
             args.fail_index % instance.hop_count]
     # The deadline covers the expensive part — the cold oracle build
     # plus the query itself — with the executor's in-process SIGALRM
-    # discipline, so a too-slow build returns a structured ``timeout``
+    # deadline, so a too-slow build returns a structured ``timeout``
     # outcome instead of hanging the terminal.  SIGALRM only exists on
     # POSIX and only works from the main thread; anywhere else we run
     # without a deadline and *say so* with a structured
-    # ``timeout_unsupported`` outcome instead of crashing in
-    # ``signal.signal``.
-    alarm_capable = (hasattr(signal, "SIGALRM")
-                     and threading.current_thread()
-                     is threading.main_thread())
-    use_alarm = args.timeout is not None and alarm_capable
-    timeout_unsupported = args.timeout is not None and not alarm_capable
-    if use_alarm:
-        old_handler = signal.signal(signal.SIGALRM, _query_alarm)
-        old_timer = signal.setitimer(signal.ITIMER_REAL, args.timeout)
+    # ``timeout_unsupported`` outcome.
     try:
-        oracle = ReplacementPathOracle.build(
-            instance, solver=solver, seed=args.seed)
-        answer = oracle.query(s, t, edge)
-    except _QueryTimeout:
+        with deadline(args.timeout) as enforced:
+            oracle = ReplacementPathOracle.build(
+                instance, solver=solver, seed=args.seed)
+            answer = oracle.query(s, t, edge)
+    except DeadlineExceeded:
         if args.json:
             import json
             print(json.dumps({
@@ -312,10 +294,7 @@ def cmd_query(args) -> int:
             print(f"query timed out after {args.timeout:g}s "
                   "(oracle build + query exceeded the deadline)")
         return 2
-    finally:
-        if use_alarm:
-            signal.setitimer(signal.ITIMER_REAL, *old_timer)
-            signal.signal(signal.SIGALRM, old_handler)
+    timeout_unsupported = args.timeout is not None and not enforced
     ok = None
     if args.check:
         ok = answer.length == centralized_truth(instance, s, t, edge)
@@ -332,7 +311,7 @@ def cmd_query(args) -> int:
                       "edge": [edge[0], edge[1]]},
             "outcome": ("timeout_unsupported" if timeout_unsupported
                         else "ok"),
-            "timeout_enforced": bool(use_alarm),
+            "timeout_enforced": enforced,
             "length": (None if answer.length >= INF
                        else answer.length),
             "kind": answer.kind,

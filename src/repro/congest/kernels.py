@@ -43,17 +43,18 @@ gone — the registry is the only gatekeeper.)
 NumPy is imported lazily (module import never touches it), so the
 message engines remain importable — and fully functional — without it.
 
-After the hop-BFS and the k-source BFS, the Theorem 1 stages hand
-each other one data format on this fabric: int64 arrays.  The landmark
-completion returns ``(k, n)`` tables; the segment sweeps gather their
-path columns into ``(k, h_st + 1)`` local rows and return ``(k, h_st)``
-running minima; the combine and shift return the ``(k, h_st)`` M and N
-tables the min-sum reduces.  Lemma 4.3 runs inside the DP kernel, on
-the first hits of the hop-BFS rows, over the ζ window only.  Dicts and
-lists exist only inside the message lanes, which build them once, on
-entry; anything that leaves a kernel as a message payload or a
-returned length is converted with ``tolist()`` first (``words_of``
-prices no NumPy scalar).
+After the hop-BFS, the Theorem 1 stages hand each other one data
+format on this fabric: int64 arrays.  The k-source BFS returns
+``(k, n)`` tables, which the landmark completion takes as they are and
+returns completed; the segment sweeps gather their path columns into
+``(k, h_st + 1)`` local rows and return ``(k, h_st)`` running minima;
+the combine and shift return the ``(k, h_st)`` M and N tables the
+min-sum reduces.  Lemma 4.3 runs inside the DP kernel, on the first
+hits of the hop-BFS rows, over the ζ window only.  Dicts and lists
+exist only inside the message lanes, which build them once, on entry;
+anything that leaves a kernel as a message payload or a returned
+length is converted with ``tolist()`` or ``int()`` first
+(``words_of`` prices no NumPy scalar).
 
 The topology exports the kernels gather over follow the int32 memory
 diet (:class:`~repro.congest.topology.TopologyArrays`): indptr/
@@ -421,7 +422,7 @@ def multi_source_hop_bfs_vector(
     delay: Optional[Callable[[int], int]],
     name: str,
     plan=None,
-) -> List[List[int]]:
+):
     """Whole-frontier rounds of the k-source hop BFS (Lemma 5.5).
 
     The per-vertex priority queue of the message path is equivalent to
@@ -434,7 +435,10 @@ def multi_source_hop_bfs_vector(
     vertex's next announcement is the minimum of one contiguous row.
     After each round only the rows it touched (senders and improved
     targets) recompute that minimum — or the whole matrix does, when
-    the round touched more than half the rows.
+    the round touched more than half the rows.  Returns the ``(k, n)``
+    int64 table (a transposed view of the vertex-major matrix), which
+    the landmark completion takes as it is;
+    :func:`~repro.congest.multisource.multi_source_hop_bfs` lists it.
     """
     np = numpy_or_none()
     n = net.n
@@ -527,7 +531,7 @@ def multi_source_hop_bfs_vector(
                 best_key = key.min(axis=1)
             else:
                 best_key[touched] = key[touched].min(axis=1)
-        return dist.T.tolist()
+        return dist.T
 
 
 # -- pipelined tree broadcast (Lemma 2.4) -----------------------------------
@@ -694,20 +698,27 @@ def broadcast_messages_vector(net, tree, messages, name: str):
 
 
 @_kernel_span("landmark_completion")
-def landmark_completion_vector(net, pair_hops, from_len, to_len):
+def landmark_completion_vector(net, pair_hops, from_len, to_len,
+                               hop_limit=None):
     """Vectorized closure and completion of Lemmas 5.4/5.6 (local).
 
     The broadcast pair hops close under min-plus in k vectorized
     relaxations (Floyd–Warshall by pivot: row and column ``mid`` do not
     move while ``mid`` relaxes, because the diagonal is 0); then every
     vertex stitches its hop-bounded landmark distances with the
-    closure.  This is ledger-free local work, so the only contract is
-    value equality with ``repro.core.landmark_distances``.  All
-    operands are bounded by the INF sentinel (2^60), so int64 sums are
-    exact.  Returns the closure as lists (k × k words every vertex
-    holds) and the two completed tables as ``(k, n)`` int64 arrays.
-    ``net`` is unused beyond the uniform dispatch signature (and the
-    span join).
+    closure, one row at a time.  With a ``hop_limit``, only *open* rows
+    join: rows holding a finite entry at or above the limit.  Any other
+    row of a unit-step hop table is already exact (its BFS ran out
+    before the limit, so no closure sum is shorter) and comes back
+    clamped as it went in; without one, every row is open.  The tables
+    may be the k-source kernel's ``(k, n)`` arrays or lists of rows.
+
+    This is ledger-free local work, so the only contract is value
+    equality with ``repro.core.landmark_distances``.  All operands are
+    bounded by the INF sentinel (2^60), so int64 sums are exact.
+    Returns the closure as lists (k × k words every vertex holds) and
+    the two completed tables as ``(k, n)`` int64 arrays.  ``net`` is
+    unused beyond the uniform dispatch signature (and the span join).
     """
     np = numpy_or_none()
     k = len(pair_hops)
@@ -716,18 +727,24 @@ def landmark_completion_vector(net, pair_hops, from_len, to_len):
     for mid in range(k):
         np.minimum(closure, closure[:, mid, None] + closure[mid],
                    out=closure)
-    from_m = np.asarray(from_len, dtype=np.int64)
-    to_m = np.asarray(to_len, dtype=np.int64)
-    from_out = np.empty_like(from_m)
-    to_out = np.empty_like(to_m)
-    for a in range(k):
-        # closure[a][a] == 0, so the min-plus row already includes the
-        # direct hop-bounded distance the scalar loops seed with.
-        (closure[a][:, None] + from_m).min(axis=0, out=from_out[a])
-        (closure[:, a][:, None] + to_m).min(axis=0, out=to_out[a])
-    np.minimum(from_out, INF, out=from_out)
-    np.minimum(to_out, INF, out=to_out)
-    return closure.tolist(), from_out, to_out
+    completed = []
+    # Row a of the from table joins closure row a; row a of the to
+    # table joins closure column a.
+    for table, pivots in ((from_len, closure), (to_len, closure.T)):
+        hops = np.asarray(table, dtype=np.int64)
+        out = np.minimum(hops, INF)
+        if hop_limit is None:
+            rows = range(k)
+        else:
+            rows = np.flatnonzero(
+                ((hops >= hop_limit) & (hops < INF)).any(axis=1)).tolist()
+        for a in rows:
+            # pivots[a][a] == 0, so the min-plus row already includes
+            # the direct hop-bounded distance.
+            np.minimum((pivots[a][:, None] + hops).min(axis=0), INF,
+                       out=out[a])
+        completed.append(out)
+    return (closure.tolist(), *completed)
 
 
 @_kernel_span("pairwise_min_sum")

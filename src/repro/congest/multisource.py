@@ -62,13 +62,16 @@ def multi_source_hop_bfs(
     -------
     ``dist`` with ``dist[rank][v]`` = hop distance from ``sources[rank]``
     to v (or from v to the source for ``direction="in"``), INF beyond
-    ``hop_limit``.
+    ``hop_limit``, as lists of Python ints on every fabric.  The vector
+    kernel's ``(k, n)`` int64 table is listed here, once; Lemma 5.6's
+    completion dispatches the primitive itself and keeps the array.
     """
     name = phase if phase is not None else "k-source-bfs"
-    return dispatch(
+    dist = dispatch(
         "multisource", net, sources=sources, hop_limit=hop_limit,
         direction=direction, avoid_edges=avoid_edges, delay=delay,
         name=name)
+    return dist if isinstance(dist, list) else dist.tolist()
 
 
 def _multisource_message(

@@ -23,11 +23,10 @@ which reuses only :func:`landmark_closure` and
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..congest.broadcast import broadcast_messages
 from ..congest.dispatch import dispatch
-from ..congest.multisource import multi_source_hop_bfs
 from ..congest.network import CongestNetwork
 from ..congest.spanning_tree import SpanningTree
 from ..congest.words import INF, clamp_inf
@@ -122,17 +121,23 @@ def compute_landmark_distances(
         if k == 0:
             return LandmarkDistances([], [], [], [])
 
-        forward_hops = multi_source_hop_bfs(
-            net, landmarks, hop_limit, direction="out",
-            avoid_edges=avoid_edges, phase="kBFS-forward(L5.5)")
-        backward_hops = multi_source_hop_bfs(
-            net, landmarks, hop_limit, direction="in",
-            avoid_edges=avoid_edges, phase="kBFS-backward(L5.5)")
+        # The vector lane's (k, n) int64 tables go to the completion as
+        # they are; the message lanes return lists of rows.
+        forward_hops = dispatch(
+            "multisource", net, sources=landmarks, hop_limit=hop_limit,
+            direction="out", avoid_edges=avoid_edges, delay=None,
+            name="kBFS-forward(L5.5)")
+        backward_hops = dispatch(
+            "multisource", net, sources=landmarks, hop_limit=hop_limit,
+            direction="in", avoid_edges=avoid_edges, delay=None,
+            name="kBFS-backward(L5.5)")
 
         # Each landmark l_b broadcasts its hop distance *from* every l_a
-        # (which it learned as a vertex in the forward BFS).
+        # (which it learned as a vertex in the forward BFS), as a Python
+        # int: words_of prices no NumPy scalar.
+        rows = list(forward_hops)
         messages: Dict[int, list] = {
-            l_b: [("pair", a, b, forward_hops[a][l_b]) for a in range(k)]
+            l_b: [("pair", a, b, int(row[l_b])) for a, row in enumerate(rows)]
             for b, l_b in enumerate(landmarks)
         }
         pairs = broadcast_messages(net, tree, messages,
@@ -147,15 +152,40 @@ def compute_landmark_distances(
         # hops and stitches its hop-bounded distances with the closure.
         # Unweighted hops are lengths, and each is <= hop_limit or INF,
         # so the hop tables are the completion's length rows as they
-        # are.  On the vector fabric the closure is k vectorized
-        # relaxations and the completed tables stay (k, n) int64
-        # arrays (ledger-free local computation, so only value
-        # equality is at stake).
+        # are, and a row with no entry at the hop limit is already
+        # exact (the completion's per-row test).  On the vector fabric
+        # the closure is k vectorized relaxations and the completed
+        # tables stay (k, n) int64 arrays (ledger-free local
+        # computation, so only value equality is at stake).
         closure, from_landmark, to_landmark = dispatch(
             "landmark_completion", net, pair_hops=pair_hops,
-            from_len=forward_hops, to_len=backward_hops)
+            from_len=forward_hops, to_len=backward_hops,
+            hop_limit=hop_limit)
         return LandmarkDistances(
             landmarks, closure, from_landmark, to_landmark)
+
+
+def _join_rows(
+    table: List[List[int]],
+    pivots: List[List[int]],
+    hop_limit: Optional[int],
+) -> List[List[int]]:
+    """One completed table: row a is min over mid of ``pivots[a][mid] +
+    table[mid][v]``, clamped at INF (``pivots[a][a] == 0`` keeps the
+    direct entry).  With a ``hop_limit``, a row with no finite entry at
+    or above it is complete and comes back clamped as it went in."""
+    out = []
+    for a, row in enumerate(table):
+        best = list(row)
+        if hop_limit is None or any(hop_limit <= x < INF for x in row):
+            via = pivots[a]
+            for mid, mid_row in enumerate(table):
+                d = via[mid]
+                for v, x in enumerate(mid_row):
+                    if d + x < best[v]:
+                        best[v] = d + x
+        out.append([clamp_inf(x) for x in best])
+    return out
 
 
 def _completion_message(
@@ -163,33 +193,19 @@ def _completion_message(
     pair_hops: List[List[int]],
     from_len: List[List[int]],
     to_len: List[List[int]],
+    hop_limit: Optional[int] = None,
 ) -> Tuple[List[List[int]], List[List[int]], List[List[int]]]:
     """The scalar closure and min-plus completion (the registry's
-    fallback lane)."""
+    fallback lane).
+
+    With a ``hop_limit`` (the unit-step kBFS tables of Lemma 5.5), only
+    the rows holding a finite entry at or above it join the closure, in
+    O(|L|·n) steps each; every other row is already exact and is
+    copied, so a table of complete rows costs O(|L|·n) in all.  Without
+    one (Theorem 3's weighted completion, whose entries are lengths,
+    not hops) every row joins.
+    """
     closure = landmark_closure(pair_hops)
-    k = len(closure)
-    n = net.n
-    closure_t = [[closure[mid][a] for mid in range(k)]
-                 for a in range(k)]
-    from_landmark = [[INF] * n for _ in range(k)]
-    to_landmark = [[INF] * n for _ in range(k)]
-    for a in range(k):
-        row = closure[a]
-        col = closure_t[a]
-        direct_f = from_len[a]
-        direct_t = to_len[a]
-        out_f = from_landmark[a]
-        out_t = to_landmark[a]
-        for v in range(n):
-            best_f = direct_f[v]
-            best_t = direct_t[v]
-            for mid in range(k):
-                candidate = row[mid] + from_len[mid][v]
-                if candidate < best_f:
-                    best_f = candidate
-                candidate = to_len[mid][v] + col[mid]
-                if candidate < best_t:
-                    best_t = candidate
-            out_f[v] = clamp_inf(best_f)
-            out_t[v] = clamp_inf(best_t)
-    return closure, from_landmark, to_landmark
+    closure_t = [list(column) for column in zip(*closure)]
+    return (closure, _join_rows(from_len, closure, hop_limit),
+            _join_rows(to_len, closure_t, hop_limit))

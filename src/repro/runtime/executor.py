@@ -7,8 +7,9 @@ re-import the registry, which keeps the wire format trivially picklable
 and guarantees a worker measures exactly what a serial run measures.
 
 Per-cell timeouts are enforced *inside* the worker with ``SIGALRM``
-where available (a timed-out cell yields a structured ``timeout``
-result and the worker survives).  A parent-side
+where available (:func:`deadline`, which ``repro query`` shares; a
+timed-out cell yields a structured ``timeout`` result and the worker
+survives).  A parent-side
 ``future.result(timeout=...)`` backstop additionally marks cells whose
 worker went silent; note that without ``SIGALRM`` the hung worker
 process itself cannot be reclaimed (``Future.cancel`` cannot stop a
@@ -20,10 +21,12 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Callable, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..telemetry.schema import (
@@ -51,12 +54,36 @@ POOL_ERROR = "error"
 _HAS_ALARM = hasattr(signal, "SIGALRM")
 
 
-class _CellTimeout(Exception):
-    pass
+class DeadlineExceeded(Exception):
+    """Raised in the main thread when a :func:`deadline` expires."""
 
 
 def _alarm_handler(signum, frame):  # pragma: no cover - signal path
-    raise _CellTimeout()
+    raise DeadlineExceeded()
+
+
+@contextmanager
+def deadline(seconds: Optional[float]) -> Iterator[bool]:
+    """Raise :class:`DeadlineExceeded` into the body after ``seconds``.
+
+    Installs a ``SIGALRM`` handler and a real-time timer, and on exit
+    restores the previous handler *and* its remaining timer, so an
+    outer watchdog keeps running.  ``SIGALRM`` exists only on POSIX and
+    works only from the main thread; anywhere else, or with ``seconds``
+    None, the body runs without a deadline.  Yields whether the
+    deadline is enforced.
+    """
+    enforced = (seconds is not None and _HAS_ALARM
+                and threading.current_thread() is threading.main_thread())
+    if enforced:
+        old_handler = signal.signal(signal.SIGALRM, _alarm_handler)
+        old_timer = signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield enforced
+    finally:
+        if enforced:
+            signal.setitimer(signal.ITIMER_REAL, *old_timer)
+            signal.signal(signal.SIGALRM, old_handler)
 
 
 def default_jobs() -> int:
@@ -75,35 +102,21 @@ def execute_cell(spec: CellSpec,
     # in-process runs are a no-op when tracing is already configured.
     telemetry.maybe_enable_from_env()
     start = time.perf_counter()
-    old_handler = None
-    old_timer = (0.0, 0.0)
-    use_alarm = (timeout is not None and _HAS_ALARM)
-    if use_alarm:
-        try:
-            old_handler = signal.signal(signal.SIGALRM, _alarm_handler)
-            old_timer = signal.setitimer(signal.ITIMER_REAL, timeout)
-        except ValueError:
-            # Not in the main thread of this process: fall back to the
-            # parent-side backstop.
-            use_alarm = False
     try:
-        with telemetry.span(f"cell/{spec.scenario}",
-                            params=spec.params_dict, seed=spec.seed):
+        # Off the main thread the parent-side backstop is the only
+        # limit.
+        with deadline(timeout), telemetry.span(
+                f"cell/{spec.scenario}", params=spec.params_dict,
+                seed=spec.seed):
             scen = get_scenario(spec.scenario)
             metrics = scen.run_cell(spec.params_dict, spec.seed)
         status, error = STATUS_OK, ""
-    except _CellTimeout:
+    except DeadlineExceeded:
         metrics, status = {}, STATUS_TIMEOUT
         error = f"cell exceeded {timeout:.1f}s"
     except Exception as exc:  # noqa: BLE001 - cell isolation boundary
         metrics, status = {}, STATUS_ERROR
         error = f"{type(exc).__name__}: {exc}"
-    finally:
-        if use_alarm:
-            # Restore any pre-existing watchdog (handler AND remaining
-            # timer), not just cancel ours.
-            signal.setitimer(signal.ITIMER_REAL, *old_timer)
-            signal.signal(signal.SIGALRM, old_handler)
     wall = time.perf_counter() - start
     EXECUTOR_CELLS.inc(scenario=spec.scenario, status=status)
     EXECUTOR_CELL_SECONDS.observe(wall, scenario=spec.scenario)
@@ -148,33 +161,11 @@ def pool_map(
     The returned list always has ``len(payloads)`` entries, one per
     payload in order — a worker (or fallback) that returns ``None``
     keeps its slot.  :func:`run_cells` is its one caller in the
-    package; solves and the serve tier run no pool of their own (the
-    daemon keeps long-lived workers instead).
-
-    ``jobs <= 1`` runs every payload inline in this process — same
-    fallback/progress/counter semantics, no pool, no pickling — so
-    callers can thread a single ``jobs`` knob all the way down.
+    package, and it runs ``jobs <= 1`` itself; solves and the serve
+    tier run no pool of their own (the daemon keeps long-lived workers
+    instead).
     """
     results: List[Optional[object]] = [None] * len(payloads)
-    if jobs <= 1:
-        for idx, payload in enumerate(payloads):
-            outcome = "ok"
-            wait_start = time.perf_counter()
-            try:
-                result = worker(payload)
-            except Exception as exc:  # noqa: BLE001 - pool failure
-                outcome = POOL_ERROR
-                if fallback is None:
-                    raise
-                result = fallback(payload, POOL_ERROR,
-                                  f"{type(exc).__name__}: {exc}")
-            finally:
-                POOL_ITEMS.inc(outcome=outcome)
-                POOL_WAIT_SECONDS.observe(time.perf_counter() - wait_start)
-            if progress is not None:
-                progress(result)
-            results[idx] = result
-        return list(results)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = {
             pool.submit(worker, payload): idx

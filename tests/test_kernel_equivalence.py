@@ -57,6 +57,10 @@ from repro.congest.words import INF
 from repro.congest.spanning_tree import SpanningTree
 from repro.core import rpaths
 from repro.core.hop_bfs import pruned_max_hop_bfs
+from repro.core.landmark_distances import (
+    _completion_message,
+    landmark_closure,
+)
 from repro.core.two_sisp import solve_two_sisp
 from repro.extensions import (
     random_undirected_instance,
@@ -625,6 +629,100 @@ class TestEndToEnd:
                 list(report.lengths), report.rounds,
                 ledger_snapshot(report.ledger))
         assert summaries["vector"] == summaries["fast"]
+
+
+# -- Lemma 5.6's completion: the per-row hop-limit test ----------------------
+
+
+def _kbfs_inputs(instance, landmarks, zeta, fabric):
+    """The completion's inputs as the landmark stage builds them on
+    ``fabric``: the forward and backward ζ-hop kBFS tables in G \\ P
+    (the kernel's ``(k, n)`` arrays on the vector fabric, lists on the
+    message lanes) and the pair hops read off the forward one."""
+    net = instance.build_network(fabric=fabric)
+    tables = [run_primitive("multisource", net, sources=landmarks,
+                            hop_limit=zeta, direction=direction,
+                            avoid_edges=instance.path_edge_set(),
+                            delay=None, name="kBFS")
+              for direction in ("out", "in")]
+    pair = [[int(tables[0][a][lm]) for lm in landmarks]
+            for a in range(len(landmarks))]
+    return net, pair, tables
+
+
+def _open_rows(table, zeta):
+    """Ranks whose kBFS row holds a finite entry at or above ζ."""
+    return [a for a, row in enumerate(table)
+            if any(zeta <= x < INF for x in row)]
+
+
+def _dense_completion(pair, from_len, to_len):
+    """Lemma 5.6's min-plus join over every pivot, on every row."""
+    closure = landmark_closure(pair)
+    ranks, n = range(len(closure)), len(from_len[0])
+    from_out = [[min(INF, min(closure[a][m] + from_len[m][v]
+                              for m in ranks))
+                 for v in range(n)] for a in ranks]
+    to_out = [[min(INF, min(to_len[m][v] + closure[m][a]
+                            for m in ranks))
+               for v in range(n)] for a in ranks]
+    return closure, from_out, to_out
+
+
+@st.composite
+def completion_cases(draw):
+    """``(n, seed, landmarks, ζ)``: a small random graph, a landmark
+    set and a ζ small enough that some kBFS rows reach it."""
+    n = draw(st.integers(5, 14))
+    seed = draw(st.integers(0, 10_000))
+    landmarks = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                    max_size=n)))
+    return n, seed, landmarks, draw(st.integers(1, 5))
+
+
+#: Every vertex a landmark and ζ = 1: a landmark with an edge in G \ P
+#: reaches the limit, so its row is open, and the join lowers entries.
+OPEN_CASE = (10, 3, list(range(10)), 1)
+#: ζ = n: no BFS runs n hops on n vertices, so every row is complete.
+COMPLETE_CASE = (10, 3, [0, 4, 7], 10)
+
+
+class TestLandmarkCompletionLanes:
+    """The completion joins only the rows its hop limit left open; both
+    lanes must equal the dense join, fed the real kBFS tables."""
+
+    @given(case=completion_cases())
+    @example(case=OPEN_CASE)
+    @example(case=COMPLETE_CASE)
+    @settings(max_examples=60, deadline=None)
+    def test_lanes_match_the_dense_join(self, case):
+        n, seed, landmarks, zeta = case
+        instance = random_instance(n, avg_degree=3.0, seed=seed)
+        net, pair, (fwd, bwd) = _kbfs_inputs(instance, landmarks, zeta,
+                                             "fast")
+        vnet, vpair, (vfwd, vbwd) = _kbfs_inputs(instance, landmarks,
+                                                 zeta, "vector")
+        assert vpair == pair
+        want = _dense_completion(pair, fwd, bwd)
+        assert _completion_message(net, pair, fwd, bwd,
+                                   hop_limit=zeta) == want
+        assert plain(kernels.landmark_completion_vector(
+            vnet, pair, vfwd, vbwd, hop_limit=zeta)) == want
+
+    def test_pinned_cases_reach_both_outcomes(self):
+        tables = {}
+        for name, (n, seed, landmarks, zeta) in (
+                ("open", OPEN_CASE), ("complete", COMPLETE_CASE)):
+            instance = random_instance(n, avg_degree=3.0, seed=seed)
+            _, pair, (fwd, bwd) = _kbfs_inputs(instance, landmarks,
+                                               zeta, "fast")
+            tables[name] = (pair, fwd, bwd, zeta)
+        pair, fwd, bwd, zeta = tables["open"]
+        assert _open_rows(fwd, zeta) and _open_rows(bwd, zeta)
+        _, from_out, to_out = _dense_completion(pair, fwd, bwd)
+        assert from_out != fwd and to_out != bwd
+        pair, fwd, bwd, zeta = tables["complete"]
+        assert not _open_rows(fwd, zeta) and not _open_rows(bwd, zeta)
 
 
 def _small():

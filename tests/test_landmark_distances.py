@@ -8,7 +8,8 @@ sets the values must never *under*-shoot (they are path lengths).
 import pytest
 
 from repro.congest.spanning_tree import build_spanning_tree
-from repro.congest.words import INF
+from repro.congest.words import INF, words_of
+from repro.core import landmark_distances
 from repro.core.landmark_distances import (
     compute_landmark_distances,
     landmark_closure,
@@ -117,3 +118,29 @@ class TestSparseLandmarks:
             net, tree, [], hop_limit=3,
             avoid_edges=instance.path_edge_set())
         assert dists.count == 0
+
+
+class TestVectorHandOff:
+    def test_pair_broadcast_carries_python_ints(self, monkeypatch):
+        # The vector kBFS tables stay int64 arrays up to the
+        # completion, but the pair broadcast's payloads must be Python
+        # ints: the wire prices no NumPy scalar.
+        np = pytest.importorskip("numpy")
+        with pytest.raises(TypeError):
+            words_of(("pair", 0, 1, np.int64(3)))
+        sent = []
+        broadcast = landmark_distances.broadcast_messages
+
+        def spy(net, tree, messages, phase):
+            sent.extend(p for ps in messages.values() for p in ps)
+            return broadcast(net, tree, messages, phase=phase)
+
+        monkeypatch.setattr(landmark_distances, "broadcast_messages", spy)
+        instance = random_instance(40, seed=7)
+        net = instance.build_network(fabric="vector")
+        landmarks = [0, 5, 9, 17]
+        compute_landmark_distances(
+            net, build_spanning_tree(net), landmarks, hop_limit=3,
+            avoid_edges=instance.path_edge_set())
+        assert len(sent) == len(landmarks) ** 2
+        assert all(type(x) is int for payload in sent for x in payload[1:])

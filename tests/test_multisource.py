@@ -1,5 +1,7 @@
 """Tests for the k-source h-hop BFS (Lemma 5.5, congest.multisource)."""
 
+import pytest
+
 from repro.congest.multisource import multi_source_hop_bfs
 from repro.congest.network import CongestNetwork
 from repro.congest.words import INF
@@ -84,3 +86,13 @@ class TestMultiSourceBfs:
     def test_empty_sources(self):
         net = CongestNetwork(3, [(0, 1), (1, 2)])
         assert multi_source_hop_bfs(net, [], hop_limit=3) == []
+
+    @pytest.mark.parametrize("fabric", ["reference", "fast", "vector"])
+    def test_returns_lists_of_python_ints(self, fabric):
+        # The vector kernel's (k, n) array is listed by the public
+        # wrapper: MR24, the serve planner and the catalog read rows.
+        net = random_instance(30, seed=35).build_network(fabric=fabric)
+        got = multi_source_hop_bfs(net, [0, 4, 9], hop_limit=3)
+        assert type(got) is list and len(got) == 3
+        assert all(type(row) is list and len(row) == net.n for row in got)
+        assert all(type(x) is int for row in got for x in row)

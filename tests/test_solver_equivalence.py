@@ -25,7 +25,7 @@ from repro.congest import (
     build_spanning_tree,
 )
 from repro.congest import kernels
-from repro.congest.dispatch import REASON_STRICT_OVERLOAD
+from repro.congest.dispatch import REASON_STRICT_OVERLOAD, REGISTRY
 from repro.congest.dispatch import check as dispatch_check
 from repro.congest.metrics import RoundLedger
 from repro.congest.words import INF
@@ -140,6 +140,34 @@ class TestWholeSolverFuzz:
             assert all(type(x) is int for x in report.lengths)
             out[fabric] = solver_fingerprint(report)
         assert out["vector"] == out["fast"]
+
+    @pytest.mark.parametrize("family,zeta", [("chords", 5),
+                                             ("expander", None)])
+    def test_landmark_stage_hands_kbfs_arrays_over(self, family, zeta,
+                                                   monkeypatch):
+        # On the vector fabric the kBFS kernel's (k, n) arrays reach
+        # Lemma 5.6's completion as they are, and every phase's ledger
+        # still equals the message lanes'.
+        completion = REGISTRY["landmark_completion"]
+        lane = completion.resolve("vector")
+        handed = []
+
+        def spy(net, from_len, to_len, **call):
+            handed.append((type(from_len), type(to_len)))
+            return lane(net, from_len=from_len, to_len=to_len, **call)
+
+        monkeypatch.setitem(completion._cache, "vector", spy)
+        instance = (path_with_chords_instance(60, seed=5)
+                    if family == "chords"
+                    else expander_instance(256, degree=4, seed=5))
+        out = {}
+        for fabric in FABRICS:
+            report = solve_rpaths(instance, zeta=zeta, landmark_c=0.5,
+                                  fabric=fabric)
+            out[fabric] = solver_fingerprint(report)
+        assert out["vector"] == out["fast"]
+        array = kernels.numpy_or_none().ndarray
+        assert handed == [(array, array)]
 
     def test_zero_hop_path_has_no_segments(self):
         # s = t: no segment to sweep, yet the combine still charges
