@@ -159,10 +159,10 @@ def cmd_lower_bound(args) -> int:
           f"L_opt={report.optimal_length}")
     print(f"Lemma 6.8 dichotomy holds: {report.holds} "
           f"({report.hit_count}/{k * k} minimal edges)")
-    xx = [rng.randint(0, 1) for _ in range(4)]
-    yy = [rng.randint(0, 1) for _ in range(4)]
+    xx = [rng.randint(0, 1) for _ in range(k * k)]
+    yy = [rng.randint(0, 1) for _ in range(k * k)]
     red = decide_disjointness_via_two_sisp(
-        xx, yy, 2, use_oracle_knowledge=True)
+        xx, yy, k, d=args.d, p=args.p, use_oracle_knowledge=True)
     print(f"reduction demo: disj({xx},{yy}) = {red.expected}, "
           f"decoded {red.decided} in {red.rounds} rounds "
           f"({'OK' if red.correct else 'MISMATCH'})")
@@ -251,6 +251,9 @@ def cmd_suite_diff(args) -> int:
 def cmd_query(args) -> int:
     from .runtime.executor import DeadlineExceeded, deadline
     from .serve import ReplacementPathOracle, centralized_truth
+    if args.timeout is not None and not args.timeout > 0:
+        raise SystemExit(f"error: --timeout must be positive, got "
+                         f"{args.timeout:g}")
     instance = _build_instance(args)
     solver = args.solver
     if instance.weighted and solver == "theorem1":

@@ -71,8 +71,11 @@ def deadline(seconds: Optional[float]) -> Iterator[bool]:
     outer watchdog keeps running.  ``SIGALRM`` exists only on POSIX and
     works only from the main thread; anywhere else, or with ``seconds``
     None, the body runs without a deadline.  Yields whether the
-    deadline is enforced.
+    deadline is enforced.  A ``seconds`` that is not positive raises
+    ValueError before anything is installed.
     """
+    if seconds is not None and not seconds > 0:
+        raise ValueError(f"deadline must be positive, got {seconds}")
     enforced = (seconds is not None and _HAS_ALARM
                 and threading.current_thread() is threading.main_thread())
     if enforced:

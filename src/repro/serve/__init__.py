@@ -54,11 +54,7 @@ from .loadgen import (
     percentile,
     run_load,
 )
-from .oracle import (
-    OracleStats,
-    ReplacementPathOracle,
-    centralized_truth,
-)
+from .oracle import ReplacementPathOracle, centralized_truth
 from .planner import BatchPlanner, PlanReport
 from .queries import (
     BATCHED_SOLVE,
@@ -95,7 +91,6 @@ __all__ = [
     "HIT_PATH_EDGE",
     "LoadReport",
     "OracleShard",
-    "OracleStats",
     "PendingQuery",
     "PlanReport",
     "Query",

@@ -53,11 +53,7 @@ from ..dynamic import stream as _stream
 from ..graphs.instance import RPathsInstance
 from ..runtime.store import ResultStore
 from ..telemetry import counters as _counters
-from ..telemetry.schema import (
-    SERVE_DAEMON_EVENTS,
-    SERVE_INFLIGHT,
-    SERVE_WORKERS_ALIVE,
-)
+from ..telemetry.schema import SERVE_DAEMON_EVENTS, SERVE_WORKERS_ALIVE
 from .queries import Query, QueryAnswer
 from .shard import (
     OracleShard,
@@ -325,8 +321,6 @@ class ServeDaemon:
         self._pending: Dict[int, Tuple[int, Tuple[Query, ...],
                                        Tuple[int, ...],
                                        AnswerCallback]] = {}
-        self._inflight: Dict[int, int] = {
-            sid: 0 for sid in self._workers}
         self._stats_waiters: Dict[int, Tuple[threading.Event, list]] = {}
         #: Parent pipe end -> its worker, for every pipe not yet at EOF
         #: (a restarted worker's old pipe stays until read to the end).
@@ -359,7 +353,8 @@ class ServeDaemon:
     def inflight(self, shard_id: int) -> int:
         """Queries dispatched to ``shard_id`` and not yet answered."""
         with self._lock:
-            return self._inflight.get(shard_id, 0)
+            return sum(len(entry[1]) for entry in self._pending.values()
+                       if entry[0] == shard_id)
 
     def instance_for(self, instance_key: str) -> RPathsInstance:
         """The parent's authoritative (current-epoch) instance."""
@@ -540,8 +535,6 @@ class ServeDaemon:
         with self._lock:
             leftovers = list(self._pending.items())
             self._pending.clear()
-            for sid in self._inflight:
-                self._inflight[sid] = 0
         for _req_id, entry in leftovers:
             entry[3](None, None, None, "shutdown")
         SERVE_WORKERS_ALIVE.set(0)
@@ -593,9 +586,6 @@ class ServeDaemon:
         with self._lock:
             self._pending[req_id] = (shard_id, queries, staleness,
                                      callback)
-            self._inflight[shard_id] += len(queries)
-            SERVE_INFLIGHT.set(self._inflight[shard_id],
-                               shard=str(shard_id))
         self._send(worker, (_MSG_BATCH, req_id, queries, staleness))
         return req_id
 
@@ -639,14 +629,9 @@ class ServeDaemon:
                  error: str) -> None:
         with self._lock:
             entry = self._pending.pop(req_id, None)
-            if entry is None:
-                return  # duplicate after a restart resubmit: dropped
-            shard_id, queries, _staleness, callback = entry
-            self._inflight[shard_id] = max(
-                0, self._inflight[shard_id] - len(queries))
-            SERVE_INFLIGHT.set(self._inflight[shard_id],
-                               shard=str(shard_id))
-        callback(lengths, kinds, lags, error)
+        if entry is None:
+            return  # duplicate after a restart resubmit: dropped
+        entry[3](lengths, kinds, lags, error)
 
     def _handle_reply(self, worker: _Worker, conn, msg) -> None:
         kind = msg[0]
@@ -738,8 +723,6 @@ class ServeDaemon:
                         if entry[0] == sid]
                 for req_id, _entry in lost:
                     del self._pending[req_id]
-                self._inflight[sid] = 0
-                SERVE_INFLIGHT.set(0, shard=str(sid))
             for _req_id, entry in lost:
                 entry[3](None, None, None, "worker-lost")
             return
@@ -801,13 +784,6 @@ class ServeDaemon:
         totals, and the process counter registry (which carries the
         admission / lifecycle / gauge series)."""
         shards = self.worker_stats()
-        totals = ShardStats(shard_id=-1)
-        for row in shards:
-            known = {k: int(row[k])
-                     for k in ShardStats(shard_id=0).as_metrics()
-                     if k in row}
-            totals.merge(ShardStats(shard_id=row["shard_id"],
-                                    **known))
         return {
             "workers": self.workers,
             "running": self._running,
@@ -816,7 +792,7 @@ class ServeDaemon:
             "epochs": {key: self.epoch_of(key)
                        for key in self.instance_keys},
             "shards": shards,
-            "totals": totals.as_metrics(),
+            "totals": ShardStats.total(shards).as_metrics(),
             "counters": _counters.snapshot_counters(),
         }
 

@@ -32,7 +32,7 @@ ResultStore` instead of re-solving after eviction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .. import telemetry
@@ -40,11 +40,7 @@ from ..congest.network import DEFAULT_FABRIC
 from ..congest.words import INF, clamp_inf
 from ..graphs.instance import RPathsInstance
 from ..dynamic.stream import MUT_FAIL, MUT_HEAL, MUT_WEIGHT
-from ..telemetry.schema import (
-    DYNAMIC_INVALIDATIONS,
-    SERVE_ORACLE_ANSWERS,
-    SERVE_ORACLE_BUILDS,
-)
+from ..telemetry.schema import DYNAMIC_INVALIDATIONS, SERVE_ORACLE_ANSWERS
 from .queries import (
     FALLBACK_CACHED,
     FALLBACK_SOLVE,
@@ -69,39 +65,6 @@ _ANSWER_COUNTERS = {
 
 
 @dataclass
-class OracleStats:
-    """Running per-kind query counters (the cost model, measured)."""
-
-    path_hits: int = 0
-    off_path_hits: int = 0
-    fallback_solves: int = 0
-    fallback_cached: int = 0
-
-    @property
-    def queries(self) -> int:
-        return (self.path_hits + self.off_path_hits
-                + self.fallback_solves + self.fallback_cached)
-
-    @property
-    def hits(self) -> int:
-        return self.path_hits + self.off_path_hits
-
-    @property
-    def hit_ratio(self) -> float:
-        return self.hits / self.queries if self.queries else 0.0
-
-    def as_metrics(self) -> Dict[str, object]:
-        return {
-            "queries": self.queries,
-            "path_hits": self.path_hits,
-            "off_path_hits": self.off_path_hits,
-            "fallback_solves": self.fallback_solves,
-            "fallback_cached": self.fallback_cached,
-            "hit_ratio": round(self.hit_ratio, 4),
-        }
-
-
-@dataclass
 class ReplacementPathOracle:
     """Answer (s, t, failed-edge) queries from precomputed state.
 
@@ -115,7 +78,6 @@ class ReplacementPathOracle:
     #: Rounds charged by the construction solve (0 for centralized /
     #: restored oracles — they never touched the fabric).
     build_rounds: int = 0
-    stats: OracleStats = field(default_factory=OracleStats)
 
     def __post_init__(self) -> None:
         if len(self.lengths) != self.instance.hop_count:
@@ -142,7 +104,6 @@ class ReplacementPathOracle:
         with telemetry.span("serve/oracle-build",
                             instance=instance.name, solver=solver,
                             fabric=fabric):
-            SERVE_ORACLE_BUILDS.inc(solver=solver)
             if solver == "theorem1":
                 from ..core.rpaths import solve_rpaths
                 report = solve_rpaths(instance, seed=seed,
@@ -171,12 +132,10 @@ class ReplacementPathOracle:
         if s == self.instance.s and t == self.instance.t:
             idx = self._edge_index.get(edge)
             if idx is not None:
-                self.stats.path_hits += 1
                 _ANSWER_COUNTERS[HIT_PATH_EDGE].inc()
                 return QueryAnswer(q, self.lengths[idx], HIT_PATH_EDGE)
             # e not on P: P survives the deletion, and deleting an edge
             # never shortens distances, so d(s, t, e) = |P| exactly.
-            self.stats.off_path_hits += 1
             _ANSWER_COUNTERS[HIT_OFF_PATH].inc()
             return QueryAnswer(q, self._path_length, HIT_OFF_PATH)
         key = (s, edge)
@@ -185,10 +144,8 @@ class ReplacementPathOracle:
             dist = self.instance.dijkstra(
                 s, avoid_edges=frozenset([edge]))
             self._fallback[key] = dist
-            self.stats.fallback_solves += 1
             kind = FALLBACK_SOLVE
         else:
-            self.stats.fallback_cached += 1
             kind = FALLBACK_CACHED
         _ANSWER_COUNTERS[kind].inc()
         return QueryAnswer(q, clamp_inf(dist[t]), kind)
@@ -318,8 +275,6 @@ def carry_fallback_memo(old: ReplacementPathOracle,
             kept += 1
         else:
             dropped += 1
-    if kept:
-        DYNAMIC_INVALIDATIONS.inc(kept, scope="memo-kept")
     if dropped:
         DYNAMIC_INVALIDATIONS.inc(dropped, scope="memo-dropped")
     return kept, dropped

@@ -32,7 +32,9 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from .. import telemetry
 from ..congest.network import DEFAULT_FABRIC
@@ -48,21 +50,14 @@ from ..runtime.results import CellResult, CellSpec
 from ..runtime.store import ResultStore, cell_key
 from ..telemetry import counters as _counters
 from ..telemetry.schema import (
-    DYNAMIC_INVALIDATIONS,
-    SERVE_EVICTIONS,
-    SERVE_LRU,
-    SERVE_QUERIES,
-    SERVE_SHARD_STAT,
-    SERVE_SPILL,
+    SERVE_HOT_ORACLES,
+    SERVE_INFLIGHT,
+    SERVE_SHARD_TOTAL,
     exposition,
 )
 from .oracle import ReplacementPathOracle, carry_fallback_memo
 from .planner import BatchPlanner
 from .queries import Query, QueryAnswer, hit_ratio
-
-#: LRU hits happen once per served batch: pre-bound like the oracle's
-#: answer counters.
-_LRU_HIT = SERVE_LRU.bind(outcome="hit")
 
 #: Pseudo-scenario name spilled oracle snapshots are keyed under.
 SPILL_SCENARIO = "serve-oracle"
@@ -133,7 +128,12 @@ def spill_key(instance_key: str, solver: str,
 
 @dataclass
 class ShardStats:
-    """One shard's serving counters."""
+    """One shard's serving counters: the only store of each count.
+
+    The process registry cannot hold them, because it lives as long as
+    its process, and one suite pool worker runs many cells; a scrape
+    reads each shard's row (:func:`shard_exposition`).
+    """
 
     shard_id: int = 0
     queries: int = 0
@@ -154,33 +154,44 @@ class ShardStats:
 
     def as_metrics(self) -> Dict[str, int]:
         """Every counter field (all but ``shard_id``)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)[1:]}
+        return {name: getattr(self, name) for name in stat_names()}
 
-    def merge(self, other: "ShardStats") -> None:
-        for name, value in other.as_metrics().items():
-            setattr(self, name, getattr(self, name) + value)
+    @classmethod
+    def total(cls, rows: Iterable[Mapping[str, object]]) -> "ShardStats":
+        """Each counter summed over ``rows``: :meth:`as_metrics` dicts
+        or per-shard stats rows, whose other keys are ignored."""
+        rows = list(rows)
+        return cls(shard_id=-1, **{
+            name: sum(int(row.get(name, 0)) for row in rows)
+            for name in stat_names()})
 
 
-def exported_stats() -> Tuple[str, ...]:
+def stat_names() -> Tuple[str, ...]:
     """The ``stat`` label values of :data:`~repro.telemetry.schema.
-    SERVE_SHARD_STAT`: every :class:`ShardStats` counter plus the
-    hot-oracle count."""
-    return tuple(ShardStats().as_metrics()) + ("hot_oracles",)
+    SERVE_SHARD_TOTAL`: every :class:`ShardStats` counter."""
+    return tuple(f.name for f in fields(ShardStats)[1:])
 
 
-def shard_exposition(rows: Sequence[Dict[str, object]]) -> str:
+def shard_exposition(rows: Sequence[Mapping[str, object]]) -> str:
     """Prometheus text of the registry plus one row per shard.
 
-    Each row (``shard_id`` plus any of :func:`exported_stats`) lands
-    in the one declared per-shard family; other row keys stay out.
+    Each row (``shard_id`` plus any of :func:`stat_names`,
+    ``hot_oracles`` and ``inflight``) renders its counts as
+    ``SERVE_SHARD_TOTAL`` counters and its levels as gauges, on a copy
+    of the registry: the rows stay the only store of their facts.
     """
-    stats = exported_stats()
+    scrape = _counters.registry.copy()
     for row in rows:
-        for stat in stats:
+        shard = str(row["shard_id"])
+        for stat in stat_names():
             if stat in row:
-                SERVE_SHARD_STAT.set(row[stat], stat=stat,
-                                     shard=str(row["shard_id"]))
-    return exposition()
+                scrape.inc(SERVE_SHARD_TOTAL.name, row[stat],
+                           shard=shard, stat=stat)
+        for metric, level in ((SERVE_HOT_ORACLES, "hot_oracles"),
+                              (SERVE_INFLIGHT, "inflight")):
+            if level in row:
+                scrape.set_gauge(metric.name, row[level], shard=shard)
+    return exposition(scrape)
 
 
 def _scatter(answers: List[Optional[QueryAnswer]],
@@ -259,7 +270,6 @@ class OracleShard:
             instance, cached.metrics)
         if oracle is not None:
             self._count(spill_loads=1)
-            SERVE_SPILL.inc(op="load")
         return oracle
 
     def _spill(self, key: str, oracle: ReplacementPathOracle) -> None:
@@ -279,7 +289,6 @@ class OracleShard:
         )
         self.store.put(result)
         self._count(spill_saves=1)
-        SERVE_SPILL.inc(op="save")
 
     def planner_for(self, key: str) -> BatchPlanner:
         """The hot planner for ``key`` (LRU → spill → build).
@@ -295,9 +304,7 @@ class OracleShard:
                 if planner is not None:
                     self._planners.move_to_end(key)
                     self.stats.lru_hits += 1
-                    _LRU_HIT.inc()
                     return planner
-                SERVE_LRU.inc(outcome="miss")
                 try:
                     instance = self.instances[key]
                 except KeyError:
@@ -335,7 +342,6 @@ class OracleShard:
                 while len(self._planners) > self.capacity:
                     self._planners.popitem(last=False)
                     self.stats.evictions += 1
-                    SERVE_EVICTIONS.inc()
             return planner
 
     # -- dynamic topology ----------------------------------------------------
@@ -370,7 +376,6 @@ class OracleShard:
                 # mutation since that epoch.
                 self._pending_carry.setdefault(key, []).extend(applied)
             self.stats.invalidations += 1
-        DYNAMIC_INVALIDATIONS.inc(scope="oracle")
 
     def current_epoch(self, key: str) -> int:
         return self.instances[key].topology_version
@@ -414,7 +419,6 @@ class OracleShard:
             for i in indices:
                 lags[i] = lag
         self._count(stale_answers=len(queries), queries=len(queries))
-        SERVE_QUERIES.inc(len(queries))
         return answers, lags
 
     def oracle_for(self, key: str) -> ReplacementPathOracle:
@@ -457,7 +461,6 @@ class OracleShard:
                 rounds += report.rounds
         self._count(batch_solves=solves, solves_saved=saved,
                     rounds=rounds, queries=len(queries))
-        SERVE_QUERIES.inc(len(queries))
         return answers
 
 
@@ -479,10 +482,7 @@ class ServiceReport:
         return hit_ratio(self.answers)
 
     def totals(self) -> ShardStats:
-        total = ShardStats(shard_id=-1)
-        for stats in self.shard_stats:
-            total.merge(stats)
-        return total
+        return ShardStats.total(s.as_metrics() for s in self.shard_stats)
 
     def as_metrics(self) -> Dict[str, object]:
         out: Dict[str, object] = dict(self.totals().as_metrics())
@@ -557,23 +557,19 @@ class ShardedQueryService:
     def stats(self) -> Dict[str, object]:
         """JSON-safe service snapshot: shards, totals, and counters.
 
-        The ``counters`` section is the process metrics registry (LRU
-        probes, spill traffic, kernel dispatch, store lookups …), so
-        one snapshot answers both "what did the service do" and "how
-        did the layers below behave while doing it".
+        The ``counters`` section is the process metrics registry
+        (oracle answers, kernel dispatch, store lookups …), so one
+        snapshot answers both "what did the service do" and "how did
+        the layers below behave while doing it".
         """
-        totals = ShardStats(shard_id=-1)
-        for shard in self._shards:
-            totals.merge(shard.stats)
-        return {
-            "shards": [
-                {"shard_id": shard.shard_id,
+        rows = [{"shard_id": shard.shard_id,
                  "instances": len(shard.instances),
                  "hot_oracles": len(shard._planners),
                  **shard.stats.as_metrics()}
-                for shard in self._shards
-            ],
-            "totals": totals.as_metrics(),
+                for shard in self._shards]
+        return {
+            "shards": rows,
+            "totals": ShardStats.total(rows).as_metrics(),
             "counters": _counters.snapshot_counters(),
         }
 

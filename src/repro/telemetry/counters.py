@@ -21,8 +21,9 @@ trace sink and ``ShardedQueryService.stats()``) and
 :func:`repro.telemetry.schema.exposition` renders as Prometheus text).
 
 The registry is always on — unlike spans there is no enable switch to
-check, because the counted events (one per kernel dispatch, LRU probe,
-or cell) are orders of magnitude rarer than the work they annotate.
+check, because the counted events (one per kernel dispatch, store
+lookup, or cell) are orders of magnitude rarer than the work they
+annotate.
 """
 
 from __future__ import annotations
@@ -165,6 +166,15 @@ class MetricsRegistry:
             },
         }
 
+    def copy(self) -> "MetricsRegistry":
+        """A detached registry holding every current series (the serve
+        scrape writes its per-shard rows into one)."""
+        out = MetricsRegistry()
+        (_, counters), (_, gauges), (_, summaries) = self._sections()
+        out._counters, out._gauges, out._summaries = (
+            dict(counters), dict(gauges), dict(summaries))
+        return out
+
     def families(self) -> List[Tuple[str, str,
                                       List[Tuple[LabelItems, object]]]]:
         """``(kind, name, [(labels, value), ...])`` per metric, sorted;
@@ -183,7 +193,7 @@ class BoundCounter:
 
     :meth:`MetricsRegistry.inc` pays label normalization and the
     registry lock on every call — negligible per kernel dispatch or
-    LRU probe, but measurable on the oracle's O(1) hit, which answers
+    store lookup, but measurable on the oracle's O(1) hit, which answers
     in a few µs.  A bound counter freezes its ``(name, labels)`` key
     once and ticks an :func:`itertools.count`: ``inc()`` *is* the
     count's C-level ``__next__``, atomic under the GIL, so concurrent

@@ -151,33 +151,20 @@ STORE_GC = counter(
 
 # -- serving: oracle, shard, daemon, front-end, client -----------------------
 
-SERVE_ORACLE_BUILDS = counter(
-    "repro_serve_oracle_builds_total",
-    "Oracle constructions (one solve each), by solver.",
-    solver=("theorem1", "centralized"))
 SERVE_ORACLE_ANSWERS = counter(
     "repro_serve_oracle_answers_total",
     "Oracle answers, by cost class.",
     kind=("hit-path-edge", "hit-off-path", "fallback-solve",
           "fallback-cached"))
-SERVE_QUERIES = counter(
-    "repro_serve_queries_total",
-    "Queries answered by shards, fresh or stale.")
-SERVE_LRU = counter(
-    "repro_serve_lru_total",
-    "Hot-oracle LRU probes.",
-    outcome=("hit", "miss"))
-SERVE_EVICTIONS = counter(
-    "repro_serve_evictions_total",
-    "Hot oracles evicted from a shard LRU.")
-SERVE_SPILL = counter(
-    "repro_serve_spill_total",
-    "Oracle snapshots spilled to or restored from the result store.",
-    op=("save", "load"))
-SERVE_SHARD_STAT = gauge(
-    "repro_serve_shard_stat",
-    "Per-shard lifetime serving stats at the last scrape.",
-    shard=OPEN, stat=_derived("repro.serve.shard", "exported_stats"))
+SERVE_SHARD_TOTAL = counter(
+    "repro_serve_shard_total",
+    "Per-shard lifetime serving counts, read from the shard's "
+    "ShardStats at the scrape.",
+    shard=OPEN, stat=_derived("repro.serve.shard", "stat_names"))
+SERVE_HOT_ORACLES = gauge(
+    "repro_serve_hot_oracles",
+    "Oracles in a shard's hot LRU at the scrape.",
+    shard=OPEN)
 SERVE_DAEMON_EVENTS = counter(
     "repro_serve_daemon_events_total",
     "Daemon and worker lifecycle transitions.",
@@ -199,7 +186,8 @@ SERVE_QUEUE_DEPTH = gauge(
     "in-flight cap.")
 SERVE_INFLIGHT = gauge(
     "repro_serve_inflight",
-    "Queries dispatched to a shard's worker and not yet answered.",
+    "Queries dispatched to a shard's worker and not yet answered, at "
+    "the scrape.",
     shard=OPEN)
 SERVE_WORKERS_ALIVE = gauge(
     "repro_serve_workers_alive",
@@ -222,7 +210,7 @@ DYNAMIC_SKIPPED = counter(
 DYNAMIC_INVALIDATIONS = counter(
     "repro_dynamic_invalidations_total",
     "Serve-tier invalidation actions, by scope.",
-    scope=("oracle", "memo-kept", "memo-dropped", "spill-stale"))
+    scope=("memo-dropped", "spill-stale"))
 DYNAMIC_EPOCH_LAG = gauge(
     "repro_dynamic_epoch_lag",
     "Epochs behind the current topology of the last answer served.")

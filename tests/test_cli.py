@@ -1,8 +1,17 @@
 """Tests for the command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+#: The source root a ``python -m repro`` subprocess imports from.
+_SRC = str(pathlib.Path(repro.__file__).resolve().parents[1])
 
 
 class TestParser:
@@ -136,6 +145,17 @@ class TestOtherCommands:
         assert code == 0
         assert "Lemma 6.8 dichotomy holds: True" in out
 
+    def test_lower_bound_runs_the_catalog_cell(self, capsys):
+        """``--k/--d/--p`` reach the reduction demo, which draws what
+        the ``lowerbound-hard`` cell draws for the same seed."""
+        from repro.runtime.catalog import run_lowerbound_hard
+        cell = run_lowerbound_hard({"k": 3, "d": 2, "p": 1}, 5)
+        assert main(["lower-bound", "--k", "3", "--seed", "5"]) == 0
+        out = capsys.readouterr().out
+        assert (f"G(k=3, d=2, p=1): n={cell['n']}, "
+                f"L_opt={cell['optimal_length']}") in out
+        assert f" in {cell['rounds']} rounds (OK)" in out
+
     def test_info(self, capsys):
         assert main(["info"]) == 0
         assert "PODC 2025" in capsys.readouterr().out
@@ -165,6 +185,30 @@ class TestQueryTimeout:
         assert code == 0
         assert data["outcome"] == "ok"
         assert data["check"] is True
+
+    @pytest.mark.parametrize("seconds", ["-1", "0"])
+    def test_non_positive_timeout_is_rejected(self, seconds):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "query", "--n", "12",
+             "--timeout", seconds, "--json"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": _SRC})
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        assert proc.stderr == (f"error: --timeout must be positive, "
+                               f"got {float(seconds):g}\n")
+
+    def test_rejected_deadline_installs_nothing(self):
+        import signal
+
+        from repro.runtime.executor import deadline
+        if not hasattr(signal, "SIGALRM"):
+            pytest.skip("needs SIGALRM")
+        before = signal.getsignal(signal.SIGALRM)
+        with pytest.raises(ValueError, match="positive"):
+            with deadline(-1):
+                pass
+        assert signal.getsignal(signal.SIGALRM) is before
 
 
 class TestServeDaemonCommands:

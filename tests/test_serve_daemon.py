@@ -151,18 +151,26 @@ class TestLifecycle:
         with pytest.raises(KeyError, match="unknown instance"):
             daemon.shard_for_key("nope")
 
-    def test_exposition_has_shard_gauges(self):
-        insts = _instances(2)
+    def test_scrape_counts_answered_queries(self):
+        """The workers' counts reach the parent's scrape as counters."""
+        insts = _instances(3)
+        queries = [q for i, inst in enumerate(insts)
+                   for q in generate_workload("mixed", inst, 4, seed=i)]
         daemon = _daemon(insts, workers=2)
         try:
             daemon.start()
-            edge = insts[0].path_edges()[0]
-            daemon.query(insts[0].name, insts[0].s, insts[0].t, edge,
-                         timeout=QUERY_TIMEOUT)
+            for q in queries:
+                daemon.query(q.instance, q.s, q.t, q.edge,
+                             timeout=QUERY_TIMEOUT)
             text = daemon.exposition()
         finally:
             daemon.stop()
-        assert 'repro_serve_shard_stat{shard="0",stat="queries"}' in text
+        assert "# TYPE repro_serve_shard_total counter" in text
+        counted = [line.rsplit(" ", 1) for line in text.splitlines()
+                   if line.startswith("repro_serve_shard_total{")
+                   and 'stat="queries"' in line]
+        assert {series.split('"')[1] for series, _ in counted} == {"0", "1"}
+        assert sum(int(value) for _, value in counted) == len(queries)
         assert "repro_serve_shard_pid" not in text
         assert "repro_serve_workers_alive" in text
 

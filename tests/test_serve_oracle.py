@@ -21,7 +21,10 @@ from repro.serve import (
     HIT_PATH_EDGE,
     ReplacementPathOracle,
     centralized_truth,
+    hit_ratio,
 )
+from repro.telemetry.counters import registry
+from repro.telemetry.schema import SERVE_ORACLE_ANSWERS
 
 
 def chain_instance():
@@ -76,13 +79,18 @@ class TestOracleFallback:
             small_random, solver="centralized")
         edge = small_random.path_edges()[0]
         s = small_random.path[1]
+
+        def answered():
+            return [registry.value(SERVE_ORACLE_ANSWERS.name, kind=kind)
+                    for kind in (FALLBACK_SOLVE, FALLBACK_CACHED)]
+
+        before = answered()
         first = oracle.query(s, small_random.t, edge)
         assert first.kind == FALLBACK_SOLVE
         # Different target, same (s, e): served from the memo.
         second = oracle.query(s, small_random.path[0], edge)
         assert second.kind == FALLBACK_CACHED
-        assert oracle.stats.fallback_solves == 1
-        assert oracle.stats.fallback_cached == 1
+        assert [a - b for a, b in zip(answered(), before)] == [1, 1]
 
     def test_out_of_range_endpoints_raise(self, grid):
         oracle = ReplacementPathOracle.build(grid,
@@ -95,10 +103,12 @@ class TestOracleFallback:
     def test_stats_hit_ratio(self, grid):
         oracle = ReplacementPathOracle.build(grid,
                                              solver="centralized")
-        oracle.query(grid.s, grid.t, grid.path_edges()[0])
-        oracle.query(grid.path[1], grid.t, grid.path_edges()[0])
-        assert oracle.stats.queries == 2
-        assert oracle.stats.hit_ratio == 0.5
+        answers = [oracle.query(grid.s, grid.t, grid.path_edges()[0]),
+                   oracle.query(grid.path[1], grid.t,
+                                grid.path_edges()[0])]
+        assert [a.kind for a in answers] == [HIT_PATH_EDGE,
+                                             FALLBACK_SOLVE]
+        assert hit_ratio(answers) == 0.5
 
 
 class TestOracleProperty:

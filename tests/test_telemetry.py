@@ -570,32 +570,56 @@ class TestExpositionFormat:
                 parse_exposition(bad)
 
     def test_service_and_daemon_expositions_are_strict(self):
-        from repro.serve import ServeDaemon, ShardedQueryService
+        """Both serving paths scrape the same per-shard series, and
+        each scrape parses strictly even when the process registry
+        already holds series of the families it renders."""
+        from repro.serve import (
+            ServeDaemon,
+            ShardedQueryService,
+            generate_workload,
+        )
+        from repro.serve.shard import stat_names
+        _record_every_declared_value()
         instances = [random_instance(16, seed=i, name=f"prom-{i}")
-                     for i in range(2)]
-        inst = instances[0]
-        edge = inst.path_edges()[0]
+                     for i in range(3)]
+        queries = [q for i, inst in enumerate(instances)
+                   for q in generate_workload("mixed", inst, 6, seed=i)]
         service = ShardedQueryService(instances, shards=2,
                                       solver="centralized")
-        service.query(inst.name, inst.s, inst.t, edge)
-        families = parse_exposition(service.exposition())
-        assert families["repro_serve_queries_total"]["TYPE"] == "counter"
+        service.warm()  # as a daemon worker does before its first batch
         daemon = ServeDaemon(instances, workers=2, solver="centralized")
         try:
             daemon.start()
-            daemon.query(inst.name, inst.s, inst.t, edge, timeout=60)
+            # One query per batch on both sides: an LRU hit counts
+            # once per batch.
+            for q in queries:
+                assert (service.query(q.instance, q.s, q.t, q.edge).length
+                        == daemon.query(q.instance, q.s, q.t, q.edge,
+                                        timeout=60).length)
             schema.SERVE_REQUEST_SECONDS.observe(0.001)
-            families = parse_exposition(daemon.exposition())
+            scrapes = [parse_exposition(service.exposition()),
+                       parse_exposition(daemon.exposition())]
         finally:
             daemon.stop()
-        request = families["repro_serve_request_seconds"]
+        request = scrapes[1]["repro_serve_request_seconds"]
         assert request["TYPE"] == "summary"
         assert request["HELP"] == schema.SERVE_REQUEST_SECONDS.help
-        stats = families["repro_serve_shard_stat"]["samples"]
-        assert any('stat="rebuild_failures"' in s for s in stats)
+        for families in scrapes:
+            assert families["repro_serve_shard_total"]["TYPE"] == "counter"
+            assert families["repro_serve_hot_oracles"]["TYPE"] == "gauge"
+        for name in ("repro_serve_shard_total", "repro_serve_hot_oracles"):
+            service_series, daemon_series = (
+                sorted(families[name]["samples"]) for families in scrapes)
+            assert service_series == daemon_series
+        counted = {re.search(r'stat="(\w+)"', sample).group(1)
+                   for sample in scrapes[1]["repro_serve_shard_total"][
+                       "samples"] if 'shard="1"' in sample}
+        assert counted == set(stat_names())
+        assert 'repro_serve_inflight{shard="1"} 0' in (
+            scrapes[1]["repro_serve_inflight"]["samples"])
         assert not any(name.startswith("repro_serve_shard_")
-                       and name != "repro_serve_shard_stat"
-                       for name in families)
+                       and name != "repro_serve_shard_total"
+                       for families in scrapes for name in families)
 
 
 class TestMetricTableDoc:
@@ -628,8 +652,8 @@ class TestServeStats:
         assert len(stats["shards"]) == 2
         assert json.dumps(stats)  # JSON-safe
         text = service.exposition()
-        assert 'repro_serve_shard_stat{shard="0",stat="queries"}' in text
-        assert "# TYPE repro_serve_shard_stat gauge" in text
+        assert 'repro_serve_shard_total{shard="0",stat="queries"}' in text
+        assert "# TYPE repro_serve_shard_total counter" in text
 
 
 # -- metric schema: scale-out and serve-daemon label enums ------------------
@@ -680,7 +704,7 @@ class TestScaleEnums:
             'repro_topology_export_total{array="keys",'
             'dtype="float64"}': 1.0,
             "repro_sendplan_cache_total": 1.0,  # missing label
-            'repro_serve_queries_total{shard="1"}': 1.0,
+            'repro_store_puts_total{shard="1"}': 1.0,
             "repro_made_up_total": 1.0,
         }
         unknown = telemetry.unknown_labels({
