@@ -255,6 +255,11 @@ def cmd_query(args) -> int:
         raise SystemExit(f"error: --timeout must be positive, got "
                          f"{args.timeout:g}")
     instance = _build_instance(args)
+    for flag, vertex in (("--source", args.source),
+                         ("--target", args.target)):
+        if vertex is not None and not 0 <= vertex < instance.n:
+            raise SystemExit(f"error: {flag} {vertex} out of range for "
+                             f"n={instance.n}")
     solver = args.solver
     if instance.weighted and solver == "theorem1":
         solver = "centralized"  # Theorem 1 targets unweighted graphs

@@ -13,13 +13,15 @@ inside it), the segment prefix/suffix sweeps of Lemmas 5.7/5.9 and
 their combine and one-hop shift, and the BFS spanning-tree flood
 (charged from one BFS's layering).  One synchronous round becomes a
 handful of vectorized operations (frontier gathers via CSR range
-expansion, delay-shifted scheduling buckets, segmented max/min via
-``np.maximum.at``/``np.minimum.at``) instead of one Python tuple per
-(sender, target) pair — and closed-form schedules (chain gaps, DP
-rounds, disjoint sweep groups, broadcast makespans, the flood's two
-rounds per BFS level, the repeating tail of the pruned hop-BFS once
-its unit-step state reaches a fixed point) charge whole executions in
-bulk via
+expansion, or over every CSR slot at once when most vertices send,
+delay-shifted scheduling buckets, segmented max/min via
+``np.maximum.at``/``np.minimum.at``, the k-source BFS's priority
+queues as column minima of rank-major ``d·k + rank`` keys) instead of
+one Python tuple per (sender, target) pair — and closed-form
+schedules (chain gaps, DP rounds, disjoint sweep groups, broadcast
+makespans, the flood's two rounds per BFS level, the repeating tail
+of the pruned hop-BFS once its unit-step state reaches a fixed point)
+charge whole executions in bulk via
 :meth:`~repro.congest.metrics.RoundLedger.charge_rounds` without
 walking rounds at all.
 
@@ -84,6 +86,7 @@ import functools
 from array import array
 from fractions import Fraction
 from itertools import groupby
+from operator import itemgetter
 from typing import (
     Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple,
 )
@@ -423,21 +426,36 @@ def multi_source_hop_bfs_vector(
     name: str,
     plan=None,
 ):
-    """Whole-frontier rounds of the k-source hop BFS (Lemma 5.5).
+    """Whole-CSR rounds of the k-source hop BFS (Lemma 5.5).
 
     The per-vertex priority queue of the message path is equivalent to
     "announce the lexicographically smallest (distance, rank) pair not
     yet announced": stale heap entries can never become valid again,
     so the queue's valid entries are exactly the un-announced current
-    distances.  The kernel keeps vertex-major ``(n, k)`` matrices: the
-    distances, and a key matrix holding ``d·k + rank`` while the pair
-    is un-announced and the cap ``(hop_limit + 1)·k`` once it is, so a
-    vertex's next announcement is the minimum of one contiguous row.
-    After each round only the rows it touched (senders and improved
-    targets) recompute that minimum — or the whole matrix does, when
-    the round touched more than half the rows.  Returns the ``(k, n)``
-    int64 table (a transposed view of the vertex-major matrix), which
-    the landmark completion takes as it is;
+    distances.  The kernel keys each pair ``d·k + rank`` in two
+    rank-major ``(k, n)`` matrices: ``best``, the key of the current
+    distance (the cap ``(hop_limit + 1)·k`` while there is none), and
+    ``pending``, that key while it is un-announced and the cap once it
+    is.  A vertex's next announcement is then the minimum of its
+    column, over k contiguous rows.
+
+    One loop serves unit and delayed steps: a slot's candidate key is
+    its sender's announced key plus ``k·min(step, hop_limit + 1)``,
+    kept iff below the cap, i.e. iff ``d + step <= hop_limit`` (the
+    clamp keeps every sum below twice the cap).  The rank rides in the
+    key, so keys compare as distances within a row.
+
+    A round where more than half the vertices announce gathers every
+    CSR slot through a per-call slot -> sender array; a sparser round
+    expands only its senders' slots.  Both are exact: a vertex that
+    announces nothing has the cap as its column minimum, so none of
+    its slots is kept or lowers a distance, and neither the message
+    count, the per-pair minimum nor the first overloaded link depends
+    on the order of the candidates.  After a dense round every column
+    recomputes its minimum; after a sparse one only the senders'
+    columns do, and an improved pair lowers its column's minimum in
+    place.  Returns the C-contiguous ``(k, n)`` int64 distance table,
+    which the landmark completion takes as it is;
     :func:`~repro.congest.multisource.multi_source_hop_bfs` lists it.
     """
     np = numpy_or_none()
@@ -451,87 +469,75 @@ def multi_source_hop_bfs_vector(
     indptr, indices, steps = plan
     size = HOP_MESSAGE_WORDS
     overload = net.strict and size > net.bandwidth_words
-    unit_steps = delay is None or bool((steps == 1).all())
-    # Valid queue entries all have distance <= hop_limit, so
-    # (hop_limit + 1)·k is a safe (non-overflowing) key cap.
-    key_cap = (hop_limit + 1) * k
+    cap = (hop_limit + 1) * k
+    advance = np.minimum(steps.astype(np.int64), hop_limit + 1) * k
+    slot_sender = None
 
     with net.ledger.phase(name):
-        dist = np.full((n, k), INF, dtype=np.int64)
-        key = np.full((n, k), key_cap, dtype=np.int64)
+        best = np.full((k, n), cap, dtype=np.int64)
         ranks = np.arange(k, dtype=np.int64)
-        src = np.asarray(sources, dtype=np.int64)
-        dist[src, ranks] = 0
-        key[src, ranks] = ranks  # d == 0: the key is the rank
-        dist_flat = dist.reshape(-1)
-        key_flat = key.reshape(-1)
-        best_key = key.min(axis=1)
+        best[ranks, np.asarray(sources, dtype=np.int64)] = ranks
+        pending = best.copy()
+        best_flat = best.reshape(-1)
+        pending_flat = pending.reshape(-1)
+        announce = pending.min(axis=0)
 
         while True:
-            senders = np.nonzero(best_key < key_cap)[0]
+            senders = np.flatnonzero(announce < cap)
             if not senders.size:
                 break
-            best = best_key[senders]
-            d_s = best // k
-            rank_s = best % k
-            key_flat[senders * k + rank_s] = key_cap  # announced
-
-            if unit_steps:
-                # The hop-budget prune is per sender, not per edge:
-                # filter before the CSR expansion.
-                ok = d_s < hop_limit
-                send_v = senders[ok]
-                counts = indptr[send_v + 1] - indptr[send_v]
-                sent = int(counts.sum())
-                if sent:
-                    slots = _expand_ranges(np, indptr[send_v], counts,
-                                           sent)
-                    target_e = indices[slots]
-                    cand = np.repeat(d_s[ok] + 1, counts)
-                    rank_e = np.repeat(rank_s[ok], counts)
+            keys = announce[senders]
+            rows = keys % k * n  # each announced pair's row offset
+            pending_flat[rows + senders] = cap
+            dense = 2 * senders.size > n
+            if dense:
+                if slot_sender is None:
+                    slot_sender = np.repeat(np.arange(n), np.diff(indptr))
+                send_v = slot_sender
+                cand = announce[slot_sender] + advance
+                targets = indices
+                # A silent vertex's cap gathers as row 0: harmless,
+                # since its candidates fail every test below.
+                flat = (announce % k * n)[slot_sender] + targets
             else:
                 counts = indptr[senders + 1] - indptr[senders]
-                total = int(counts.sum())
-                if total:
-                    slots = _expand_ranges(np, indptr[senders], counts,
-                                           total)
-                    cand = np.repeat(d_s, counts) + steps[slots]
-                    keep = cand <= hop_limit
-                    sent = int(keep.sum())
-                    if sent:
-                        send_v = np.repeat(senders, counts)[keep]
-                        target_e = indices[slots][keep]
-                        cand = cand[keep]
-                        rank_e = np.repeat(rank_s, counts)[keep]
-                else:
-                    sent = 0
+                slots = _expand_ranges(np, indptr[senders], counts,
+                                       int(counts.sum()))
+                send_v = np.repeat(senders, counts) if overload else None
+                cand = np.repeat(keys, counts) + advance[slots]
+                targets = indices[slots]
+                flat = np.repeat(rows, counts) + targets
+            keep = cand < cap
+            sent = int(np.count_nonzero(keep))
             _charge_uniform_round(net, sent, size)
             if sent and overload:
-                _raise_first_overload(
-                    net,
-                    np.repeat(send_v, counts) if unit_steps else send_v,
-                    target_e, size)
-            touched = senders
-            if sent:
-                flat = target_e * k + rank_e
-                before = dist_flat[flat]
-                np.minimum.at(dist_flat, flat, cand)
-                # A candidate below the pre-round distance re-enters
-                # its vertex's queue.  Duplicate (vertex, rank) hits in
-                # one round all pass this test when any does, exactly
-                # like the sequential heap pushes — the stale larger
-                # pushes are unobservable there, and keying the pair
-                # by its reduced distance makes them unobservable here.
-                imp = cand < before
-                fi = flat[imp]
-                if fi.size:
-                    key_flat[fi] = dist_flat[fi] * k + rank_e[imp]
-                    touched = np.concatenate((senders, target_e[imp]))
-            if 2 * touched.size > n:
-                best_key = key.min(axis=1)
+                _raise_first_overload(net, send_v[keep], targets[keep],
+                                      size)
+            # Only a candidate below the pre-round distance can lower
+            # it, and it re-enters its vertex's queue.  Duplicate
+            # (vertex, rank) hits in one round all pass this test when
+            # any does, exactly like the sequential heap pushes — the
+            # stale larger pushes are unobservable there, and keying
+            # the pair by its reduced distance makes them unobservable
+            # here.  A candidate that was not sent is at least the cap,
+            # which no distance key exceeds: it fails the test too.
+            # (Positions, not a mask: few candidates improve, and a
+            # masked gather walks every candidate.)
+            imp = np.flatnonzero(cand < best_flat.take(flat))
+            flat, lower = flat.take(imp), cand.take(imp)
+            np.minimum.at(best_flat, flat, lower)
+            pending_flat[flat] = best_flat.take(flat)
+            if dense:
+                announce = pending.min(axis=0)
             else:
-                best_key[touched] = key[touched].min(axis=1)
-        return dist.T
+                # An improved pair can only lower its vertex's minimum;
+                # a sender's column lost its announced pair.
+                np.minimum.at(announce, targets.take(imp), lower)
+                announce[senders] = pending[:, senders].min(axis=0)
+        # In place: the key table becomes the distance table.
+        np.floor_divide(best, k, out=best)
+        best[best > hop_limit] = INF
+        return best
 
 
 # -- pipelined tree broadcast (Lemma 2.4) -----------------------------------
@@ -544,10 +550,43 @@ _FIXED_SIZE_FIELDS = frozenset((type(None), bool, int, float, Fraction))
 _TOUR_CHUNK = 1 << 20
 
 
+def _uniform_layout_size(items) -> Optional[int]:
+    """The word size every ``(int origin, payload)`` item shares, when
+    the payloads are tuples of one length and each field column holds
+    one fixed-size type (strings: one length); else None."""
+    payloads = list(map(itemgetter(1), items))
+    if set(map(type, payloads)) != {tuple}:
+        return None
+    widths = set(map(len, payloads))
+    if len(widths) != 1:
+        return None
+    size = 1  # the origin
+    for field in range(widths.pop()):
+        column = list(map(itemgetter(field), payloads))
+        kinds = set(map(type, column))
+        if len(kinds) != 1:
+            return None
+        kind = kinds.pop()
+        if kind is str:
+            if len(set(map(len, column))) != 1:
+                return None
+        elif kind not in _FIXED_SIZE_FIELDS:
+            return None
+        size += words_of(column[0])
+    return size
+
+
 def _broadcast_size_counts(items) -> Dict[int, int]:
-    """Item count per word size of ``(int origin, payload)`` items,
-    sized once per payload layout (field types, string fields keyed by
-    length) where the layout fixes the size, else per item."""
+    """Item count per word size of ``(int origin, payload)`` items.
+
+    A batch of one shared layout is sized once, column by column
+    (:func:`_uniform_layout_size`); any other batch is sized once per
+    payload layout (field types, string fields keyed by length) where
+    the layout fixes the size, else per item."""
+    items = list(items)
+    size = _uniform_layout_size(items) if items else None
+    if size is not None:
+        return {size: len(items)}
     sized: Dict[tuple, int] = {}
     counts: Dict[int, int] = {}
     for item in items:
@@ -957,14 +996,16 @@ def spanning_tree_flood_vector(net, root: int, name: str):
     confirmation round (one per adopted vertex), and a vertex adopts
     its smallest offering neighbour.  So one BFS gives the whole
     charge, and one pass over the receiver-major link slots (senders
-    ascending) the parents.  A level steps in Python over the neighbour
-    lists while its frontier is narrower than ``_WIDE_FRONTIER``, else
-    as one CSR gather; both share one depth buffer.
+    ascending) the parents.  A level steps in Python over list copies
+    of the exported neighbour arrays while its frontier is narrower
+    than ``_WIDE_FRONTIER``, else as one CSR gather; both share one
+    depth buffer.  (The copies cost one ``tolist`` per call, where the
+    topology's ``nbr_lists`` view costs a pass over every edge.)
     """
     np = numpy_or_none()
-    nbr_lists = net.topology.nbr_lists
     arr = net.topology.arrays()
     indptr, indices = arr.nbr_indptr, arr.nbr_indices
+    ptr, nbrs = indptr.tolist(), indices.tolist()
     depth_of = array("q", [-1]) * net.n
     depth = np.frombuffer(depth_of, dtype=np.int64)
     depth_of[root] = 0
@@ -972,7 +1013,7 @@ def spanning_tree_flood_vector(net, root: int, name: str):
     while len(frontier):
         level += 1
         if type(frontier) is list:
-            found = {v for u in frontier for v in nbr_lists[u]
+            found = {v for u in frontier for v in nbrs[ptr[u]:ptr[u + 1]]
                      if depth_of[v] < 0}
             for v in found:
                 depth_of[v] = level
@@ -1000,8 +1041,8 @@ def spanning_tree_flood_vector(net, root: int, name: str):
     with net.ledger.phase(name):
         charge_uniform_rounds(net, 2 * (level - 1), offers.size + adopted,
                               TREE_MESSAGE_WORDS,
-                              [root] * len(nbr_lists[root]),
-                              nbr_lists[root])
+                              [root] * (ptr[root + 1] - ptr[root]),
+                              nbrs[ptr[root]:ptr[root + 1]])
     return parent.tolist(), depth.tolist()
 
 

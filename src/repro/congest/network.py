@@ -135,9 +135,9 @@ class CongestNetwork:
         #: :attr:`link_totals` (used by the lower-bound cut analysis).
         self.record_link_totals = False
         self.link_totals: Dict[Tuple[int, int], int] = {}
-        # Exchange buffers are hoisted here, once, so the batched fabric
-        # pays no per-round allocation.
-        self._state = FabricState(topology)
+        # Exchange buffers, allocated on the first batched exchange (a
+        # vector solve makes none) and recycled every round after it.
+        self._state: Optional[FabricState] = None
 
     # -- topology accessors --------------------------------------------------
 
@@ -192,6 +192,8 @@ class CongestNetwork:
             return exchange_reference(
                 self.topology, self.ledger, outbox,
                 self.bandwidth_words, self.strict, link_totals)
+        if self._state is None:
+            self._state = FabricState(self.topology)
         return exchange_batch(
             self.topology, self._state, outbox, self.ledger,
             self.bandwidth_words, self.strict, link_totals=link_totals)

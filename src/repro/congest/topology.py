@@ -4,27 +4,35 @@ The pre-fabric simulator re-derived per-round bookkeeping (tuple-keyed
 link dicts, frozenset membership probes) inside ``exchange`` — pure
 overhead, since the communication graph never changes after
 construction.  :class:`CSRTopology` hoists all of it into one immutable
-object built exactly once per instance:
+object per instance, which holds:
 
-* adjacency in compressed-sparse-row form (``indptr``/``indices`` flat
-  arrays) for the directed out-edges, directed in-edges, and the
-  undirected communication support, plus per-vertex list views so the
-  hot loops keep Python-list iteration speed;
-* a dense *directed-link id* space: every direction of every
-  communication link gets an integer id laid out **receiver-major**
-  (all links into vertex 0 first, then vertex 1, ...; within a
-  receiver, senders ascending).  Sorting touched link ids therefore
-  yields inboxes grouped by receiver with senders ascending — exactly
-  the deterministic delivery order the validated engine guarantees —
-  without ever sorting messages;
-* an O(1) link lookup ``link_id(u, v)`` backed by an int-keyed dict
-  (``u·n + v``), avoiding tuple allocation and tuple hashing on the
-  per-message hot path.
+* eagerly, only what its NumPy-free validate-and-deduplicate pass
+  leaves: the edge weights keyed by the dense edge key ``u·n + v``, in
+  input order, duplicates dropped;
+* built on first read, by whichever caller reads it first, each
+  Python view: the per-vertex ``out_lists``/``in_lists``/``nbr_lists``,
+  their flat CSR lists (``*_indptr``/``*_indices``), and the link-id
+  index below — the message engines read them, a vector solve reads
+  none;
+* built on the first :meth:`~CSRTopology.arrays` call, by NumPy sorts
+  straight from the deduplicated keys, the read-only arrays the vector
+  kernels gather over (:class:`TopologyArrays`).
+
+The link-id index is a dense *directed-link id* space: every direction
+of every communication link gets an integer id laid out
+**receiver-major** (all links into vertex 0 first, then vertex 1, ...;
+within a receiver, senders ascending).  Sorting touched link ids
+therefore yields inboxes grouped by receiver with senders ascending —
+exactly the deterministic delivery order the validated engine
+guarantees — without ever sorting messages.  ``link_id(u, v)`` is an
+O(1) lookup in an int-keyed dict (``u·n + v``), avoiding tuple
+allocation and tuple hashing on the per-message hot path.
 
 Instances of this class are *frozen by contract*: nothing in the
-repository mutates a topology after construction, so one topology can
-back any number of :class:`~repro.congest.network.CongestNetwork`
-objects (fresh ledgers, shared adjacency).
+repository mutates a topology after construction (a lazily built view
+is a pure function of the edges), so one topology can back any number
+of :class:`~repro.congest.network.CongestNetwork` objects (fresh
+ledgers, shared adjacency).
 """
 
 from __future__ import annotations
@@ -74,12 +82,15 @@ class TopologyArrays:
     """Frozen, read-only int-array views of a :class:`CSRTopology`.
 
     Built lazily, exactly once per topology, by
-    :meth:`CSRTopology.arrays`; the vector kernels gather over these
-    instead of materializing per-message Python tuples.  ``*_keys``
-    hold the dense edge key ``tail·n + head`` per CSR slot (input
-    order), which is what avoid-edge masks are matched against;
-    ``*_weights`` hold the slot-aligned edge weight so per-run delay
-    step tables vectorize.
+    :meth:`CSRTopology.arrays`, with NumPy sorts straight from the
+    deduplicated edge keys and weights (no Python view is read or
+    built); the vector kernels gather over these instead of
+    materializing per-message Python tuples.  The slots hold the
+    Python CSR views' values, in their order.  ``*_keys`` hold the
+    dense edge key ``tail·n + head`` per CSR slot (input order), which
+    is what avoid-edge masks are matched against; ``*_weights`` hold
+    the slot-aligned edge weight so per-run delay step tables
+    vectorize.
 
     **Memory diet.**  Each array group picks the narrowest dtype its
     value range permits — int32 when every value fits, int64 otherwise:
@@ -109,11 +120,20 @@ class TopologyArrays:
         np = _numpy()
         n = topology.n
         wbk = topology._weight_by_key
-        nnz = max(len(topology.out_indices), len(topology.in_indices),
-                  len(topology.nbr_indices))
-        idx = np.int32 if max(n, nnz) <= _INT32_MAX else np.int64
+        m = len(wbk)
+        keys = np.fromiter(wbk, dtype=np.int64, count=m)
+        weights = np.fromiter(wbk.values(), dtype=np.int64, count=m)
+        tails, heads = np.divmod(keys, n)
+        # Every edge gives both directions of its link; a link into v
+        # from u is keyed v·n + u, so the sorted unique keys are the
+        # receiver-major link ids, senders ascending within a receiver.
+        links = np.sort(np.concatenate((keys, heads * n + tails)))
+        links = links[np.diff(links, prepend=-1) != 0]
+        receivers, senders = np.divmod(links, n)
+        # Every slot count is at most the link count.
+        idx = np.int32 if max(n, links.size) <= _INT32_MAX else np.int64
         key = np.int32 if n * n - 1 <= _INT32_MAX else np.int64
-        max_w = max(wbk.values(), default=1)
+        max_w = int(weights.max()) if m else 1
         wgt = np.int32 if max_w <= _INT32_MAX else np.int64
         self.index_dtype = idx
         self.key_dtype = key
@@ -121,25 +141,26 @@ class TopologyArrays:
         TOPOLOGY_EXPORT.inc(array="indices", dtype=np.dtype(idx).name)
         TOPOLOGY_EXPORT.inc(array="keys", dtype=np.dtype(key).name)
         TOPOLOGY_EXPORT.inc(array="weights", dtype=np.dtype(wgt).name)
-        self.out_indptr = np.asarray(topology.out_indptr, dtype=idx)
-        self.out_indices = np.asarray(topology.out_indices, dtype=idx)
-        self.in_indptr = np.asarray(topology.in_indptr, dtype=idx)
-        self.in_indices = np.asarray(topology.in_indices, dtype=idx)
-        self.nbr_indptr = np.asarray(topology.nbr_indptr, dtype=idx)
-        self.nbr_indices = np.asarray(topology.nbr_indices, dtype=idx)
-        self.link_receiver = np.asarray(topology.link_receiver, dtype=idx)
-        out_keys = [u * n + v
-                    for u, row in enumerate(topology.out_lists)
-                    for v in row]
-        in_keys = [x * n + u
-                   for u, row in enumerate(topology.in_lists)
-                   for x in row]
-        self.out_keys = np.asarray(out_keys, dtype=key)
-        self.in_keys = np.asarray(in_keys, dtype=key)
-        self.out_weights = np.asarray([wbk[k] for k in out_keys],
-                                      dtype=wgt)
-        self.in_weights = np.asarray([wbk[k] for k in in_keys],
-                                     dtype=wgt)
+
+        def indptr(owners):
+            counts = np.bincount(owners, minlength=n)
+            return np.concatenate(([0], np.cumsum(counts))).astype(idx)
+
+        # A vertex's out (in) slots keep the input order of its edges:
+        # a stable sort by tail (head).
+        order = np.argsort(tails, kind="stable")
+        self.out_indptr = indptr(tails)
+        self.out_indices = heads[order].astype(idx)
+        self.out_keys = keys[order].astype(key)
+        self.out_weights = weights[order].astype(wgt)
+        order = np.argsort(heads, kind="stable")
+        self.in_indptr = indptr(heads)
+        self.in_indices = tails[order].astype(idx)
+        self.in_keys = keys[order].astype(key)
+        self.in_weights = weights[order].astype(wgt)
+        self.nbr_indptr = indptr(receivers)
+        self.nbr_indices = senders.astype(idx)
+        self.link_receiver = receivers.astype(idx)
         self._freeze()
 
     def _freeze(self) -> None:
@@ -162,28 +183,27 @@ class CSRTopology:
         Iterable of ``(u, v)`` or ``(u, v, w)`` directed edges with
         positive integer weights.  Parallel duplicates are ignored
         (first weight wins), matching the historical network semantics.
+
+    Construction validates and deduplicates the edges and keeps nothing
+    else; every other attribute named in ``__slots__`` is a view that
+    :meth:`__getattr__` builds on its first read (see the module
+    docstring).
     """
 
     __slots__ = (
-        "n", "num_edges", "num_dirlinks",
+        "n", "num_edges",
         "out_indptr", "out_indices", "in_indptr", "in_indices",
         "nbr_indptr", "nbr_indices",
         "out_lists", "in_lists", "nbr_lists",
         "link_receiver", "_link_index", "_weight_by_key",
-        "_edge_order", "_link_pairs", "_arrays", "_send_cache",
+        "_link_pairs", "_arrays", "_send_cache",
     )
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]) -> None:
         if n <= 0:
             raise ValueError("network needs at least one vertex")
         self.n = n
-
-        out_lists: List[List[int]] = [[] for _ in range(n)]
-        in_lists: List[List[int]] = [[] for _ in range(n)]
-        neighbor_sets: List[set] = [set() for _ in range(n)]
         weight_by_key: Dict[int, int] = {}
-        edge_order: List[int] = []
-
         for edge in edges:
             if len(edge) == 2:
                 u, v = edge
@@ -197,46 +217,81 @@ class CSRTopology:
             if w <= 0:
                 raise ValueError(f"edge ({u},{v}) has non-positive weight")
             key = u * n + v
-            if key in weight_by_key:
-                continue  # ignore parallel duplicates
-            weight_by_key[key] = int(w)
-            edge_order.append(key)
+            if key not in weight_by_key:  # ignore parallel duplicates
+                weight_by_key[key] = int(w)
+        self._weight_by_key = weight_by_key
+        self.num_edges = len(weight_by_key)
+        self._link_pairs: Optional[frozenset] = None
+        self._arrays: Optional[TopologyArrays] = None
+        self._send_cache: Dict[Tuple[str, frozenset], tuple] = {}
+
+    # -- views built on first read -----------------------------------------
+
+    def __getattr__(self, name: str):
+        # Reached only while ``name``'s slot is unset: build its group.
+        build = _VIEW_BUILDERS.get(name)
+        if build is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute "
+                f"{name!r}")
+        build(self)
+        return object.__getattribute__(self, name)
+
+    def _build_adjacency(self) -> None:
+        """``out_lists``/``in_lists``, each row in input edge order."""
+        n = self.n
+        out_lists: List[List[int]] = [[] for _ in range(n)]
+        in_lists: List[List[int]] = [[] for _ in range(n)]
+        for key in self._weight_by_key:
+            u, v = divmod(key, n)
             out_lists[u].append(v)
             in_lists[v].append(u)
-            neighbor_sets[u].add(v)
-            neighbor_sets[v].add(u)
-
-        nbr_lists = [sorted(s) for s in neighbor_sets]
-
         self.out_lists = out_lists
         self.in_lists = in_lists
-        self.nbr_lists = nbr_lists
-        self.out_indptr, self.out_indices = _flatten(out_lists)
-        self.in_indptr, self.in_indices = _flatten(in_lists)
-        self.nbr_indptr, self.nbr_indices = _flatten(nbr_lists)
 
-        # Receiver-major directed-link ids: link (u -> v) sits in v's
-        # block of the undirected-support CSR, so ``nbr_indices`` doubles
-        # as the lid -> sender map.
+    def _build_neighbors(self) -> None:
+        """``nbr_lists``: the sorted neighbours of the undirected
+        support."""
+        n = self.n
+        neighbor_sets: List[set] = [set() for _ in range(n)]
+        for key in self._weight_by_key:
+            u, v = divmod(key, n)
+            neighbor_sets[u].add(v)
+            neighbor_sets[v].add(u)
+        self.nbr_lists = [sorted(s) for s in neighbor_sets]
+
+    def _build_out_csr(self) -> None:
+        self.out_indptr, self.out_indices = _flatten(self.out_lists)
+
+    def _build_in_csr(self) -> None:
+        self.in_indptr, self.in_indices = _flatten(self.in_lists)
+
+    def _build_nbr_csr(self) -> None:
+        self.nbr_indptr, self.nbr_indices = _flatten(self.nbr_lists)
+
+    def _build_links(self) -> None:
+        """Receiver-major directed-link ids: link (u -> v) sits in v's
+        block of the undirected-support CSR, so ``nbr_indices`` doubles
+        as the lid -> sender map."""
+        n = self.n
+        nbr_indptr = self.nbr_indptr
         link_index: Dict[int, int] = {}
         link_receiver: List[int] = [0] * len(self.nbr_indices)
-        for v in range(n):
-            base = self.nbr_indptr[v]
-            for offset, u in enumerate(nbr_lists[v]):
+        for v, row in enumerate(self.nbr_lists):
+            base = nbr_indptr[v]
+            for offset, u in enumerate(row):
                 lid = base + offset
                 link_index[u * n + v] = lid
                 link_receiver[lid] = v
         self._link_index = link_index
         self.link_receiver = link_receiver
-        self.num_dirlinks = len(self.nbr_indices)
-        self.num_edges = len(weight_by_key)
-        self._weight_by_key = weight_by_key
-        self._edge_order = edge_order
-        self._link_pairs: Optional[frozenset] = None
-        self._arrays: Optional[TopologyArrays] = None
-        self._send_cache: Dict[Tuple[str, frozenset], tuple] = {}
 
     # -- accessors ---------------------------------------------------------
+
+    @property
+    def num_dirlinks(self) -> int:
+        """Number of directed links (both directions of every link)."""
+        return len(self.nbr_indices)
 
     def out_neighbors(self, u: int) -> List[int]:
         """Heads of directed edges leaving ``u`` (do not mutate)."""
@@ -279,7 +334,7 @@ class CSRTopology:
     def directed_edges(self) -> Iterator[Tuple[int, int]]:
         """Directed edges in input order (duplicates removed)."""
         n = self.n
-        return ((key // n, key % n) for key in self._edge_order)
+        return ((key // n, key % n) for key in self._weight_by_key)
 
     def link_pairs(self) -> frozenset:
         """Frozenset of directed link tuples.
@@ -401,6 +456,23 @@ class CSRTopology:
                 self._send_cache.pop(next(iter(self._send_cache)))
             self._send_cache[cache_key] = (indptr, indices, steps)
         return indptr, indices, steps
+
+
+#: Lazily built views: slot name -> the builder that sets it (and the
+#: rest of its group).
+_VIEW_BUILDERS = {
+    "out_lists": CSRTopology._build_adjacency,
+    "in_lists": CSRTopology._build_adjacency,
+    "nbr_lists": CSRTopology._build_neighbors,
+    "out_indptr": CSRTopology._build_out_csr,
+    "out_indices": CSRTopology._build_out_csr,
+    "in_indptr": CSRTopology._build_in_csr,
+    "in_indices": CSRTopology._build_in_csr,
+    "nbr_indptr": CSRTopology._build_nbr_csr,
+    "nbr_indices": CSRTopology._build_nbr_csr,
+    "link_receiver": CSRTopology._build_links,
+    "_link_index": CSRTopology._build_links,
+}
 
 
 def downstream_step_tables(

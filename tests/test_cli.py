@@ -198,6 +198,18 @@ class TestQueryTimeout:
         assert proc.stderr == (f"error: --timeout must be positive, "
                                f"got {float(seconds):g}\n")
 
+    @pytest.mark.parametrize("flag", ["--source", "--target"])
+    def test_out_of_range_endpoint_is_rejected(self, flag):
+        # Checked before the oracle build, with a one-line error.
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "query", "--n", "12",
+             flag, "999", "--json"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": _SRC})
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {flag} 999 out of range for n=12\n"
+
     def test_rejected_deadline_installs_nothing(self):
         import signal
 

@@ -370,6 +370,57 @@ class TestMultisourceFuzz:
         assert (status, error) == ("raise", "BandwidthExceededError")
         assert ledger[-1]["rounds"] == 1
 
+    def test_strict_overload_in_sparse_round(self):
+        # Two senders of 64 in the first round: the senders-only lane.
+        instance = expander_instance(64, degree=4, seed=2)
+        (status, error, _), ledger = self._parity(
+            instance, [3, 40], 6, bandwidth=2)
+        assert (status, error) == ("raise", "BandwidthExceededError")
+        assert ledger[-1]["rounds"] == 1
+
+    def test_dense_then_sparse_rounds(self, monkeypatch):
+        # Every vertex of a directed path is a source, so vertex v has
+        # v ranks to announce: the announcing share falls from all
+        # vertices to none, and the rounds switch from the whole-CSR
+        # gather to the senders-only expansion half way.
+        n = 40
+        instance = RPathsInstance(
+            n=n, edges=[(v, v + 1, 1) for v in range(n - 1)],
+            path=list(range(n)), name="path")
+        sparse_rounds = []
+        expand = kernels._expand_ranges
+        monkeypatch.setattr(
+            kernels, "_expand_ranges",
+            lambda *args: sparse_rounds.append(1) or expand(*args))
+        (status, dist), ledger = self._parity(instance, list(range(n)), n)
+        rounds = ledger[-1]["rounds"]
+        assert status == "ok" and dist[0][n - 1] == n - 1
+        assert 0 < len(sparse_rounds) < rounds
+
+    def test_steps_beyond_the_hop_limit_are_clamped(self):
+        # Steps of 2^61 would overflow int64 keys d·k + rank unclamped
+        # (k = 6); every step above hop_limit + 1 advances like it.
+        instance = random_instance(24, seed=5, weighted=True,
+                                   max_weight=5)
+        for direction in ("out", "in"):
+            (status, dist), _ = self._parity(
+                instance, [0, 3, 3, 8, 11, 17], 4, direction,
+                delay=lambda w: 1 if w < 3 else 1 << 61)
+            assert status == "ok"
+            assert all(d == INF or d <= 4 for row in dist for d in row)
+
+    def test_vector_lane_returns_a_c_contiguous_table(self):
+        np = pytest.importorskip("numpy")
+        instance = expander_instance(40, degree=3, seed=1)
+        net = instance.build_network(fabric="vector")
+        dist = run_primitive(
+            "multisource", net, sources=[0, 7, 7, 19], hop_limit=5,
+            direction="in", avoid_edges=frozenset(), delay=None,
+            name="k-source-bfs")
+        assert isinstance(dist, np.ndarray)
+        assert dist.shape == (4, instance.n) and dist.dtype == np.int64
+        assert dist.flags.c_contiguous
+
 
 class TestBroadcastFuzz:
     def test_randomized_equivalence(self):
