@@ -22,13 +22,10 @@ query
     Answer one (s, t, failed-edge) replacement-path query from a
     precomputed oracle (build once, O(1) per hit).
 serve
-    The query-serving tier: ``serve bench`` drives a generated
-    workload through the sharded oracle service and reports
-    queries/sec, latency percentiles, hit ratio, and solves saved by
-    batching; ``serve daemon`` runs the long-lived worker-process
-    tier (warm once, heartbeat health, drain on stop); ``serve
-    load`` drives open/closed-loop load through the daemon's
-    front-end with p50/p95/p99 SLO gates.
+    The query-serving tier: ``serve load`` starts the long-lived
+    worker-process daemon (warm once, heartbeat health, drain on
+    stop) and drives open/closed-loop load through its front-end
+    with p50/p95/p99 SLO gates.
 trace
     Trace tooling over the JSONL artifacts written by ``suite run
     --trace`` (and the benches' ``--trace``): ``trace summary`` joins
@@ -47,7 +44,6 @@ info
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from typing import List, Optional
 
@@ -112,15 +108,9 @@ def cmd_solve(args) -> int:
         print(report.ledger.report())
     if args.check:
         from .baselines import replacement_lengths
-        truth = replacement_lengths(instance)
-        if args.epsilon is None:
-            ok = report.lengths == truth
-        else:
-            eps = args.epsilon
-            ok = all(
-                (t >= INF and x == float("inf")) or
-                (t < INF and t - 1e-9 <= x <= (1 + eps) * t + 1e-9)
-                for x, t in zip(report.lengths, truth))
+        from .runtime.measure import lengths_match
+        ok = lengths_match(report.lengths, replacement_lengths(instance),
+                           args.epsilon)
         print(f"oracle check: {'OK' if ok else 'MISMATCH'}")
         return 0 if ok else 1
     return 0
@@ -129,11 +119,12 @@ def cmd_solve(args) -> int:
 def cmd_compare(args) -> int:
     from .baselines import replacement_lengths
     from .runtime import measure_algorithm
+    from .runtime.catalog import TABLE1_ALGORITHMS
     instance = _build_instance(args)
     truth = replacement_lengths(instance)
     runs = [measure_algorithm(instance, algorithm, seed=args.seed,
                               truth=truth)
-            for algorithm in ("theorem1", "mr24b", "trivial")]
+            for algorithm in TABLE1_ALGORITHMS]
     rows = [[r.algorithm, r.rounds, r.max_link_words,
              "OK" if r.correct else "WRONG"] for r in runs]
     print(format_table(
@@ -144,29 +135,18 @@ def cmd_compare(args) -> int:
 
 
 def cmd_lower_bound(args) -> int:
-    from .lowerbound import (
-        build_hard_instance,
-        decide_disjointness_via_two_sisp,
-        verify_correspondence,
-    )
-    rng = random.Random(args.seed)
+    from .lowerbound.reduction import check_hard_instance
     k = args.k
-    matrix = [[rng.randint(0, 1) for _ in range(k)] for _ in range(k)]
-    x = [rng.randint(0, 1) for _ in range(k * k)]
-    hard = build_hard_instance(k, args.d, args.p, matrix, x)
-    report = verify_correspondence(hard)
-    print(f"G(k={k}, d={args.d}, p={args.p}): n={hard.n}, "
+    check = check_hard_instance(k, args.d, args.p, seed=args.seed)
+    report, red = check.correspondence, check.reduction
+    print(f"G(k={k}, d={args.d}, p={args.p}): n={check.hard.n}, "
           f"L_opt={report.optimal_length}")
     print(f"Lemma 6.8 dichotomy holds: {report.holds} "
           f"({report.hit_count}/{k * k} minimal edges)")
-    xx = [rng.randint(0, 1) for _ in range(k * k)]
-    yy = [rng.randint(0, 1) for _ in range(k * k)]
-    red = decide_disjointness_via_two_sisp(
-        xx, yy, k, d=args.d, p=args.p, use_oracle_knowledge=True)
-    print(f"reduction demo: disj({xx},{yy}) = {red.expected}, "
+    print(f"reduction demo: disj({check.x},{check.y}) = {red.expected}, "
           f"decoded {red.decided} in {red.rounds} rounds "
           f"({'OK' if red.correct else 'MISMATCH'})")
-    return 0 if report.holds and red.correct else 1
+    return 0 if check.correct else 1
 
 
 def cmd_suite_list(args) -> int:
@@ -270,6 +250,10 @@ def cmd_query(args) -> int:
     else:
         edge = instance.path_edges()[
             args.fail_index % instance.hop_count]
+    record = {"instance": instance.name, "n": instance.n,
+              "m": instance.m, "h_st": instance.hop_count,
+              "solver": solver,
+              "query": {"s": s, "t": t, "edge": [edge[0], edge[1]]}}
     # The deadline covers the expensive part — the cold oracle build
     # plus the query itself — with the executor's in-process SIGALRM
     # deadline, so a too-slow build returns a structured ``timeout``
@@ -283,63 +267,43 @@ def cmd_query(args) -> int:
                 instance, solver=solver, seed=args.seed)
             answer = oracle.query(s, t, edge)
     except DeadlineExceeded:
-        if args.json:
-            import json
-            print(json.dumps({
-                "instance": instance.name,
-                "n": instance.n,
-                "m": instance.m,
-                "h_st": instance.hop_count,
-                "solver": solver,
-                "query": {"s": s, "t": t,
-                          "edge": [edge[0], edge[1]]},
-                "outcome": "timeout",
-                "timeout_seconds": args.timeout,
-            }, indent=2, sort_keys=True))
-        else:
-            print(f"instance {instance.name}: n={instance.n} "
-                  f"m={instance.m} h_st={instance.hop_count}")
-            print(f"query timed out after {args.timeout:g}s "
-                  "(oracle build + query exceeded the deadline)")
-        return 2
-    timeout_unsupported = args.timeout is not None and not enforced
-    ok = None
-    if args.check:
-        ok = answer.length == centralized_truth(instance, s, t, edge)
+        record.update(outcome="timeout", timeout_seconds=args.timeout)
+    else:
+        record.update(
+            build_rounds=oracle.build_rounds,
+            outcome=("timeout_unsupported"
+                     if args.timeout is not None and not enforced
+                     else "ok"),
+            timeout_enforced=enforced,
+            length=None if answer.length >= INF else answer.length,
+            kind=answer.kind,
+            check=(answer.length == centralized_truth(instance, s, t, edge)
+                   if args.check else None))
     if args.json:
         import json
-        print(json.dumps({
-            "instance": instance.name,
-            "n": instance.n,
-            "m": instance.m,
-            "h_st": instance.hop_count,
-            "solver": solver,
-            "build_rounds": oracle.build_rounds,
-            "query": {"s": s, "t": t,
-                      "edge": [edge[0], edge[1]]},
-            "outcome": ("timeout_unsupported" if timeout_unsupported
-                        else "ok"),
-            "timeout_enforced": enforced,
-            "length": (None if answer.length >= INF
-                       else answer.length),
-            "kind": answer.kind,
-            "check": ok,
-        }, indent=2, sort_keys=True))
+        print(json.dumps(record, indent=2, sort_keys=True))
     else:
         print(f"instance {instance.name}: n={instance.n} "
               f"m={instance.m} h_st={instance.hop_count}")
-        if timeout_unsupported:
-            print(f"note: --timeout {args.timeout:g} requested but "
-                  "SIGALRM is unavailable here (non-POSIX platform or "
-                  "non-main thread); ran without a deadline")
-        print(f"oracle: solver={solver}, build cost "
-              f"{oracle.build_rounds} rounds (paid once, amortized "
-              "over every query)")
-        print(f"query d({s},{t}) avoiding ({edge[0]},{edge[1]}): "
-              f"{answer.display_length()}  [{answer.kind}]")
-        if ok is not None:
-            print(f"oracle check: {'OK' if ok else 'MISMATCH'}")
-    return 0 if ok is not False else 1
+        if record["outcome"] == "timeout":
+            print(f"query timed out after {args.timeout:g}s "
+                  "(oracle build + query exceeded the deadline)")
+        else:
+            if record["outcome"] == "timeout_unsupported":
+                print(f"note: --timeout {args.timeout:g} requested but "
+                      "SIGALRM is unavailable here (non-POSIX platform "
+                      "or non-main thread); ran without a deadline")
+            print(f"oracle: solver={solver}, build cost "
+                  f"{oracle.build_rounds} rounds (paid once, amortized "
+                  "over every query)")
+            print(f"query d({s},{t}) avoiding ({edge[0]},{edge[1]}): "
+                  f"{answer.display_length()}  [{answer.kind}]")
+            if record["check"] is not None:
+                print("oracle check: "
+                      f"{'OK' if record['check'] else 'MISMATCH'}")
+    if record["outcome"] == "timeout":
+        return 2
+    return 0 if record["check"] is not False else 1
 
 
 def cmd_mutate(args) -> int:
@@ -435,179 +399,6 @@ def cmd_store_gc(args) -> int:
     return 0
 
 
-def cmd_serve_bench(args) -> int:
-    import time
-
-    from .graphs.generators import random_instance
-    from .runtime.store import ResultStore
-    from .serve import (
-        ShardedQueryService,
-        generate_workload,
-        hit_ratio,
-        latency_summary_ms,
-        verify_against_centralized,
-    )
-    instances = [
-        random_instance(args.n, seed=args.seed + i)
-        for i in range(args.instances)
-    ]
-    store = ResultStore(args.cache_dir) if args.cache_dir else None
-    kinds = args.workload or ["uniform", "zipf", "adversarial",
-                              "mixed"]
-    rows = []
-    records = []
-    failures = 0
-    for kind in kinds:
-        service = ShardedQueryService(
-            instances, shards=args.shards, capacity=args.capacity,
-            store=store, solver=args.solver, build_seed=args.seed)
-        service.warm()  # steady state: oracles built before the clock
-        queries = []
-        for i, inst in enumerate(instances):
-            queries.extend(generate_workload(
-                kind, inst, args.queries // len(instances),
-                seed=args.seed + 17 * i))
-        start = time.perf_counter()
-        report = service.serve(queries)
-        wall = time.perf_counter() - start
-        correct = verify_against_centralized(instances, report.answers)
-        failures += 0 if correct else 1
-        totals = report.totals()
-        service_stats = service.stats()
-        # Per-query latency percentiles: one-at-a-time serving over a
-        # warm sample — the batch-timed run above measures throughput,
-        # this measures what a single client waits.  Stats were
-        # snapshotted first so the sample does not inflate them.
-        sample = queries[:min(len(queries), args.latency_sample)]
-        per_query = []
-        for q in sample:
-            t0 = time.perf_counter()
-            service.serve([q])
-            per_query.append(time.perf_counter() - t0)
-        latency = latency_summary_ms(per_query)
-        rows.append([
-            kind,
-            report.queries,
-            f"{report.queries / wall:.0f}",
-            f"{latency['p50']:.2f}",
-            f"{latency['p95']:.2f}",
-            f"{latency['p99']:.2f}",
-            f"{hit_ratio(report.answers):.2f}",
-            totals.batch_solves,
-            totals.solves_saved,
-            f"{wall:.2f}s",
-            "OK" if correct else "WRONG",
-        ])
-        records.append({
-            "workload": kind,
-            "queries": report.queries,
-            "queries_per_sec": round(report.queries / wall, 1),
-            "latency_ms": {k: round(v, 4)
-                           for k, v in latency.items()},
-            "latency_sample": len(sample),
-            "hit_ratio": round(hit_ratio(report.answers), 4),
-            "wall_seconds": round(wall, 4),
-            "correct": correct,
-            "totals": totals.as_metrics(),
-            "service": service_stats,
-        })
-    if args.json:
-        import json
-        print(json.dumps({
-            "config": {
-                "n": args.n,
-                "instances": args.instances,
-                "shards": args.shards,
-                "capacity": args.capacity,
-                "solver": args.solver,
-                "seed": args.seed,
-            },
-            "workloads": records,
-        }, indent=2, sort_keys=True))
-    else:
-        print(format_table(
-            ["workload", "queries", "queries/s", "p50 ms", "p95 ms",
-             "p99 ms", "hit ratio", "batch solves", "solves saved",
-             "wall", "correct"],
-            rows,
-            title=f"serve bench: {args.instances} instances "
-                  f"(n={args.n}), {args.shards or 'auto'} shards"))
-    return 0 if failures == 0 else 1
-
-
-def _daemon_catalog(args):
-    """The instance catalog the daemon serves (stable names)."""
-    from .graphs.generators import random_instance
-    return [
-        random_instance(args.n, seed=args.seed + i,
-                        name=f"serve-{args.n}-{args.seed + i}")
-        for i in range(args.instances)
-    ]
-
-
-def _start_daemon(args, instances):
-    from .runtime.store import ResultStore
-    from .serve import ServeDaemon
-    store = ResultStore(args.cache_dir) if args.cache_dir else None
-    daemon = ServeDaemon(
-        instances, workers=args.workers, capacity=args.capacity,
-        store=store, solver=args.solver, build_seed=args.seed)
-    return daemon.start()
-
-
-def _dump_stats(args, daemon, extra=None) -> None:
-    """--stats-json / --prometheus operator dumps, shared by both
-    daemon verbs (the ``repro serve stats`` surface of the issue)."""
-    payload = daemon.stats()
-    if extra:
-        payload.update(extra)
-    if getattr(args, "stats_json", None):
-        import json
-        with open(args.stats_json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"stats written to {args.stats_json}")
-    if getattr(args, "prometheus", False):
-        print(daemon.exposition())
-
-
-def cmd_serve_daemon(args) -> int:
-    from .serve import ServeFrontend, generate_workload, run_queries
-    instances = _daemon_catalog(args)
-    print(f"starting daemon: {len(instances)} instances "
-          f"(n={args.n}), solver={args.solver}")
-    daemon = _start_daemon(args, instances)
-    try:
-        print(f"daemon up: {daemon.workers} workers, instances "
-              f"routed: {', '.join(daemon.instance_keys)}")
-        frontend = ServeFrontend(
-            daemon, max_queue=args.max_queue,
-            default_timeout=args.timeout,
-            max_inflight=args.max_inflight)
-        try:
-            queries = []
-            for i, inst in enumerate(instances):
-                queries.extend(generate_workload(
-                    "mixed", inst, args.selfcheck,
-                    seed=args.seed + 31 * i))
-            results = run_queries(frontend, queries)
-            bad = [r for r in results if not r.ok]
-            print(f"self-check: {len(results) - len(bad)}/"
-                  f"{len(results)} ok")
-            totals = daemon.stats()["totals"]
-            print(f"served {totals['queries']} queries; "
-                  f"{totals['oracle_builds']} oracle builds, "
-                  f"{totals['lru_hits']} LRU hits, "
-                  f"{totals['batch_solves']} batch solves")
-            return_code = 0 if not bad else 1
-        finally:
-            frontend.close()
-    finally:
-        _dump_stats(args, daemon)
-        daemon.stop()
-    print("daemon stopped (drained)")
-    return return_code
-
-
 def _check_telemetry(failures) -> None:
     """Append every series the metric table does not declare."""
     from .telemetry import snapshot_counters, unknown_labels
@@ -616,13 +407,11 @@ def _check_telemetry(failures) -> None:
         failures.append("undeclared telemetry: " + ", ".join(unknown))
 
 
-def _serve_load_chaos(args, instances) -> int:
+def _serve_load_chaos(args, instances, store) -> int:
     """``repro serve load --chaos``: storm + kill + stall, then the
     quiesced bit-identical convergence gate."""
     from .dynamic import run_chaos
-    from .runtime.store import ResultStore
 
-    store = ResultStore(args.cache_dir) if args.cache_dir else None
     print(f"chaos: {len(instances)} instances (n={args.n}), "
           f"{args.chaos_duration:g}s storm, kills={args.kills}, "
           f"stalls={args.stalls}, bursts={args.bursts}",
@@ -676,83 +465,102 @@ def _serve_load_chaos(args, instances) -> int:
 
 
 def cmd_serve_load(args) -> int:
+    import json
+
+    from .graphs.generators import random_instance
+    from .runtime.store import ResultStore
     from .serve import (
+        ServeDaemon,
         ServeFrontend,
         ShardedQueryService,
         generate_workload,
         run_load,
     )
-    instances = _daemon_catalog(args)
+    instances = [
+        random_instance(args.n, seed=args.seed + i,
+                        name=f"serve-{args.n}-{args.seed + i}")
+        for i in range(args.instances)
+    ]
+    store = ResultStore(args.cache_dir) if args.cache_dir else None
     if args.chaos:
-        return _serve_load_chaos(args, instances)
+        return _serve_load_chaos(args, instances, store)
+    if args.mode == "open" and not args.qps:
+        raise SystemExit("error: --mode open needs a target --qps")
+    if args.concurrency < 1:
+        raise SystemExit(f"error: --concurrency must be positive, got "
+                         f"{args.concurrency}")
     kinds = args.workload or ["uniform", "zipf", "adversarial",
                               "mixed"]
-    daemon = _start_daemon(args, instances)
-    reports = []
-    failures = []
+    daemon = ServeDaemon(instances, workers=args.workers, store=store,
+                         solver=args.solver, build_seed=args.seed).start()
+    loads = []
     try:
-        frontend = ServeFrontend(
-            daemon, max_queue=args.max_queue,
-            default_timeout=args.timeout,
-            max_inflight=args.max_inflight)
+        frontend = ServeFrontend(daemon, default_timeout=args.timeout)
         try:
-            direct = None
-            if args.check:
-                # The bit-identity gate: every daemon answer must
-                # match the library service on the same catalog.
-                direct = ShardedQueryService(
-                    instances, solver=args.solver,
-                    build_seed=args.seed)
             for kind in kinds:
                 queries = []
                 for i, inst in enumerate(instances):
                     queries.extend(generate_workload(
                         kind, inst, args.queries // len(instances),
                         seed=args.seed + 17 * i))
-                results, report = run_load(
+                loads.append((kind, *run_load(
                     frontend, queries, mode=args.mode,
                     concurrency=args.concurrency, qps=args.qps,
                     timeout=args.timeout,
-                    max_staleness=args.max_staleness)
-                row = report.as_json()
-                row["workload"] = kind
-                if report.served != report.sent:
-                    unhappy = {k: v for k, v in report.outcomes.items()
-                               if k not in ("ok", "stale")}
-                    if args.mode == "closed":
-                        failures.append(
-                            f"{kind}: non-ok outcomes {unhappy}")
-                if direct is not None:
-                    mismatches = 0
-                    for res in results:
-                        if not res.ok:
-                            continue
-                        q = res.query
-                        truth = direct.query(q.instance, q.s, q.t,
-                                             q.edge)
-                        if truth.length != res.answer.length:
-                            mismatches += 1
-                    row["mismatches"] = mismatches
-                    if mismatches:
-                        failures.append(
-                            f"{kind}: {mismatches} answers differ "
-                            "from ShardedQueryService")
-                if (args.max_p95_ms is not None and report.ok > 0
-                        and report.latency_ms["p95"] > args.max_p95_ms):
-                    failures.append(
-                        f"{kind}: p95 {report.latency_ms['p95']:.2f}ms"
-                        f" > floor {args.max_p95_ms:.2f}ms")
-                reports.append(row)
+                    max_staleness=args.max_staleness)))
         finally:
             frontend.close()
     finally:
+        # Scrape once, before the --check reference below answers in
+        # this process: the scrape's registry families are this
+        # process's, and the daemon's work alone belongs in them.
         stats = daemon.stats()
-        _dump_stats(args, daemon, extra={"load": reports})
+        exposition = daemon.exposition() if args.prometheus else None
         daemon.stop()
+    # The bit-identity gate: every daemon answer must match the
+    # library service on the same catalog.
+    direct = (ShardedQueryService(instances, solver=args.solver,
+                                  build_seed=args.seed)
+              if args.check else None)
+    reports = []
+    failures = []
+    for kind, results, report in loads:
+        row = report.as_json()
+        row["workload"] = kind
+        if report.served != report.sent:
+            unhappy = {k: v for k, v in report.outcomes.items()
+                       if k not in ("ok", "stale")}
+            if args.mode == "closed":
+                failures.append(f"{kind}: non-ok outcomes {unhappy}")
+        if direct is not None:
+            mismatches = 0
+            for res in results:
+                if not res.ok:
+                    continue
+                q = res.query
+                truth = direct.query(q.instance, q.s, q.t, q.edge)
+                if truth.length != res.answer.length:
+                    mismatches += 1
+            row["mismatches"] = mismatches
+            if mismatches:
+                failures.append(f"{kind}: {mismatches} answers differ "
+                                "from ShardedQueryService")
+        if (args.max_p95_ms is not None and report.ok > 0
+                and report.latency_ms["p95"] > args.max_p95_ms):
+            failures.append(
+                f"{kind}: p95 {report.latency_ms['p95']:.2f}ms"
+                f" > floor {args.max_p95_ms:.2f}ms")
+        reports.append(row)
+    if args.stats_json:
+        with open(args.stats_json, "w", encoding="utf-8") as fh:
+            json.dump({**stats, "load": reports}, fh, indent=2,
+                      sort_keys=True)
+        print(f"stats written to {args.stats_json}")
+    if exposition is not None:
+        print(exposition)
     if args.check_telemetry:
         _check_telemetry(failures)
     if args.json:
-        import json
         print(json.dumps({
             "config": {
                 "n": args.n,
@@ -1044,85 +852,31 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="sharded replacement-path query service")
     serve_sub = p_serve.add_subparsers(dest="serve_command",
                                        required=True)
-    p_bench = serve_sub.add_parser(
-        "bench", help="drive generated workloads through the service")
-    p_bench.add_argument("--n", type=int, default=48,
-                         help="instance size")
-    p_bench.add_argument("--instances", type=int, default=4,
-                         help="instances in the service catalog")
-    p_bench.add_argument("--queries", type=int, default=400,
-                         help="total queries per workload")
-    p_bench.add_argument("--workload", action="append", default=[],
-                         choices=["uniform", "zipf", "adversarial",
-                                  "mixed"],
-                         help="workload kind (repeatable; default: "
-                              "all four)")
-    p_bench.add_argument("--shards", type=int, default=None,
-                         help="shard count (default: min(CPUs, "
-                              "instances))")
-    p_bench.add_argument("--capacity", type=int, default=4,
-                         help="per-shard hot-oracle LRU capacity")
-    p_bench.add_argument("--solver", default="theorem1",
-                         choices=["theorem1", "centralized"],
-                         help="oracle construction solver")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--cache-dir", default=None,
-                         help="spill store root (enables persistent "
-                              "oracle spill)")
-    p_bench.add_argument("--latency-sample", type=int, default=200,
-                         metavar="N",
-                         help="warm single-query timings behind the "
-                              "p50/p95/p99 columns (default 200)")
-    p_bench.add_argument("--json", action="store_true",
-                         help="machine-readable JSON output "
-                              "(includes the service stats snapshot)")
-    p_bench.set_defaults(func=cmd_serve_bench)
-
-    def add_daemon_args(p):
-        p.add_argument("--n", type=int, default=32,
-                       help="instance size")
-        p.add_argument("--instances", type=int, default=4,
-                       help="instances in the served catalog")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: "
-                            "min(CPUs, instances))")
-        p.add_argument("--capacity", type=int, default=4,
-                       help="per-worker hot-oracle LRU capacity")
-        p.add_argument("--solver", default="theorem1",
-                       choices=["theorem1", "centralized"],
-                       help="oracle construction solver")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cache-dir", default=None,
-                       help="spill store root (persists oracles "
-                            "across worker restarts)")
-        p.add_argument("--max-queue", type=int, default=256,
-                       help="bounded admission queue (beyond it, "
-                            "submissions reject 'overloaded')")
-        p.add_argument("--max-inflight", type=int, default=64,
-                       help="per-shard in-flight query cap")
-        p.add_argument("--timeout", type=float, default=30.0,
-                       help="per-request deadline in seconds")
-        p.add_argument("--stats-json", default=None, metavar="PATH",
-                       help="dump the daemon stats snapshot (shards, "
-                            "totals, counters) to PATH on shutdown")
-        p.add_argument("--prometheus", action="store_true",
-                       help="print the Prometheus text exposition "
-                            "on shutdown")
-
-    p_daemon = serve_sub.add_parser(
-        "daemon", help="long-lived shard workers: start, warm, "
-                       "self-check, report, drain")
-    add_daemon_args(p_daemon)
-    p_daemon.add_argument("--selfcheck", type=int, default=40,
-                          metavar="N",
-                          help="mixed-workload queries per instance "
-                               "for the self-check pass (default 40)")
-    p_daemon.set_defaults(func=cmd_serve_daemon)
-
     p_load = serve_sub.add_parser(
         "load", help="open/closed-loop load generation against the "
                      "daemon with p50/p95/p99 SLO gates")
-    add_daemon_args(p_load)
+    p_load.add_argument("--n", type=int, default=32,
+                        help="instance size")
+    p_load.add_argument("--instances", type=int, default=4,
+                        help="instances in the served catalog")
+    p_load.add_argument("--workers", type=int, default=None,
+                        help="worker processes (default: "
+                             "min(CPUs, instances))")
+    p_load.add_argument("--solver", default="theorem1",
+                        choices=["theorem1", "centralized"],
+                        help="oracle construction solver")
+    p_load.add_argument("--seed", type=int, default=0)
+    p_load.add_argument("--cache-dir", default=None,
+                        help="spill store root (persists oracles "
+                             "across worker restarts)")
+    p_load.add_argument("--timeout", type=float, default=30.0,
+                        help="per-request deadline in seconds")
+    p_load.add_argument("--stats-json", default=None, metavar="PATH",
+                        help="dump the daemon stats snapshot (shards, "
+                             "totals, counters) to PATH on shutdown")
+    p_load.add_argument("--prometheus", action="store_true",
+                        help="print the Prometheus text exposition "
+                             "on shutdown")
     p_load.add_argument("--queries", type=int, default=400,
                         help="total queries per workload")
     p_load.add_argument("--workload", action="append", default=[],

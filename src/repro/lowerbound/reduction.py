@@ -18,13 +18,16 @@ bounds (see :mod:`~repro.lowerbound.cut_analysis`).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..congest.network import DEFAULT_FABRIC
 from ..core.two_sisp import solve_two_sisp
+from .correspondence import CorrespondenceReport, verify_correspondence
 from .disjointness import disjointness
 from .hard_instance import (
+    HardInstance,
     build_hard_instance,
     expected_optimal_length,
 )
@@ -98,3 +101,39 @@ def decide_disjointness_via_two_sisp(
         max_link_words=ledger.max_link_words,
         violations=ledger.violations,
     )
+
+
+@dataclass
+class HardInstanceCheck:
+    """One seeded draw checked both ways by :func:`check_hard_instance`."""
+
+    hard: HardInstance
+    correspondence: CorrespondenceReport
+    x: List[int]            # Alice's bits for the reduction
+    y: List[int]            # Bob's bits for the reduction
+    reduction: ReductionReport
+
+    @property
+    def correct(self) -> bool:
+        return self.correspondence.holds and self.reduction.correct
+
+
+def check_hard_instance(k: int, d: int = 2, p: int = 1, seed: int = 0,
+                        fabric: str = DEFAULT_FABRIC) -> HardInstanceCheck:
+    """Draw G(k, d, p, φ, M, x) and a disjointness input (x, y) from
+    ``seed``; check Lemma 6.8 on the former and run the Lemma 6.9
+    reduction on the latter.
+
+    The ``lowerbound-hard`` cell and ``repro lower-bound`` both run
+    this, so the two draw the same instance for the same seed.
+    """
+    rng = random.Random(seed)
+    matrix = [[rng.randint(0, 1) for _ in range(k)] for _ in range(k)]
+    gates = [rng.randint(0, 1) for _ in range(k * k)]
+    hard = build_hard_instance(k, d, p, matrix, gates)
+    correspondence = verify_correspondence(hard)
+    x = [rng.randint(0, 1) for _ in range(k * k)]
+    y = [rng.randint(0, 1) for _ in range(k * k)]
+    reduction = decide_disjointness_via_two_sisp(
+        x, y, k, d=d, p=p, use_oracle_knowledge=True, fabric=fabric)
+    return HardInstanceCheck(hard, correspondence, x, y, reduction)

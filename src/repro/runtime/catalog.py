@@ -436,25 +436,11 @@ def run_undirected_ladder(params: Params, seed: int):
     tags=("lowerbound",),
 )
 def run_lowerbound_hard(params: Params, seed: int):
-    import random as _random
-
-    from ..lowerbound import (
-        build_hard_instance,
-        decide_disjointness_via_two_sisp,
-        verify_correspondence,
-    )
-    rng = _random.Random(seed)
-    k = int(params["k"])
-    matrix = [[rng.randint(0, 1) for _ in range(k)] for _ in range(k)]
-    x = [rng.randint(0, 1) for _ in range(k * k)]
-    hard = build_hard_instance(
-        k, int(params["d"]), int(params["p"]), matrix, x)
-    report = verify_correspondence(hard)
-    xx = [rng.randint(0, 1) for _ in range(k * k)]
-    yy = [rng.randint(0, 1) for _ in range(k * k)]
-    red = decide_disjointness_via_two_sisp(
-        xx, yy, k, d=int(params["d"]), p=int(params["p"]),
-        use_oracle_knowledge=True, fabric=_fabric(params))
+    from ..lowerbound.reduction import check_hard_instance
+    check = check_hard_instance(
+        int(params["k"]), int(params["d"]), int(params["p"]), seed=seed,
+        fabric=_fabric(params))
+    hard, red = check.hard, check.reduction
     return {
         "n": hard.n,
         "m": len(hard.instance.edges),
@@ -464,9 +450,9 @@ def run_lowerbound_hard(params: Params, seed: int):
         "words": red.words,
         "max_link_words": red.max_link_words,
         "violations": red.violations,
-        "correct": bool(report.holds and red.correct),
-        "optimal_length": report.optimal_length,
-        "hit_count": report.hit_count,
+        "correct": check.correct,
+        "optimal_length": check.correspondence.optimal_length,
+        "hit_count": check.correspondence.hit_count,
     }
 
 

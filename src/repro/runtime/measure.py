@@ -1,8 +1,9 @@
 """One (instance, algorithm) measurement — the runtime's inner loop.
 
 The scenario catalog and ``repro compare`` funnel through
-:func:`measure_algorithm`, so every harness counts rounds, words,
-congestion, and oracle correctness the same way.
+:func:`measure_algorithm`, and ``repro solve --check`` through its
+oracle rule :func:`lengths_match`, so every harness counts rounds,
+words, congestion, and oracle correctness the same way.
 """
 
 from __future__ import annotations
@@ -63,19 +64,23 @@ class Measurement:
         return out
 
 
-def _exact_match(lengths: Sequence[float], truth: Sequence[int]) -> bool:
-    return len(lengths) == len(truth) and all(
-        (t >= INF and (x >= INF or x == float("inf"))) or
-        (t < INF and x == t)
-        for x, t in zip(lengths, truth))
+def lengths_match(lengths: Sequence[float], truth: Sequence[int],
+                  epsilon: Optional[float] = None) -> bool:
+    """The oracle verdict: ``lengths`` equal ``truth`` edge by edge, or
+    with ``epsilon`` lie in ``[t, (1 + epsilon) t]``.
 
-
-def _apx_match(lengths: Sequence[float], truth: Sequence[int],
-               epsilon: float) -> bool:
-    return len(lengths) == len(truth) and all(
-        (t >= INF and x == float("inf")) or
-        (t < INF and t - 1e-9 <= x <= (1 + epsilon) * t + 1e-9)
-        for x, t in zip(lengths, truth))
+    A list of another length never matches (zip alone would pass a
+    truncated one vacuously).
+    """
+    if len(lengths) != len(truth):
+        return False
+    if epsilon is None:
+        return all((t >= INF and (x >= INF or x == float("inf"))) or
+                   (t < INF and x == t)
+                   for x, t in zip(lengths, truth))
+    return all((t >= INF and x == float("inf")) or
+               (t < INF and t - 1e-9 <= x <= (1 + epsilon) * t + 1e-9)
+               for x, t in zip(lengths, truth))
 
 
 def worst_ratio(lengths: Sequence[float], truth: Sequence[int]) -> float:
@@ -150,11 +155,10 @@ def measure_algorithm(
                  else undirected_replacement_lengths(instance))
     elif truth is None:
         truth = replacement_lengths(instance)
+    correct = lengths_match(
+        lengths, truth, float(epsilon) if algorithm == "apx" else None)
     if algorithm == "apx":
-        correct = _apx_match(lengths, truth, float(epsilon))
         extras["worst_ratio"] = round(worst_ratio(lengths, truth), 6)
-    else:
-        correct = _exact_match(lengths, truth)
     if algorithm == "two-sisp":
         want = two_sisp_length(instance)
         got = report.length if report.exists else INF

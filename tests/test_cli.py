@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -224,27 +225,6 @@ class TestQueryTimeout:
 
 
 class TestServeDaemonCommands:
-    def test_serve_bench_reports_percentiles(self, capsys):
-        import json
-        code = main(["serve", "bench", "--n", "14", "--instances", "2",
-                     "--queries", "24", "--workload", "uniform",
-                     "--solver", "centralized", "--json"])
-        data = json.loads(capsys.readouterr().out)
-        assert code == 0
-        [record] = data["workloads"]
-        latency = record["latency_ms"]
-        assert latency["p50"] <= latency["p95"] <= latency["p99"]
-        assert record["latency_sample"] == 24
-
-    def test_serve_daemon_selfcheck(self, capsys):
-        code = main(["serve", "daemon", "--n", "16", "--instances",
-                     "2", "--workers", "1", "--solver", "centralized",
-                     "--selfcheck", "6"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "self-check: 12/12 ok" in out
-        assert "daemon stopped (drained)" in out
-
     def test_serve_load_gates_pass(self, capsys, tmp_path):
         import json
         stats_path = tmp_path / "stats.json"
@@ -273,3 +253,71 @@ class TestServeDaemonCommands:
         captured = capsys.readouterr()
         assert code == 1
         assert "p95" in captured.err
+
+    def test_serve_load_scrape_counts_only_the_daemon(self, capsys):
+        # --check's reference service answers in this process, after
+        # the scrape: none of its oracle answers or kernel calls may
+        # reach the daemon's exposition.
+        from repro.telemetry import counters as counters_mod
+        counters_mod.registry.reset()
+        code = main(["serve", "load", "--n", "16", "--instances", "2",
+                     "--workers", "1", "--queries", "40",
+                     "--workload", "mixed", "--solver", "centralized",
+                     "--check", "--prometheus"])
+        samples = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("repro_")]
+        assert code == 0
+        assert not [line for line in samples if line.startswith((
+            "repro_serve_oracle_answers_total",
+            "repro_kernel_dispatch_total"))]
+        assert sum(float(line.split()[-1]) for line in samples
+                   if line.startswith("repro_serve_shard_total{")
+                   and 'stat="queries"' in line) == 40
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--mode", "open"], "error: --mode open needs a target --qps"),
+        (["--concurrency", "0"],
+         "error: --concurrency must be positive, got 0"),
+    ], ids=["open-without-qps", "zero-concurrency"])
+    def test_serve_load_rejects_bad_load_before_start(
+            self, capsys, monkeypatch, flags, message):
+        from repro.serve import ServeDaemon
+
+        def start(daemon):
+            pytest.fail("the daemon started")
+        monkeypatch.setattr(ServeDaemon, "start", start)
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "load", "--n", "12", "--instances", "1",
+                  *flags])
+        assert str(exc.value) == message
+        assert capsys.readouterr().out == ""
+
+
+#: README.md at the repository root.
+_README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands():
+    """Every ``python -m repro`` command in README.md as an argv list,
+    backslash continuations joined, ``# ...`` comments and a trailing
+    ``...`` dropped."""
+    text = _README.read_text(encoding="utf-8").replace("\\\n", " ")
+    commands = []
+    for line in text.splitlines():
+        _, found, rest = line.partition("python -m repro ")
+        if found:
+            argv = shlex.split(rest.split("#", 1)[0])
+            commands.append(argv[:-1] if argv[-1:] == ["..."] else argv)
+    return commands
+
+
+class TestReadme:
+    def test_every_command_parses(self):
+        commands = _readme_commands()
+        assert commands
+        for argv in commands:
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail("README.md command does not parse: "
+                            "repro " + " ".join(argv))

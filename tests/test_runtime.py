@@ -238,10 +238,10 @@ class TestExecutor:
     def test_truncated_lengths_fail_the_oracle(self):
         # A solver returning fewer lengths than P has edges must never
         # be certified (zip would otherwise pass vacuously).
-        from repro.runtime.measure import _apx_match, _exact_match
-        assert not _exact_match([3], [3, 4])
-        assert not _apx_match([3.0], [3, 4], epsilon=0.5)
-        assert _exact_match([3, 4], [3, 4])
+        from repro.runtime.measure import lengths_match
+        assert not lengths_match([3], [3, 4])
+        assert not lengths_match([3.0], [3, 4], epsilon=0.5)
+        assert lengths_match([3, 4], [3, 4])
 
     def test_parallel_matches_serial(self):
         specs = [

@@ -106,18 +106,6 @@ class TestServeCli:
         assert code == 0
         assert "oracle check: OK" in capsys.readouterr().out
 
-    def test_serve_bench_smoke(self, capsys, tmp_path,
-                               monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        code = main(["serve", "bench", "--n", "20",
-                     "--instances", "2", "--queries", "40",
-                     "--workload", "mixed", "--solver",
-                     "centralized"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "serve bench" in out
-        assert "mixed" in out and "OK" in out
-
     def test_parser_rejects_unknown_workload(self):
         with pytest.raises(SystemExit):
-            main(["serve", "bench", "--workload", "tsunami"])
+            main(["serve", "load", "--workload", "tsunami"])
