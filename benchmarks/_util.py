@@ -6,14 +6,16 @@ performance.  The gate benches (``bench_fabric``, ``bench_solver``,
 ``bench_serve``, ``bench_scale``, ``bench_dynamic``,
 ``bench_telemetry``) each declare one :class:`Bench`: a
 ``measure(quick) -> {family: row}`` callable, its report columns and
-its :class:`Check` rules.  This module owns the rest: the GC guard,
-the check engine, the report, the JSON record, the ``--quick`` /
-``--json`` / ``--compare`` command line (``$REPRO_TRACE_DIR`` records
-the run's spans for ``repro trace summary``) and the pytest-benchmark
-entry.  The environment stamp is the repo benchmark's
-(``perfbench.host.environment``, used read-only).  Importing this
-module also puts the repository root and its ``src/`` on ``sys.path``,
-so the gate scripts run without an install.
+its :class:`Check` rules.  This module owns the rest: the one timing
+protocol (:func:`interleave`, read out by :func:`spread`), the check
+engine, the report, the JSON record, the ``--quick`` / ``--json`` /
+``--compare`` command line (``$REPRO_TRACE_DIR`` records the run's
+spans for ``repro trace summary``) and the pytest-benchmark entry.
+The environment stamp and the percentiles are the repo benchmark's
+(``perfbench.host.environment`` and ``perfbench.stats.percentile``,
+used read-only).  Importing this module also puts the repository root
+and its ``src/`` on ``sys.path``, so the gate scripts run without an
+install.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ import gc
 import json
 import pathlib
 import sys
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 for _path in (REPO_ROOT, REPO_ROOT / "src"):
@@ -33,6 +36,7 @@ for _path in (REPO_ROOT, REPO_ROOT / "src"):
         sys.path.insert(0, str(_path))
 
 from perfbench.host import environment  # noqa: E402
+from perfbench.stats import percentile  # noqa: E402
 
 #: Relative regression a baseline rule allows.  Ratios, not absolute
 #: rates, are compared: they are stable across runner hardware.
@@ -50,7 +54,7 @@ def hard_instance(k: int, d: int, p: int):
     return build_hard_instance(k, d, p, matrix, x_bits).instance
 
 
-# -- the gate harness ---------------------------------------------------------
+# -- the timing protocol ------------------------------------------------------
 
 
 @contextmanager
@@ -59,8 +63,9 @@ def quiet_gc():
 
     Collection pauses land on whichever side happens to be running and
     were the dominant run-to-run noise on the large kernel workloads;
-    pinning them outside the timer keeps best-of-N ratios stable
-    enough for the gate tolerance.
+    :func:`interleave` runs each side's block of calls under this
+    guard, so every side starts its block on a collected heap (the
+    warm state frozen, so the collection is cheap).
     """
     gc.collect()
     was_enabled = gc.isenabled()
@@ -70,6 +75,86 @@ def quiet_gc():
     finally:
         if was_enabled:
             gc.enable()
+
+
+@dataclass(frozen=True)
+class Timing:
+    """What :func:`interleave` measured: ``outputs[side]``, the
+    warm-up call's output per item, and per pass, per side, the
+    seconds of each item's timed call."""
+
+    outputs: Dict[str, list]
+    passes: List[Dict[str, List[float]]]
+
+    def per_pass(self, stat: Callable[[dict], float]) -> List[float]:
+        return [stat(seconds) for seconds in self.passes]
+
+    def ratio(self, num: str, den: str) -> List[float]:
+        """Per pass, ``num``'s seconds over ``den``'s."""
+        return self.per_pass(lambda s: sum(s[num]) / sum(s[den]))
+
+    def median(self, side: str) -> float:
+        """The median over passes of ``side``'s seconds."""
+        return percentile(self.per_pass(lambda s: sum(s[side])), 50)
+
+    def agreed(self, family: str) -> list:
+        """The warm-up outputs, which every side must share."""
+        first, *rest = self.outputs.values()
+        if any(other != first for other in rest):
+            raise AssertionError(
+                f"{family}: the sides disagree on results or ledgers")
+        return first
+
+
+def interleave(sides: Dict[str, Callable[[Any], Callable[[], Any]]],
+               passes: int, items: Sequence = (None,),
+               block: int = 1) -> Timing:
+    """Time every side on every item: the gates' one timing protocol.
+
+    A side, called with an item, does that call's set-up (a fresh
+    network, oracle, planner or service) and returns the call to time.
+    One untimed warm-up call per side and item gives the outputs a
+    gate checks; then each pass runs every side on every item in
+    blocks, each side's block under :func:`quiet_gc`, and the side
+    that goes first rotates from block to block and pass to pass.  A
+    gate reads a figure as its median over passes (:func:`spread`).
+    """
+    names = list(sides)
+    outputs = {side: [sides[side](item)() for item in items]
+               for side in names}
+    timed = []
+    gc.collect()
+    gc.freeze()  # every later collection skips the warm state
+    try:
+        for pass_no in range(passes):
+            seconds: Dict[str, List[float]] = {side: [] for side in names}
+            for block_no, first in enumerate(range(0, len(items), block)):
+                k = (pass_no + block_no) % len(names)
+                for side in names[k:] + names[:k]:
+                    calls = [sides[side](item)
+                             for item in items[first:first + block]]
+                    with quiet_gc():
+                        for call in calls:
+                            start = time.perf_counter()
+                            call()
+                            seconds[side].append(
+                                time.perf_counter() - start)
+            timed.append(seconds)
+    finally:
+        gc.unfreeze()
+    return Timing(outputs, timed)
+
+
+def spread(key: str, values: Sequence[float],
+           digits: int = 3) -> Dict[str, object]:
+    """``key``'s median over passes, and its quartiles as
+    ``key_quartiles``: the row entries of one gated figure."""
+    return {key: round(percentile(values, 50), digits),
+            f"{key}_quartiles": [round(percentile(values, q), digits)
+                                 for q in (25, 75)]}
+
+
+# -- the gate harness ---------------------------------------------------------
 
 
 #: Absolute rules, and rules against the committed baseline.

@@ -21,6 +21,9 @@ Two families measure what the dynamic subsystem buys and costs:
 
 Both families verify answers against the centralized oracle before any
 number is reported — a wrong answer exits non-zero regardless of speed.
+``incremental-invalidation`` verifies ``_util.interleave``'s warm-up
+call per side, then times :data:`PASSES` passes, each side on a fresh
+service, rotating which goes first; its speedup is the median ratio.
 
 Gates (declared in :data:`BENCH`, run by the CI ``dynamic-smoke``
 step)::
@@ -39,12 +42,12 @@ step)::
 
 from __future__ import annotations
 
-import time
+from functools import partial
 from typing import Dict
 
-from _util import Bench, Check, main, quiet_gc, run_entry
+from _util import Bench, Check, interleave, main, run_entry, spread
 
-from repro.dynamic import MutationStream, run_chaos
+from repro.dynamic import MutationStream, apply_mutations, run_chaos
 from repro.graphs.generators import random_instance
 from repro.serve import (
     Query,
@@ -54,6 +57,10 @@ from repro.serve import (
 
 INCREMENTAL_FAMILY = "incremental-invalidation"
 STORM_FAMILY = "storm-degraded"
+
+#: Timed passes of the incremental family, after one warm-up call per
+#: side.
+PASSES = 5
 
 
 def _probe(inst) -> Query:
@@ -69,59 +76,51 @@ def measure_incremental(quick: bool) -> Dict[str, object]:
         random_instance(n, seed=30 + i, name=f"dyn-{n}-{i}")
         for i in range(count)
     ]
+    target = instances[0]
+    burst = MutationStream(seed=5).storm(target, fraction=0.10)
+    current = [apply_mutations(target, burst).instance] + instances[1:]
+    probes = [_probe(inst) for inst in current]
     # Capacity holds the whole catalog: LRU eviction churn would
     # charge re-builds to both sides and blur the invalidation scope.
     # Both sides build on the message lanes (fabric="fast"), as when
     # the committed baseline ratio was measured.
-    service = ShardedQueryService(instances, shards=2, capacity=count,
-                                  solver="theorem1", fabric="fast",
-                                  build_seed=0)
-    service.serve([_probe(inst) for inst in instances])  # warm all K
+    service_of = partial(ShardedQueryService, shards=2, capacity=count,
+                         solver="theorem1", fabric="fast", build_seed=0)
 
-    stream = MutationStream(seed=5)
-    target = instances[0]
-    burst = stream.storm(target, fraction=0.10)
+    def incremental(_item):
+        service = service_of(instances)
+        service.serve([_probe(inst) for inst in instances])  # warm all K
+        return lambda: (service.apply_mutations(target.name, burst),
+                        service.serve(probes).answers, service)
 
-    with quiet_gc():
-        start = time.perf_counter()
-        result = service.apply_mutations(target.name, burst)
-        current = {inst.name: inst for inst in instances}
-        current[target.name] = result.instance
-        probes = [_probe(inst) for inst in current.values()]
-        answers = service.serve(probes).answers
-        incremental_time = time.perf_counter() - start
+    timing = interleave({
+        "incremental": incremental,
+        # Status quo: no epochs, no scoping — a cold service rebuilds
+        # every oracle against the new topology.
+        "rebuild": lambda _item: partial(service_of(current).serve,
+                                         probes),
+    }, PASSES)
+    result, answers, service = timing.outputs["incremental"][0]
     if not result.applied:
         raise AssertionError(
             f"{INCREMENTAL_FAMILY}: the 10% burst applied nothing")
-    if not verify_against_centralized(list(current.values()), answers):
-        raise AssertionError(
-            f"{INCREMENTAL_FAMILY}: post-mutation answers contradict "
-            "the centralized oracle")
-
-    # Status quo: no epochs, no scoping — every oracle is rebuilt
-    # against the new topology.
-    with quiet_gc():
-        start = time.perf_counter()
-        cold = ShardedQueryService(list(current.values()), shards=2,
-                                   capacity=count, solver="theorem1",
-                                   fabric="fast", build_seed=0)
-        cold_answers = cold.serve(probes).answers
-        full_time = time.perf_counter() - start
-    if not verify_against_centralized(list(current.values()),
-                                      cold_answers):
-        raise AssertionError(
-            f"{INCREMENTAL_FAMILY}: full-rebuild answers contradict "
-            "the centralized oracle")
-
+    for side, side_answers in (("post-mutation", answers),
+                               ("full-rebuild",
+                                timing.outputs["rebuild"][0].answers)):
+        if not verify_against_centralized(current, side_answers):
+            raise AssertionError(
+                f"{INCREMENTAL_FAMILY}: {side} answers contradict the "
+                "centralized oracle")
     totals = service.serve([]).totals()
     return {
         "n": n,
         "instances": count,
         "mutations_applied": len(result.applied),
         "epoch": result.epoch,
-        "incremental_seconds": round(incremental_time, 4),
-        "full_rebuild_seconds": round(full_time, 4),
-        "speedup": round(full_time / incremental_time, 2),
+        "passes": PASSES,
+        "incremental_seconds": round(timing.median("incremental"), 4),
+        "full_rebuild_seconds": round(timing.median("rebuild"), 4),
+        **spread("speedup", timing.ratio("rebuild", "incremental"), 2),
         "invalidations": totals.invalidations,
         "memo_carried": totals.memo_carried,
         "oracle_builds": totals.oracle_builds,

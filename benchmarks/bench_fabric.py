@@ -21,9 +21,10 @@ instead the ``vector-*`` families run the kernel-covered primitives
 end on ``fast`` vs. ``vector`` at n >= 2000 and report rounds/sec from
 each engine's own ledger.
 
-Every family cross-checks ledgers (and, for kernel workloads, result
-tables), so throughput is only ever reported for byte-identical
-executions.
+Timing (``_util.interleave``): one untimed warm-up run per engine,
+whose ledgers (and kernel results) must be identical, then
+:data:`PASSES` passes, each engine once on a fresh network, rotating
+which goes first; a speedup is the median per-pass ratio.
 
 Gates (declared in :data:`BENCH`, run by the ``perf-gate`` CI job
 through ``benchmarks/_util.py``)::
@@ -54,10 +55,18 @@ produced it.
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, List
+from functools import partial
+from typing import Dict, List
 
-from _util import Bench, Check, hard_instance, main, quiet_gc, run_entry
+from _util import (
+    Bench,
+    Check,
+    hard_instance,
+    interleave,
+    main,
+    run_entry,
+    spread,
+)
 
 from repro.congest import (
     CongestNetwork,
@@ -75,6 +84,9 @@ from repro.graphs import (
 GATE_FAMILY = "scaling-expander"
 REPLAY_FAMILIES = ("expander", "power-law", "hard-instance", GATE_FAMILY)
 VECTOR_FAMILIES = ("vector-expander", "vector-hard")
+
+#: Timed passes per family, after one warm-up call per engine.
+PASSES = 5
 
 Schedule = List[Dict[int, list]]
 
@@ -125,11 +137,12 @@ def _vector_families():
     yield ("vector-hard", hard_instance(14, 3, 2), 96, 16)
 
 
-def _kernel_workload(net: CongestNetwork, instance, hop: int, k: int):
+def _kernel_workload(instance, hop: int, k: int, net: CongestNetwork):
     """The kernel-covered primitive mix (Lemma 5.5 + Lemma 4.2).
 
-    Returns the algorithm outputs so the harness can assert the
-    engines agree on results, not just on ledgers.
+    Returns the algorithm outputs and the ledger digest, so the
+    harness can assert the engines agree on results, not just on
+    ledgers.
     """
     step = max(1, instance.n // k)
     sources = list(range(0, instance.n, step))[:k]
@@ -138,74 +151,42 @@ def _kernel_workload(net: CongestNetwork, instance, hop: int, k: int):
     tables = pruned_max_hop_bfs(net, seeds, hop_limit=hop,
                                 avoid_edges=instance.path_edge_set(),
                                 record_for=instance.path)
-    return dist, tables
+    return (dist, tables), _ledger_digest(net)
 
 
-def measure_vector_families(repeats: int) -> Dict[str, dict]:
-    """Kernel workloads, fast vs. vector, per n >= 2000 family."""
-    report: Dict[str, dict] = {}
-    for name, instance, hop, k in _vector_families():
-        rps: Dict[str, float] = {}
-        digests = {}
-        results = {}
-        # Vector is timed first: the message engine's large-n runs
-        # leave the heap grown/fragmented, which measurably slows the
-        # kernel's array allocations if it goes second (the reverse
-        # contamination is negligible — the kernels barely allocate).
-        for fabric in ("vector", "fast"):
-            best = float("inf")
-            net = None
-            # A vector repeat costs ~1/10th of a fast repeat; extra
-            # best-of samples are nearly free and squeeze out the
-            # first-touch/cache cold starts the short kernel runs are
-            # disproportionately sensitive to.
-            reps = repeats if fabric == "fast" else max(repeats, 6)
-            for _ in range(reps):
-                net = instance.build_network(fabric=fabric)
-                with quiet_gc():
-                    start = time.perf_counter()
-                    results[fabric] = _kernel_workload(net, instance,
-                                                       hop, k)
-                    best = min(best, time.perf_counter() - start)
-            digests[fabric] = _ledger_digest(net)
-            rps[fabric] = net.ledger.rounds / best
-        if digests["fast"] != digests["vector"]:
-            raise AssertionError(
-                f"{name}: engines disagree on the ledger: {digests}")
-        if results["fast"] != results["vector"]:
-            raise AssertionError(
-                f"{name}: engines disagree on algorithm outputs")
-        report[name] = {
-            "n": instance.n,
-            "m": instance.m,
-            "rounds": digests["fast"][0],
-            "messages": digests["fast"][1],
-            "words": digests["fast"][2],
-            "fast_rps": round(rps["fast"], 1),
-            "vector_rps": round(rps["vector"], 1),
-            "speedup_vector": round(rps["vector"] / rps["fast"], 3),
-        }
-    return report
+def _replay(schedule: Schedule, net: CongestNetwork):
+    exchange = net.exchange
+    for outbox in schedule:
+        exchange(outbox)
+    return None, _ledger_digest(net)
 
 
-def _replay_rps(schedule: Schedule, make_net: Callable[[], CongestNetwork],
-                repeats: int):
-    """Best-of-``repeats`` rounds/sec for one engine, plus its ledger."""
-    best = float("inf")
-    net = None
-    for _ in range(repeats):
-        net = make_net()
-        exchange = net.exchange
-        with quiet_gc():
-            start = time.perf_counter()
-            for outbox in schedule:
-                exchange(outbox)
-            best = min(best, time.perf_counter() - start)
-    return len(schedule) / best, _ledger_digest(net)
+def _race(name: str, instance, fabrics, work) -> dict:
+    """One family's row: ``work(net)`` timed on a fresh network per
+    engine and call, after the engines agreed on its results and
+    ledger digest."""
+    timing = interleave(
+        {fabric: lambda _item, fabric=fabric: partial(
+            work, instance.build_network(fabric=fabric))
+         for fabric in fabrics}, PASSES)
+    _results, digest = timing.agreed(name)[0]
+    rounds, messages, words = digest[:3]
+    old, new = fabrics
+    return {
+        "n": instance.n,
+        "m": instance.m,
+        "rounds": rounds,
+        "messages": messages,
+        "words": words,
+        "passes": PASSES,
+        **{f"{fabric}_rps": round(rounds / timing.median(fabric), 1)
+           for fabric in fabrics},
+        **spread(f"speedup_{new}", timing.ratio(old, new)),
+    }
 
 
-def measure_families(repeats: int) -> Dict[str, dict]:
-    """Record + replay every family; returns the per-family report."""
+def measure(quick: bool) -> Dict[str, dict]:
+    """Every replay family, then every kernel-workload family."""
     report: Dict[str, dict] = {}
     for name, instance in _families():
         # Record on the message lanes (fabric="fast"), as the
@@ -214,41 +195,12 @@ def measure_families(repeats: int) -> Dict[str, dict]:
         recorder = _RecordingNetwork(instance.n, instance.edges,
                                      fabric="fast")
         _workload(recorder, instance)
-        schedule = recorder.schedule
-
-        rps: Dict[str, float] = {}
-        digests = {}
-        for fabric in ("reference", "fast"):
-            rps[fabric], digests[fabric] = _replay_rps(
-                schedule,
-                lambda fabric=fabric: instance.build_network(
-                    fabric=fabric),
-                repeats)
-        if digests["reference"] != digests["fast"]:
-            raise AssertionError(
-                f"{name}: fabrics disagree on the ledger: {digests}")
-
-        report[name] = {
-            "n": instance.n,
-            "m": instance.m,
-            "rounds": len(schedule),
-            "messages": digests["reference"][1],
-            "words": digests["reference"][2],
-            "reference_rps": round(rps["reference"], 1),
-            "fast_rps": round(rps["fast"], 1),
-            "speedup_fast": round(rps["fast"] / rps["reference"], 3),
-        }
+        report[name] = _race(name, instance, ("reference", "fast"),
+                             partial(_replay, recorder.schedule))
+    for name, instance, hop, k in _vector_families():
+        report[name] = _race(name, instance, ("fast", "vector"),
+                             partial(_kernel_workload, instance, hop, k))
     return report
-
-
-def measure(quick: bool) -> Dict[str, dict]:
-    """Every family, best of 2 (quick) or 3 replays per engine."""
-    repeats = 2 if quick else 3
-    # Kernel workloads run first, on a clean heap: the replay phase
-    # keeps ~100k recorded messages live, and timing the allocation-
-    # light kernels behind that measurably (and noisily) slows them.
-    vector = measure_vector_families(repeats)
-    return {**measure_families(repeats), **vector}
 
 
 BENCH = Bench(
@@ -256,7 +208,7 @@ BENCH = Bench(
     measure=measure,
     title="fabric throughput — batched exchange vs. reference engine "
           "(replayed schedules) and vector kernels vs. batched engine "
-          "(kernel workloads), best of N",
+          "(kernel workloads), median of interleaved passes",
     columns=("n", "rounds", "messages", "reference_rps", "fast_rps",
              "vector_rps", "speedup_fast", "speedup_vector"),
     checks=(

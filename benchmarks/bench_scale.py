@@ -1,4 +1,4 @@
-"""Scale gate: int32 memory diet + one whole solve at n = 65536.
+"""Scale gate: int32 memory diet + whole solves at n = 65536.
 
 Two families measure what makes that size workable:
 
@@ -10,10 +10,12 @@ Two families measure what makes that size workable:
   deterministic 2x; at n = 65536 the ``tail·n + head`` keys exceed
   int32 and promote, leaving ~1.69x.  Both ratios are byte arithmetic,
   not timing — the gate tolerance catches code drift, not noise.
-* ``solve-expander-65536`` — one full serial ``solve_rpaths`` at the
+* ``solve-expander-65536`` — full serial ``solve_rpaths`` runs at the
   target size (landmark_c = 0.05 keeps |L|² pair broadcasts within a
-  CI budget).  Its round count must equal the committed one, so a
-  kernel change that moves the n = 65536 ledger fails by name.
+  CI budget).  The warm-up solve's round count must equal the
+  committed one, so a kernel change that moves the n = 65536 ledger
+  fails by name; the time is the median of ``_util.interleave``'s
+  :data:`PASSES` timed solves.
 
 The run also exports its peak RSS (``resource.getrusage``) through
 :data:`repro.telemetry.schema.PEAK_RSS_BYTES`, so a traced run shows
@@ -39,16 +41,18 @@ from __future__ import annotations
 
 import gc
 import sys
-import time
 from typing import Dict
 
-from _util import Bench, Check, main, quiet_gc, run_entry
+from _util import Bench, Check, interleave, main, run_entry, spread
 
 from repro.congest.topology import TopologyArrays
 from repro.core.rpaths import solve_rpaths
 from repro.graphs import expander_instance
 
 SOLVE_FAMILY = "solve-expander-65536"
+
+#: Timed passes of the n = 65536 solve, after one warm-up solve.
+PASSES = 3
 
 
 # -- families -----------------------------------------------------------------
@@ -74,18 +78,18 @@ def measure_diet(instance) -> dict:
 
 
 def measure_solve(instance) -> dict:
-    """Whole serial solve at n=65536."""
-    with quiet_gc():
-        start = time.perf_counter()
-        report = solve_rpaths(instance, seed=7, fabric="vector",
-                              landmark_c=0.05)
-        seconds = time.perf_counter() - start
+    """Whole serial solve at n=65536: warm-up plus :data:`PASSES`."""
+    timing = interleave({"vector": lambda _item: lambda: solve_rpaths(
+        instance, seed=7, fabric="vector", landmark_c=0.05).rounds},
+        PASSES)
     return {
         "n": instance.n,
         "m": instance.m,
-        "rounds": report.rounds,
+        "rounds": timing.outputs["vector"][0],
         "landmark_c": 0.05,
-        "serial_seconds": round(seconds, 3),
+        "passes": PASSES,
+        **spread("serial_seconds",
+                 timing.per_pass(lambda s: s["vector"][0])),
     }
 
 

@@ -31,9 +31,11 @@ Four workload families measure what the serving layer buys:
   closed-loop multi-client pass; QPS, p50/p95/p99 and the overhead's
   quartiles land in the committed JSON.
 
-Every family verifies every answer against the centralized oracle
-before any throughput number is reported — a mismatch exits non-zero
-regardless of speed.
+Timing (``_util.interleave``): one untimed warm-up call per side,
+whose answers every family verifies against the centralized oracle —
+a mismatch exits non-zero regardless of speed — then :data:`PASSES`
+passes, each side once (per block of queries in ``daemon-loop``),
+rotating which goes first; a gated figure is its per-pass median.
 
 Gates (declared in :data:`BENCH`, run by the CI ``serve-smoke``
 step)::
@@ -57,11 +59,12 @@ step)::
 
 from __future__ import annotations
 
-import time
+from functools import partial
 from typing import Dict
 
-from _util import Bench, Check, main, quiet_gc, run_entry
+from _util import Bench, Check, interleave, main, run_entry, spread
 from perfbench.host import EchoProbe
+from perfbench.stats import median
 
 from repro.congest import bfs_distances
 from repro.core.rpaths import solve_rpaths
@@ -77,8 +80,6 @@ from repro.serve import (
     ShardedQueryService,
     generate_workload,
     hit_ratio,
-    latency_summary_ms,
-    percentile,
     run_load,
     verify_against_centralized,
 )
@@ -87,82 +88,80 @@ ORACLE_FAMILY = "oracle-hit"
 BATCHED_FAMILIES = ("zipf-batched", "adversarial-batched")
 DAEMON_FAMILY = "daemon-loop"
 
-#: Daemon-family passes that interleave the daemon, the in-process
-#: service and the pipe echo, and the queries per block within a pass.
-DAEMON_ROUNDS = 21
+#: Timed passes per family, after one warm-up call per side.
+PASSES = 21
+
+#: Queries per block within a daemon-family pass.
 DAEMON_BLOCK = 10
 
 #: Closed-loop clients in the daemon family's QPS and p95 pass.
 DAEMON_CONCURRENCY = 4
 
 
-def _verify_or_die(name: str, instance, answers) -> None:
-    if not verify_against_centralized([instance], answers):
+def _verify_or_die(name: str, instances, answers) -> None:
+    if not verify_against_centralized(instances, answers):
         raise AssertionError(
             f"{name}: serving answers contradict the centralized "
             "oracle")
 
 
 def measure_oracle_hit(quick: bool) -> Dict[str, object]:
-    """Oracle-hit qps vs. per-query solve_rpaths qps."""
+    """Oracle-hit qps vs. per-query solve_rpaths qps.
+
+    Each pass times the oracle answering the whole stream against one
+    full solve, the status quo's price per query.  The solves run on
+    the message lanes (fabric="fast"), as when the committed baseline
+    was measured: the speedup gate compares against that rate.
+    """
     hops = 14 if quick else 24
     queries = 600 if quick else 4000
-    solves = 1 if quick else 2
     instance = path_with_chords_instance(hops, seed=1,
                                          overlay_hub=True)
-
-    build_start = time.perf_counter()
     oracle = ReplacementPathOracle.build(instance, solver="theorem1",
                                          seed=0)
-    build_time = time.perf_counter() - build_start
-
     stream = generate_workload("uniform", instance, queries, seed=2)
-    with quiet_gc():
-        start = time.perf_counter()
-        answers = [oracle.answer(q) for q in stream]
-        serve_time = time.perf_counter() - start
-    _verify_or_die(ORACLE_FAMILY, instance, answers)
-
-    # Per-answer latency percentiles over a warm sample (the bulk loop
-    # above owns the throughput number; individually timed answers
-    # carry the clock overhead, so they are a separate pass).
-    per_answer = []
-    for q in stream[:200]:
-        t0 = time.perf_counter()
-        oracle.answer(q)
-        per_answer.append(time.perf_counter() - t0)
-    latency = latency_summary_ms(per_answer)
-
-    # The status quo: every query re-runs the full pipeline.  A couple
-    # of timed solves pin down the per-query rate.  They run on the
-    # message lanes (fabric="fast"), as when the committed baseline
-    # was measured: the speedup gate compares against that rate.
-    with quiet_gc():
-        start = time.perf_counter()
-        for i in range(solves):
-            solve_rpaths(instance, seed=i, fabric="fast")
-        solve_time = (time.perf_counter() - start) / solves
-
-    qps = queries / serve_time
-    baseline_qps = 1.0 / solve_time
+    timing = interleave({
+        "oracle": lambda _item: lambda: [oracle.answer(q)
+                                         for q in stream],
+        "solve": lambda _item: partial(solve_rpaths, instance, seed=0,
+                                       fabric="fast"),
+    }, PASSES)
+    answers = timing.outputs["oracle"][0]
+    _verify_or_die(ORACLE_FAMILY, [instance], answers)
     return {
         "n": instance.n,
         "m": instance.m,
         "queries": queries,
-        "qps": round(qps, 1),
-        "baseline_qps": round(baseline_qps, 3),
-        "speedup": round(qps / baseline_qps, 1),
-        "p50_ms": round(latency["p50"], 4),
-        "p95_ms": round(latency["p95"], 4),
-        "p99_ms": round(latency["p99"], 4),
+        "passes": PASSES,
+        "qps": round(queries / timing.median("oracle"), 1),
+        "baseline_qps": round(1.0 / timing.median("solve"), 3),
+        **spread("speedup", [queries * ratio for ratio in
+                             timing.ratio("solve", "oracle")], 1),
         "hit_ratio": round(hit_ratio(answers), 4),
-        "build_seconds": round(build_time, 4),
         "build_rounds": oracle.build_rounds,
     }
 
 
-def measure_batched(kind: str, quick: bool,
-                    repeats: int = 2) -> Dict[str, object]:
+def _batched(instance, stream):
+    """A fresh oracle and planner (no memo carried between calls);
+    the call answers the stream in k-source batches."""
+    oracle = ReplacementPathOracle.build(instance, solver="centralized")
+    return partial(BatchPlanner(oracle, fabric="vector").answer_batch,
+                   stream)
+
+
+def _unbatched(instance, stream):
+    """A fresh network; the call runs one single-source fabric BFS per
+    query, with no (s, e) memo and no grouping."""
+    net = instance.build_network(fabric="fast")
+
+    def run():
+        for q in stream:
+            bfs_distances(net, q.s, avoid_edges=frozenset([q.edge]))
+    return run
+
+
+def measure_batched(kind: str, quick: bool) -> Dict[str, object]:
     """Batched planner qps vs. per-query fabric BFS qps.
 
     Sized so the fabric work dominates fixed per-call overheads: below
@@ -174,67 +173,24 @@ def measure_batched(kind: str, quick: bool,
     queries = 200 if quick else 600
     instance = random_instance(n, seed=3)
     stream = generate_workload(kind, instance, queries, seed=4)
-
-    # Best-of-N with fresh state per repeat: the planner's (s, e) memo
-    # must not carry over (it would turn the second repeat into pure
-    # cache hits), and the first vector-kernel call pays one-time
-    # NumPy warmup that should not be charged to the family.
-    batched_time = float("inf")
-    answers, plan = [], None
-    for _ in range(repeats):
-        oracle = ReplacementPathOracle.build(instance,
-                                             solver="centralized")
-        planner = BatchPlanner(oracle, fabric="vector")
-        with quiet_gc():
-            start = time.perf_counter()
-            answers, plan = planner.answer_batch(stream)
-            batched_time = min(batched_time,
-                               time.perf_counter() - start)
-    _verify_or_die(f"{kind}-batched", instance, answers)
-
-    # Unbatched distributed status quo: one single-source BFS on the
-    # fabric per query, no (s, e) memo, no grouping.
-    unbatched_time = float("inf")
-    for _ in range(repeats):
-        net = instance.build_network(fabric="fast")
-        with quiet_gc():
-            start = time.perf_counter()
-            for q in stream:
-                bfs_distances(net, q.s,
-                              avoid_edges=frozenset([q.edge]))
-            unbatched_time = min(unbatched_time,
-                                 time.perf_counter() - start)
-
-    qps = queries / batched_time
-    baseline_qps = queries / unbatched_time
+    timing = interleave({
+        "batched": lambda _item: _batched(instance, stream),
+        "unbatched": lambda _item: _unbatched(instance, stream),
+    }, PASSES)
+    answers, plan = timing.outputs["batched"][0]
+    _verify_or_die(f"{kind}-batched", [instance], answers)
     return {
         "n": instance.n,
         "m": instance.m,
         "queries": queries,
-        "qps": round(qps, 1),
-        "baseline_qps": round(baseline_qps, 1),
-        "speedup": round(qps / baseline_qps, 3),
+        "passes": PASSES,
+        "qps": round(queries / timing.median("batched"), 1),
+        "baseline_qps": round(queries / timing.median("unbatched"), 1),
+        **spread("speedup", timing.ratio("unbatched", "batched")),
         "hit_ratio": round(hit_ratio(answers), 4),
         "batch_solves": plan.batch_solves,
         "solves_saved": plan.solves_saved,
     }
-
-
-def _interleaved_pass(sides, queries, offset: int):
-    """Every side's results and per-query seconds over ``queries``, in
-    blocks of ``DAEMON_BLOCK`` that rotate which side goes first."""
-    names = list(sides)
-    results = {side: [] for side in names}
-    seconds = {side: [] for side in names}
-    for block_no, first in enumerate(range(0, len(queries),
-                                           DAEMON_BLOCK)):
-        k = (offset + block_no) % len(names)
-        for side in names[k:] + names[:k]:
-            for query in queries[first:first + DAEMON_BLOCK]:
-                start = time.perf_counter()
-                results[side].append(sides[side](query))
-                seconds[side].append(time.perf_counter() - start)
-    return results, seconds
 
 
 def measure_daemon_loop(quick: bool) -> Dict[str, object]:
@@ -248,14 +204,15 @@ def measure_daemon_loop(quick: bool) -> Dict[str, object]:
     of thread and process wake-ups, whose cost on a shared VM moves
     with the neighbours and with how idle the CPUs are, so a third
     side times a bare pipe round trip to a helper process, which pays
-    the same kind of cost and none of the program's.  After one
-    untimed warm-up pass, each of ``DAEMON_ROUNDS`` passes interleaves
-    the three sides in blocks of ``DAEMON_BLOCK`` queries.  Per pass,
-    ``p50_overhead_rtts`` is the daemon p50 minus the in-process p50,
-    in pipe round trips (median echo), and ``p50_ratio`` the daemon
-    p50 over the in-process p50; both report their median over
-    passes.  A last closed-loop pass with ``DAEMON_CONCURRENCY``
-    clients measures the QPS and the p95/p99 the SLO ceiling gates.
+    the same kind of cost and none of the program's.  After the
+    warm-up call of every side on every query, each of :data:`PASSES`
+    passes interleaves the three sides in blocks of ``DAEMON_BLOCK``
+    queries.  Per pass, ``p50_overhead_rtts`` is the daemon p50 minus
+    the in-process p50, in pipe round trips (median echo), and
+    ``p50_ratio`` the daemon p50 over the in-process p50; both report
+    their median over passes, as do the per-side p50s.  A last
+    closed-loop pass with ``DAEMON_CONCURRENCY`` clients measures the
+    QPS and the p95/p99 the SLO ceiling gates.
     """
     n = 56 if quick else 72
     per_instance = 50 if quick else 200
@@ -271,20 +228,9 @@ def measure_daemon_loop(quick: bool) -> Dict[str, object]:
     service = ShardedQueryService(instances, shards=2,
                                   solver="theorem1", build_seed=0)
     service.warm()
-    direct = [service.serve([q]).answers[0] for q in queries]
-    if not verify_against_centralized(instances, direct):
-        raise AssertionError(
-            f"{DAEMON_FAMILY}: in-process answers contradict the "
-            "centralized oracle")
-    expected = [a.length for a in direct]
-
-    passes = []
-    seconds = {"direct": [], "daemon": [], "echo": []}
     with EchoProbe() as probe:
-        warm_start = time.perf_counter()
         daemon = ServeDaemon(instances, workers=2, solver="theorem1",
                              build_seed=0).start()
-        warm_time = time.perf_counter() - warm_start
         try:
             frontend = ServeFrontend(daemon, max_queue=512,
                                      max_inflight=128)
@@ -296,38 +242,25 @@ def measure_daemon_loop(quick: bool) -> Dict[str, object]:
                         f"{DAEMON_FAMILY}: outcome {result.outcome}")
                 return result.answer.length
 
-            sides = {
-                "direct": lambda q: service.serve([q]).answers[0].length,
-                "daemon": via_daemon,
-                "echo": lambda _q: probe.round_trip(),
-            }
             try:
-                for query in queries:
-                    via_daemon(query)
-                    probe.round_trip()
-                with quiet_gc():
-                    for round_no in range(DAEMON_ROUNDS):
-                        lengths, taken = _interleaved_pass(
-                            sides, queries, round_no)
-                        if not (lengths["direct"] == lengths["daemon"]
-                                == expected):
-                            raise AssertionError(
-                                f"{DAEMON_FAMILY}: answers changed "
-                                "between sides or passes")
-                        p50 = {side: percentile(taken[side], 50)
-                               for side in sides}
-                        passes.append(((p50["daemon"] - p50["direct"])
-                                       / p50["echo"],
-                                       p50["daemon"] / p50["direct"]))
-                        for side in sides:
-                            seconds[side] += taken[side]
-                    results, load = run_load(
-                        frontend, queries, mode="closed",
-                        concurrency=DAEMON_CONCURRENCY)
+                timing = interleave({
+                    "direct": lambda q: lambda: service.serve(
+                        [q]).answers[0],
+                    "daemon": lambda q: partial(via_daemon, q),
+                    "echo": lambda _q: probe.round_trip,
+                }, PASSES, items=queries, block=DAEMON_BLOCK)
+                results, load = run_load(
+                    frontend, queries, mode="closed",
+                    concurrency=DAEMON_CONCURRENCY)
             finally:
                 frontend.close()
         finally:
             daemon.stop()
+    _verify_or_die(DAEMON_FAMILY, instances, timing.outputs["direct"])
+    expected = [a.length for a in timing.outputs["direct"]]
+    if timing.outputs["daemon"] != expected:
+        raise AssertionError(
+            f"{DAEMON_FAMILY}: answers differ between the sides")
     if load.ok != load.sent:
         raise AssertionError(
             f"{DAEMON_FAMILY}: non-ok outcomes {load.outcomes}")
@@ -337,32 +270,30 @@ def measure_daemon_loop(quick: bool) -> Dict[str, object]:
             f"{DAEMON_FAMILY}: closed-loop answers contradict the "
             "centralized oracle")
 
-    overheads = [overhead for overhead, _ratio in passes]
+    def p50_ms(side):
+        return round(1e3 * median(timing.per_pass(
+            lambda s: median(s[side]))), 4)
+
     return {
         "n": n,
         "instances": len(instances),
         "queries": len(queries),
-        "rounds": DAEMON_ROUNDS,
+        "passes": PASSES,
         "block": DAEMON_BLOCK,
         "concurrency": DAEMON_CONCURRENCY,
         "qps": round(load.achieved_qps, 1),
         "p50_ms": round(load.latency_ms["p50"], 4),
         "p95_ms": round(load.latency_ms["p95"], 4),
         "p99_ms": round(load.latency_ms["p99"], 4),
-        "daemon_p50_ms": round(
-            latency_summary_ms(seconds["daemon"])["p50"], 4),
-        "inprocess_p50_ms": round(
-            latency_summary_ms(seconds["direct"])["p50"], 4),
-        "echo_p50_ms": round(
-            latency_summary_ms(seconds["echo"])["p50"], 4),
-        "p50_overhead_rtts": round(percentile(overheads, 50), 2),
-        "p50_overhead_rtts_quartiles": [
-            round(percentile(overheads, 25), 2),
-            round(percentile(overheads, 75), 2)],
-        "p50_ratio": round(percentile(
-            [ratio for _overhead, ratio in passes], 50), 2),
+        "daemon_p50_ms": p50_ms("daemon"),
+        "inprocess_p50_ms": p50_ms("direct"),
+        "echo_p50_ms": p50_ms("echo"),
+        **spread("p50_overhead_rtts", timing.per_pass(
+            lambda s: (median(s["daemon"]) - median(s["direct"]))
+            / median(s["echo"])), 2),
+        "p50_ratio": round(median(timing.per_pass(
+            lambda s: median(s["daemon"]) / median(s["direct"]))), 2),
         "hit_ratio": round(hit_ratio(answers), 4),
-        "warm_seconds": round(warm_time, 4),
     }
 
 

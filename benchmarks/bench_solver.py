@@ -29,12 +29,14 @@ the *message* engines cannot finish inside a CI budget (the vector
 schedule kernel handles it in milliseconds — that asymmetry is the
 point, but the gate still needs a finishing baseline).
 
-Every family asserts bit-identical lengths, stage outputs, and ledger
-digests across its fabrics before any throughput is reported.
+Timing (``_util.interleave``): one untimed warm-up solve per fabric,
+whose lengths, stage outputs and ledger digests must be bit-identical,
+then :data:`PASSES` passes, each fabric once, rotating which goes
+first; a speedup is the median per-pass ratio.
 
 Gates (declared in :data:`BENCH`; the CI ``perf-gate`` job runs
-``--quick``: one solve per fabric, a smaller oracle-build catalog, and
-the same solve families, which the baseline comparison needs)::
+``--quick``: a smaller oracle-build catalog, and the same solve
+families, which the baseline comparison needs)::
 
     python benchmarks/bench_solver.py --quick --json BENCH_solver.json \
         --compare benchmarks/BENCH_solver.json
@@ -49,10 +51,18 @@ the same solve families, which the baseline comparison needs)::
 
 from __future__ import annotations
 
-import time
+from functools import partial
 from typing import Dict
 
-from _util import Bench, Check, hard_instance, main, quiet_gc, run_entry
+from _util import (
+    Bench,
+    Check,
+    hard_instance,
+    interleave,
+    main,
+    run_entry,
+    spread,
+)
 
 from repro.core.rpaths import solve_rpaths
 from repro.graphs import (
@@ -65,6 +75,9 @@ GATE_FAMILY = "solve-expander-2048"
 SOLVE_FAMILIES = (GATE_FAMILY, "solve-power-law-2048",
                   "solve-hard-instance", "solve-expander-256-3way")
 BUILD_FAMILY = "oracle-build"
+
+#: Timed passes per family, after one warm-up solve per fabric.
+PASSES = 3
 
 
 def _families():
@@ -82,62 +95,60 @@ def _families():
            {}, ("reference", "fast", "vector"))
 
 
-def _fingerprint(report):
+def _solve(instance, fabric: str, kwargs: dict):
+    """One full solve; its ledger digest, lengths and stage outputs."""
+    report = solve_rpaths(instance, seed=7, fabric=fabric, **kwargs)
     ledger = report.ledger
-    return (list(report.lengths), list(report.extras["short"]),
-            list(report.extras["long"]), ledger.rounds,
-            ledger.messages, ledger.words, ledger.max_link_words,
-            ledger.violations)
+    return (ledger.rounds, ledger.messages, ledger.words,
+            ledger.max_link_words, ledger.violations, list(report.lengths),
+            list(report.extras["short"]), list(report.extras["long"]))
 
 
-def measure_families(repeats: int) -> Dict[str, dict]:
-    """One full solve per fabric per family; best-of-N rounds/sec."""
+def measure_families() -> Dict[str, dict]:
+    """Full solves per fabric per family: rounds/sec and speedups."""
     results: Dict[str, dict] = {}
     for name, instance, kwargs, fabrics in _families():
-        rps: Dict[str, float] = {}
-        prints = {}
-        rounds = 0
-        # Vector first: the message engines' multi-second runs grow and
-        # fragment the heap, which measurably slows the array kernels
-        # when they go second (same ordering as bench_fabric).
-        for fabric in fabrics[::-1]:
-            best = float("inf")
-            reps = repeats if fabric != "vector" else max(repeats, 3)
-            for _ in range(reps):
-                with quiet_gc():
-                    start = time.perf_counter()
-                    report = solve_rpaths(instance, seed=7,
-                                          fabric=fabric, **kwargs)
-                    best = min(best, time.perf_counter() - start)
-            prints[fabric] = _fingerprint(report)
-            rounds = report.rounds
-            rps[fabric] = rounds / best
-        if any(prints[f] != prints[fabrics[0]] for f in fabrics):
-            raise AssertionError(
-                f"{name}: fabrics disagree on results or ledger")
-        row = {
+        timing = interleave(
+            {fabric: lambda _item, fabric=fabric: partial(
+                _solve, instance, fabric, kwargs)
+             for fabric in fabrics}, PASSES)
+        rounds, *_rest = timing.agreed(name)[0]
+        results[name] = {
             "n": instance.n,
             "m": instance.m,
             "hop_count": instance.hop_count,
             "rounds": rounds,
-            "solver_kwargs": {k: v for k, v in kwargs.items()},
+            "solver_kwargs": dict(kwargs),
+            "passes": PASSES,
+            **{f"{fabric}_rps": round(rounds / timing.median(fabric), 1)
+               for fabric in fabrics},
+            **spread("speedup_vector", timing.ratio("fast", "vector")),
+            **(spread("speedup_fast", timing.ratio("reference", "fast"))
+               if "reference" in fabrics else {}),
         }
-        for fabric in fabrics:
-            row[f"{fabric}_rps"] = round(rps[fabric], 1)
-        row["speedup_vector"] = round(rps["vector"] / rps["fast"], 3)
-        if "reference" in fabrics:
-            row["speedup_fast"] = round(
-                rps["fast"] / rps["reference"], 3)
-        results[name] = row
     return results
+
+
+def _warm(catalog, fabric: str):
+    """A cold sharded service on ``fabric``; the call warms it and
+    returns its oracle tables."""
+    from repro.serve.shard import ShardedQueryService
+
+    service = ShardedQueryService(catalog, shards=1,
+                                  capacity=len(catalog), fabric=fabric)
+
+    def warm():
+        service.warm()
+        shard = service.shard_for(catalog[0].name)
+        return [shard.planner_for(inst.name).oracle.lengths
+                for inst in catalog]
+    return warm
 
 
 def measure_oracle_build(quick: bool) -> dict:
     """The serving tier's build funnel: warm a sharded service per
     build fabric and compare wall time (identical oracle tables
     asserted first)."""
-    from repro.serve.shard import ShardedQueryService
-
     sizes = (192,) if quick else (192, 256)
     catalog = []
     for n in sizes:
@@ -145,44 +156,25 @@ def measure_oracle_build(quick: bool) -> dict:
             n, degree=4, seed=1, name=f"bench-exp-{n}"))
         catalog.append(path_with_chords_instance(
             n // 2, seed=2, overlay_hub=True, name=f"bench-chords-{n}"))
-    elapsed: Dict[str, float] = {}
-    tables: Dict[str, list] = {}
-    for fabric in ("vector", "fast"):
-        service = ShardedQueryService(catalog, shards=1,
-                                      capacity=len(catalog),
-                                      fabric=fabric)
-        with quiet_gc():
-            start = time.perf_counter()
-            service.warm()
-            elapsed[fabric] = time.perf_counter() - start
-        shard = service.shard_for(catalog[0].name)
-        tables[fabric] = [
-            shard.planner_for(inst.name).oracle.lengths
-            for inst in catalog
-        ]
-    if tables["fast"] != tables["vector"]:
-        raise AssertionError("oracle tables differ across build fabrics")
+    timing = interleave(
+        {fabric: lambda _item, fabric=fabric: _warm(catalog, fabric)
+         for fabric in ("fast", "vector")}, PASSES)
+    timing.agreed(BUILD_FAMILY)
     return {
         "instances": len(catalog),
-        "fast_seconds": round(elapsed["fast"], 3),
-        "vector_seconds": round(elapsed["vector"], 3),
-        "speedup_vector": round(elapsed["fast"] / elapsed["vector"], 3),
+        "passes": PASSES,
+        "fast_seconds": round(timing.median("fast"), 3),
+        "vector_seconds": round(timing.median("vector"), 3),
+        **spread("speedup_vector", timing.ratio("fast", "vector")),
     }
-
-
-def measure(quick: bool) -> Dict[str, dict]:
-    """Every solve family, best of 1 (quick) or 2 solves per fabric,
-    then the oracle build."""
-    families = measure_families(1 if quick else 2)
-    families[BUILD_FAMILY] = measure_oracle_build(quick)
-    return families
 
 
 BENCH = Bench(
     name="solver",
-    measure=measure,
-    title="whole-solver throughput — solve_rpaths end to end (best "
-          "of N) and the sharded service's oracle build",
+    measure=lambda quick: {**measure_families(),
+                           BUILD_FAMILY: measure_oracle_build(quick)},
+    title="whole-solver throughput — solve_rpaths end to end and the "
+          "sharded service's oracle build, median of interleaved passes",
     columns=("n", "hop_count", "rounds", "fast_rps", "vector_rps",
              "fast_seconds", "vector_seconds", "speedup_vector"),
     checks=(

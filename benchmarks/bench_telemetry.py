@@ -8,27 +8,28 @@ same solve with ``RoundLedger.phase`` monkeypatched back to its
 pre-instrumentation body — and gates the relative overhead at
 :data:`MAX_OVERHEAD` (< 2%, the committed acceptance bound).
 
-Timing discipline: interleaved best-of-``repeats`` on an identical
-deterministic workload.  The minimum filters scheduler noise upward
-(noise only ever *adds* time), so the ratio of minima is a stable
-estimate of the structural overhead even on a busy machine.
+Timing (``_util.interleave``): one untimed warm-up solve per side,
+whose round counts must agree, then passes that run both sides once on
+an identical deterministic workload, rotating which goes first; the
+gated overhead is the median per-pass ratio, less one.
 
-Usage (the CI gate; declared in :data:`BENCH`, best of
-:data:`REPEATS`)::
+Usage (the CI gate; declared in :data:`BENCH`, :data:`PASSES`
+passes)::
 
     python benchmarks/bench_telemetry.py [--json FILE]
 
 ``tests/test_telemetry.py`` runs :func:`measure_overhead` with the same
-workload and asserts the bound.
+workload and asserts the bound, and pins the disabled path's call
+counts into each hot site, which no neighbour's load can move.
 """
 
 from __future__ import annotations
 
 import contextlib
-import time
+from functools import partial
 from typing import Dict
 
-from _util import Bench, Check, main
+from _util import Bench, Check, interleave, main, spread
 
 from repro.congest.metrics import PhaseStats, RoundLedger
 from repro.core.rpaths import solve_rpaths
@@ -38,8 +39,8 @@ from repro.telemetry import trace as _trace
 #: Committed acceptance bound on (instrumented-disabled / bypassed) - 1.
 MAX_OVERHEAD = 0.02
 
-#: Interleaved repeats of the command-line gate.
-REPEATS = 7
+#: Timed passes of the command-line gate, after one warm-up per side.
+PASSES = 101
 
 
 @contextlib.contextmanager
@@ -64,55 +65,51 @@ def _workload(rows: int, cols: int):
     return solve_rpaths(instance, fabric="fast").rounds
 
 
-def measure_overhead(repeats: int = 5, rows: int = 4,
-                     cols: int = 12) -> Dict[str, float]:
-    """Best-of-``repeats`` instrumented-vs-bypassed solve timings.
+def _bypassed(rows: int, cols: int):
+    """The workload with ``RoundLedger.phase`` patched bare."""
+    original_phase = RoundLedger.phase
+    RoundLedger.phase = _bare_phase
+    try:
+        return _workload(rows, cols)
+    finally:
+        RoundLedger.phase = original_phase
 
-    Returns ``{"instrumented": s, "bypassed": s, "overhead": frac}``.
-    Tracing is forced off for both arms (the disabled guard is exactly
-    what is being measured); the registry stays live in both arms, as
-    it does in production.
+
+def measure_overhead(passes: int = PASSES, rows: int = 4,
+                     cols: int = 12) -> Dict[str, float]:
+    """Instrumented-vs-bypassed solve timings over interleaved passes.
+
+    Returns the median seconds of each side and ``overhead``, the
+    median over passes of instrumented / bypassed - 1, with its
+    quartiles.  Tracing is forced off for both sides (the disabled
+    guard is exactly what is being measured); the registry stays live
+    on both, as it does in production.
     """
     was_enabled = _trace._ENABLED
     _trace.disable_tracing()
-    original_phase = RoundLedger.phase
-    best_instr = float("inf")
-    best_bare = float("inf")
     try:
-        _workload(rows, cols)  # warm caches/imports outside the clock
-        for _ in range(repeats):
-            start = time.perf_counter()
-            _workload(rows, cols)
-            elapsed = time.perf_counter() - start
-            if elapsed < best_instr:
-                best_instr = elapsed
-
-            RoundLedger.phase = _bare_phase
-            try:
-                start = time.perf_counter()
-                _workload(rows, cols)
-                elapsed = time.perf_counter() - start
-            finally:
-                RoundLedger.phase = original_phase
-            if elapsed < best_bare:
-                best_bare = elapsed
+        timing = interleave({
+            "instrumented": lambda _item: partial(_workload, rows, cols),
+            "bypassed": lambda _item: partial(_bypassed, rows, cols),
+        }, passes)
     finally:
-        RoundLedger.phase = original_phase
         if was_enabled:
             _trace.enable_tracing()
+    timing.agreed("disabled-overhead")
     return {
-        "instrumented": best_instr,
-        "bypassed": best_bare,
-        "overhead": best_instr / best_bare - 1.0,
+        "passes": passes,
+        "instrumented": timing.median("instrumented"),
+        "bypassed": timing.median("bypassed"),
+        **spread("overhead", [ratio - 1.0 for ratio in timing.ratio(
+            "instrumented", "bypassed")], 4),
     }
 
 
 BENCH = Bench(
     name="telemetry",
-    measure=lambda quick: {
-        "disabled-overhead": measure_overhead(repeats=REPEATS)},
+    measure=lambda quick: {"disabled-overhead": measure_overhead()},
     title="disabled-tracing overhead — instrumented vs. bypassed "
-          "RoundLedger.phase, best of N seconds",
+          "RoundLedger.phase, median of interleaved passes",
     columns=("instrumented", "bypassed", "overhead"),
     checks=(Check("ceiling", ("disabled-overhead",), "overhead",
                   MAX_OVERHEAD),),

@@ -58,18 +58,18 @@ class DeadlineExceeded(Exception):
     """Raised in the main thread when a :func:`deadline` expires."""
 
 
-def _alarm_handler(signum, frame):  # pragma: no cover - signal path
-    raise DeadlineExceeded()
-
-
 @contextmanager
 def deadline(seconds: Optional[float]) -> Iterator[bool]:
     """Raise :class:`DeadlineExceeded` into the body after ``seconds``.
 
     Installs a ``SIGALRM`` handler and a real-time timer, and on exit
     restores the previous handler *and* its remaining timer, so an
-    outer watchdog keeps running.  ``SIGALRM`` exists only on POSIX and
-    works only from the main thread; anywhere else, or with ``seconds``
+    outer watchdog keeps running.  The handler also records that it
+    fired, and a body that swallowed the exception (an ``except
+    Exception`` of its own, or one in a library it called) and ran to
+    the end raises it again on exit: an expired deadline always
+    reaches the caller.  ``SIGALRM`` exists only on POSIX and works
+    only from the main thread; anywhere else, or with ``seconds``
     None, the body runs without a deadline.  Yields whether the
     deadline is enforced.  A ``seconds`` that is not positive raises
     ValueError before anything is installed.
@@ -78,8 +78,14 @@ def deadline(seconds: Optional[float]) -> Iterator[bool]:
         raise ValueError(f"deadline must be positive, got {seconds}")
     enforced = (seconds is not None and _HAS_ALARM
                 and threading.current_thread() is threading.main_thread())
+    fired = []
+
+    def on_alarm(signum, frame):  # pragma: no cover - signal path
+        fired.append(signum)
+        raise DeadlineExceeded()
+
     if enforced:
-        old_handler = signal.signal(signal.SIGALRM, _alarm_handler)
+        old_handler = signal.signal(signal.SIGALRM, on_alarm)
         old_timer = signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield enforced
@@ -87,6 +93,8 @@ def deadline(seconds: Optional[float]) -> Iterator[bool]:
         if enforced:
             signal.setitimer(signal.ITIMER_REAL, *old_timer)
             signal.signal(signal.SIGALRM, old_handler)
+    if fired:
+        raise DeadlineExceeded()
 
 
 def default_jobs() -> int:

@@ -46,7 +46,6 @@ from .frontend import (
     PendingQuery,
     ServeFrontend,
     ServeResult,
-    run_queries,
 )
 from .loadgen import (
     LoadReport,
@@ -113,7 +112,6 @@ __all__ = [
     "percentile",
     "query_with_retry",
     "run_load",
-    "run_queries",
     "shard_of",
     "spill_key",
 ]

@@ -34,7 +34,7 @@ import threading
 import time
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from ..telemetry.schema import (
     DYNAMIC_EPOCH_LAG,
@@ -312,14 +312,3 @@ class ServeFrontend:
     def queue_depth(self) -> int:
         """Requests held at admission, over every shard."""
         return self._held
-
-
-def run_queries(frontend: ServeFrontend, queries: Sequence[Query],
-                timeout: Optional[float] = None,
-                max_staleness: Optional[int] = None,
-                ) -> List[ServeResult]:
-    """Submit everything, then collect — the simple pipelined client."""
-    pendings = [frontend.submit(q, timeout=timeout,
-                                max_staleness=max_staleness)
-                for q in queries]
-    return [p.result() for p in pendings]

@@ -235,6 +235,23 @@ class TestExecutor:
         assert result.status == "timeout"
         assert result.wall_time < 4
 
+    def test_swallowed_deadline_still_reaches_the_caller(self):
+        # A body (or a library it calls) that catches Exception also
+        # catches the alarm's DeadlineExceeded; the deadline's exit
+        # raises it again.
+        import signal
+        import time
+
+        from repro.runtime.executor import DeadlineExceeded, deadline
+        if not hasattr(signal, "SIGALRM"):
+            pytest.skip("needs SIGALRM")
+        with pytest.raises(DeadlineExceeded):
+            with deadline(0.01):
+                try:
+                    time.sleep(0.5)
+                except Exception:
+                    pass
+
     def test_truncated_lengths_fail_the_oracle(self):
         # A solver returning fewer lengths than P has edges must never
         # be certified (zip would otherwise pass vacuously).

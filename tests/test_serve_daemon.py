@@ -37,7 +37,6 @@ from repro.serve import (
     latency_summary_ms,
     percentile,
     run_load,
-    run_queries,
     verify_against_centralized,
 )
 from repro.serve import daemon as daemon_mod
@@ -483,7 +482,8 @@ class TestBitIdentity:
                     for i, inst in enumerate(insts):
                         queries.extend(generate_workload(
                             kind, inst, 8, seed=11 * (i + 1)))
-                    results = run_queries(frontend, queries)
+                    pendings = [frontend.submit(q) for q in queries]
+                    results = [p.result() for p in pendings]
                     assert all(r.ok for r in results), kind
                     for res in results:
                         q = res.query

@@ -181,14 +181,58 @@ class TestDisabledOverhead:
         if bench_dir not in sys.path:
             sys.path.insert(0, bench_dir)
         from bench_telemetry import MAX_OVERHEAD, measure_overhead
-        # Interleaved best-of filtering is robust but not immune to a
-        # loaded machine: escalate repeats before calling it a failure.
+        # The median over interleaved passes is robust but not immune
+        # to a loaded machine: escalate passes before calling it a
+        # failure.
         result = None
-        for repeats in (5, 9, 15):
-            result = measure_overhead(repeats=repeats, rows=4, cols=10)
+        for passes in (5, 9, 15):
+            result = measure_overhead(passes=passes, rows=4, cols=10)
             if result["overhead"] < MAX_OVERHEAD:
                 break
         assert result["overhead"] < MAX_OVERHEAD, result
+
+
+class TestDisabledCallCounts:
+    """The disabled path's cost, counted instead of timed: how often a
+    pinned solve enters each hot site with tracing off.  A site added
+    inside a per-round loop moves a count, whatever the host's load.
+
+    Per fabric: ``RoundLedger.phase`` calls, ``span`` calls (the
+    solver entry point's), kernel dispatch decisions, and vector
+    kernels run (each behind its ``kernel/<name>`` span guard).
+    """
+
+    PINNED = {
+        "fast": {"phase": 16, "span": 1, "dispatch": 14, "kernel": 0},
+        "vector": {"phase": 16, "span": 1, "dispatch": 14, "kernel": 14},
+    }
+
+    @pytest.mark.parametrize("fabric", sorted(PINNED))
+    def test_grid_solve_hot_site_calls(self, monkeypatch, fabric):
+        from collections import Counter
+
+        counts = Counter()
+
+        def counting(site, fn):
+            def wrapper(*args, **kwargs):
+                counts[site] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(RoundLedger, "phase",
+                            counting("phase", RoundLedger.phase))
+        span = counting("span", telemetry.trace.span)
+        monkeypatch.setattr(telemetry, "span", span)
+        monkeypatch.setattr(telemetry.trace, "span", span)
+        solve_rpaths(grid_instance(4, 10), fabric=fabric)
+        dispatched = {
+            key: value for key, value in
+            counters_mod.snapshot_counters()["counters"].items()
+            if key.startswith(schema.KERNEL_DISPATCH.name + "{")}
+        counts["dispatch"] = sum(dispatched.values())
+        counts["kernel"] = sum(value for key, value in dispatched.items()
+                               if 'outcome="vector"' in key)
+        assert dict(counts) == self.PINNED[fabric]
 
 
 # -- spans and sink ----------------------------------------------------------
