@@ -16,10 +16,6 @@ from .intervals import (
     nearby_detours,
 )
 from .short_detour_approx import short_detour_lengths_weighted
-from .long_detour_approx import (
-    compute_landmark_distances_weighted,
-    long_detour_lengths_weighted,
-)
 from .apx_rpaths import ApxRPathsReport, solve_apx_rpaths
 
 __all__ = [
@@ -28,11 +24,9 @@ __all__ = [
     "ShortDetourTables",
     "build_short_detour_tables",
     "combine_short_detours",
-    "compute_landmark_distances_weighted",
     "distant_detours",
     "epsilon_as_fraction",
     "interval_partition",
-    "long_detour_lengths_weighted",
     "nearby_detours",
     "scale_ladder",
     "scale_length",

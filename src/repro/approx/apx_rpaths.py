@@ -4,7 +4,8 @@ Runs, on a fresh CONGEST network:
 
 1. Lemma 2.5 knowledge acquisition (weighted distances along P);
 2. Proposition 7.1 — short detours via rounding + interval pipelining;
-3. Proposition 7.11 — long detours via scaled landmark BFS;
+3. Proposition 7.11 — long detours: Proposition 5.1's pipeline over the
+   scale ladder (scaled landmark BFS);
 4. the pointwise minimum.
 
 Output guarantee (Definition 2.2): for each edge e of P, the reported x
@@ -24,8 +25,9 @@ from ..congest.spanning_tree import build_spanning_tree
 from ..congest.words import INF
 from ..graphs.instance import RPathsInstance
 from ..core.knowledge import acquire_path_knowledge, oracle_knowledge
+from ..core.landmarks import landmark_set
+from ..core.long_detour import long_detour_lengths
 from ..core.rpaths import default_zeta
-from .long_detour_approx import long_detour_lengths_weighted
 from .rounding import scale_ladder
 from .short_detour_approx import short_detour_lengths_weighted
 
@@ -90,21 +92,17 @@ def solve_apx_rpaths(
 
         short = short_detour_lengths_weighted(
             instance, net, tree, knowledge, zeta, scales)
-        long_ = long_detour_lengths_weighted(
-            instance, net, tree, knowledge, zeta, scales,
-            landmarks=landmarks, seed=seed + 1, landmark_c=landmark_c)
+        landmarks = landmark_set(instance.n, zeta, landmarks,
+                                 c=landmark_c, seed=seed + 1)
+        long_ = long_detour_lengths(
+            instance, net, tree, knowledge, zeta, landmarks=landmarks,
+            phase="long-detour(P7.11)", scales=scales)
 
         lengths: List[float] = []
         for a, b in zip(short, long_):
             best = min(a, b)
             lengths.append(float(best) if best < INF else float("inf"))
 
-    if landmarks is not None:
-        landmark_count = len(set(landmarks))
-    else:
-        from ..core.landmarks import sample_landmarks
-        landmark_count = len(sample_landmarks(
-            instance.n, zeta, c=landmark_c, seed=seed + 1))
     return ApxRPathsReport(
         instance_name=instance.name,
         epsilon=epsilon,
@@ -112,6 +110,6 @@ def solve_apx_rpaths(
         ledger=net.ledger,
         zeta=zeta,
         scale_count=len(scales),
-        landmark_count=landmark_count,
+        landmark_count=len(landmarks),
         extras={"short": short, "long": long_},
     )

@@ -241,9 +241,11 @@ def _sweeps_values_ok(net, call) -> bool:
             and _kernels._int64_values_ok(segments.table))
 
 
-def _n_shift_values_ok(net, call) -> bool:
-    return all(_kernels._int64_values_ok(call[key])
-               for key in ("prefix", "suffix", "m_seg", "n_seg"))
+def _tables_ok(values_ok: Callable[[object], bool], *keys: str) -> CheckFn:
+    """A check that ``values_ok`` holds for every table under ``keys``
+    (Theorem 3's Fraction lengths fail both value checks: the array
+    lanes would truncate them)."""
+    return lambda net, call: all(values_ok(call[key]) for key in keys)
 
 
 # -- send-plan prepare hooks (the OverflowError escape hatches) ---------------
@@ -408,7 +410,8 @@ _PRIMITIVES: Tuple[Primitive, ...] = (
                 REASON_VALUE_RANGE,
                 "segment tables and summaries int64-safe ints (3-word "
                 "tokens; Fractions take the message path)",
-                _n_shift_values_ok,
+                _tables_ok(_kernels._int64_values_ok,
+                           "prefix", "suffix", "m_seg", "n_seg"),
             ),
         ),
         ledger="charges in the caller's open phase (k bulk rounds)",
@@ -419,6 +422,16 @@ _PRIMITIVES: Tuple[Primitive, ...] = (
         lemma="L5.4/5.6",
         message=("repro.core.landmark_distances", "_completion_message"),
         vector=("repro.congest.kernels", "landmark_completion_vector"),
+        constraints=(
+            Constraint(
+                REASON_VALUE_RANGE,
+                "pair distances and landmark tables ints: integer "
+                "arrays, or int64-safe rows (Fraction lengths take the "
+                "message path)",
+                _tables_ok(_kernels._clamped_operands_ok,
+                           "pair_hops", "from_len", "to_len"),
+            ),
+        ),
         ledger="ledger-free local computation (value equality only)",
     ),
     Primitive(
@@ -427,6 +440,15 @@ _PRIMITIVES: Tuple[Primitive, ...] = (
         lemma="P5.1",
         message=("repro.core.long_detour", "_pairwise_min_sum_message"),
         vector=("repro.congest.kernels", "pairwise_min_sum_vector"),
+        constraints=(
+            Constraint(
+                REASON_VALUE_RANGE,
+                "M and N tables ints: integer arrays, or int64-safe "
+                "rows (Fraction lengths take the message path)",
+                _tables_ok(_kernels._clamped_operands_ok,
+                           "m_rows", "n_rows"),
+            ),
+        ),
         ledger="ledger-free local computation (value equality only)",
     ),
 )

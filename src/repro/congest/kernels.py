@@ -85,7 +85,7 @@ from __future__ import annotations
 import functools
 from array import array
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import (
     Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple,
@@ -173,14 +173,30 @@ def _fits_int64(value: int) -> bool:
 
 def _int64_values_ok(table) -> bool:
     """Is every value of ``table`` (an array, or rows of values) an
-    int64-safe int?  An integer array costs one min and one max."""
+    int64-safe int?  An integer array costs one min and one max.  Rows
+    of values cost one C-level pass: ``int.bit_length`` takes ints
+    only (a Fraction, float or NumPy scalar raises TypeError), and
+    |x| < 2^62 iff ``x.bit_length()`` < 63."""
     np = numpy_or_none()
     if np is not None and isinstance(table, np.ndarray):
         return table.dtype.kind == "i" and (
             not table.size or (-_INT64_SAFE < int(table.min())
                                and int(table.max()) < _INT64_SAFE))
-    return all(type(x) is int and _fits_int64(x)
-               for row in table for x in row)
+    try:
+        return max(map(int.bit_length, chain.from_iterable(table)),
+                   default=0) < _INT64_SAFE.bit_length()
+    except TypeError:  # a value that is not an int
+        return False
+
+
+def _clamped_operands_ok(table) -> bool:
+    """:func:`_int64_values_ok` for a kernel that clamps its operands at
+    INF before any sum: an integer array passes on its dtype alone,
+    with no pass over its values."""
+    np = numpy_or_none()
+    if np is not None and isinstance(table, np.ndarray):
+        return table.dtype.kind == "i"
+    return _int64_values_ok(table)
 
 
 def _expand_ranges(np, starts, counts, total: int):
@@ -753,8 +769,9 @@ def landmark_completion_vector(net, pair_hops, from_len, to_len,
     may be the k-source kernel's ``(k, n)`` arrays or lists of rows.
 
     This is ledger-free local work, so the only contract is value
-    equality with ``repro.core.landmark_distances``.  All operands are
-    bounded by the INF sentinel (2^60), so int64 sums are exact.
+    equality with ``repro.core.landmark_distances``.  The operands are
+    lengths (non-negative), clamped at the INF sentinel (2^60) before
+    any sum, so int64 sums are exact whatever integer table arrives.
     Returns the closure as lists (k × k words every vertex holds) and
     the two completed tables as ``(k, n)`` int64 arrays.  ``net`` is
     unused beyond the uniform dispatch signature (and the span join).
@@ -770,19 +787,20 @@ def landmark_completion_vector(net, pair_hops, from_len, to_len,
     # Row a of the from table joins closure row a; row a of the to
     # table joins closure column a.
     for table, pivots in ((from_len, closure), (to_len, closure.T)):
-        hops = np.asarray(table, dtype=np.int64)
-        out = np.minimum(hops, INF)
+        lengths = np.minimum(np.asarray(table, dtype=np.int64), INF)
         if hop_limit is None:
             rows = range(k)
         else:
-            rows = np.flatnonzero(
-                ((hops >= hop_limit) & (hops < INF)).any(axis=1)).tolist()
-        for a in rows:
-            # pivots[a][a] == 0, so the min-plus row already includes
-            # the direct hop-bounded distance.
-            np.minimum((pivots[a][:, None] + hops).min(axis=0), INF,
-                       out=out[a])
-        completed.append(out)
+            rows = np.flatnonzero(((lengths >= hop_limit)
+                                   & (lengths < INF)).any(axis=1)).tolist()
+        # pivots[a][a] == 0, so the min-plus row already includes the
+        # direct hop-bounded distance.  Every open row is joined before
+        # any is written back, so each reads the table as it came.
+        joined = [(a, (pivots[a][:, None] + lengths).min(axis=0))
+                  for a in rows]
+        for a, row in joined:
+            np.minimum(row, INF, out=lengths[a])
+        completed.append(lengths)
     return (closure.tolist(), *completed)
 
 
@@ -791,14 +809,15 @@ def pairwise_min_sum_vector(net, m_rows, n_rows) -> List[int]:
     """``out[i] = clamp_inf(min_j m_rows[j][i] + n_rows[j][i])``.
 
     The Proposition 5.1 finish (ledger-free local computation) over the
-    ``(k, h)`` tables the segment combine returns; operands are clamped
-    at INF = 2^60, so int64 sums are exact.  ``net`` is unused beyond
-    the uniform dispatch signature (and the span join).
+    ``(k, h)`` tables the segment combine returns; the operands
+    (non-negative lengths) are clamped at INF = 2^60 before the sum, so
+    int64 sums are exact.  ``net`` is unused beyond the uniform dispatch
+    signature (and the span join).
     """
     np = numpy_or_none()
-    best = (np.asarray(m_rows, dtype=np.int64)
-            + np.asarray(n_rows, dtype=np.int64)).min(axis=0)
-    return np.minimum(best, INF).tolist()
+    best = np.minimum(np.asarray(m_rows, dtype=np.int64), INF)
+    best += np.minimum(np.asarray(n_rows, dtype=np.int64), INF)
+    return np.minimum(best.min(axis=0), INF).tolist()
 
 
 # -- Lemma 2.5 path-chain flood ----------------------------------------------

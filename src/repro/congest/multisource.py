@@ -63,8 +63,12 @@ def multi_source_hop_bfs(
     ``dist`` with ``dist[rank][v]`` = hop distance from ``sources[rank]``
     to v (or from v to the source for ``direction="in"``), INF beyond
     ``hop_limit``, as lists of Python ints on every fabric.  The vector
-    kernel's ``(k, n)`` int64 table is listed here, once; Lemma 5.6's
-    completion dispatches the primitive itself and keeps the array.
+    kernel's ``(k, n)`` int64 table is listed here, once, for callers
+    that compute with Python values: Theorem 3's merge over the scale
+    ladder (its exact Fraction lengths), MR24, the serve planner and
+    the catalog.  Theorem 1's landmark distances dispatch the primitive
+    themselves and hand the arrays to Lemma 5.6's completion as they
+    are.
     """
     name = phase if phase is not None else "k-source-bfs"
     dist = dispatch(

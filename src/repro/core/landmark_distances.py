@@ -15,46 +15,45 @@ Both lemmas are powered by two hop-bounded k-source BFS runs in G \\ P
   hop-bounded distance v → l_j, which combined with the closure yields
   the exact dist_{G\\P}(v, l_j) w.h.p. (Lemma 5.6).
 
-The weighted (1+ε) variant (Proposition 7.11) runs its own pipeline,
-:func:`~repro.approx.long_detour_approx.compute_landmark_distances_weighted`,
-which reuses only :func:`landmark_closure` and
-:class:`LandmarkDistances` from this module.
+The weighted (1+ε) variant (Proposition 7.11) is the same pipeline
+with (1+ε)-approximate h-hop k-source distances in place of the BFS:
+:func:`compute_landmark_distances` takes Theorem 3's scale ladder,
+runs one forward and one backward BFS per scale d on the rounding
+graph G_d (Section 7.1), and keeps each entry's least exact length
+h·μ_d.  DESIGN.md records why Section 7.1's rounding stands in for
+the algorithm the paper cites there.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple,
+)
 
 from ..congest.broadcast import broadcast_messages
 from ..congest.dispatch import dispatch
+from ..congest.multisource import multi_source_hop_bfs
 from ..congest.network import CongestNetwork
 from ..congest.spanning_tree import SpanningTree
 from ..congest.words import INF, clamp_inf
 
+if TYPE_CHECKING:
+    from ..approx.rounding import Scale
+
 EdgeSet = FrozenSet[Tuple[int, int]]
 
-#: Converts a hop count in the (possibly subdivided) BFS graph back to a
-#: length in G.  Identity for the unweighted case.
-HopsToLength = Callable[[int], int]
+#: (direction, phase word) of the forward and backward k-source BFS.
+_SENSES = (("out", "forward"), ("in", "backward"))
 
 
-def _identity(h: int) -> int:
-    return h
-
-
-def landmark_closure(
-    pair_hops: List[List[int]],
-    hops_to_length: HopsToLength = _identity,
-) -> List[List[int]]:
+def landmark_closure(pair_hops: List[List[int]]) -> List[List[int]]:
     """Min-plus closure of the hop-bounded landmark pair distances.
 
     Pure local computation (every vertex holds the same broadcast data);
     Floyd–Warshall over the |L| × |L| matrix.
     """
     k = len(pair_hops)
-    dist = [[clamp_inf(hops_to_length(pair_hops[a][b])
-                       if pair_hops[a][b] < INF else INF)
-             for b in range(k)] for a in range(k)]
+    dist = [[clamp_inf(x) for x in row] for row in pair_hops]
     for a in range(k):
         dist[a][a] = 0
     for mid in range(k):
@@ -107,37 +106,51 @@ def compute_landmark_distances(
     net: CongestNetwork,
     tree: SpanningTree,
     landmarks: Sequence[int],
-    hop_limit: int,
+    hop_limit: Optional[int],
     avoid_edges: EdgeSet,
     phase: str = "landmark-distances(L5.4/5.6)",
+    scales: Optional[Sequence[Scale]] = None,
 ) -> LandmarkDistances:
     """Run the Lemma 5.4 + Lemma 5.6 pipeline.
 
-    Rounds: two k-source h-hop BFS runs (O(|L| + h) each, Lemma 5.5) plus
-    one broadcast of |L|² words (O(|L|² + D), Lemma 2.4).
+    Theorem 1 runs one unit-step k-source BFS each way, to ``hop_limit``
+    hops.  With Theorem 3's ``scales`` the BFS runs once per scale d,
+    on G_d, with that scale's delays and hop budget, and each entry
+    keeps its least exact length h·μ_d; such lengths need
+    ``hop_limit=None`` (a row below one scale's hop budget proves
+    nothing, so every row joins the completion).
+
+    Rounds: two k-source h-hop BFS runs per scale (O(|L| + h) each,
+    Lemma 5.5) plus one broadcast of |L|² words (O(|L|² + D), Lemma
+    2.4).
     """
     k = len(landmarks)
     with net.ledger.phase(phase):
         if k == 0:
             return LandmarkDistances([], [], [], [])
 
-        # The vector lane's (k, n) int64 tables go to the completion as
-        # they are; the message lanes return lists of rows.
-        forward_hops = dispatch(
-            "multisource", net, sources=landmarks, hop_limit=hop_limit,
-            direction="out", avoid_edges=avoid_edges, delay=None,
-            name="kBFS-forward(L5.5)")
-        backward_hops = dispatch(
-            "multisource", net, sources=landmarks, hop_limit=hop_limit,
-            direction="in", avoid_edges=avoid_edges, delay=None,
-            name="kBFS-backward(L5.5)")
+        if scales is None:
+            # The vector lane's (k, n) int64 tables go to the
+            # completion as they are; the message lanes return lists
+            # of rows.
+            forward, backward = (
+                dispatch("multisource", net, sources=landmarks,
+                         hop_limit=hop_limit, direction=direction,
+                         avoid_edges=avoid_edges, delay=None,
+                         name=f"kBFS-{sense}(L5.5)")
+                for direction, sense in _SENSES)
+        else:
+            # Exact Fraction lengths (two words each) merged over the
+            # scales, not unit hops.
+            forward, backward = _least_lengths(
+                net, landmarks, avoid_edges, scales)
 
-        # Each landmark l_b broadcasts its hop distance *from* every l_a
-        # (which it learned as a vertex in the forward BFS), as a Python
-        # int: words_of prices no NumPy scalar.
-        rows = list(forward_hops)
+        # Each landmark l_b broadcasts its distance *from* every l_a
+        # (which it learned as a vertex in the forward BFS).
+        at_landmarks = _columns(forward, landmarks)
         messages: Dict[int, list] = {
-            l_b: [("pair", a, b, int(row[l_b])) for a, row in enumerate(rows)]
+            l_b: [("pair", a, b, row[b])
+                  for a, row in enumerate(at_landmarks)]
             for b, l_b in enumerate(landmarks)
         }
         pairs = broadcast_messages(net, tree, messages,
@@ -149,20 +162,57 @@ def compute_landmark_distances(
 
         # Local closure and completion (Lemma 5.4, then Lemma 5.6 and
         # its forward mirror): every vertex closes the broadcast pair
-        # hops and stitches its hop-bounded distances with the closure.
-        # Unweighted hops are lengths, and each is <= hop_limit or INF,
-        # so the hop tables are the completion's length rows as they
-        # are, and a row with no entry at the hop limit is already
-        # exact (the completion's per-row test).  On the vector fabric
-        # the closure is k vectorized relaxations and the completed
-        # tables stay (k, n) int64 arrays (ledger-free local
-        # computation, so only value equality is at stake).
+        # distances and stitches its own with the closure.  Unweighted
+        # hops are lengths, and each is <= hop_limit or INF, so the hop
+        # tables are the completion's length rows as they are, and a
+        # row with no entry at the hop limit is already exact (the
+        # completion's per-row test).  On the vector fabric the
+        # closure is k vectorized relaxations and the completed tables
+        # stay (k, n) int64 arrays; Theorem 3's Fractions take the
+        # message lane (ledger-free local computation, so only value
+        # equality is at stake).
         closure, from_landmark, to_landmark = dispatch(
             "landmark_completion", net, pair_hops=pair_hops,
-            from_len=forward_hops, to_len=backward_hops,
-            hop_limit=hop_limit)
+            from_len=forward, to_len=backward, hop_limit=hop_limit)
         return LandmarkDistances(
             landmarks, closure, from_landmark, to_landmark)
+
+
+def _columns(table, columns: Sequence[int]) -> List[List[object]]:
+    """``table[a][c]`` for every row a and every c in ``columns``, as
+    Python values: words_of prices no NumPy scalar, so the vector
+    lane's ``(k, n)`` array is listed at those columns only."""
+    if hasattr(table, "tolist"):
+        return table[:, list(columns)].tolist()
+    return [[row[c] for c in columns] for row in table]
+
+
+def _least_lengths(
+    net: CongestNetwork,
+    landmarks: Sequence[int],
+    avoid_edges: EdgeSet,
+    scales: Sequence[Scale],
+) -> List[List[List[object]]]:
+    """Proposition 7.11's (1+ε) h-hop k-source distances, forward and
+    backward: per scale d, a forward then a backward k-source BFS on
+    G_d with d's delays and hop budget.  Each entry of the two
+    ``(k, n)`` tables keeps its least exact length h·μ_d (a Fraction)
+    below INF, else INF."""
+    tables = [[[INF] * net.n for _ in landmarks] for _ in _SENSES]
+    for scale in scales:
+        mu = scale.mu
+        for merged, (direction, sense) in zip(tables, _SENSES):
+            hops = multi_source_hop_bfs(
+                net, landmarks, scale.hop_budget, direction=direction,
+                avoid_edges=avoid_edges, delay=scale.delay,
+                phase=f"kBFS-{sense}(L5.5,d={scale.d})")
+            for out, row in zip(merged, hops):
+                for v, h in enumerate(row):
+                    if h < INF:
+                        length = h * mu
+                        if length < out[v]:
+                            out[v] = length
+    return tables
 
 
 def _join_rows(

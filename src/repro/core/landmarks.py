@@ -37,6 +37,20 @@ def sample_landmarks(
     return [v for v in range(n) if rng.random() < p]
 
 
+def landmark_set(
+    n: int,
+    zeta: int,
+    landmarks: Optional[Sequence[int]] = None,
+    c: float = 2.0,
+    seed: int = 0,
+) -> List[int]:
+    """The landmark set a long-detour stage runs on: ``landmarks``
+    sorted and without repeats, or one Definition 5.2 sample."""
+    if landmarks is None:
+        return sample_landmarks(n, zeta, c=c, seed=seed)
+    return sorted(set(landmarks))
+
+
 def expected_landmark_count(n: int, zeta: int, c: float = 2.0) -> float:
     """E|L| = n · p — Õ(n^{1/3}) at the paper's ζ = n^{2/3}."""
     return n * landmark_probability(n, zeta, c)
@@ -47,5 +61,5 @@ def segment_hits_landmark(
     landmarks: Sequence[int],
 ) -> bool:
     """Whether a vertex stretch contains a landmark (Lemma 5.3 check)."""
-    landmark_set = set(landmarks)
-    return any(v in landmark_set for v in vertices)
+    members = set(landmarks)
+    return any(v in members for v in vertices)

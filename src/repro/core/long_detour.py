@@ -2,7 +2,7 @@
 
 Pipeline (all stages charged to the shared ledger):
 
-1. sample landmarks L (Definition 5.2);
+1. landmarks L (Definition 5.2), sampled by the caller;
 2. hop-bounded k-source BFS from L in G \\ P, forward and backward, then
    the |L|² pair broadcast and local closure (Lemmas 5.4–5.6);
 3. segment prefix/suffix sweeps along P plus the segment-summary
@@ -13,12 +13,18 @@ Pipeline (all stages charged to the shared ledger):
    (v_i, v_{i+1}) and visit a landmark — an upper bound on |st ⋄ e|
    always, and equal to the best *long-detour* replacement w.h.p.
    (every long detour contains a landmark, Lemma 5.3).
+
+Proposition 7.11 (Theorem 3) is this pipeline with Theorem 3's scale
+ladder: its structure "is identical to Proposition 5.1", except that
+step 2's BFS becomes (1+ε)-approximate h-hop k-source distances, which
+:func:`~repro.core.landmark_distances.compute_landmark_distances` builds
+from Section 7.1's per-scale BFS on G_d.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..congest.dispatch import dispatch
 from ..congest.network import CongestNetwork
@@ -27,13 +33,15 @@ from ..congest.words import INF, clamp_inf
 from ..graphs.instance import RPathsInstance
 from .knowledge import PathKnowledge
 from .landmark_distances import compute_landmark_distances
-from .landmarks import sample_landmarks
 from .segments import (
     checkpoint_positions,
     finish_distance_tables,
     prefix_min_to_landmarks,
     suffix_min_from_landmarks,
 )
+
+if TYPE_CHECKING:
+    from ..approx.rounding import Scale
 
 
 def long_detour_lengths(
@@ -42,30 +50,30 @@ def long_detour_lengths(
     tree: SpanningTree,
     knowledge: PathKnowledge,
     zeta: int,
-    landmarks: Optional[Sequence[int]] = None,
-    seed: int = 0,
-    landmark_c: float = 2.0,
+    landmarks: Sequence[int],
     phase: str = "long-detour(P5.1)",
-) -> List[int]:
-    """Proposition 5.1.  Returns ``x[i]`` for every path edge i.
+    scales: Optional[Sequence[Scale]] = None,
+) -> List[object]:
+    """Proposition 5.1, or with Theorem 3's ``scales`` Proposition 7.11.
+    Returns ``x[i]`` for every path edge i.  ``landmarks`` is the set
+    the stage runs on, drawn or deduplicated by the caller
+    (:func:`~repro.core.landmarks.landmark_set`).
 
     ``x[i]`` ≥ |st ⋄ e_i| always (validity), and ``x[i]`` ≤ the best
-    long-detour replacement length w.h.p. (approximation); the caller
-    takes the min with the short-detour output (Theorem 1).
+    long-detour replacement length w.h.p. (approximation), times
+    (1+ε) with ``scales``; the caller takes the min with the
+    short-detour output (Theorems 1 and 3).
     """
     h = knowledge.hop_count
     with net.ledger.phase(phase):
-        if landmarks is None:
-            landmarks = sample_landmarks(
-                instance.n, zeta, c=landmark_c, seed=seed)
-        landmarks = sorted(set(landmarks))
         if not landmarks:
             return [INF] * h
 
         distances = compute_landmark_distances(
             net, tree, landmarks,
-            hop_limit=zeta,
+            hop_limit=zeta if scales is None else None,
             avoid_edges=instance.path_edge_set(),
+            scales=scales,
         )
 
         segment_len = max(1, math.ceil(instance.n ** (2.0 / 3.0)))

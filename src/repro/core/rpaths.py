@@ -25,6 +25,7 @@ from ..congest.spanning_tree import build_spanning_tree
 from ..congest.words import INF
 from ..graphs.instance import RPathsInstance
 from .knowledge import acquire_path_knowledge, oracle_knowledge
+from .landmarks import landmark_set
 from .long_detour import long_detour_lengths
 from .short_detour import short_detour_lengths
 
@@ -117,10 +118,10 @@ def solve_rpaths(
                 instance, net, tree=tree, seed=seed)
 
         short = short_detour_lengths(instance, net, knowledge, zeta)
+        landmarks = landmark_set(instance.n, zeta, landmarks,
+                                 c=landmark_c, seed=seed + 1)
         long_ = long_detour_lengths(
-            instance, net, tree, knowledge, zeta,
-            landmarks=landmarks, seed=seed + 1,
-            landmark_c=landmark_c)
+            instance, net, tree, knowledge, zeta, landmarks=landmarks)
 
         lengths = [min(a, b) for a, b in zip(short, long_)]
     report = RPathsReport(
@@ -128,8 +129,7 @@ def solve_rpaths(
         lengths=[x if x < INF else INF for x in lengths],
         ledger=net.ledger,
         zeta=zeta,
-        landmark_count=len(landmarks) if landmarks is not None else
-        _count_default_landmarks(instance.n, zeta, landmark_c, seed + 1),
+        landmark_count=len(landmarks),
         diameter=net.undirected_diameter() if compute_diameter else None,
         extras={
             "short": short,
@@ -141,9 +141,3 @@ def solve_rpaths(
         },
     )
     return report
-
-
-def _count_default_landmarks(n: int, zeta: int, c: float,
-                             seed: int) -> int:
-    from .landmarks import sample_landmarks
-    return len(sample_landmarks(n, zeta, c=c, seed=seed))

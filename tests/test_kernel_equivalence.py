@@ -27,6 +27,7 @@ Layers of evidence:
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 from typing import List
 
@@ -49,6 +50,7 @@ from repro.congest import (
 from repro.congest import kernels
 from repro.congest.pipeline import SegmentSweeps, run_segment_sweeps
 from repro.congest.dispatch import REASON_FABRIC, REASON_NUMPY_MISSING
+from repro.congest.dispatch import check as primitive_check
 from repro.congest.dispatch import dispatch as run_primitive
 from repro.congest.dispatch import registry as primitive_registry
 from repro.congest.kernels import numpy_or_none
@@ -61,6 +63,7 @@ from repro.core.landmark_distances import (
     _completion_message,
     landmark_closure,
 )
+from repro.core.long_detour import _pairwise_min_sum_message
 from repro.core.two_sisp import solve_two_sisp
 from repro.extensions import (
     random_undirected_instance,
@@ -776,6 +779,38 @@ class TestLandmarkCompletionLanes:
         assert not _open_rows(fwd, zeta) and not _open_rows(bwd, zeta)
 
 
+class TestOperandsClampedAtInf:
+    """The completion and min-sum kernels clamp their operands at INF
+    before any sum, so their check passes an integer array on its
+    dtype alone: entries far above INF must not wrap in int64."""
+
+    BIG = 2 ** 62 + 5
+    TOP = 2 ** 63 - 1
+
+    def test_min_sum_takes_the_kernel_and_matches(self):
+        np = pytest.importorskip("numpy")
+        net = random_instance(16, seed=5).build_network(fabric="vector")
+        m = np.array([[self.BIG, 1, INF], [3, self.BIG, self.TOP]])
+        n = np.array([[self.BIG, self.TOP, 4], [1, 7, 9]])
+        assert primitive_check("pairwise_min_sum", net,
+                               m_rows=m, n_rows=n) is None
+        want = _pairwise_min_sum_message(net, m.tolist(), n.tolist())
+        assert want == [4, INF, INF]
+        assert kernels.pairwise_min_sum_vector(net, m, n) == want
+
+    def test_completion_takes_the_kernel_and_matches(self):
+        np = pytest.importorskip("numpy")
+        net = random_instance(16, seed=5).build_network(fabric="vector")
+        pair = [[0, 2], [INF + 3, 0]]
+        fwd = np.array([[self.TOP] * 8, [v % 3 for v in range(8)]])
+        bwd = np.array([[self.BIG, 1] * 4, [self.TOP, 0] * 4])
+        call = dict(pair_hops=pair, from_len=fwd, to_len=bwd)
+        assert primitive_check("landmark_completion", net, **call) is None
+        want = _completion_message(net, pair, fwd.tolist(), bwd.tolist())
+        assert want[1][0] == [2, 3, 4, 2, 3, 4, 2, 3]
+        assert plain(kernels.landmark_completion_vector(net, **call)) == want
+
+
 def _small():
     return random_instance(16, seed=3)
 
@@ -1017,6 +1052,21 @@ def _n_shift_float_rows(inst, net):
                                      [float(h)] * h])
 
 
+def _landmark_completion_fractions(inst, net):
+    # Theorem 3's exact lengths: an int64 array would truncate them.
+    return run_primitive(
+        "landmark_completion", net,
+        pair_hops=[[Fraction(0), Fraction(7, 2)], [INF, Fraction(0)]],
+        from_len=[[Fraction(v, 3) for v in range(net.n)], [INF] * net.n],
+        to_len=[[INF] * net.n, [Fraction(v % 3, 2) for v in range(net.n)]])
+
+
+def _pairwise_min_sum_fractions(inst, net):
+    return run_primitive("pairwise_min_sum", net,
+                         m_rows=[[Fraction(7, 2)]],
+                         n_rows=[[Fraction(1, 3)]])
+
+
 #: (primitive, fallback reason) -> a call violating exactly that
 #: declared constraint (or escape hatch).  The coverage test below
 #: asserts this table matches the registry's declarations one-to-one.
@@ -1034,6 +1084,9 @@ FALLBACK_CASES = {
     ("path_sweeps", "non-declarative-task"): _sweeps_closure_task,
     ("path_sweeps", "value-out-of-int64"): _sweeps_float_table,
     ("n_shift", "value-out-of-int64"): _n_shift_float_rows,
+    ("landmark_completion", "value-out-of-int64"):
+        _landmark_completion_fractions,
+    ("pairwise_min_sum", "value-out-of-int64"): _pairwise_min_sum_fractions,
 }
 
 

@@ -42,11 +42,6 @@ class TestClosure:
         closure = landmark_closure([[0, INF], [INF, 0]])
         assert closure[0][1] >= INF
 
-    def test_hops_to_length_conversion(self):
-        closure = landmark_closure([[0, 4], [INF, 0]],
-                                   hops_to_length=lambda h: h * 3)
-        assert closure[0][1] == 12
-
 
 class TestFullLandmarkExactness:
     @pytest.mark.parametrize("builder,args", [

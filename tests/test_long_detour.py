@@ -9,6 +9,7 @@ from repro.baselines.centralized import (
 from repro.congest.spanning_tree import build_spanning_tree
 from repro.congest.words import INF
 from repro.core.knowledge import oracle_knowledge
+from repro.core.landmarks import landmark_set
 from repro.core.long_detour import long_detour_lengths
 from tests.conftest import family_instances
 
@@ -19,7 +20,7 @@ def run_long(instance, zeta, landmarks=None, seed=0):
     knowledge = oracle_knowledge(instance)
     return long_detour_lengths(
         instance, net, tree, knowledge, zeta,
-        landmarks=landmarks, seed=seed)
+        landmarks=landmark_set(instance.n, zeta, landmarks, seed=seed))
 
 
 class TestValidity:

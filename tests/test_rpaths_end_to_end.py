@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines import replacement_lengths
 from repro.congest.words import INF
+from repro.core.landmarks import sample_landmarks
 from repro.core.rpaths import default_zeta, solve_rpaths
 from repro.graphs import path_with_chords_instance
 from tests.conftest import family_instances
@@ -56,6 +57,19 @@ class TestReportContents:
         long_ = report.extras["long"]
         assert report.lengths == [min(a, b)
                                   for a, b in zip(short, long_)]
+
+    def test_landmark_count_is_the_set_the_stage_used(self, grid):
+        # Repeated landmarks collapse: the long-detour stage runs on
+        # three, and both theorems' reports count three.
+        from repro.approx.apx_rpaths import solve_apx_rpaths
+        repeated = [0, 0, 1, 1, 2]
+        assert solve_rpaths(grid, landmarks=repeated).landmark_count == 3
+        assert solve_apx_rpaths(grid, epsilon=0.5,
+                                landmarks=repeated).landmark_count == 3
+        # A sampled set is counted from the one draw the stage ran on.
+        report = solve_rpaths(grid, seed=4)
+        assert report.landmark_count == len(
+            sample_landmarks(grid.n, report.zeta, seed=5))
 
     def test_default_zeta_formula(self):
         assert default_zeta(1000) == 100

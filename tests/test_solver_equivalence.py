@@ -48,6 +48,8 @@ from repro.graphs import (
     random_instance,
 )
 from repro.graphs.instance import RPathsInstance
+from repro.telemetry import counters as counters_mod
+from repro.telemetry import tooling
 
 FABRICS = ("fast", "vector")
 
@@ -192,24 +194,57 @@ class TestWholeSolverFuzz:
         assert got == want
 
 
+#: Theorem 3's landmark sets on n = 16: Definition 5.2's sample,
+#: every vertex, and a list with repeats.
+APX_LANDMARKS = {"sampled": None, "all": list(range(16)),
+                 "duplicated": [0, 0, 5, 9, 9, 15]}
+
+
 class TestWeightedApproxSolver:
-    def test_theorem3_cross_fabric(self):
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("max_weight", [6, 2 ** 58], ids=["6", "2^58"])
+    @pytest.mark.parametrize("epsilon", [0.5, 0.25, 0.1])
+    @pytest.mark.parametrize("landmarks", sorted(APX_LANDMARKS))
+    def test_theorem3_cross_fabric(self, landmarks, epsilon, max_weight,
+                                   seed):
         # The Theorem 3 pipeline routes Fractions through the shared
-        # segment machinery: the sweep and N-shift kernels must decline
-        # (non-int payloads size differently on the wire) and the
-        # message path must serve those calls with identical ledgers.
+        # long-detour and segment machinery: the completion, sweep,
+        # N-shift and min-sum kernels must decline (their arrays would
+        # truncate Fractions, and non-int payloads size differently on
+        # the wire) and the message path must serve those calls with
+        # identical ledgers, over the whole scale ladder.
         from repro.approx.apx_rpaths import solve_apx_rpaths
 
-        for trial in range(2):
-            instance = random_instance(16, seed=trial, weighted=True,
-                                       max_weight=6)
-            out = {}
-            for fabric in FABRICS:
-                report = solve_apx_rpaths(instance, epsilon=0.5,
-                                          seed=trial, fabric=fabric)
-                out[fabric] = (report.lengths,
-                               ledger_snapshot(report.ledger))
-            assert out["vector"] == out["fast"], trial
+        instance = random_instance(16, seed=seed, weighted=True,
+                                   max_weight=max_weight)
+        out = {}
+        for fabric in ("reference",) + FABRICS:
+            report = solve_apx_rpaths(instance, epsilon=epsilon, seed=seed,
+                                      landmarks=APX_LANDMARKS[landmarks],
+                                      fabric=fabric)
+            out[fabric] = (report.lengths, ledger_snapshot(report.ledger),
+                           report.landmark_count)
+        assert out["vector"] == out["fast"] == out["reference"]
+
+    def test_theorem3_dispatches_completion_and_min_sum(self):
+        # Proposition 7.11 runs Proposition 5.1's code, so its closure
+        # and its final min-sum go through the registry: on the vector
+        # fabric, each falls back on its Fraction lengths and is
+        # counted doing so.
+        from repro.approx.apx_rpaths import solve_apx_rpaths
+
+        instance = random_instance(16, seed=1, weighted=True,
+                                   max_weight=6)
+        counters_mod.registry.reset()
+        try:
+            solve_apx_rpaths(instance, epsilon=0.5, fabric="vector")
+            rows = {(kernel, outcome, reason) for kernel, outcome, reason, _
+                    in tooling.dispatch_rows(
+                        counters_mod.registry.snapshot()["counters"])}
+        finally:
+            counters_mod.registry.reset()
+        for kernel in ("landmark_completion", "pairwise_min_sum"):
+            assert (kernel, "fallback", "value-out-of-int64") in rows
 
     def test_theorem3_with_an_unreachable_landmark(self):
         # The only landmark ends a 200-hop tail beyond every hop budget:
