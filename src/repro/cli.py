@@ -769,7 +769,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_suite_run)
 
     p_diff = suite_sub.add_parser(
-        "diff", help="compare two run manifests (JSONL)")
+        "diff", help="compare two run manifests (JSONL), matching "
+                     "cells with their fabric set aside")
     p_diff.add_argument("old", help="baseline run manifest path")
     p_diff.add_argument("new", help="candidate run manifest path")
     p_diff.set_defaults(func=cmd_suite_diff)

@@ -237,8 +237,8 @@ def _dp_zeta_fits(net, call) -> bool:
 
 def _sweeps_values_ok(net, call) -> bool:
     segments = call["segments"]
-    return (_kernels._int64_values_ok((segments.offset,))
-            and _kernels._int64_values_ok(segments.table))
+    return (_kernels._clamped_operands_ok((segments.offset,))
+            and _kernels._clamped_operands_ok(segments.table))
 
 
 def _tables_ok(values_ok: Callable[[object], bool], *keys: str) -> CheckFn:
@@ -384,7 +384,9 @@ _PRIMITIVES: Tuple[Primitive, ...] = (
             ),
             Constraint(
                 REASON_VALUE_RANGE,
-                "segment offsets and table int64-safe ints",
+                "segment offsets and table ints: an integer array, or "
+                "int64-safe rows (Fraction lengths take the message "
+                "path)",
                 _sweeps_values_ok,
             ),
         ),
@@ -408,9 +410,10 @@ _PRIMITIVES: Tuple[Primitive, ...] = (
         constraints=(
             Constraint(
                 REASON_VALUE_RANGE,
-                "segment tables and summaries int64-safe ints (3-word "
-                "tokens; Fractions take the message path)",
-                _tables_ok(_kernels._int64_values_ok,
+                "segment tables and summaries ints: integer arrays, "
+                "or int64-safe rows (3-word tokens; Fractions take the "
+                "message path)",
+                _tables_ok(_kernels._clamped_operands_ok,
                            "prefix", "suffix", "m_seg", "n_seg"),
             ),
         ),

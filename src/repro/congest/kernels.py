@@ -62,10 +62,13 @@ The topology exports the kernels gather over follow the int32 memory
 diet (:class:`~repro.congest.topology.TopologyArrays`): indptr/
 indices/steps arrive as int32 whenever the value ranges permit and
 are **read-only**.  Kernels treat them as addressing data; any
-arithmetic that can outgrow int32 (hop sums against the budget, key
-encodings ``d·k + rank``) is performed in int64, upcasting at the
-gather site.  Value/distance arrays (INF sentinels at 2^60) always
-stay int64.
+arithmetic that can outgrow int32 (hop sums against the budget) is
+performed in int64, upcasting at the gather site.  Value/distance
+arrays (INF sentinels at 2^60) always stay int64, except the k-source
+BFS's key tables: its ``d·k + rank`` keys never exceed twice the
+call's cap ``(hop_limit + 1)·k``, so they live in the narrowest of
+int16, int32 and int64 that holds that (:func:`_key_dtype`), and the
+distance table it returns is int64 again.
 
 Ledger parity leans on one structural invariant of the round-loop
 kernels: in any round, each directed link carries at most one message,
@@ -171,17 +174,17 @@ def _fits_int64(value: int) -> bool:
     return -_INT64_SAFE < value < _INT64_SAFE
 
 
-def _int64_values_ok(table) -> bool:
-    """Is every value of ``table`` (an array, or rows of values) an
-    int64-safe int?  An integer array costs one min and one max.  Rows
-    of values cost one C-level pass: ``int.bit_length`` takes ints
-    only (a Fraction, float or NumPy scalar raises TypeError), and
-    |x| < 2^62 iff ``x.bit_length()`` < 63."""
+def _clamped_operands_ok(table) -> bool:
+    """May a kernel that clamps its operands at INF before any sum, or
+    takes only minima, read ``table`` (an array, or rows of values)?
+    An integer array passes on its dtype alone, with no pass over its
+    values.  Rows of values must be int64-safe ints, at one C-level
+    pass: ``int.bit_length`` takes ints only (a Fraction, float or
+    NumPy scalar raises TypeError), and |x| < 2^62 iff
+    ``x.bit_length()`` < 63."""
     np = numpy_or_none()
     if np is not None and isinstance(table, np.ndarray):
-        return table.dtype.kind == "i" and (
-            not table.size or (-_INT64_SAFE < int(table.min())
-                               and int(table.max()) < _INT64_SAFE))
+        return table.dtype.kind == "i"
     try:
         return max(map(int.bit_length, chain.from_iterable(table)),
                    default=0) < _INT64_SAFE.bit_length()
@@ -189,14 +192,12 @@ def _int64_values_ok(table) -> bool:
         return False
 
 
-def _clamped_operands_ok(table) -> bool:
-    """:func:`_int64_values_ok` for a kernel that clamps its operands at
-    INF before any sum: an integer array passes on its dtype alone,
-    with no pass over its values."""
-    np = numpy_or_none()
-    if np is not None and isinstance(table, np.ndarray):
-        return table.dtype.kind == "i"
-    return _int64_values_ok(table)
+def _key_dtype(np, cap: int):
+    """The narrowest of int16, int32 and int64 that holds ``2·cap``."""
+    for dtype in (np.int16, np.int32):
+        if 2 * cap <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
 
 def _expand_ranges(np, starts, counts, total: int):
@@ -457,21 +458,28 @@ def multi_source_hop_bfs_vector(
 
     One loop serves unit and delayed steps: a slot's candidate key is
     its sender's announced key plus ``k·min(step, hop_limit + 1)``,
-    kept iff below the cap, i.e. iff ``d + step <= hop_limit`` (the
-    clamp keeps every sum below twice the cap).  The rank rides in the
-    key, so keys compare as distances within a row.
+    kept iff below the cap, i.e. iff ``d + step <= hop_limit``.  The
+    clamp keeps every sum at most twice the cap, so keys, candidates
+    and advances live in :func:`_key_dtype`'s width for the call (int16
+    for the floods of an n ≈ 2000 solve); flat ``(rank, vertex)``
+    indices stay int64.  The rank rides in the key, so keys compare as
+    distances within a row.
 
-    A round where more than half the vertices announce gathers every
-    CSR slot through a per-call slot -> sender array; a sparser round
-    expands only its senders' slots.  Both are exact: a vertex that
-    announces nothing has the cap as its column minimum, so none of
-    its slots is kept or lowers a distance, and neither the message
-    count, the per-pair minimum nor the first overloaded link depends
-    on the order of the candidates.  After a dense round every column
-    recomputes its minimum; after a sparse one only the senders'
-    columns do, and an improved pair lowers its column's minimum in
-    place.  Returns the C-contiguous ``(k, n)`` int64 distance table,
-    which the landmark completion takes as it is;
+    A round where more than half the vertices announce reads every
+    column and gathers every CSR slot's sender key and row offset
+    through a per-call slot -> sender array; a sparser round expands
+    only its senders' slots.  Both are exact: a vertex that announces
+    nothing has the cap as its column minimum, so none of its slots is
+    kept or lowers a distance, and neither the message count, the
+    per-pair minimum nor the first overloaded link depends on the
+    order of the candidates.  After a dense round every column
+    recomputes its minimum; after a sparse one an improved pair lowers
+    its column's minimum in place and the senders' columns are
+    recomputed, except where a per-vertex count of pending pairs says
+    none is left.  That count lives only until the first dense round
+    (its upkeep would cost each dense round a few passes).  Returns
+    the C-contiguous ``(k, n)`` int64 distance table, which the
+    landmark completion takes as it is;
     :func:`~repro.congest.multisource.multi_source_hop_bfs` lists it.
     """
     np = numpy_or_none()
@@ -486,37 +494,51 @@ def multi_source_hop_bfs_vector(
     size = HOP_MESSAGE_WORDS
     overload = net.strict and size > net.bandwidth_words
     cap = (hop_limit + 1) * k
-    advance = np.minimum(steps.astype(np.int64), hop_limit + 1) * k
-    slot_sender = None
+    key_dtype = _key_dtype(np, cap)
+    advance = (np.minimum(steps.astype(np.int64), hop_limit + 1)
+               * k).astype(key_dtype)
+    degree = np.diff(indptr)
+    columns = np.arange(n)
+    slot_sender = slot_target = None
 
     with net.ledger.phase(name):
-        best = np.full((k, n), cap, dtype=np.int64)
-        ranks = np.arange(k, dtype=np.int64)
-        best[ranks, np.asarray(sources, dtype=np.int64)] = ranks
+        best = np.full((k, n), cap, dtype=key_dtype)
+        ranks = np.arange(k)
+        sources = np.asarray(sources, dtype=np.int64)
+        best[ranks, sources] = ranks
         pending = best.copy()
         best_flat = best.reshape(-1)
         pending_flat = pending.reshape(-1)
         announce = pending.min(axis=0)
+        #: At least each vertex's number of pending pairs (a pair two
+        #: senders reach in one round counts twice), so a zero is exact.
+        npend = np.bincount(sources, minlength=n)
 
         while True:
-            senders = np.flatnonzero(announce < cap)
-            if not senders.size:
+            live = announce < cap
+            count = int(np.count_nonzero(live))
+            if not count:
                 break
-            keys = announce[senders]
-            rows = keys % k * n  # each announced pair's row offset
-            pending_flat[rows + senders] = cap
-            dense = 2 * senders.size > n
+            dense = 2 * count > n
             if dense:
                 if slot_sender is None:
-                    slot_sender = np.repeat(np.arange(n), np.diff(indptr))
-                send_v = slot_sender
-                cand = announce[slot_sender] + advance
-                targets = indices
-                # A silent vertex's cap gathers as row 0: harmless,
-                # since its candidates fail every test below.
-                flat = (announce % k * n)[slot_sender] + targets
+                    slot_sender = np.repeat(columns, degree)
+                    slot_target = indices.astype(np.int64)
+                # A silent vertex's cap names row 0 (k divides the
+                # cap), whose pending entry is the cap already, and its
+                # candidates fail every test below.
+                rows = (announce - announce // k * k).astype(np.int64) * n
+                pending_flat[rows + columns] = cap
+                send_v, targets = slot_sender, indices
+                cand = announce.take(slot_sender) + advance
+                flat = rows.take(slot_sender) + slot_target
+                npend = None
             else:
-                counts = indptr[senders + 1] - indptr[senders]
+                senders = np.flatnonzero(live)
+                keys = announce[senders]
+                rows = (keys - keys // k * k).astype(np.int64) * n
+                pending_flat[rows + senders] = cap
+                counts = degree[senders]
                 slots = _expand_ranges(np, indptr[senders], counts,
                                        int(counts.sum()))
                 send_v = np.repeat(senders, counts) if overload else None
@@ -542,18 +564,28 @@ def multi_source_hop_bfs_vector(
             imp = np.flatnonzero(cand < best_flat.take(flat))
             flat, lower = flat.take(imp), cand.take(imp)
             np.minimum.at(best_flat, flat, lower)
-            pending_flat[flat] = best_flat.take(flat)
             if dense:
+                pending_flat[flat] = best_flat.take(flat)
                 announce = pending.min(axis=0)
-            else:
-                # An improved pair can only lower its vertex's minimum;
-                # a sender's column lost its announced pair.
-                np.minimum.at(announce, targets.take(imp), lower)
-                announce[senders] = pending[:, senders].min(axis=0)
-        # In place: the key table becomes the distance table.
-        np.floor_divide(best, k, out=best)
-        best[best > hop_limit] = INF
-        return best
+                continue
+            hit = targets.take(imp)
+            fresh = hit[pending_flat.take(flat) == cap]
+            pending_flat[flat] = best_flat.take(flat)
+            # An improved pair can only lower its vertex's minimum; a
+            # sender's column lost its announced pair.  An improved
+            # pair that was not pending is now, and a sender with no
+            # pair left (so no improved one either) falls silent.
+            np.minimum.at(announce, hit, lower)
+            if npend is not None:
+                npend[senders] -= 1
+                np.add.at(npend, fresh, 1)
+                idle = npend[senders] == 0
+                announce[senders[idle]] = cap
+                senders = senders[~idle]
+            announce[senders] = pending[:, senders].min(axis=0)
+        dist = np.floor_divide(best, k, dtype=np.int64)
+        dist[dist > hop_limit] = INF
+        return dist
 
 
 # -- pipelined tree broadcast (Lemma 2.4) -----------------------------------
@@ -955,16 +987,20 @@ def run_path_sweeps_vector(net, path, tasks, segments, name: str):
     j crosses the segment's link m in round j + 1 + m), so the ledger
     bulk-charges the makespan and total token-hops.  The values are
     one running minimum per segment over the ``(k, h_st + 1)`` local
-    rows, built from the table's path columns.
+    rows, built from the table's path columns.  The operands (the
+    table's lengths and the path offsets, non-negative) are clamped at
+    INF before the sum, so int64 sums are exact whatever integer table
+    arrives.
     """
     np = numpy_or_none()
     checkpoints = segments.checkpoints
     rightward = segments.rightward
     # The table is the completion's (k, n) int64 array: asarray copies
     # nothing, and only the h_st + 1 path columns are gathered.
-    columns = np.asarray(segments.table, dtype=np.int64)[:, path]
-    local = np.minimum(
-        columns + np.asarray(segments.offset, dtype=np.int64), INF)
+    local = np.asarray(segments.table, dtype=np.int64)[:, path]
+    np.minimum(local, INF, out=local)
+    local += np.minimum(np.asarray(segments.offset, dtype=np.int64), INF)
+    np.minimum(local, INF, out=local)
     k, positions = local.shape
     num_segments = len(checkpoints) - 1
     starts = checkpoints[:-1] if rightward else checkpoints[1:]
@@ -1077,8 +1113,9 @@ def n_shift_vector(net, path: Sequence[int], hop_count: int,
     edges.  Every shift round moves exactly ``hop_count`` three-word
     tokens one hop leftward and the shifted row is already local
     knowledge, so the whole k-round schedule bulk-charges and N needs
-    no move at all: it is indexed by edge.  Returns ``(M, N)`` as
-    ``(k, h_st)`` int64 arrays.
+    no move at all: it is indexed by edge.  Only minima are taken, so
+    any int64 operand is exact.  Returns ``(M, N)`` as ``(k, h_st)``
+    int64 arrays.
     """
     np = numpy_or_none()
     h = hop_count

@@ -284,15 +284,24 @@ class DiffReport:
                 f"{len(self.removed)} removed")
 
 
+def _diff_identity(result: CellResult) -> str:
+    """The cell's identity with its ``fabric`` parameter set aside."""
+    params = {k: v for k, v in result.params.items() if k != "fabric"}
+    return CellSpec.make(result.scenario, params, result.seed).identity()
+
+
 def diff_results(old: List[CellResult],
                  new: List[CellResult]) -> DiffReport:
     """Compare two result sets by cell identity (ignores code version).
 
     Wall time and cache provenance are not compared — only status and
-    the deterministic metrics mapping.
+    the deterministic metrics mapping.  The ``fabric`` parameter is
+    set aside when cells are matched: every fabric must give the same
+    ledgers, and one manifest runs one fabric, so a ``--fabric fast``
+    run diffs against the default one cell by cell.
     """
-    old_by_id = {r.spec.identity(): r for r in old}
-    new_by_id = {r.spec.identity(): r for r in new}
+    old_by_id = {_diff_identity(r): r for r in old}
+    new_by_id = {_diff_identity(r): r for r in new}
     report = DiffReport()
     for identity in sorted(set(old_by_id) | set(new_by_id)):
         if identity not in new_by_id:

@@ -48,7 +48,11 @@ from repro.congest import (
     vector_enabled,
 )
 from repro.congest import kernels
-from repro.congest.pipeline import SegmentSweeps, run_segment_sweeps
+from repro.congest.pipeline import (
+    SegmentSweeps,
+    _path_sweeps_message,
+    run_segment_sweeps,
+)
 from repro.congest.dispatch import REASON_FABRIC, REASON_NUMPY_MISSING
 from repro.congest.dispatch import check as primitive_check
 from repro.congest.dispatch import dispatch as run_primitive
@@ -64,6 +68,7 @@ from repro.core.landmark_distances import (
     landmark_closure,
 )
 from repro.core.long_detour import _pairwise_min_sum_message
+from repro.core.segments import _n_shift_message
 from repro.core.two_sisp import solve_two_sisp
 from repro.extensions import (
     random_undirected_instance,
@@ -412,17 +417,84 @@ class TestMultisourceFuzz:
             assert status == "ok"
             assert all(d == INF or d <= 4 for row in dist for d in row)
 
-    def test_vector_lane_returns_a_c_contiguous_table(self):
+    #: Hop limits that put the keys of a k-source call at the top of
+    #: int16, just past it, and at the key-fit limit
+    #: ``(hop_limit + 2)·k < 2^62``.
+    WIDTH_HOP_LIMITS = {
+        "int16": lambda k: (1 << 14) // k - 2,
+        "int32": lambda k: -(-(1 << 14) // k),
+        "int64": lambda k: (1 << 62) // k - 3,
+    }
+
+    def _hop_limit(self, width, k):
+        np = pytest.importorskip("numpy")
+        hop = self.WIDTH_HOP_LIMITS[width](k)
+        assert kernels._key_dtype(np, (hop + 1) * k) == width
+        return hop
+
+    @pytest.mark.parametrize("width", sorted(WIDTH_HOP_LIMITS))
+    def test_key_width_unit_steps(self, width):
+        dense = expander_instance(128, degree=4, seed=9)
+        sources = random.Random(4).sample(range(dense.n), 20)
+        (status, _), ledger = self._parity(
+            dense, sources, self._hop_limit(width, 20), "in",
+            avoid=dense.path_edge_set())
+        assert status == "ok" and ledger[-1]["rounds"] > 20
+        sparse = path_with_chords_instance(60, seed=4)
+        sources = [sparse.s, sparse.path[30], sparse.t, sparse.t]
+        (status, _), ledger = self._parity(
+            sparse, sources, self._hop_limit(width, 4))
+        assert status == "ok" and ledger[-1]["rounds"] > 60
+
+    @pytest.mark.parametrize("width", sorted(WIDTH_HOP_LIMITS))
+    def test_key_width_delayed_steps(self, width):
+        # Steps of 2^59 stay below the int64 hop limit (k = 6), so
+        # those keys run up to the cap unclamped.
+        instance = random_instance(24, seed=5, weighted=True,
+                                   max_weight=5)
+        for direction in ("out", "in"):
+            (status, dist), _ = self._parity(
+                instance, [0, 3, 3, 8, 11, 17],
+                self._hop_limit(width, 6), direction,
+                delay=lambda w: w if w < 4 else 1 << 59)
+            assert status == "ok"
+            assert any(d > 4 for row in dist for d in row if d != INF)
+
+    @pytest.mark.parametrize("width", sorted(WIDTH_HOP_LIMITS))
+    def test_key_width_strict_overloads(self, width):
+        instance = expander_instance(64, degree=4, seed=2)
+        for sources in (list(range(instance.n)) * 2, [3, 40]):
+            (status, error, _), ledger = self._parity(
+                instance, sources, self._hop_limit(width, len(sources)),
+                bandwidth=2)
+            assert (status, error) == ("raise", "BandwidthExceededError")
+            assert ledger[-1]["rounds"] == 1
+
+    @pytest.mark.parametrize("width", sorted(WIDTH_HOP_LIMITS))
+    def test_vector_lane_returns_a_c_contiguous_table(self, width):
         np = pytest.importorskip("numpy")
         instance = expander_instance(40, degree=3, seed=1)
         net = instance.build_network(fabric="vector")
         dist = run_primitive(
-            "multisource", net, sources=[0, 7, 7, 19], hop_limit=5,
-            direction="in", avoid_edges=frozenset(), delay=None,
-            name="k-source-bfs")
+            "multisource", net, sources=[0, 7, 7, 19],
+            hop_limit=self._hop_limit(width, 4), direction="in",
+            avoid_edges=frozenset(), delay=None, name="k-source-bfs")
         assert isinstance(dist, np.ndarray)
         assert dist.shape == (4, instance.n) and dist.dtype == np.int64
         assert dist.flags.c_contiguous
+
+
+class TestKeyWidth:
+    """The k-source BFS keys live in the narrowest of int16, int32
+    and int64 that holds twice the cap ``(hop_limit + 1)·k``."""
+
+    @pytest.mark.parametrize("cap, width", [
+        ((1 << 14) - 1, "int16"), (1 << 14, "int32"),
+        ((1 << 30) - 1, "int32"), (1 << 30, "int64"),
+    ])
+    def test_width_switches_at_twice_the_cap(self, cap, width):
+        np = pytest.importorskip("numpy")
+        assert kernels._key_dtype(np, cap) == width
 
 
 class TestBroadcastFuzz:
@@ -809,6 +881,57 @@ class TestOperandsClampedAtInf:
         want = _completion_message(net, pair, fwd.tolist(), bwd.tolist())
         assert want[1][0] == [2, 3, 4, 2, 3, 4, 2, 3]
         assert plain(kernels.landmark_completion_vector(net, **call)) == want
+
+    @staticmethod
+    def _path_parity(instance, primitive, kernel, message, arrays, rows):
+        """``kernel`` on the vector fabric takes ``arrays`` (the range
+        check passes them on their dtype) and matches ``message`` on
+        ``rows``, the same operands as lists: values and ledgers."""
+        vector = instance.build_network(fabric="vector")
+        assert primitive_check(primitive, vector, path=instance.path,
+                               **arrays) is None
+        out = []
+        for net, impl, call in ((vector, kernel, arrays),
+                                (instance.build_network(fabric="fast"),
+                                 message, rows)):
+            with net.ledger.phase("p"):
+                value = impl(net, path=instance.path, **call)
+            out.append((plain(value), ledger_snapshot(net.ledger)))
+        assert out[0] == out[1]
+        return out[0][0]
+
+    def test_sweeps_take_the_kernel_and_match(self):
+        np = pytest.importorskip("numpy")
+        instance = random_instance(16, seed=5)
+        h = instance.hop_count
+        table = np.array([[self.TOP] * 16, [v % 4 for v in range(16)],
+                          [self.BIG - v for v in range(16)]])
+        offset = [3 * p for p in range(h)] + [INF]
+        for rightward in (True, False):
+            grid = dict(checkpoints=[0, h // 2, h], offset=offset,
+                        rightward=rightward)
+            carried, _ = self._path_parity(
+                instance, "path_sweeps", kernels.run_path_sweeps_vector,
+                _path_sweeps_message,
+                dict(tasks=(), name="s",
+                     segments=SegmentSweeps(table=table, **grid)),
+                dict(tasks=(), name="s",
+                     segments=SegmentSweeps(table=table.tolist(), **grid)))
+            assert set(carried[0]) == {INF}
+
+    def test_n_shift_takes_the_kernel_and_matches(self):
+        np = pytest.importorskip("numpy")
+        instance = random_instance(16, seed=5)
+        h = instance.hop_count
+        prefix = np.array([[self.TOP] * h, [v % 5 for v in range(h)]])
+        suffix = np.array([[self.BIG] * h, [self.TOP - v for v in range(h)]])
+        call = dict(hop_count=h, checkpoints=[0, h // 2, h],
+                    m_seg=[[INF, 6], [2, INF]], n_seg=[[7, INF], [INF, 1]])
+        m_final, n_final = self._path_parity(
+            instance, "n_shift", kernels.n_shift_vector, _n_shift_message,
+            dict(call, prefix=prefix, suffix=suffix),
+            dict(call, prefix=prefix.tolist(), suffix=suffix.tolist()))
+        assert set(m_final[0]) == {INF} and set(n_final[0]) == {INF}
 
 
 def _small():

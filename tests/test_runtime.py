@@ -374,6 +374,24 @@ class TestDiff:
         report = diff_results([a], [other])
         assert report.removed and report.added
 
+    def test_cells_match_with_their_fabric_set_aside(self):
+        # Every fabric must give the same ledgers, so a --fabric fast
+        # manifest diffs against the default one cell by cell.
+        spec = _cheap_spec()
+        vector = execute_cell(spec)
+        fast = execute_cell(CellSpec.make(
+            spec.scenario, {**spec.params_dict, "fabric": "fast"},
+            spec.seed))
+        assert fast.params["fabric"] == "fast"
+        report = diff_results([vector], [fast])
+        assert report.clean and report.unchanged == 1
+        fast.metrics["rounds"] += 1
+        report = diff_results([vector], [fast])
+        assert [cell.identity for cell in report.changed] == [
+            spec.identity()]
+        assert report.changed[0].changed["rounds"] == (
+            vector.metrics["rounds"], vector.metrics["rounds"] + 1)
+
 
 # -- CLI --------------------------------------------------------------------
 
