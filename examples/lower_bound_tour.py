@@ -22,10 +22,10 @@ from repro.lowerbound import (
     decide_disjointness_via_two_sisp,
     decode_matrix_from_lengths,
     expected_optimal_length,
-    undirected_diameter,
     verify_correspondence,
 )
 from repro.baselines import replacement_lengths
+from repro.congest import CongestNetwork
 
 
 def main() -> None:
@@ -36,7 +36,8 @@ def main() -> None:
     print("G(Γ=4, d=2, p=3):")
     print(f"  vertices {g.n} (Observation 6.3 predicts "
           f"{g.expected_vertex_count()})")
-    print(f"  diameter {undirected_diameter(g)} (bound 2p+2 = "
+    diameter = CongestNetwork(g.n, g.edges).undirected_diameter()
+    print(f"  diameter {diameter} (bound 2p+2 = "
           f"{g.expected_diameter()})")
 
     # -- 2. the Figure 2 hard instance ---------------------------------------

@@ -343,33 +343,36 @@ def cmd_mutate(args) -> int:
         row = result.as_metrics()
         row["step"] = step
         steps.append(row)
+    record = {
+        "instance": instance.name,
+        "n": instance.n,
+        "m": instance.m,
+        "hop_count": instance.hop_count,
+        "profile": args.profile,
+        "seed": args.mutation_seed,
+        "steps": steps,
+        "final_epoch": current.topology_version,
+        "final_m": current.m,
+        "final_hop_count": current.hop_count,
+        "failures": failures,
+    }
     if args.json:
         import json
-        print(json.dumps({
-            "instance": instance.name,
-            "n": instance.n,
-            "m": instance.m,
-            "profile": args.profile,
-            "seed": args.mutation_seed,
-            "steps": steps,
-            "final_epoch": current.topology_version,
-            "final_m": current.m,
-            "final_hop_count": current.hop_count,
-            "failures": failures,
-        }, indent=2, sort_keys=True))
+        print(json.dumps(record, indent=2, sort_keys=True))
     else:
         rows = [[r["step"], r["epoch"], r["applied"], r["skipped"],
                  "yes" if r["path_changed"] else "no"]
-                for r in steps]
+                for r in record["steps"]]
         print(format_table(
             ["step", "epoch", "applied", "skipped", "path changed"],
             rows,
-            title=f"mutation stream: {args.profile} on "
-                  f"{instance.name or args.family} (n={instance.n}, "
-                  f"seed={args.mutation_seed})"))
-        print(f"final: epoch {current.topology_version}, m={current.m}"
-              f" (was {instance.m}), |P|={current.hop_count} hops "
-              f"(was {instance.hop_count})")
+            title=f"mutation stream: {record['profile']} on "
+                  f"{record['instance']} (n={record['n']}, "
+                  f"seed={record['seed']})"))
+        print(f"final: epoch {record['final_epoch']}, "
+              f"m={record['final_m']} (was {record['m']}), "
+              f"|P|={record['final_hop_count']} hops "
+              f"(was {record['hop_count']})")
     for failure in failures:
         print(f"error: {failure}", file=sys.stderr)
     return 0 if not failures else 1
@@ -438,30 +441,36 @@ def _serve_load_chaos(args, instances, store) -> int:
             f"floor {args.max_p95_ms:.2f}ms")
     if args.check_telemetry:
         _check_telemetry(failures)
+    record = {**report.as_json(), "failures": failures}
     if args.json:
         import json
-        payload = report.as_json()
-        payload["failures"] = failures
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(record, indent=2, sort_keys=True))
     else:
-        print(f"chaos run: {report.queries_sent} queries in "
-              f"{report.duration:.1f}s, outcomes {report.outcomes}")
-        print(f"injected: {report.mutation_batches} mutation batches "
-              f"({report.mutations_applied} applied), "
-              f"{report.kills} kills ({report.restarts} restarts), "
-              f"{report.stalls} stalls")
-        print(f"epochs after storm: {report.epochs}")
-        print(f"quiesce: {report.verified} fresh answers verified, "
-              f"{len(report.mismatches)} mismatches -> "
-              f"{'CONVERGED' if report.converged else 'DIVERGED'}")
-        if report.latency_ms:
-            print(f"served latency: p50 "
-                  f"{report.latency_ms.get('p50', 0):.2f}ms, p95 "
-                  f"{report.latency_ms.get('p95', 0):.2f}ms, p99 "
-                  f"{report.latency_ms.get('p99', 0):.2f}ms")
+        print(_chaos_text(record))
     for failure in failures:
         print(f"error: {failure}", file=sys.stderr)
     return 0 if not failures else 1
+
+
+def _chaos_text(record) -> str:
+    """The text form of a ``serve load --chaos`` record."""
+    lines = [
+        f"chaos run: {record['queries_sent']} queries in "
+        f"{record['duration']}s, outcomes {record['outcomes']}",
+        f"injected: {record['mutation_batches']} mutation batches "
+        f"({record['mutations_applied']} applied), {record['kills']} "
+        f"kills ({record['restarts']} restarts), {record['stalls']} "
+        "stalls",
+        f"epochs after storm: {record['epochs']}",
+        f"quiesce: {record['verified']} fresh answers verified -> "
+        f"{'CONVERGED' if record['converged'] else 'DIVERGED'}",
+    ]
+    lines += [f"  mismatch: {m}" for m in record["mismatches"]]
+    latency = record["latency_ms"]
+    if latency:
+        lines.append("served latency: " + ", ".join(
+            f"{k} {latency[k]}ms" for k in ("p50", "p95", "p99")))
+    return "\n".join(lines)
 
 
 def cmd_serve_load(args) -> int:

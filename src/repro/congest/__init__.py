@@ -4,19 +4,23 @@ This package contains everything the paper assumes of its execution
 environment:
 
 * :class:`~repro.congest.network.CongestNetwork` — the synchronous
-  message-passing engine with per-link bandwidth accounting;
-* :class:`~repro.congest.topology.CSRTopology` and
+  message-passing engine with per-link bandwidth accounting; it owns
+  the rounds and nothing else;
+* :class:`~repro.congest.topology.CSRTopology` (``net.topology``) and
   :mod:`~repro.congest.fastpath` — the communication fabric proper:
-  frozen CSR adjacency with dense link ids, and batched flat-buffer
-  message delivery with validation hoisted behind a flag;
+  the one home of every graph query (frozen CSR adjacency, dense link
+  ids, edge weights), and batched flat-buffer message delivery with
+  validation hoisted behind a flag;
 * :mod:`~repro.congest.kernels` — the vector fabric: NumPy
   whole-frontier kernels for the round loops of the pruned hop-BFS,
   the k-source BFS, and the pipelined broadcast, bit-identical to the
   message engines in results and ledger accounting;
 * :mod:`~repro.congest.dispatch` — the declarative primitive registry
-  and the one :func:`~repro.congest.dispatch.dispatch` entry point
-  that routes each primitive call to its vector kernel or message
-  engine based on the registered constraints;
+  (:data:`~repro.congest.dispatch.REGISTRY`), the one
+  :func:`~repro.congest.dispatch.dispatch` entry point that routes
+  each primitive call to its vector kernel or message engine based on
+  the registered constraints, and :func:`~repro.congest.dispatch.check`,
+  which names the constraint a call would fail without running it;
 * :class:`~repro.congest.metrics.RoundLedger` — round/message/congestion
   bookkeeping with named phases;
 * BFS primitives (:mod:`~repro.congest.bfs`), the k-source h-hop BFS of
@@ -24,6 +28,9 @@ environment:
   broadcast of Lemma 2.4 (:mod:`~repro.congest.broadcast`), and the
   pipelined path-sweep engine (:mod:`~repro.congest.pipeline`) shared by
   Lemmas 4.4, 5.7, 7.7 and 7.8.
+
+Every public name here has a caller outside the tests: a solver, the
+runtime, the serve tier, a benchmark or an example.
 """
 
 from .errors import (
@@ -31,12 +38,10 @@ from .errors import (
     CongestError,
     InvalidInstanceError,
     NotALinkError,
-    RoundLimitExceededError,
     UnknownVertexError,
 )
-from .dispatch import check, dispatch, registry
+from .dispatch import check, dispatch
 from .fastpath import FabricState, exchange_batch, exchange_reference
-from .kernels import vector_enabled
 from .metrics import PhaseStats, RoundLedger
 from .network import (
     DEFAULT_BANDWIDTH_WORDS,
@@ -48,11 +53,7 @@ from .topology import CSRTopology
 from .words import INF, clamp_inf, is_unreachable, words_of
 from .bfs import bfs_distances, bfs_tree, sssp_distances_weighted
 from .multisource import multi_source_hop_bfs
-from .spanning_tree import (
-    SpanningTree,
-    build_spanning_tree,
-    replay_spanning_tree_charges,
-)
+from .spanning_tree import SpanningTree, build_spanning_tree
 from .broadcast import (
     broadcast_messages,
     broadcast_value,
@@ -74,7 +75,6 @@ __all__ = [
     "NotALinkError",
     "PhaseStats",
     "RoundLedger",
-    "RoundLimitExceededError",
     "SpanningTree",
     "SweepResult",
     "SweepTask",
@@ -93,11 +93,8 @@ __all__ = [
     "global_min",
     "is_unreachable",
     "multi_source_hop_bfs",
-    "registry",
-    "replay_spanning_tree_charges",
     "resolve_fabric",
     "run_path_sweeps",
     "sssp_distances_weighted",
-    "vector_enabled",
     "words_of",
 ]

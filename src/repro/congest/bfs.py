@@ -11,10 +11,17 @@ Conventions
   directions; ``direction="in"`` computes distances from every vertex *to*
   the source (a BFS along reversed edges, as used pervasively by the
   paper, e.g. the backward hop-constrained BFS of Lemma 4.2).
-* ``avoid_edges`` removes directed edges from consideration (the paper's
-  ``G \\ P`` and ``G \\ e`` graphs) while the communication links remain —
-  a failed or excluded edge can still carry messages in CONGEST.
+  :func:`bfs_tree` runs forward only.
+* ``avoid_edges`` (:func:`bfs_distances` only) removes directed edges
+  from consideration (the paper's ``G \\ P`` and ``G \\ e`` graphs) while
+  the communication links remain — a failed or excluded edge can still
+  carry messages in CONGEST.
 * Unreachable vertices get distance :data:`~repro.congest.words.INF`.
+
+Each function takes only the options a solver, a baseline or a
+benchmark sets.  The hop-bounded BFS runs are
+:func:`~repro.congest.multisource.multi_source_hop_bfs` and the pruned
+BFS of :mod:`repro.core.hop_bfs`.
 """
 
 from __future__ import annotations
@@ -56,14 +63,13 @@ def bfs_distances(
     net: CongestNetwork,
     source: int,
     direction: str = "out",
-    hop_limit: Optional[int] = None,
     avoid_edges: EdgeSet = _EMPTY,
     phase: Optional[str] = None,
 ) -> List[int]:
     """Single-source BFS; returns the hop-distance of every vertex.
 
-    Rounds consumed: the depth explored (≤ ``hop_limit`` when given).
-    One word per link per round — congestion-free by construction.
+    Rounds consumed: the depth explored.  One word per link per round —
+    congestion-free by construction.
     """
     name = phase if phase is not None else f"bfs[{source}]"
     downstream = _downstream_lists(net, direction, avoid_edges)
@@ -74,8 +80,6 @@ def bfs_distances(
         frontier = [source]
         depth = 0
         while frontier:
-            if hop_limit is not None and depth >= hop_limit:
-                break
             outbox = {}
             for u in frontier:
                 hops = downstream[u]
@@ -97,18 +101,15 @@ def bfs_distances(
 def bfs_tree(
     net: CongestNetwork,
     source: int,
-    direction: str = "out",
-    hop_limit: Optional[int] = None,
-    avoid_edges: EdgeSet = _EMPTY,
     phase: Optional[str] = None,
 ) -> Tuple[List[int], List[int]]:
-    """BFS returning ``(dist, parent)``; parent[source] == source.
+    """Forward BFS returning ``(dist, parent)``; parent[source] == source.
 
     Ties are broken toward the smallest sender identifier, matching the
     deterministic tie-breaking the paper's deterministic subroutines need.
     """
     name = phase if phase is not None else f"bfs-tree[{source}]"
-    downstream = _downstream_lists(net, direction, avoid_edges)
+    downstream = net.topology.out_lists
     exchange = net.exchange
     with net.ledger.phase(name):
         dist = [INF] * net.n
@@ -118,8 +119,6 @@ def bfs_tree(
         frontier = [source]
         depth = 0
         while frontier:
-            if hop_limit is not None and depth >= hop_limit:
-                break
             outbox = {}
             for u in frontier:
                 hops = downstream[u]
@@ -138,44 +137,10 @@ def bfs_tree(
         return dist, parent
 
 
-def eccentricity_via_bfs(net: CongestNetwork, source: int) -> int:
-    """Depth of the undirected BFS from ``source`` (charged to the ledger).
-
-    Used by algorithms that need to know when a flood has quiesced; the
-    undirected support is explored, mirroring a beacon flood.
-    """
-    nbr_lists = net.topology.nbr_lists
-    exchange = net.exchange
-    with net.ledger.phase(f"flood[{source}]"):
-        dist = [INF] * net.n
-        dist[source] = 0
-        frontier = [source]
-        depth = 0
-        while frontier:
-            outbox = {}
-            for u in frontier:
-                targets = [(v, 0) for v in nbr_lists[u]
-                           if dist[v] >= INF]
-                if targets:
-                    outbox[u] = targets
-            if not outbox:
-                break
-            inbox = exchange(outbox)
-            depth += 1
-            frontier = []
-            for v in inbox:
-                if dist[v] >= INF:
-                    dist[v] = depth
-                    frontier.append(v)
-        return depth
-
-
 def sssp_distances_weighted(
     net: CongestNetwork,
     source: int,
     direction: str = "out",
-    avoid_edges: EdgeSet = _EMPTY,
-    distance_limit: Optional[int] = None,
     phase: Optional[str] = None,
 ) -> List[int]:
     """Exact weighted SSSP by time-expanded BFS (one weight unit per round).
@@ -186,15 +151,14 @@ def sssp_distances_weighted(
     used by baselines and oracles, not by the paper's solvers (which use
     rounding, Section 7).
 
-    Rounds consumed: the largest finite distance found (≤ distance_limit).
+    Rounds consumed: the largest finite distance found.
     """
     name = phase if phase is not None else f"sssp[{source}]"
-    weight = net.weight
+    weight = net.topology.weight
     downstream = [
         [(v, weight(u, v) if direction == "out" else weight(v, u))
          for v in hops]
-        for u, hops in enumerate(
-            _downstream_lists(net, direction, avoid_edges))
+        for u, hops in enumerate(_downstream_lists(net, direction, _EMPTY))
     ]
     exchange = net.exchange
     with net.ledger.phase(name):
@@ -206,8 +170,6 @@ def sssp_distances_weighted(
         clock = 0
         horizon = 0
         while pending:
-            if distance_limit is not None and clock > distance_limit:
-                break
             settlers = pending.pop(clock, [])
             outbox = {}
             for u in settlers:

@@ -459,11 +459,6 @@ _PRIMITIVES: Tuple[Primitive, ...] = (
 REGISTRY: Dict[str, Primitive] = {p.name: p for p in _PRIMITIVES}
 
 
-def registry() -> Mapping[str, Primitive]:
-    """The primitive registry, keyed by kernel name."""
-    return REGISTRY
-
-
 # -- dispatch -----------------------------------------------------------------
 
 

@@ -1,10 +1,9 @@
 """Exceptions raised by the CONGEST simulator.
 
 The simulator is strict by design: violations of the model (sending over a
-non-existent link, exceeding the per-edge bandwidth in strict mode, or
-exceeding a round budget) raise rather than silently degrade, so that every
-algorithm in this repository is validated against the model it claims to
-run in.
+non-existent link, or exceeding the per-edge bandwidth in strict mode)
+raise rather than silently degrade, so that every algorithm in this
+repository is validated against the model it claims to run in.
 """
 
 
@@ -49,16 +48,6 @@ class BandwidthExceededError(CongestError):
         self.receiver = receiver
         self.words = words
         self.bandwidth = bandwidth
-
-
-class RoundLimitExceededError(CongestError):
-    """An algorithm ran longer than its configured round budget."""
-
-    def __init__(self, limit, context=""):
-        detail = f" during {context}" if context else ""
-        super().__init__(f"round limit {limit} exceeded{detail}")
-        self.limit = limit
-        self.context = context
 
 
 class InvalidInstanceError(CongestError):

@@ -147,29 +147,6 @@ def _kernel_span(kernel: str):
     return deco
 
 
-def vector_gate_reason(net) -> Optional[str]:
-    """The global-gate fallback reason for ``net``, or None when the
-    array kernels may run.
-
-    Requires the vector fabric, NumPy, and no per-link total recording
-    (the lower-bound cut analysis wants genuine per-message routing).
-    The gates themselves are declared once, as data, in
-    :data:`repro.congest.dispatch.GLOBAL_GATES`; the returned strings
-    are members of the registry-derived reason set
-    (:func:`repro.congest.dispatch.known_reasons`).
-    """
-    from .dispatch import GLOBAL_GATES
-    for gate in GLOBAL_GATES:
-        if not gate.check(net, {}):
-            return gate.reason
-    return None
-
-
-def vector_enabled(net) -> bool:
-    """Should ``net`` route kernel-covered primitives through arrays?"""
-    return vector_gate_reason(net) is None
-
-
 def _fits_int64(value: int) -> bool:
     return -_INT64_SAFE < value < _INT64_SAFE
 
@@ -286,7 +263,6 @@ def pruned_max_hop_bfs_vector(
     delay: Optional[Callable[[int], int]],
     record_for: Optional[Sequence[int]],
     name: str,
-    run_full_budget: bool,
     sense: str,
     select: str,
     plan=None,
@@ -346,8 +322,6 @@ def pruned_max_hop_bfs_vector(
         repeats = 0
 
         for d in range(1, hop_limit + 1):
-            if not run_full_budget and not fr_v.size and not buckets:
-                break
             if fr_v.size:
                 counts = indptr[fr_v + 1] - indptr[fr_v]
                 total = int(counts.sum())

@@ -21,13 +21,19 @@ vertex uses must have arrived through exchanges — the test-suite's
 correctness checks compare against centralized oracles computed directly
 on the graph, which keeps the algorithms honest.
 
-Since PR 2 the network is a thin facade over the swappable fabric:
+Each layer owns one thing:
 
-* :class:`~repro.congest.topology.CSRTopology` — frozen adjacency, link
-  ids, and O(1) link lookup, built once and shared by all rounds (and,
-  via the ``topology=`` parameter, by any number of networks);
-* :mod:`~repro.congest.fastpath` — batched delivery through flat
-  per-link buffers, validated by the link-index probe.
+* :class:`CongestNetwork` owns the rounds: its ledger counts every
+  round, whether :meth:`~CongestNetwork.exchange` delivers it,
+  :meth:`~CongestNetwork.idle_round` passes it silently, or a vector
+  kernel charges a whole schedule of them in bulk;
+* :class:`~repro.congest.topology.CSRTopology`, at ``net.topology``,
+  owns the graph: adjacency lists, link ids, edge weights and the
+  vector kernels' array exports, built once and shared by all rounds
+  (and, via the ``topology=`` parameter, by any number of networks).
+  Algorithms read the graph there; the network forwards none of it;
+* :mod:`~repro.congest.fastpath` delivers a round's messages in batches
+  through flat per-link buffers, validated by the link-index probe.
 
 ``fabric`` selects the engine: ``"vector"`` (:data:`DEFAULT_FABRIC`;
 batched exchanges plus the NumPy kernels of
@@ -45,7 +51,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import RoundLimitExceededError
 from .fastpath import FabricState, exchange_batch, exchange_reference
 from .metrics import RoundLedger
 from .topology import CSRTopology
@@ -139,39 +144,6 @@ class CongestNetwork:
         # vector solve makes none) and recycled every round after it.
         self._state: Optional[FabricState] = None
 
-    # -- topology accessors --------------------------------------------------
-
-    def vertices(self) -> range:
-        return range(self.n)
-
-    def out_neighbors(self, u: int) -> List[int]:
-        """Heads of directed edges leaving ``u``."""
-        return self.topology.out_lists[u]
-
-    def in_neighbors(self, u: int) -> List[int]:
-        """Tails of directed edges entering ``u``."""
-        return self.topology.in_lists[u]
-
-    def neighbors(self, u: int) -> List[int]:
-        """Communication neighbors (undirected support)."""
-        return self.topology.nbr_lists[u]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.topology.has_edge(u, v)
-
-    def has_link(self, u: int, v: int) -> bool:
-        return self.topology.has_link(u, v)
-
-    def weight(self, u: int, v: int) -> int:
-        return self.topology.weight(u, v)
-
-    def directed_edges(self) -> Iterable[Tuple[int, int]]:
-        return self.topology.directed_edges()
-
-    @property
-    def num_edges(self) -> int:
-        return self.topology.num_edges
-
     # -- the synchronous round primitive --------------------------------------
 
     @property
@@ -202,10 +174,6 @@ class CongestNetwork:
         """Advance ``count`` rounds without any communication."""
         for _ in range(count):
             self.ledger.charge_round(0, 0, 0)
-
-    def check_round_budget(self, limit: int, context: str = "") -> None:
-        if self.rounds > limit:
-            raise RoundLimitExceededError(limit, context)
 
     # -- centralized helpers (free local knowledge for setup/oracles) ---------
 

@@ -4,6 +4,13 @@ The paper (and [Pel00]) uses a breadth-first spanning tree of the
 communication graph as the backbone for broadcast (Lemma 2.4) and
 convergecast.  Building it costs O(D) rounds: a flood from the root where
 each vertex adopts the first sender it hears as its parent.
+
+:func:`build_spanning_tree` is the one way a tree is built and charged.
+It dispatches the registry's ``spanning_tree`` primitive: on the vector
+fabric the kernel charges the flood from one BFS's layering, and on the
+message lanes :func:`_flood_message` runs the flood round by round.
+The solver's tree, the baselines' trees and 2-SiSP's Corollary 6.2
+aggregation tree all come from it.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ from typing import List, Optional, Tuple
 from .dispatch import dispatch
 from .errors import CongestError
 from .network import CongestNetwork
-from .words import words_of
 
 
 @dataclass
@@ -147,35 +153,3 @@ def _flood_message(net: CongestNetwork, root: int,
                         depth[child] = depth[p] + 1
             frontier = sorted(adopted)
         return parent, depth
-
-
-def replay_spanning_tree_charges(
-    net: CongestNetwork,
-    tree: SpanningTree,
-    phase: Optional[str] = None,
-) -> None:
-    """Charge the ledger exactly as rebuilding ``tree`` on ``net`` would.
-
-    The BFS flood is deterministic on a frozen topology, so its
-    per-round charges are a pure function of the topology and the BFS
-    layering: level ℓ costs one offers round (one 1-word message per
-    (depth-ℓ vertex, depth-(ℓ+1) neighbor) link — every not-yet-reached
-    neighbor of a frontier vertex sits exactly one level deeper) and
-    one confirmation round (one 1-word message per level-(ℓ+1) vertex).
-    Callers that already hold the tree for this topology (Corollary
-    6.2's 2-SiSP aggregation reuses the solver's tree) replay the
-    charges instead of re-flooding, keeping ledgers bit-identical to a
-    rebuild at none of the cost: the phase holds aggregates only, so
-    the 2·height rounds are one bulk charge.  Assumes a non-strict
-    network (the 1-word control messages cannot overload any real
-    budget).
-    """
-    name = phase if phase is not None else "spanning-tree"
-    nbr_lists = net.topology.nbr_lists
-    depth = tree.depth
-    sent = net.n - 1 + sum(depth[v] == depth[u] + 1
-                           for u in range(net.n) for v in nbr_lists[u])
-    size = words_of(("offer",))
-    with net.ledger.phase(name):
-        net.ledger.charge_rounds(2 * tree.height, sent, sent * size, size,
-                                 sent if size > net.bandwidth_words else 0)

@@ -293,21 +293,6 @@ class CSRTopology:
         """Number of directed links (both directions of every link)."""
         return len(self.nbr_indices)
 
-    def out_neighbors(self, u: int) -> List[int]:
-        """Heads of directed edges leaving ``u`` (do not mutate)."""
-        return self.out_lists[u]
-
-    def in_neighbors(self, u: int) -> List[int]:
-        """Tails of directed edges entering ``u`` (do not mutate)."""
-        return self.in_lists[u]
-
-    def neighbors(self, u: int) -> List[int]:
-        """Sorted communication neighbors of ``u`` (do not mutate)."""
-        return self.nbr_lists[u]
-
-    def degree(self, u: int) -> int:
-        return self.nbr_indptr[u + 1] - self.nbr_indptr[u]
-
     def has_edge(self, u: int, v: int) -> bool:
         return (u * self.n + v) in self._weight_by_key
 
@@ -320,10 +305,6 @@ class CSRTopology:
             return self._link_index[u * self.n + v]
         except KeyError:
             raise KeyError((u, v)) from None
-
-    def link_endpoints(self, lid: int) -> Tuple[int, int]:
-        """``(sender, receiver)`` of directed link ``lid``."""
-        return self.nbr_indices[lid], self.link_receiver[lid]
 
     def weight(self, u: int, v: int) -> int:
         try:

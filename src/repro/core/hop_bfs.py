@@ -55,7 +55,6 @@ def pruned_max_hop_bfs(
     delay: Optional[Callable[[int], int]] = None,
     record_for: Optional[Iterable[int]] = None,
     phase: Optional[str] = None,
-    run_full_budget: bool = True,
     sense: str = "backward",
     select: str = "max",
 ) -> Dict[int, List[Optional[Value]]]:
@@ -67,13 +66,14 @@ def pruned_max_hop_bfs(
         vertex -> (index, aux); these are the S_0 values (each v_i seeds
         its own index i).
     hop_limit:
-        ζ (or ζ* for the rounding graphs): the exact-hop horizon; with
-        ``run_full_budget`` the ledger is charged exactly this many
-        rounds.  On the vector fabric, once a unit-step round settles
-        the same frontier and indices as the round before, the
-        remaining rounds repeat it and are charged in one call: tables
-        and ledger are the ones the message lane steps through round
-        by round.
+        ζ (or ζ* for the rounding graphs): the exact-hop horizon; the
+        deterministic algorithm runs, and the ledger is charged,
+        exactly this many rounds, the idle tail included.  On the
+        vector fabric, once a unit-step round settles the same
+        frontier and indices as the round before, the remaining
+        rounds repeat it and are charged in one call: tables and
+        ledger are the ones the message lane steps through round by
+        round.
     avoid_edges:
         Directed edges the walks must avoid — the edges of P.
     delay:
@@ -82,15 +82,6 @@ def pruned_max_hop_bfs(
     record_for:
         Vertices whose full f* table should be returned (the P vertices);
         ``None`` records every vertex.
-    run_full_budget:
-        The deterministic algorithm runs all ``hop_limit`` rounds; tests
-        may disable the idle tail for speed.  With ``False``, the loop
-        exits before a round in which nothing is in flight and nothing
-        is scheduled; every round that does start is charged to the
-        ledger (as an exchange or an idle round), so early-exit ledgers
-        agree with full-budget ledgers on their common prefix.  A
-        repeating (non-empty) round never goes idle, so it runs, and is
-        charged, to ``hop_limit`` either way.
     sense:
         ``"backward"``: walks run from u *to* the seeds, messages travel
         against edge directions (Lemma 4.2).  ``"forward"``: walks run
@@ -113,8 +104,7 @@ def pruned_max_hop_bfs(
     return dispatch(
         "hop_bfs", net, seeds=seeds, hop_limit=hop_limit,
         avoid_edges=avoid_edges, delay=delay, record_for=record_for,
-        name=name, run_full_budget=run_full_budget, sense=sense,
-        select=select)
+        name=name, sense=sense, select=select)
 
 
 def _hop_bfs_message(
@@ -125,7 +115,6 @@ def _hop_bfs_message(
     delay: Optional[Callable[[int], int]],
     record_for: Optional[Iterable[int]],
     name: str,
-    run_full_budget: bool,
     sense: str,
     select: str,
 ) -> Dict[int, List[Optional[Value]]]:
@@ -169,14 +158,8 @@ def _hop_bfs_message(
         message_of: Dict[Value, tuple] = {}
 
         for d in range(1, hop_limit + 1):
-            # Quiescence is decided before the round starts: once
-            # nothing is in flight and nothing is scheduled, no further
-            # round executes (and none is charged).  A round that does
-            # start is always charged — as an exchange when messages
-            # move, as an idle round otherwise — so early-exit ledgers
-            # agree with full-budget ledgers on every executed round.
-            if not run_full_budget and not current and not scheduled:
-                break
+            # Every round is charged: as an exchange when messages
+            # move, as an idle round otherwise.
             outbox: Dict[int, list] = {}
             for u, value in current.items():
                 row = targets[u]

@@ -49,7 +49,6 @@ class RPathsReport:
     ledger: RoundLedger
     zeta: int
     landmark_count: int = 0
-    diameter: Optional[int] = None
     extras: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -76,7 +75,6 @@ def solve_rpaths(
     landmark_c: float = 2.0,
     use_oracle_knowledge: bool = False,
     bandwidth_words: Optional[int] = None,
-    compute_diameter: bool = False,
     fabric: str = DEFAULT_FABRIC,
 ) -> RPathsReport:
     """Theorem 1: solve unweighted directed RPaths on the instance.
@@ -130,14 +128,6 @@ def solve_rpaths(
         ledger=net.ledger,
         zeta=zeta,
         landmark_count=len(landmarks),
-        diameter=net.undirected_diameter() if compute_diameter else None,
-        extras={
-            "short": short,
-            "long": long_,
-            # The solver's spanning tree, for callers that keep working
-            # on the same topology (2-SiSP's Corollary 6.2 aggregation
-            # reuses it instead of re-flooding).
-            "tree": tree,
-        },
+        extras={"short": short, "long": long_},
     )
     return report

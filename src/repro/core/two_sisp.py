@@ -15,11 +15,7 @@ from typing import Optional, Sequence
 from .. import telemetry
 from ..congest.broadcast import global_min
 from ..congest.network import DEFAULT_FABRIC, resolve_fabric
-from ..congest.spanning_tree import (
-    SpanningTree,
-    build_spanning_tree,
-    replay_spanning_tree_charges,
-)
+from ..congest.spanning_tree import build_spanning_tree
 from ..congest.words import INF
 from ..graphs.instance import RPathsInstance
 from .rpaths import RPathsReport, solve_rpaths
@@ -65,18 +61,12 @@ def solve_two_sisp(
             fabric=fabric)
         sp.set_ledger(report.ledger, fresh=True)
         # Re-create the network topology on the same ledger for the
-        # final aggregation (solve_rpaths owns its network; the O(D)
-        # tree setup is what the corollary's reduction pays).  The
-        # solver already built the BFS tree of this very topology, so
-        # reuse it and replay the identical flood charges instead of
-        # re-running the construction.
+        # final aggregation (solve_rpaths owns its network) and build
+        # its BFS tree through the registry: the O(D) tree setup is
+        # what the corollary's reduction pays.
         net = instance.build_network(fabric=fabric)
         net.ledger = report.ledger
-        tree = report.extras.get("tree")
-        if isinstance(tree, SpanningTree) and len(tree.parent) == net.n:
-            replay_spanning_tree_charges(net, tree, phase="2sisp-tree")
-        else:  # pragma: no cover - defensive (reports carry a tree)
-            tree = build_spanning_tree(net, phase="2sisp-tree")
+        tree = build_spanning_tree(net, phase="2sisp-tree")
         values = {
             instance.path[i]: report.lengths[i]
             for i in range(instance.hop_count)

@@ -1,7 +1,7 @@
 """Section 6 made executable: lower-bound constructions, the Lemma 6.8
 correspondence, and the disjointness → 2-SiSP reduction."""
 
-from .gamma_graph import GammaGraph, build_gamma_graph, undirected_diameter
+from .gamma_graph import GammaGraph, build_gamma_graph
 from .hard_instance import (
     HardInstance,
     build_hard_instance,
@@ -54,6 +54,5 @@ __all__ = [
     "inner_product",
     "lexicographic_phi",
     "measure_cut_traffic",
-    "undirected_diameter",
     "verify_correspondence",
 ]

@@ -6,7 +6,8 @@ path.  The designated communication endpoints are α = u^p_0 (leftmost
 leaf) and β = u^p_{d^p−1} (rightmost leaf).
 
 Figure 1 of the paper; Observation 6.3 (vertex count Θ(Γ d^p), diameter
-2p + 2) is exposed as checkable predicates.
+2p + 2) is exposed as checkable predicates.  The measured diameter is the
+communication graph's, ``CongestNetwork(g.n, g.edges).undirected_diameter()``.
 """
 
 from __future__ import annotations
@@ -108,30 +109,3 @@ def build_gamma_graph(gamma: int, d: int, p: int) -> GammaGraph:
         beta=id_of[("tree", p, width - 1)],
     )
     return graph
-
-
-def undirected_diameter(graph: GammaGraph) -> int:
-    """Exact diameter of G(Γ, d, p) — tests it equals 2p + 2."""
-    from collections import deque
-
-    n = graph.n
-    adj: List[List[int]] = [[] for _ in range(n)]
-    for u, v in graph.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    best = 0
-    for root in range(n):
-        dist = [-1] * n
-        dist[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        ecc = max(dist)
-        if min(dist) < 0:
-            raise ValueError("G(Γ,d,p) should be connected")
-        best = max(best, ecc)
-    return best

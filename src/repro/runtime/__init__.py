@@ -31,7 +31,7 @@ from .registry import (
     unregister,
 )
 from .results import CellResult, CellSpec
-from .executor import default_jobs, execute_cell, pool_map, run_cells
+from .executor import default_jobs, execute_cell, run_cells
 from .store import (
     DiffReport,
     ResultStore,
@@ -68,7 +68,6 @@ __all__ = [
     "format_suite_report",
     "get_scenario",
     "measure_algorithm",
-    "pool_map",
     "register",
     "run_cells",
     "run_suite",

@@ -26,7 +26,7 @@ import time
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence
 
 from .. import telemetry
 from ..telemetry.schema import (
@@ -45,11 +45,6 @@ from .results import (
 
 #: Extra parent-side grace on top of the worker-side alarm.
 _PARENT_GRACE = 10.0
-
-#: Failure kinds reported to :func:`pool_map` fallbacks.
-POOL_TIMEOUT = "timeout"
-POOL_CANCELLED = "cancelled"
-POOL_ERROR = "error"
 
 _HAS_ALARM = hasattr(signal, "SIGALRM")
 
@@ -146,80 +141,6 @@ def execute_cell(spec: CellSpec,
     )
 
 
-def _worker(args: Tuple[CellSpec, Optional[float]]) -> CellResult:
-    spec, timeout = args
-    return execute_cell(spec, timeout=timeout)
-
-
-def pool_map(
-    worker: Callable,
-    payloads: Sequence,
-    jobs: int,
-    backstop: Optional[float] = None,
-    fallback: Optional[Callable[[object, str, str], object]] = None,
-    progress: Optional[Callable[[object], None]] = None,
-) -> List:
-    """Ordered process-pool map — the machinery under :func:`run_cells`.
-
-    ``worker`` must be a module-level picklable callable; results come
-    back in input order.  ``backstop`` is the parent-side per-item
-    ceiling: when it fires, queued items are cancelled (the running
-    worker itself cannot be).  A failing item is replaced by
-    ``fallback(payload, kind, message)`` with kind one of
-    :data:`POOL_TIMEOUT` / :data:`POOL_CANCELLED` / :data:`POOL_ERROR`;
-    with no fallback the exception propagates.
-
-    The returned list always has ``len(payloads)`` entries, one per
-    payload in order — a worker (or fallback) that returns ``None``
-    keeps its slot.  :func:`run_cells` is its one caller in the
-    package, and it runs ``jobs <= 1`` itself; solves and the serve
-    tier run no pool of their own (the daemon keeps long-lived workers
-    instead).
-    """
-    results: List[Optional[object]] = [None] * len(payloads)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {
-            pool.submit(worker, payload): idx
-            for idx, payload in enumerate(payloads)
-        }
-        for future, idx in futures.items():
-            outcome = "ok"
-            wait_start = time.perf_counter()
-            try:
-                result = future.result(timeout=backstop)
-            except FutureTimeoutError:
-                # Keep not-yet-started items from piling onto a stuck
-                # pool; the running worker itself cannot be cancelled.
-                pool.shutdown(wait=False, cancel_futures=True)
-                outcome = POOL_TIMEOUT
-                if fallback is None:
-                    raise
-                result = fallback(
-                    payloads[idx], POOL_TIMEOUT,
-                    f"worker exceeded {backstop:.1f}s backstop")
-            except CancelledError:
-                outcome = POOL_CANCELLED
-                if fallback is None:
-                    raise
-                result = fallback(
-                    payloads[idx], POOL_CANCELLED,
-                    "cancelled after an earlier item exceeded the "
-                    "parent backstop")
-            except Exception as exc:  # noqa: BLE001 - pool failure
-                outcome = POOL_ERROR
-                if fallback is None:
-                    raise
-                result = fallback(payloads[idx], POOL_ERROR,
-                                  f"{type(exc).__name__}: {exc}")
-            finally:
-                POOL_ITEMS.inc(outcome=outcome)
-                POOL_WAIT_SECONDS.observe(time.perf_counter() - wait_start)
-            if progress is not None:
-                progress(result)
-            results[idx] = result
-    return list(results)
-
-
 def run_cells(
     specs: Sequence[CellSpec],
     jobs: int = 1,
@@ -232,6 +153,11 @@ def run_cells(
     debugging); otherwise cells are distributed over a process pool.
     ``progress`` is invoked once per cell as results are collected.
     A non-positive ``timeout`` disables the limit.
+
+    On the pool, a cell whose worker outlives the parent backstop
+    (``timeout`` plus a grace) becomes a ``timeout`` result and cancels
+    the cells still queued; each of those, and any cell the pool itself
+    fails, becomes an ``error`` result in its own slot.
     """
     if timeout is not None and timeout <= 0:
         timeout = None
@@ -246,23 +172,43 @@ def run_cells(
 
     backstop = None if timeout is None else timeout + _PARENT_GRACE
 
-    def fallback(payload: Tuple[CellSpec, Optional[float]], kind: str,
-                 message: str) -> CellResult:
-        spec, _ = payload
-        if kind == POOL_CANCELLED:
-            message = ("cancelled after an earlier cell exceeded the "
-                       "parent backstop")
-        return CellResult(
-            scenario=spec.scenario,
-            params=spec.params_dict,
-            seed=spec.seed,
-            status=STATUS_TIMEOUT if kind == POOL_TIMEOUT
-            else STATUS_ERROR,
-            wall_time=(backstop or 0.0) if kind == POOL_TIMEOUT
-            else 0.0,
-            error=message,
-        )
+    def failed(spec: CellSpec, status: str, message: str,
+               wall_time: float = 0.0) -> CellResult:
+        return CellResult(scenario=spec.scenario, params=spec.params_dict,
+                          seed=spec.seed, status=status,
+                          wall_time=wall_time, error=message)
 
-    return pool_map(
-        _worker, [(spec, timeout) for spec in specs], jobs=jobs,
-        backstop=backstop, fallback=fallback, progress=progress)
+    out = []
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = [pool.submit(execute_cell, spec, timeout)
+                   for spec in specs]
+        for spec, future in zip(specs, futures):
+            outcome = "ok"
+            wait_start = time.perf_counter()
+            try:
+                result = future.result(timeout=backstop)
+            except FutureTimeoutError:
+                # Keep not-yet-started cells from piling onto a stuck
+                # pool; the running worker itself cannot be cancelled.
+                pool.shutdown(wait=False, cancel_futures=True)
+                outcome = "timeout"
+                result = failed(
+                    spec, STATUS_TIMEOUT,
+                    f"worker exceeded {backstop:.1f}s backstop", backstop)
+            except CancelledError:
+                outcome = "cancelled"
+                result = failed(
+                    spec, STATUS_ERROR,
+                    "cancelled after an earlier cell exceeded the parent "
+                    "backstop")
+            except Exception as exc:  # noqa: BLE001 - pool failure
+                outcome = "error"
+                result = failed(spec, STATUS_ERROR,
+                                f"{type(exc).__name__}: {exc}")
+            finally:
+                POOL_ITEMS.inc(outcome=outcome)
+                POOL_WAIT_SECONDS.observe(time.perf_counter() - wait_start)
+            if progress is not None:
+                progress(result)
+            out.append(result)
+    return out

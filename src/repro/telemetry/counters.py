@@ -11,7 +11,7 @@ read, take one lock, so the serve daemon's dispatcher, collector,
 monitor and client threads never lose an update; a gauge write is one
 dict store, atomic under the GIL.  It is also **fork-safe**: series are
 keyed by pid, and the first touch after a fork resets the inherited
-state (and lock), so a ``pool_map`` worker never double-reports the
+state (and lock), so a ``run_cells`` worker never double-reports the
 parent's counts (and the parent never sees a worker's — workers export
 their own snapshot through the trace sink or their return values).
 

@@ -132,11 +132,11 @@ EXECUTOR_CELL_SECONDS = summary(
     scenario=OPEN)
 POOL_ITEMS = counter(
     "repro_pool_items_total",
-    "pool_map items, by outcome.",
+    "Suite cells run on the process pool, by outcome.",
     outcome=("ok", "timeout", "cancelled", "error"))
 POOL_WAIT_SECONDS = summary(
     "repro_pool_wait_seconds",
-    "Parent-side wait per pool_map item in seconds.")
+    "Parent-side wait per pooled suite cell in seconds.")
 STORE_LOOKUPS = counter(
     "repro_store_lookups_total",
     "Result-store lookups; a corrupt object is dropped as a miss.",

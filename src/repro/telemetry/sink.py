@@ -1,7 +1,7 @@
 """JSONL trace sink: schema, per-process files, and the reader.
 
 A *trace directory* holds one ``trace-<pid>.jsonl`` file per process
-that participated in a run (the suite parent plus every ``pool_map``
+that participated in a run (the suite parent plus every ``run_cells``
 worker).  Files are append-only JSONL; every line is one event stamped
 with the schema version:
 

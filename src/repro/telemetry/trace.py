@@ -17,7 +17,7 @@ Design constraints, in order:
    into the algorithms.  ``tests/test_telemetry.py`` asserts traced
    runs are bit-identical (outputs *and* ledgers) to untraced runs on
    every fabric.
-3. **Fork-safe.**  ``pool_map`` workers inherit the module state on
+3. **Fork-safe.**  ``run_cells`` workers inherit the module state on
    fork; the tracer and its span buffer are keyed by pid, so a worker
    starts from an empty buffer instead of re-flushing the parent's
    spans.  Workers opt in via ``$REPRO_TRACE_DIR`` (set by
@@ -241,7 +241,7 @@ def enable_tracing(sink_dir: Optional[str] = None) -> None:
     """Turn span recording on, optionally rooting the JSONL sink.
 
     ``sink_dir`` is exported as ``$REPRO_TRACE_DIR`` so that worker
-    processes spawned afterwards (``pool_map``) inherit it, enable
+    processes spawned afterwards (``run_cells``) inherit it, enable
     tracing themselves, and flush their own per-pid files next to the
     parent's.
     """

@@ -34,11 +34,6 @@ class TestBfsDistances:
         assert dist[1] == 1
         assert dist[4] == INF  # 4 cannot reach 3
 
-    def test_hop_limit_truncates(self):
-        dist = bfs_distances(diamond(), 0, hop_limit=1)
-        assert dist[3] == INF
-        assert dist[1] == 1
-
     def test_avoid_edges_respected(self):
         dist = bfs_distances(diamond(), 0,
                              avoid_edges=frozenset([(0, 1), (0, 2)]))
@@ -80,6 +75,24 @@ class TestBfsTree:
         _, parent = bfs_tree(diamond(), 0)
         assert parent[3] == 1  # 1 < 2
 
+    def test_tree_follows_out_edges(self):
+        # The tree grows forward on a directed graph: its depths are
+        # the forward BFS distances, and each parent reaches its child
+        # over an out-edge, one hop closer to the root.
+        instance = random_instance(30, seed=11)
+        topology = instance.build_network().topology
+        one_way = [(u, v) for u, v in topology.directed_edges()
+                   if not topology.has_edge(v, u)]
+        assert one_way  # the instance is directed
+        dist, parent = bfs_tree(instance.build_network(), instance.s)
+        assert dist == bfs_distances(instance.build_network(), instance.s)
+        for v in range(instance.n):
+            if v == instance.s or dist[v] == INF:
+                assert parent[v] == (v if v == instance.s else -1)
+                continue
+            assert topology.has_edge(parent[v], v)
+            assert dist[parent[v]] == dist[v] - 1
+
 
 class TestWeightedSssp:
     def test_simple_weights(self):
@@ -107,9 +120,3 @@ class TestWeightedSssp:
         got = sssp_distances_weighted(net, instance.t, direction="in")
         want = instance.dijkstra(instance.t, reverse=True)
         assert got == want
-
-    def test_avoid_edges(self):
-        net = CongestNetwork(3, [(0, 1, 1), (1, 2, 1), (0, 2, 5)])
-        dist = sssp_distances_weighted(
-            net, 0, avoid_edges=frozenset([(1, 2)]))
-        assert dist[2] == 5

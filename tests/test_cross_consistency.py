@@ -11,8 +11,6 @@ from repro.baselines import (
     solve_rpaths_naive,
     solve_rpaths_roditty_zwick,
 )
-from repro.congest.bfs import eccentricity_via_bfs
-from repro.congest.network import CongestNetwork
 from repro.congest.words import INF
 from repro.core.rpaths import solve_rpaths
 from tests.conftest import family_instances
@@ -76,17 +74,6 @@ class TestOutputInvariants:
 
 
 class TestAuxiliaryPrimitives:
-    def test_eccentricity_via_bfs_matches_layers(self):
-        net = CongestNetwork(6, [(i, i + 1) for i in range(5)])
-        got = eccentricity_via_bfs(net, 2)
-        want = max(net.undirected_bfs_layers(2))
-        assert got == want == 3
-
-    def test_eccentricity_charges_rounds(self):
-        net = CongestNetwork(6, [(i, i + 1) for i in range(5)])
-        eccentricity_via_bfs(net, 0)
-        assert net.rounds == 5
-
     def test_two_sisp_equals_min_across_algorithms(self):
         from repro.baselines import two_sisp_length
         from repro.core.two_sisp import solve_two_sisp

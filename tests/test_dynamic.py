@@ -10,6 +10,7 @@ convergence; and closed telemetry enums for all of it.
 """
 
 import json
+import re
 import threading
 
 import pytest
@@ -337,6 +338,11 @@ class TestChaosConvergence:
         assert json.dumps(report.as_json())
 
 
+def _numbers(text):
+    """Every decimal number written in ``text``."""
+    return set(re.findall(r"\d+(?:\.\d+)?", text))
+
+
 class TestCLI:
     def test_mutate_json_replays_deterministically(self, capsys):
         from repro.cli import main
@@ -350,6 +356,128 @@ class TestCLI:
         assert first["final_epoch"] >= 1
         assert len(first["steps"]) == 3
         assert not first["failures"]
+
+    def test_mutate_text_prints_the_json_record(self, capsys):
+        from repro.cli import main
+        argv = ["mutate", "--n", "20", "--steps", "3", "--profile",
+                "storm", "--fraction", "0.2", "--mutation-seed", "5"]
+        assert main(argv + ["--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert _numbers(text) <= _numbers(json.dumps(record))
+        assert (f"final: epoch {record['final_epoch']}, "
+                f"m={record['final_m']} (was {record['m']}), "
+                f"|P|={record['final_hop_count']} hops "
+                f"(was {record['hop_count']})") in text
+        assert text.count(" yes") + text.count(" no") == 3
+
+    def test_chaos_text_prints_the_json_record(self):
+        from repro.cli import _chaos_text
+        from repro.dynamic.chaos import ChaosReport
+        report = ChaosReport(
+            duration=2.5127, queries_sent=131,
+            outcomes={"ok": 120, "stale": 11},
+            latency_ms={"p50": 0.81234, "p95": 3.25, "p99": 7.5,
+                        "mean": 1.125, "max": 9.75},
+            mutations_applied=17, mutation_batches=3, kills=1,
+            stalls=2, restarts=4, epochs={"chaos-0": 6, "chaos-1": 8},
+            verified=15, mismatches=["chaos-1 (0,5) e=(2,3): 8 != 7"])
+        record = {**report.as_json(), "failures": ["chaos: diverged"]}
+        text = _chaos_text(record)
+        assert _numbers(text) <= _numbers(json.dumps(record))
+        for figure in ("131 queries", "2.513s", "3 mutation batches",
+                       "(17 applied)", "1 kills", "(4 restarts)",
+                       "2 stalls", "15 fresh answers", "DIVERGED",
+                       "8 != 7", "p50 0.8123ms", "p99 7.5ms"):
+            assert figure in text, figure
+
+    def test_chaos_text_prints_one_line_per_mismatch(self):
+        from repro.cli import _chaos_text
+        from repro.dynamic.chaos import ChaosReport
+        mismatches = ["chaos-0 (1,4) e=(0,1): 5 != 6",
+                      "chaos-0 (2,7) e=(3,4): INF != 9",
+                      "chaos-1 (0,5) e=(2,3): 8 != 7"]
+        report = ChaosReport(queries_sent=12, outcomes={"ok": 12},
+                             verified=4, mismatches=mismatches)
+        record = {**report.as_json(), "failures": []}
+        lines = _chaos_text(record).splitlines()
+        assert [line for line in lines if "mismatch:" in line] == [
+            f"  mismatch: {m}" for m in mismatches]
+        assert "DIVERGED" in lines[3]
+
+    def test_chaos_text_of_a_converged_run_without_latency(self):
+        # No query answered ok: the record has no latency, and the text
+        # prints no latency line; nothing diverged, so no mismatch line.
+        from repro.cli import _chaos_text
+        from repro.dynamic.chaos import ChaosReport
+        report = ChaosReport(duration=1.0, queries_sent=3,
+                             outcomes={"stale": 3}, verified=2,
+                             epochs={"chaos-0": 1})
+        record = {**report.as_json(), "failures": []}
+        text = _chaos_text(record)
+        assert record["converged"] and record["latency_ms"] == {}
+        assert "-> CONVERGED" in text
+        assert "mismatch:" not in text
+        assert "served latency" not in text
+        assert len(text.splitlines()) == 4
+        assert _numbers(text) <= _numbers(json.dumps(record))
+
+    @pytest.mark.parametrize("as_json", [True, False],
+                             ids=["json", "text"])
+    def test_serve_load_chaos_prints_one_record(self, as_json, capsys,
+                                                monkeypatch):
+        # The verb builds one record from the storm's report and its
+        # failures: --json dumps it, the text renders it, and each
+        # failure goes to stderr.
+        from repro import dynamic
+        from repro.cli import _chaos_text, main
+        from repro.dynamic.chaos import ChaosReport
+        report = ChaosReport(
+            duration=2.5, queries_sent=40, outcomes={"ok": 40},
+            latency_ms={"p50": 1.25, "p95": 3.25, "p99": 4.5},
+            mutation_batches=3, mutations_applied=12, kills=1, stalls=1,
+            restarts=1, epochs={"serve-12-0": 4, "serve-12-1": 3},
+            verified=6, mismatches=["serve-12-1 (0,3) e=(1,2): 5 != 4"])
+        storms = []
+
+        def storm(instances, **kwargs):
+            storms.append(([inst.name for inst in instances], kwargs))
+            return report
+
+        monkeypatch.setattr(dynamic, "run_chaos", storm)
+        argv = ["serve", "load", "--chaos", "--n", "12",
+                "--instances", "2", "--max-p95-ms", "2"]
+        assert main(argv + (["--json"] if as_json else [])) == 1
+        out, err = capsys.readouterr()
+        record = {**report.as_json(), "failures": [
+            "chaos did not converge: serve-12-1 (0,3) e=(1,2): 5 != 4",
+            "chaos: served p95 3.25ms > floor 2.00ms"]}
+        if as_json:
+            assert json.loads(out) == record
+        else:
+            assert out == _chaos_text(record) + "\n"
+        for failure in record["failures"]:
+            assert f"error: {failure}" in err
+        [(names, kwargs)] = storms
+        assert names == ["serve-12-0", "serve-12-1"]
+        assert kwargs["max_staleness"] == 8
+
+    def test_mutate_json_keeps_its_keys(self, capsys):
+        # The record's keys are pinned: scripts read them under
+        # --json, and the text form renders from the same record.
+        from repro.cli import main
+        assert main(["mutate", "--n", "16", "--steps", "2",
+                     "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert set(record) == {
+            "instance", "n", "m", "hop_count", "profile", "seed",
+            "steps", "final_epoch", "final_m", "final_hop_count",
+            "failures"}
+        assert [row["step"] for row in record["steps"]] == [0, 1]
+        for row in record["steps"]:
+            assert set(row) == {"step", "epoch", "applied", "skipped",
+                                "path_changed", "kinds", "skip_reasons"}
 
     def test_store_gc_cli_dry_run_then_prune(self, tmp_path, capsys):
         from repro.cli import main

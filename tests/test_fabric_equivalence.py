@@ -72,7 +72,7 @@ class TestExchangeFuzz:
             }
             links = [(u, v)
                      for u in range(instance.n)
-                     for v in nets["reference"].neighbors(u)]
+                     for v in nets["reference"].topology.nbr_lists[u]]
             for _ in range(rng.randint(3, 8)):
                 outbox = {}
                 for u, v in rng.sample(links,

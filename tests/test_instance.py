@@ -119,7 +119,7 @@ class TestNetworkGlue:
         inst = valid_square()
         net = inst.build_network()
         assert net.n == inst.n
-        assert net.num_edges == inst.m
+        assert net.topology.num_edges == inst.m
 
     def test_strict_network(self):
         net = valid_square().build_network(bandwidth_words=1, strict=True)

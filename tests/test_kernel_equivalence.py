@@ -45,7 +45,6 @@ from repro.congest import (
     build_spanning_tree,
     multi_source_hop_bfs,
     run_path_sweeps,
-    vector_enabled,
 )
 from repro.congest import kernels
 from repro.congest.pipeline import (
@@ -53,10 +52,14 @@ from repro.congest.pipeline import (
     _path_sweeps_message,
     run_segment_sweeps,
 )
-from repro.congest.dispatch import REASON_FABRIC, REASON_NUMPY_MISSING
+from repro.congest.dispatch import (
+    REASON_FABRIC,
+    REASON_NUMPY_MISSING,
+    REASON_RECORD_LINK_TOTALS,
+    REGISTRY,
+)
 from repro.congest.dispatch import check as primitive_check
 from repro.congest.dispatch import dispatch as run_primitive
-from repro.congest.dispatch import registry as primitive_registry
 from repro.congest.kernels import numpy_or_none
 from repro.congest.metrics import RoundLedger
 from repro.congest.words import INF
@@ -166,7 +169,6 @@ HOP_BFS_EXIT_CASES = {
     # A delayed arrival is still pending when the state repeats.
     "delayed-steps": (_late_arrival, {"delay": lambda w: w,
                                       "hop_limit": 16}, {}),
-    "early-exit-budget": (_expander, {"run_full_budget": False}, {}),
     # Non-strict overload: the tail's violations are charged in bulk.
     "bulk-violations": (_expander, {}, {"bandwidth_words": 2}),
     # Strict overload: raises inside round 1, before any repeat.
@@ -225,6 +227,21 @@ class TestPrunedHopBfsFuzz:
         assert status == "ok" and ledger[-1]["rounds"] == zeta
         assert 1 < len(per_round) < zeta
 
+    def test_walks_that_die_out_still_charge_the_full_budget(self):
+        # A directed chain: exact-hop walks die out at hop 3, yet the
+        # deterministic algorithm runs, and is charged, all 40 rounds
+        # on both engines, the idle tail included.
+        out = {}
+        for fabric in ("fast", "vector"):
+            net = CongestNetwork(4, [(0, 1), (1, 2), (2, 3)],
+                                 fabric=fabric)
+            tables = pruned_max_hop_bfs(net, {3: (0, 0)}, hop_limit=40)
+            out[fabric] = (tables, ledger_snapshot(net.ledger))
+        assert out["vector"] == out["fast"]
+        tables, ledger = out["fast"]
+        assert [d for d, entry in enumerate(tables[0]) if entry] == [3]
+        assert ledger[-1]["rounds"] == 40
+
     def test_randomized_equivalence(self):
         rng = random.Random(20260728)
         for trial in range(30):
@@ -235,7 +252,6 @@ class TestPrunedHopBfsFuzz:
             hop = rng.randint(1, 14)
             sense = rng.choice(("backward", "forward"))
             select = rng.choice(("max", "min"))
-            full = rng.random() < 0.5
             record = (None if rng.random() < 0.5
                       else rng.sample(range(instance.n),
                                       rng.randint(1, instance.n)))
@@ -248,27 +264,9 @@ class TestPrunedHopBfsFuzz:
                 net = instance.build_network(fabric=fabric)
                 tables = pruned_max_hop_bfs(
                     net, seeds, hop, avoid_edges=avoid, delay=delay,
-                    record_for=record, run_full_budget=full,
-                    sense=sense, select=select)
+                    record_for=record, sense=sense, select=select)
                 out[fabric] = (tables, ledger_snapshot(net.ledger))
             assert out["vector"] == out["fast"], trial
-
-    def test_early_exit_records_started_idle_rounds(self):
-        # The run_full_budget=False exit must charge every round that
-        # actually executed — including a trailing idle round that
-        # discovered quiescence — and nothing after it, identically on
-        # both engines.
-        # A directed chain: exact-hop walks die out at hop 3, then one
-        # started idle round discovers quiescence — 4 charged rounds,
-        # not 40 and not 3, on both engines.
-        rounds = {}
-        for fabric in ("fast", "vector"):
-            net = CongestNetwork(4, [(0, 1), (1, 2), (2, 3)],
-                                 fabric=fabric)
-            pruned_max_hop_bfs(net, {3: (0, 0)}, hop_limit=40,
-                               run_full_budget=False)
-            rounds[fabric] = net.ledger.rounds
-        assert rounds["vector"] == rounds["fast"] == 4
 
 
 class TestMultisourceFuzz:
@@ -968,6 +966,12 @@ DEFAULT_FABRIC_CALLS = {
 }
 
 
+def _tree_gate(net):
+    """The global gate's verdict on ``net``: ``spanning_tree`` is the
+    one primitive with no per-call constraint."""
+    return primitive_check("spanning_tree", net, root=0, name="t")
+
+
 class TestKernelGating:
     @pytest.mark.parametrize("entry", sorted(DEFAULT_FABRIC_CALLS))
     def test_entry_point_defaults_to_vector(self, entry):
@@ -978,23 +982,16 @@ class TestKernelGating:
         finally:
             counters_mod.registry.reset()
         if isinstance(out, CongestNetwork):
-            assert vector_enabled(out)
+            assert _tree_gate(out) is None
             return
         assert any(o == "vector" for _, o, _ in rows), rows
         assert not any(r == REASON_FABRIC for _, _, r in rows), rows
-
-    def test_vector_enabled_only_for_vector_fabric(self):
-        instance = random_instance(10, seed=2)
-        assert vector_enabled(instance.build_network(fabric="vector"))
-        for fabric in ("fast", "reference"):
-            assert not vector_enabled(
-                instance.build_network(fabric=fabric))
 
     def test_link_total_recording_disables_kernels(self):
         instance = random_instance(10, seed=2)
         net = instance.build_network(fabric="vector")
         net.record_link_totals = True
-        assert not vector_enabled(net)
+        assert _tree_gate(net) == REASON_RECORD_LINK_TOTALS
         # The covered primitives must still run (message path) and
         # populate the per-link totals the cut analysis reads.
         multi_source_hop_bfs(net, [instance.s], 3)
@@ -1004,7 +1001,7 @@ class TestKernelGating:
         monkeypatch.setattr(kernels, "numpy_or_none", lambda: None)
         instance = random_instance(12, seed=6)
         net = instance.build_network(fabric="vector")
-        assert not vector_enabled(net)
+        assert _tree_gate(net) == REASON_NUMPY_MISSING
         got = multi_source_hop_bfs(net, [instance.s], 4)
         ref_net = instance.build_network(fabric="fast")
         want = multi_source_hop_bfs(ref_net, [instance.s], 4)
@@ -1027,7 +1024,7 @@ class TestKernelGating:
             assert (ledger_snapshot(got.ledger)
                     == ledger_snapshot(want.ledger))
             assert rows == {(name, "fallback", REASON_NUMPY_MISSING)
-                            for name in primitive_registry()}
+                            for name in REGISTRY}
 
     def test_vector_fabric_exchange_matches_fast(self):
         # Non-kernelized primitives on the vector fabric go through the
@@ -1334,14 +1331,14 @@ class TestRegistryForcedFallbacks:
 
     def test_every_declared_constraint_has_a_case(self):
         declared = set()
-        for name, prim in primitive_registry().items():
+        for name, prim in REGISTRY.items():
             declared |= {(name, c.reason) for c in prim.constraints}
             if prim.escape_reason is not None:
                 declared.add((name, prim.escape_reason))
         assert declared == set(FALLBACK_CASES)
 
     def test_valid_calls_cover_every_primitive(self):
-        assert set(VALID_CALLS) == set(primitive_registry())
+        assert set(VALID_CALLS) == set(REGISTRY)
 
     @pytest.mark.parametrize("primitive,reason", sorted(FALLBACK_CASES))
     def test_forced_fallback_is_bit_identical(self, primitive, reason):

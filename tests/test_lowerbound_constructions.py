@@ -2,14 +2,19 @@
 
 import pytest
 
+from repro.congest import CongestNetwork
 from repro.congest.words import INF
 from repro.lowerbound import (
     build_gamma_graph,
     build_hard_instance,
     expected_optimal_length,
     lexicographic_phi,
-    undirected_diameter,
 )
+
+
+def undirected_diameter(g):
+    """The diameter of G(Γ, d, p)'s communication graph."""
+    return CongestNetwork(g.n, g.edges).undirected_diameter()
 
 
 class TestGammaGraph:

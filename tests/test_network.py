@@ -5,7 +5,6 @@ import pytest
 from repro.congest.errors import (
     BandwidthExceededError,
     NotALinkError,
-    RoundLimitExceededError,
     UnknownVertexError,
 )
 from repro.congest.network import CongestNetwork
@@ -17,25 +16,25 @@ def triangle():
 
 class TestTopology:
     def test_out_in_neighbors_follow_directions(self):
-        net = CongestNetwork(3, [(0, 1), (2, 1)])
-        assert net.out_neighbors(0) == [1]
-        assert net.in_neighbors(1) == [0, 2]
-        assert net.out_neighbors(1) == []
+        topo = CongestNetwork(3, [(0, 1), (2, 1)]).topology
+        assert topo.out_lists[0] == [1]
+        assert topo.in_lists[1] == [0, 2]
+        assert topo.out_lists[1] == []
 
     def test_links_are_bidirectional(self):
-        net = CongestNetwork(2, [(0, 1)])
-        assert net.has_link(0, 1)
-        assert net.has_link(1, 0)
-        assert net.has_edge(0, 1)
-        assert not net.has_edge(1, 0)
+        topo = CongestNetwork(2, [(0, 1)]).topology
+        assert topo.has_link(0, 1)
+        assert topo.has_link(1, 0)
+        assert topo.has_edge(0, 1)
+        assert not topo.has_edge(1, 0)
 
     def test_weights_stored(self):
         net = CongestNetwork(2, [(0, 1, 7)])
-        assert net.weight(0, 1) == 7
+        assert net.topology.weight(0, 1) == 7
 
     def test_duplicate_edges_deduplicated(self):
         net = CongestNetwork(2, [(0, 1), (0, 1)])
-        assert net.num_edges == 1
+        assert net.topology.num_edges == 1
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
@@ -126,13 +125,6 @@ class TestBandwidth:
 
 
 class TestHelpers:
-    def test_round_budget_check(self):
-        net = triangle()
-        net.exchange({})
-        with pytest.raises(RoundLimitExceededError):
-            net.check_round_budget(0, "unit test")
-        net.check_round_budget(5)
-
     def test_diameter_of_triangle(self):
         assert triangle().undirected_diameter() == 1
 

@@ -75,11 +75,6 @@ class TestReportContents:
         assert default_zeta(1000) == 100
         assert default_zeta(1) == 1
 
-    def test_diameter_optional(self, grid):
-        report = solve_rpaths(grid, compute_diameter=True)
-        assert report.diameter == grid.build_network(
-        ).undirected_diameter()
-
     def test_weighted_instance_rejected(self):
         from repro.graphs import random_instance
         inst = random_instance(30, seed=1, weighted=True)

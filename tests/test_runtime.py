@@ -200,6 +200,58 @@ def _cheap_spec():
     return CellSpec.make("exact-grid", {"rows": 3, "cols": 5}, 0)
 
 
+class _StubFuture:
+    """A pooled cell's future: returns ``result`` or raises ``raises``,
+    and records the wait the parent asked for."""
+
+    def __init__(self, result=None, raises=None):
+        self._result, self._raises = result, raises
+        self.waited = []
+
+    def result(self, timeout=None):
+        self.waited.append(timeout)
+        if self._raises is not None:
+            raise self._raises
+        return self._result
+
+
+class _StubPool:
+    """Stands in for the process pool: hands out ``futures`` in
+    submission order and records each shutdown."""
+
+    def __init__(self, futures):
+        self.futures = list(futures)
+        self.submitted = []
+        self.shutdowns = []
+
+    def __call__(self, max_workers):
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.submitted.append(args)
+        return self.futures[len(self.submitted) - 1]
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shutdowns.append((wait, cancel_futures))
+
+
+def _pool_counts():
+    """Pooled cells by outcome, and waits observed, so far."""
+    from repro.telemetry import counters as counters_mod
+    from repro.telemetry.schema import POOL_ITEMS, POOL_WAIT_SECONDS
+    reg = counters_mod.registry
+    outcomes = {outcome: reg.value(POOL_ITEMS.name, outcome=outcome)
+                for outcome in ("ok", "timeout", "cancelled", "error")}
+    waits = reg.snapshot()["summaries"].get(POOL_WAIT_SECONDS.name, {})
+    return outcomes, waits.get("count", 0)
+
+
 class TestExecutor:
     def test_determinism_same_seed_identical_metrics(self):
         a = execute_cell(_cheap_spec())
@@ -270,6 +322,123 @@ class TestExecutor:
         parallel = run_cells(specs, jobs=2)
         assert [r.metrics for r in serial] == \
             [r.metrics for r in parallel]
+
+    def test_pool_results_keep_input_order(self):
+        specs = [CellSpec.make("exact-grid", {"rows": 3, "cols": c}, s)
+                 for c, s in ((9, 1), (4, 0), (6, 2))]
+        results = run_cells(specs, jobs=2)
+        assert [r.spec for r in results] == specs
+        assert all(r.ok for r in results)
+
+    def test_pool_failure_is_replaced_in_its_own_slot(self):
+        # A cell the pool cannot ship to a worker (its params do not
+        # pickle) fails in the pool, not in execute_cell: it becomes
+        # an error result in its own slot, and the cells around it
+        # still run.
+        from repro.telemetry import counters as counters_mod
+        from repro.telemetry.schema import POOL_ITEMS
+        errors = counters_mod.registry.value(POOL_ITEMS.name,
+                                             outcome="error")
+        good = _cheap_spec()
+        bad = CellSpec.make("exact-grid", {"rows": 3, "cols": 5,
+                                           "hook": lambda: None}, 0)
+        results = run_cells([good, bad, good], jobs=2)
+        assert [r.spec for r in results] == [good, bad, good]
+        assert results[0].ok and results[2].ok
+        failed = results[1]
+        assert failed.status == "error"
+        assert failed.wall_time == 0.0
+        assert failed.metrics == {}
+        assert "pickle" in failed.error
+        assert counters_mod.registry.value(
+            POOL_ITEMS.name, outcome="error") == errors + 1
+
+    def test_backstop_timeout_becomes_a_timeout_result(self, monkeypatch):
+        # A worker that outlives the parent backstop (the timeout plus
+        # the grace) yields a timeout result charged the whole
+        # backstop, and the pool cancels the cells still queued.
+        from concurrent.futures import TimeoutError as FutureTimeoutError
+
+        from repro.runtime import executor
+        future = _StubFuture(raises=FutureTimeoutError())
+        pool = _StubPool([future])
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", pool)
+        before, waits = _pool_counts()
+        spec = _cheap_spec()
+        [result] = run_cells([spec], jobs=2, timeout=1.5)
+        backstop = 1.5 + executor._PARENT_GRACE
+        assert pool.submitted == [(spec, 1.5)]
+        assert future.waited == [backstop]
+        assert pool.shutdowns == [(False, True)]
+        assert result.spec == spec
+        assert result.status == "timeout"
+        assert result.wall_time == backstop
+        assert result.metrics == {}
+        assert result.error == f"worker exceeded {backstop:.1f}s backstop"
+        after, waits_after = _pool_counts()
+        assert after["timeout"] == before["timeout"] + 1
+        assert waits_after == waits + 1
+
+    def test_cells_cancelled_behind_a_backstop_keep_their_slots(
+            self, monkeypatch):
+        # After the backstop fires, the cells still queued come back
+        # cancelled: each becomes an error result in its own slot, the
+        # cell that finished first keeps its result, and progress sees
+        # every result in input order.
+        from concurrent.futures import CancelledError
+        from concurrent.futures import TimeoutError as FutureTimeoutError
+
+        from repro.runtime import executor
+        specs = [CellSpec.make("exact-grid", {"rows": 3, "cols": c}, 0)
+                 for c in (3, 4, 5, 6)]
+        done = CellResult(scenario="exact-grid",
+                          params=specs[0].params_dict, seed=0,
+                          metrics={"rounds": 9}, wall_time=0.25)
+        pool = _StubPool([_StubFuture(result=done),
+                          _StubFuture(raises=FutureTimeoutError()),
+                          _StubFuture(raises=CancelledError()),
+                          _StubFuture(raises=CancelledError())])
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", pool)
+        before, waits = _pool_counts()
+        seen = []
+        results = run_cells(specs, jobs=2, timeout=2.0,
+                            progress=seen.append)
+        assert seen == results
+        assert [r.spec for r in results] == specs
+        assert results[0] is done
+        assert [r.status for r in results] == ["ok", "timeout", "error",
+                                               "error"]
+        for cancelled in results[2:]:
+            assert cancelled.wall_time == 0.0
+            assert cancelled.metrics == {}
+            assert cancelled.error == (
+                "cancelled after an earlier cell exceeded the parent "
+                "backstop")
+        after, waits_after = _pool_counts()
+        assert {k: after[k] - before[k] for k in after} == {
+            "ok": 1, "timeout": 1, "cancelled": 2, "error": 0}
+        assert waits_after == waits + 4
+
+    def test_broken_pool_becomes_an_error_result(self, monkeypatch):
+        # A worker that dies mid-cell breaks the pool: the cell becomes
+        # an error result naming the pool's exception, with no wall
+        # time charged.
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.runtime import executor
+        pool = _StubPool([_StubFuture(
+            raises=BrokenProcessPool("a worker died"))])
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", pool)
+        before, _ = _pool_counts()
+        [result] = run_cells([_cheap_spec()], jobs=2)
+        assert result.spec == _cheap_spec()
+        assert result.status == "error"
+        assert result.wall_time == 0.0
+        assert result.metrics == {}
+        assert result.error == "BrokenProcessPool: a worker died"
+        assert pool.shutdowns == []
+        after, _ = _pool_counts()
+        assert after["error"] == before["error"] + 1
 
     def test_every_registered_scenario_smokes(self):
         # The whole catalog at tiny n: must execute and verify.

@@ -1,8 +1,4 @@
-"""Sharded service: routing, LRU, spill persistence, serving.
-
-Also covers the runtime executor's generalized ``pool_map``, which
-suite cells run on.
-"""
+"""Sharded service: routing, LRU, spill persistence, serving."""
 
 import itertools
 import sys
@@ -24,7 +20,6 @@ from hypothesis.stateful import (
 from repro.congest.words import INF
 from repro.dynamic import MutationStream, apply_mutations
 from repro.graphs.generators import grid_instance, random_instance
-from repro.runtime.executor import POOL_ERROR, pool_map
 from repro.runtime.store import ResultStore
 from repro.serve import (
     OracleShard,
@@ -237,14 +232,6 @@ class TestOneFabric:
         assert build and plan
         assert build | plan == {(kernel, "fallback", "fabric-not-vector")
                                 for kernel, _, _ in build | plan}
-
-
-def _double(x):
-    return x * 2
-
-
-def _boom(x):
-    raise RuntimeError(f"bad {x}")
 
 
 class _ShortPlanner:
@@ -491,23 +478,3 @@ def test_shard_state_machine(tmp_path):
         lambda: ShardMachine(tmp_path / f"store-{next(stores)}"),
         settings=settings(max_examples=40, stateful_step_count=20,
                           deadline=None))
-
-
-class TestPoolMap:
-    def test_ordered_results(self):
-        assert pool_map(_double, [3, 1, 2], jobs=2) == [6, 2, 4]
-
-    def test_fallback_replaces_failures(self):
-        out = pool_map(
-            _boom, ["a"], jobs=2,
-            fallback=lambda payload, kind, msg: (payload, kind))
-        assert out == [("a", POOL_ERROR)]
-
-    def test_no_fallback_propagates(self):
-        with pytest.raises(RuntimeError, match="bad a"):
-            pool_map(_boom, ["a"], jobs=2)
-
-    def test_none_results_keep_their_slot(self):
-        out = pool_map(_boom, ["a", "b"], jobs=2,
-                       fallback=lambda payload, kind, msg: None)
-        assert out == [None, None]  # positions preserved, not dropped

@@ -48,6 +48,7 @@ from repro.graphs import (
     random_instance,
 )
 from repro.graphs.instance import RPathsInstance
+from repro.lowerbound import build_hard_instance
 from repro.telemetry import counters as counters_mod
 from repro.telemetry import tooling
 
@@ -68,9 +69,15 @@ def solver_fingerprint(report):
         list(report.lengths),
         list(report.extras["short"]),
         list(report.extras["long"]),
-        report.extras["tree"],
         ledger_snapshot(report.ledger),
     )
+
+
+def tree_fingerprint(instance, fabric):
+    """The BFS tree of a fresh network and its flood's ledger."""
+    net = instance.build_network(fabric=fabric)
+    tree = build_spanning_tree(net)
+    return tree, ledger_snapshot(net.ledger)
 
 
 def fuzz_instance(rng: random.Random, trial: int):
@@ -108,6 +115,10 @@ class TestWholeSolverFuzz:
                                       fabric=fabric)
                 out[fabric] = solver_fingerprint(report)
             assert out["vector"] == out["fast"], (trial, instance.name)
+            trees = {fabric: tree_fingerprint(instance, fabric)
+                     for fabric in ("reference", "fast", "vector")}
+            assert (trees["vector"] == trees["fast"]
+                    == trees["reference"]), (trial, instance.name)
 
     def test_reference_engine_agrees(self):
         # The pre-fabric oracle engine, on a couple of small instances.
@@ -550,28 +561,68 @@ class TestUniformBroadcastSchedule:
         assert details["fast"][3][-1]["rounds"] > 1
 
 
-class TestTwoSispTreeReuse:
-    def test_replay_matches_fresh_build(self):
-        instance = path_with_chords_instance(14, seed=6)
-        report = solve_two_sisp(instance,
-                                landmarks=list(range(instance.n)))
-        replayed = report.rpaths.ledger["2sisp-tree"].as_dict()
-        net = instance.build_network()
-        build_spanning_tree(net, phase="2sisp-tree")
-        assert replayed == net.ledger["2sisp-tree"].as_dict()
+def _hard_two_sisp_instance():
+    rng = random.Random(6)
+    matrix = [[rng.randint(0, 1) for _ in range(2)] for _ in range(2)]
+    gates = [rng.randint(0, 1) for _ in range(4)]
+    return build_hard_instance(2, 2, 1, matrix, gates).instance
 
-    def test_cross_fabric_two_sisp(self):
-        instance = grid_instance(3, 5)
+
+#: 2-SiSP instances, each at n <= 64: name -> builder.
+TWO_SISP_INSTANCES = {
+    "grid": lambda: grid_instance(3, 5),
+    "random": lambda: random_instance(40, seed=3),
+    "chords-hub": lambda: path_with_chords_instance(24, seed=4,
+                                                    overlay_hub=True),
+    "expander": lambda: expander_instance(48, degree=3, seed=2),
+    "hard-instance": _hard_two_sisp_instance,
+}
+
+
+class TestTwoSispTree:
+    @pytest.mark.parametrize("name", sorted(TWO_SISP_INSTANCES))
+    def test_cross_fabric_two_sisp(self, name):
+        # Corollary 6.2's aggregation tree is built through the
+        # registry on the solve's ledger: its phase is the flood of a
+        # fresh network's tree, and the whole solve is identical on
+        # every fabric.
+        instance = TWO_SISP_INSTANCES[name]()
+        assert instance.n <= 64
         out = {}
         for fabric in ("reference", "fast", "vector"):
             report = solve_two_sisp(instance, seed=2, fabric=fabric)
-            out[fabric] = (report.length,
+            fresh = instance.build_network(fabric=fabric)
+            build_spanning_tree(fresh, phase="2sisp-tree")
+            assert (report.rpaths.ledger["2sisp-tree"].as_dict()
+                    == fresh.ledger["2sisp-tree"].as_dict()), fabric
+            out[fabric] = (report.length, list(report.rpaths.lengths),
                            ledger_snapshot(report.rpaths.ledger))
         assert out["vector"] == out["fast"] == out["reference"]
 
-    def test_report_extras_carry_the_tree(self):
-        instance = random_instance(12, seed=3)
-        report = solve_rpaths(instance, seed=1)
-        tree = report.extras["tree"]
-        tree.verify()
-        assert len(tree.parent) == instance.n
+    def test_numpy_absence_builds_the_tree_on_the_message_lane(
+            self, monkeypatch):
+        # Without NumPy the vector fabric's tree is the registry's
+        # message-lane flood, and the whole 2-SiSP solve equals the
+        # fast fabric's.
+        from repro.baselines.centralized import two_sisp_length
+        from repro.congest.dispatch import REASON_NUMPY_MISSING
+
+        def fingerprint(report):
+            return (report.length, list(report.rpaths.lengths),
+                    ledger_snapshot(report.rpaths.ledger))
+
+        instance = TWO_SISP_INSTANCES["random"]()
+        want = fingerprint(solve_two_sisp(instance, seed=2, fabric="fast"))
+        monkeypatch.setattr(kernels, "numpy_or_none", lambda: None)
+        counters_mod.registry.reset()
+        try:
+            got = fingerprint(solve_two_sisp(instance, seed=2,
+                                             fabric="vector"))
+            rows = {(kernel, outcome, reason) for kernel, outcome, reason, _
+                    in tooling.dispatch_rows(
+                        counters_mod.registry.snapshot()["counters"])}
+        finally:
+            counters_mod.registry.reset()
+        assert got == want
+        assert got[0] == two_sisp_length(instance)
+        assert ("spanning_tree", "fallback", REASON_NUMPY_MISSING) in rows

@@ -5,7 +5,7 @@ The three design promises, each asserted here:
 1. results are untouched: traced runs are bit-identical (outputs and
    ledgers) to untraced runs on every fabric;
 2. fork-safe: the registry and tracer reset on first touch in a
-   ``pool_map`` worker, so child processes never re-report the
+   forked pool worker, so child processes never re-report the
    parent's state;
 3. disabled is (nearly) free: the committed microbench's overhead
    bound holds.
@@ -19,6 +19,7 @@ import pathlib
 import re
 import sys
 import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -27,13 +28,13 @@ from repro.cli import main
 from repro.congest.dispatch import (
     REASON_FABRIC,
     REASON_RECORD_LINK_TOTALS,
+    check,
     known_kernels,
 )
 from repro.congest.metrics import RoundLedger
 from repro.core.rpaths import solve_rpaths
 from repro.core.two_sisp import solve_two_sisp
 from repro.graphs import grid_instance, random_instance
-from repro.runtime.executor import pool_map
 from repro.telemetry import counters as counters_mod
 from repro.telemetry import schema
 from repro.telemetry import sink as sink_mod
@@ -124,7 +125,7 @@ class TestTracedBitIdentical:
 
 
 def _fork_probe(tag):
-    """Module-level pool_map worker: inc one counter, report state."""
+    """Module-level pool worker: inc one counter, report state."""
     counters_mod.registry.inc("repro_test_fork_total")
     return (os.getpid(),
             counters_mod.registry.value("repro_test_fork_total"),
@@ -137,7 +138,8 @@ class TestForkSafety:
         for _ in range(5):
             counters_mod.registry.inc("repro_test_fork_total")
         payloads = ["a", "b", "c", "d"]
-        outcomes = pool_map(_fork_probe, payloads, jobs=2)
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            outcomes = list(pool.map(_fork_probe, payloads))
         assert counters_mod.registry.value(
             "repro_test_fork_total") == 5
         for pid, value, leaked_spans in outcomes:
@@ -374,8 +376,7 @@ class TestDispatchAccounting:
         instance = grid_instance(3, 5)
         net = instance.build_network(fabric="vector")
         net.record_link_totals = True
-        from repro.congest import kernels
-        assert (kernels.vector_gate_reason(net)
+        assert (check("spanning_tree", net, root=0, name="t")
                 == REASON_RECORD_LINK_TOTALS)
         solve_rpaths(instance, fabric="vector")
         solve_rpaths(instance, fabric="fast")

@@ -16,24 +16,24 @@ def diamond():
 class TestConstruction:
     def test_adjacency_matches_edges(self):
         topo = diamond()
-        assert topo.out_neighbors(0) == [1, 2]
-        assert topo.in_neighbors(3) == [1, 2]
-        assert topo.neighbors(0) == [1, 2, 3]
+        assert topo.out_lists[0] == [1, 2]
+        assert topo.in_lists[3] == [1, 2]
+        assert topo.nbr_lists[0] == [1, 2, 3]
         assert topo.num_edges == 5
 
     def test_csr_arrays_consistent_with_lists(self):
         topo = diamond()
         for u in range(topo.n):
             lo, hi = topo.nbr_indptr[u], topo.nbr_indptr[u + 1]
-            assert topo.nbr_indices[lo:hi] == topo.neighbors(u)
+            assert topo.nbr_indices[lo:hi] == topo.nbr_lists[u]
             lo, hi = topo.out_indptr[u], topo.out_indptr[u + 1]
-            assert topo.out_indices[lo:hi] == topo.out_neighbors(u)
+            assert topo.out_indices[lo:hi] == topo.out_lists[u]
             lo, hi = topo.in_indptr[u], topo.in_indptr[u + 1]
-            assert topo.in_indices[lo:hi] == topo.in_neighbors(u)
+            assert topo.in_indices[lo:hi] == topo.in_lists[u]
 
     def test_neighbors_sorted(self):
         topo = CSRTopology(5, [(3, 1), (1, 0), (4, 1), (1, 2)])
-        assert topo.neighbors(1) == [0, 2, 3, 4]
+        assert topo.nbr_lists[1] == [0, 2, 3, 4]
 
     def test_duplicate_edges_first_weight_wins(self):
         topo = CSRTopology(2, [(0, 1, 7), (0, 1, 9)])
@@ -56,10 +56,11 @@ class TestLinkIds:
         topo = diamond()
         seen = set()
         for v in range(topo.n):
-            for u in topo.neighbors(v):
+            for u in topo.nbr_lists[v]:
                 lid = topo.link_id(u, v)
                 assert 0 <= lid < topo.num_dirlinks
-                assert topo.link_endpoints(lid) == (u, v)
+                assert (topo.nbr_indices[lid],
+                        topo.link_receiver[lid]) == (u, v)
                 seen.add(lid)
         assert len(seen) == topo.num_dirlinks
 
@@ -69,7 +70,7 @@ class TestLinkIds:
         topo = diamond()
         pairs = []
         for v in range(topo.n):
-            for u in topo.neighbors(v):
+            for u in topo.nbr_lists[v]:
                 pairs.append((topo.link_id(u, v), (v, u)))
         pairs.sort()
         assert [p for _, p in pairs] == sorted(p for _, p in pairs)
